@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -22,6 +23,7 @@ from .errors import ConfigError, FringelabError, SpectrumFormatError
 from .filmsim import add_noise, measure_snr, simulate_reflectance
 from .io import (
     RunConfig,
+    check_range_nm,
     load_run_config,
     read_concentration_table,
     read_manifest,
@@ -47,10 +49,16 @@ METHOD_CHOICES = ("rifts", "iaw", "lamp")
 
 
 def _float_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
-    return float(parts[0]), float(parts[1])
+    try:
+        return check_range_nm(text.split(","))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lod-table", parents=[common],
                        help="Monte-Carlo detection-limit matrix over methods and drifts")
-    p.add_argument("--trials", type=int, help="override the trial count")
+    p.add_argument("--trials", type=_positive_int, help="override the trial count")
     p.set_defaults(handler=cmd_lod_table)
 
     p = sub.add_parser("fit", parents=[common],
@@ -101,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("series", help="concentration,unit,response table")
     p.add_argument("--three-sigma-blank", type=float, required=True,
                    help="noise floor above the intercept defining the LOD")
-    p.add_argument("--curve-points", type=int, default=200)
+    p.add_argument("--curve-points", type=_positive_int, default=200)
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("snr", parents=[common],
@@ -151,21 +159,12 @@ def _rows_to_text(rows: list, fmt: str) -> str:
         return json.dumps(rows, indent=2) + "\n"
     if not rows:
         return ""
-    buffer = []
-    writer_target = _ListWriter(buffer)
-    writer = csv.writer(writer_target, lineterminator="\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(rows[0].keys())
     for row in rows:
         writer.writerow(_format_cell(v) for v in row.values())
-    return "".join(buffer)
-
-
-class _ListWriter:
-    def __init__(self, buffer):
-        self.buffer = buffer
-
-    def write(self, data):
-        self.buffer.append(data)
+    return buffer.getvalue()
 
 
 def _format_cell(value) -> str:
@@ -209,25 +208,29 @@ def _process_one(method: str, config: RunConfig, reference, analyte) -> dict:
     }
 
 
+def _run_batch(items, work) -> tuple[list, int]:
+    """Rows work(item) for the (label, item) pairs that succeed, each failure on one
+    stderr line; exit code 3 if any failed to process, else 2 if any failed to parse."""
+    rows, code = [], 0
+    for label, item in items:
+        try:
+            rows.append(work(item))
+        except SpectrumFormatError as exc:
+            print(f"error (parse): {label}: {exc}", file=sys.stderr)
+            code = code or PARSE_EXIT
+        except (FringelabError, ValueError) as exc:
+            print(f"error (process): {label}: {exc}", file=sys.stderr)
+            code = PROCESS_EXIT
+    return rows, code
+
+
 def cmd_process(args) -> int:
     config = _load_config(args)
     reference = read_spectrum(args.reference)
-    rows = []
-    failures = []
-    for path in args.analytes:
-        try:
-            analyte = read_spectrum(path)
-            rows.append({"file": path, **_process_one(args.method, config, reference, analyte)})
-        except SpectrumFormatError as exc:
-            failures.append(("parse", path, exc))
-        except FringelabError as exc:
-            failures.append(("process", path, exc))
+    rows, code = _run_batch(((path, path) for path in args.analytes), lambda path: {
+        "file": path, **_process_one(args.method, config, reference, read_spectrum(path))})
     _write_text(args.out, _rows_to_text(rows, args.format))
-    for kind, path, exc in failures:
-        print(f"error ({kind}): {path}: {exc}", file=sys.stderr)
-    if failures:
-        return PROCESS_EXIT if any(k == "process" for k, _, _ in failures) else PARSE_EXIT
-    return 0
+    return code
 
 
 def cmd_timeseries(args) -> int:
@@ -239,30 +242,24 @@ def cmd_timeseries(args) -> int:
     entries = read_manifest(args.manifest)
     reference_entry = next(e for e in entries if e.role == "reference")
     reference = read_spectrum(reference_entry.path)
-    stamps = [e.timestamp_s for e in entries]
-    table = {method: [] for method in methods}
-    for entry in entries:
-        try:
-            spectrum = read_spectrum(entry.path)
-            for method in methods:
-                table[method].append(_process_one(method, config, reference, spectrum)["signal"])
-        except FringelabError as exc:
-            raise type(exc)(f"at timestamp {entry.timestamp_s:g}: {exc}") from exc
-    if args.normalize:
+
+    def work(entry):
+        spectrum = read_spectrum(entry.path)
+        signals = {m: _process_one(m, config, reference, spectrum)["signal"] for m in methods}
+        return {"timestamp_s": entry.timestamp_s, **signals}
+
+    rows, code = _run_batch(((f"at timestamp {e.timestamp_s:g}", e) for e in entries), work)
+    if args.normalize and rows:
         for method in methods:
-            values = np.asarray(table[method])
+            values = np.array([row[method] for row in rows])
             span = values.max() - values.min()
-            table[method] = (
-                ((values - values.min()) / span) if span else np.zeros_like(values)
-            ).tolist()
-    rows = [
-        {"timestamp_s": stamp, **{m: table[m][i] for m in methods}}
-        for i, stamp in enumerate(stamps)
-    ]
+            for row, value in zip(rows, values - values.min()):
+                row[method] = float(value / span) if span else 0.0
     _write_text(args.out, _rows_to_text(rows, args.format))
-    if args.svg is not None:
-        write_polyline_svg(args.svg, {m: (stamps, table[m]) for m in methods})
-    return 0
+    if args.svg is not None and rows:
+        stamps = [row["timestamp_s"] for row in rows]
+        write_polyline_svg(args.svg, {m: (stamps, [r[m] for r in rows]) for m in methods})
+    return code
 
 
 def cmd_lod_table(args) -> int:

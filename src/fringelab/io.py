@@ -215,6 +215,17 @@ def _build_section(name: str, cls, payload: dict):
         raise ConfigError(f"invalid {name!r} section: {exc}") from exc
 
 
+def check_range_nm(value) -> tuple[float, float]:
+    """A wavelength range as (low, high) nm; ConfigError unless 0 < low < high < inf."""
+    try:
+        low, high = (float(x) for x in value)
+    except (TypeError, ValueError):
+        low = high = np.nan
+    if not 0.0 < low < high < np.inf:
+        raise ConfigError(f"wavelength range must be two numbers 0 < low < high, got {value!r}")
+    return low, high
+
+
 def load_run_config(path=None, text: str | None = None) -> RunConfig:
     """Load and validate a JSON run configuration; unknown keys are errors."""
     if text is None:
@@ -248,9 +259,7 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
         raise ConfigError(f"unknown key(s) in 'study' section: {sorted(unknown)}")
     if "native_range_nm" in study:
         study = {**study, "native_range_nm": tuple(study["native_range_nm"])}
-    range_nm = tuple(document.get("range_nm", (500.0, 800.0)))
-    if len(range_nm) != 2:
-        raise ConfigError("'range_nm' must be [low, high]")
+    range_nm = check_range_nm(document.get("range_nm", (500.0, 800.0)))
     seed = document.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise ConfigError("'seed' must be a non-negative integer")

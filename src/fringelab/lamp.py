@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DegenerateAmplitudeError
 from .filmsim import Spectrum
@@ -138,18 +137,24 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet: MorletWavelet) -> Fil
     spacing = resampled.grid.delta_sigma
     if not math.isclose(wavelet.spacing, spacing, rel_tol=1e-9, abs_tol=0.0):
         raise ValueError("wavelet sample spacing does not match the grid")
-    filtered = fftconvolve(resampled.values, wavelet.samples, mode="same") * spacing
-    return FilteredSpectrum(resampled.grid, filtered)
+    n, m = resampled.values.size, wavelet.samples.size
+    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1, the full length
+    full = np.fft.ifft(np.fft.fft(resampled.values, size) * np.fft.fft(wavelet.samples, size))
+    return FilteredSpectrum(resampled.grid, full[(m - 1) // 2 :][:n] * spacing)
 
 
-def normalize_fringes(filtered: FilteredSpectrum) -> np.ndarray:
-    """Unit-amplitude fringes cos(phase), i.e. real part over amplitude."""
+def _checked_amplitude(filtered: FilteredSpectrum) -> np.ndarray:
     amplitude = filtered.amplitude
     if np.any(amplitude < AMPLITUDE_FLOOR):
         raise DegenerateAmplitudeError(
             f"filtered amplitude below {AMPLITUDE_FLOOR:g}; phase undefined"
         )
-    return filtered.complex_values.real / amplitude
+    return amplitude
+
+
+def normalize_fringes(filtered: FilteredSpectrum) -> np.ndarray:
+    """Unit-amplitude fringes cos(phase), i.e. real part over amplitude."""
+    return filtered.complex_values.real / _checked_amplitude(filtered)
 
 
 def unwrap_phase(wrapped) -> np.ndarray:
@@ -210,10 +215,8 @@ def _phase_profile(
     if wavelet is None:
         wavelet = design_wavelet(peak, delta_sigma, cfg.wavelet_width_scale)
     filtered = filter_spectrum(centered, wavelet)
-    amplitude = filtered.amplitude
-    if np.any(amplitude < AMPLITUDE_FLOOR):
-        raise DegenerateAmplitudeError("filtered amplitude collapsed; phase undefined")
-    unwrapped = unwrap_phase(np.angle(filtered.complex_values))
+    _checked_amplitude(filtered)
+    unwrapped = unwrap_phase(filtered.phase)
     anchored = anchor_cycle(unwrapped, peak.center_frequency_nm, resampled.grid.sigma_min)
     return anchored, resampled.grid, peak, wavelet
 

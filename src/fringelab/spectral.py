@@ -5,21 +5,24 @@ bin m of an N-point transform sits at m / (N * delta_sigma), which for
 thin-film fringes reads directly as effective optical thickness. The
 forward transform applies no normalization (plain summation), so
 sum |X|^2 over a full transform equals N times the input energy.
+
+A zero-padded transform is measured without materializing it: every
+step-th padded bin comes from a shorter rfft that keeps at least 16 coarse
+bins per resolution cell 1/(n * delta_sigma), which brackets the peak and
+both half-maximum crossings; the exact padded bins inside each bracket,
+summed directly, decide them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import ZoomFFT
 
 from .errors import NoFringePeakError, PeakMeasurementError
 
 MIN_TRANSFORM_POINTS = 16
-
-# Below this padded length the full transform is cheap enough to run outright.
-_ZOOM_THRESHOLD = 2**17
 
 DEFAULT_LOW_CUTOFF_NM = 1000.0
 
@@ -71,58 +74,72 @@ def dft(values, delta_sigma: float) -> FrequencySpectrum:
     return FrequencySpectrum(frequencies, amplitudes)
 
 
-def _measure_peak(spectrum: FrequencySpectrum, low_cutoff_nm: float, refine: bool) -> PeakInfo:
-    """Shared peak search: argmax above cutoff, local-max shape check, FWHM."""
-    freqs = spectrum.frequencies_nm
-    mags = np.abs(spectrum.amplitudes)
-    allowed = np.flatnonzero(freqs > low_cutoff_nm)
+def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, last=None):
+    """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
+
+    exact(lo, hi) returns |X[lo..hi]| (the coarse bins when step == 1); it
+    decides the argmax inside +/-1 coarse bin and each half-maximum
+    crossing inside one coarse interval.
+    """
+    if step == 1:
+        def exact(lo, hi):
+            return coarse[lo : hi + 1]
+    last = coarse.size - 1 if last is None else last
+    allowed = np.flatnonzero(f0 + df * (step * np.arange(coarse.size)) > low_cutoff_nm)
     if allowed.size == 0:
-        raise NoFringePeakError(
-            f"no transform bins above the {low_cutoff_nm:g} nm cutoff"
-        )
-    peak = allowed[int(np.argmax(mags[allowed]))]
-    last = mags.size - 1
+        raise NoFringePeakError(f"no transform bins above the {low_cutoff_nm:g} nm cutoff")
+    c = int(allowed[int(np.argmax(coarse[allowed]))])
+    lo = max(step * (c - 1) - 1, 0)
+    mags = exact(lo, min(step * (c + 1) + 1, last))
+    bins = lo + np.arange(mags.size)
+    inside = (np.abs(bins - step * c) <= step) & (f0 + df * bins > low_cutoff_nm)
+    i = int(np.argmax(np.where(inside, mags, -1.0)))
+    peak = lo + i
     is_local_max = (
         0 < peak < last
-        and mags[peak] > 0.0
-        and mags[peak] >= mags[peak - 1]
-        and mags[peak] >= mags[peak + 1]
-        and (mags[peak] > mags[peak - 1] or mags[peak] > mags[peak + 1])
+        and mags[i] > 0.0
+        and mags[i] >= mags[i - 1]
+        and mags[i] >= mags[i + 1]
+        and (mags[i] > mags[i - 1] or mags[i] > mags[i + 1])
     )
     if not is_local_max:
         raise NoFringePeakError(
             "no fringe peak: largest magnitude above the cutoff is not a local maximum"
         )
 
-    half = 0.5 * mags[peak]
+    half = 0.5 * mags[i]
 
-    def crossing(direction: int) -> float:
-        j = peak
-        while 0 <= j + direction <= last:
-            k = j + direction
-            if mags[k] <= half:
-                # Linear interpolation between bins j and k on magnitude.
-                frac = (half - mags[j]) / (mags[k] - mags[j])
-                return float(freqs[j] + frac * (freqs[k] - freqs[j]))
-            j = k
-        raise PeakMeasurementError("half-maximum crossing ran off the spectrum")
+    def crossing(lo: int, hi: int, direction: int) -> float:
+        walk = exact(lo, hi)[:: direction]
+        start = lo if direction > 0 else hi
+        below = np.flatnonzero(walk[1:] <= half)
+        if below.size == 0:
+            raise PeakMeasurementError("half-maximum crossing ran off the spectrum")
+        k = int(below[0]) + 1
+        j_bin, k_bin = start + direction * (k - 1), start + direction * k
+        # Linear interpolation between bins j and k on magnitude.
+        frac = (half - walk[k - 1]) / (walk[k] - walk[k - 1])
+        f_j, f_k = f0 + j_bin * df, f0 + k_bin * df
+        return float(f_j + frac * (f_k - f_j))
 
-    left = crossing(-1)
-    right = crossing(+1)
+    first_right = peak // step + 1
+    right_hits = np.flatnonzero(coarse[first_right:] <= half)
+    hi = step * (first_right + int(right_hits[0])) if right_hits.size else last
+    right = crossing(max(peak, hi - step), hi, +1)
+    left_hits = np.flatnonzero(coarse[: (peak - 1) // step + 1] <= half)
+    lo = step * int(left_hits[-1]) if left_hits.size else 0
+    left = crossing(lo, min(peak, lo + step), -1)
 
-    center = float(freqs[peak])
+    center = float(f0 + peak * df)
     if refine:
-        m_l, m_c, m_r = mags[peak - 1], mags[peak], mags[peak + 1]
+        m_l, m_c, m_r = mags[i - 1], mags[i], mags[i + 1]
         denom = m_l - 2.0 * m_c + m_r
         if denom != 0.0:
             shift = 0.5 * (m_l - m_r) / denom
-            center += shift * spectrum.bin_spacing_nm
+            center += shift * df
 
-    return PeakInfo(
-        center_frequency_nm=center,
-        fwhm_nm=right - left,
-        peak_power=float(mags[peak] ** 2),
-    )
+    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left,
+                    peak_power=float(mags[i] ** 2))
 
 
 def dominant_peak(
@@ -136,21 +153,26 @@ def dominant_peak(
     linear interpolation around the peak. With refine=True the center gets
     a parabolic sub-bin adjustment; by default it is the bin frequency.
     """
-    return _measure_peak(spectrum, low_cutoff_nm, refine)
-
-
-def _next_pow2(n: int) -> int:
-    out = 1
-    while out < n:
-        out *= 2
-    return out
+    f0, df = float(spectrum.frequencies_nm[0]), spectrum.bin_spacing_nm
+    return _measure_peak(np.abs(spectrum.amplitudes), f0, df, low_cutoff_nm, refine)
 
 
 def _full_padded_peak(values, delta_sigma, pad_length, low_cutoff_nm, refine) -> PeakInfo:
-    v = np.asarray(values, dtype=float)
-    amplitudes = np.fft.rfft(v, n=pad_length)
-    frequencies = np.arange(amplitudes.size) * (1.0 / (pad_length * delta_sigma))
-    return _measure_peak(FrequencySpectrum(frequencies, amplitudes), low_cutoff_nm, refine)
+    mags = np.abs(np.fft.rfft(np.asarray(values, dtype=float), n=pad_length))
+    return _measure_peak(mags, 0.0, 1.0 / (pad_length * delta_sigma), low_cutoff_nm, refine)
+
+
+@lru_cache(maxsize=8)
+def _plan(n: int, pad_length: int) -> tuple[int, np.ndarray]:
+    """Coarse step and read-only phasors exp(-2j*pi*r*j/pad_length), r < 2*step + 3, j < n.
+
+    The step is the largest divisor of pad_length leaving >= 16 coarse bins per sample.
+    """
+    step = next(d for d in range(max(pad_length // (16 * n), 1), 0, -1) if pad_length % d == 0)
+    turns = np.outer(np.arange(2 * step + 3), np.arange(n)) % pad_length
+    phasors = np.exp(-2j * np.pi * turns / pad_length)
+    phasors.setflags(write=False)
+    return step, phasors
 
 
 def padded_peak(
@@ -162,11 +184,9 @@ def padded_peak(
 ) -> PeakInfo:
     """Dominant peak of the zero-padded transform, without materializing it.
 
-    Numerically equivalent to dft(zero_pad(values, pad_length), ...) followed
-    by dominant_peak: a coarse transform localizes the peak (zero-padding
-    adds no information, so the coarse grid already resolves every feature),
-    then a chirp-z zoom evaluates the exact padded-transform bins around it.
-    Any ambiguity near window edges falls back to the full transform.
+    Equivalent to dft(zero_pad(values, pad_length), ...) then dominant_peak.
+    Every step-th padded bin, at least 16 per resolution cell, brackets the
+    peak and both half-maximum crossings; exact padded bins decide them.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < MIN_TRANSFORM_POINTS:
@@ -175,45 +195,14 @@ def padded_peak(
         raise ValueError("delta_sigma must be positive")
     if pad_length < v.size:
         raise ValueError("pad_length shorter than the data")
-    if pad_length <= _ZOOM_THRESHOLD:
-        return _full_padded_peak(v, delta_sigma, pad_length, low_cutoff_nm, refine)
+    step, phasors = _plan(v.size, pad_length)
+    coarse = np.abs(np.fft.rfft(v, n=pad_length // step))
+    j = np.arange(v.size)
 
-    coarse_len = min(pad_length, max(2**15, _next_pow2(8 * v.size)))
-    coarse_amps = np.fft.rfft(v, n=coarse_len)
-    coarse_freqs = np.arange(coarse_amps.size) * (1.0 / (coarse_len * delta_sigma))
-    try:
-        coarse = _measure_peak(
-            FrequencySpectrum(coarse_freqs, coarse_amps), low_cutoff_nm, False
-        )
-    except (NoFringePeakError, PeakMeasurementError):
-        # Genuinely ambiguous shape; decide on the full transform.
-        return _full_padded_peak(v, delta_sigma, pad_length, low_cutoff_nm, refine)
+    def exact(lo: int, hi: int) -> np.ndarray:
+        # Modulating the data by bin lo shifts it to row 0 of the phasors.
+        shifted = v * np.exp(-2j * np.pi * ((lo * j) % pad_length) / pad_length)
+        return np.abs(phasors[: hi - lo + 1] @ shifted)
 
-    # Window wide enough to contain the peak and both half-max crossings:
-    # the data's resolution limit is 1/(n*delta_sigma), and no mainlobe or
-    # crossing sits farther than a few resolution bins from the peak.
-    resolution = 1.0 / (v.size * delta_sigma)
-    half_window = 4.0 * resolution + coarse.fwhm_nm
-    fs = 1.0 / delta_sigma
-    half_bins = pad_length // 2
-    m_lo = max(int(np.floor((coarse.center_frequency_nm - half_window) * pad_length * delta_sigma)), 0)
-    m_hi = min(int(np.ceil((coarse.center_frequency_nm + half_window) * pad_length * delta_sigma)), half_bins)
-    count = m_hi - m_lo + 1
-    if count < 16:
-        return _full_padded_peak(v, delta_sigma, pad_length, low_cutoff_nm, refine)
-
-    transform = ZoomFFT(v.size, [m_lo * fs / pad_length, (m_lo + count) * fs / pad_length], count, fs=fs)
-    zoom_amps = transform(v)
-    zoom_freqs = (m_lo + np.arange(count)) * (1.0 / (pad_length * delta_sigma))
-    try:
-        info = _measure_peak(FrequencySpectrum(zoom_freqs, zoom_amps), low_cutoff_nm, refine)
-    except (NoFringePeakError, PeakMeasurementError):
-        return _full_padded_peak(v, delta_sigma, pad_length, low_cutoff_nm, refine)
-
-    # Distrust results hugging a zoom edge that is not a true spectrum edge.
-    margin = 2.0 * info.fwhm_nm
-    near_left = info.center_frequency_nm - margin < zoom_freqs[0]
-    near_right = info.center_frequency_nm + margin > zoom_freqs[-1]
-    if (near_left and m_lo > 0) or (near_right and m_hi < half_bins):
-        return _full_padded_peak(v, delta_sigma, pad_length, low_cutoff_nm, refine)
-    return info
+    df = 1.0 / (pad_length * delta_sigma)
+    return _measure_peak(coarse, 0.0, df, low_cutoff_nm, refine, step, exact, pad_length // 2)

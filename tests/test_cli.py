@@ -142,6 +142,19 @@ class TestProcess:
         assert [r["file"] for r in rows] == [str(good)]
         assert "different wavelength grids" in capsys.readouterr().err
 
+    def test_out_of_range_file_fails_alone(self, tmp_path, capsys):
+        wide = (450.0, 800.0)
+        reference = write_stack_spectrum(tmp_path / "ref.csv", range_nm=wide)
+        good = write_stack_spectrum(tmp_path / "good.csv", delta_n=1e-3, range_nm=wide)
+        narrow = write_stack_spectrum(tmp_path / "narrow.csv", delta_n=1e-3)
+        out = tmp_path / "rows.json"
+        rc = main(["process", "--method", "lamp", "--range", "450,800", str(reference),
+                   str(narrow), str(good), "--out", str(out)])
+        assert rc == PROCESS_EXIT
+        assert [r["file"] for r in json.loads(out.read_text())] == [str(good)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "narrow.csv" in err[0] and "exceeds sampled range" in err[0]
+
     def test_csv_format(self, tmp_path, capsys):
         reference = write_stack_spectrum(tmp_path / "ref.csv")
         out = tmp_path / "rows.csv"
@@ -220,6 +233,25 @@ class TestTimeseries:
                    "--out", str(tmp_path / "ts.csv")])
         assert rc == PROCESS_EXIT
         assert "at timestamp 30" in capsys.readouterr().err
+
+    def test_out_of_range_entry_fails_alone(self, tmp_path, capsys):
+        wide = (450.0, 800.0)
+        entries = [
+            ManifestEntry(0.0, write_stack_spectrum(tmp_path / "ref.csv", range_nm=wide),
+                          "reference"),
+            ManifestEntry(10.0, write_stack_spectrum(tmp_path / "s1.csv", 1e-3, range_nm=wide),
+                          "sample"),
+            ManifestEntry(20.0, write_stack_spectrum(tmp_path / "s2.csv", 2e-3), "sample"),
+        ]
+        manifest = tmp_path / "run.manifest"
+        write_manifest(manifest, entries)
+        out = tmp_path / "ts.json"
+        rc = main(["timeseries", "--manifest", str(manifest), "--methods", "lamp,iaw",
+                   "--range", "450,800", "--out", str(out)])
+        assert rc == PROCESS_EXIT
+        assert [row["timestamp_s"] for row in json.loads(out.read_text())] == [0.0, 10.0]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "at timestamp 20" in err[0]
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         manifest = self.build_manifest(tmp_path, deltas=(0.0, 1e-3))
@@ -339,3 +371,37 @@ class TestSnrAndErrors:
     def test_bad_range_flag_raises_system_exit(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--range", "500", "--out", str(tmp_path / "n.csv")])
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["simulate", "--range", "800,500"], None),
+        (["simulate", "--range", "a,b"], None),
+        (["simulate", "--range=-100,500"], None),
+        (["simulate", "--range", "500,inf"], None),
+        (["simulate"], '{"range_nm": ["a", "b"]}'),
+        (["simulate"], '{"range_nm": [800, 500]}'),
+        (["simulate"], '{"range_nm": [0, 500]}'),
+        (["simulate"], '{"range_nm": 500}'),
+        (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "-1"], None),
+        (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "0"], None),
+        (["lod-table", "--trials", "0"], None),
+        (["lod-table", "--trials", "many"], None),
+    ],
+)
+def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    TestFit().write_series(tmp_path / "series.csv")
+    argv = [*argv, "--out", "out"]
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv += ["--config", "run.json"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag after printing its usage
+        rc = exc.code
+    assert rc == PARSE_EXIT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error" in line]) == 1

@@ -113,6 +113,21 @@ def test_filter_requires_matching_spacing():
         filter_spectrum(ResampledSpectrum(other, np.zeros(1024)), w)
 
 
+@pytest.mark.parametrize("width_scale", [1.0, 4.0])
+def test_filter_is_the_centred_direct_convolution(width_scale):
+    # width_scale 1 gives the default design, longer than the data; 4 a shorter one
+    rng = np.random.default_rng(8)
+    values = np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + rng.normal(0.0, 0.1, 2048)
+    w = matched_wavelet(width_scale=width_scale)
+    assert (w.samples.size > values.size) == (width_scale == 1.0)
+    filtered = filter_spectrum(ResampledSpectrum(GRID, values), w)
+    # np.convolve's "same" keeps max(n, m) points; the filter keeps the data's
+    # n points of the full convolution, starting at (m - 1) // 2
+    full = np.convolve(values, w.samples, mode="full")
+    expected = full[(w.samples.size - 1) // 2 :][: values.size] * GRID.delta_sigma
+    npt.assert_allclose(filtered.complex_values, expected, rtol=1e-12)
+
+
 def test_filtered_tone_phase_slope():
     sigmas = GRID.sigmas()
     tone = np.cos(2 * np.pi * 5760.0 * sigmas)

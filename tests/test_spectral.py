@@ -1,8 +1,9 @@
 """Tests for the transform stage and fringe-peak measurement.
 
 The reference oracle here is direct evaluation of the transform sum, so
-the fast paths (rfft and the zoomed evaluation of padded bins) are checked
-against arithmetic that shares no code with them.
+the fast paths (rfft, and the coarse-bracket plus exact-bin measurement of
+padded peaks) are checked against arithmetic that shares no code with them;
+the padded measurement is also checked against the full padded transform.
 """
 
 import math
@@ -12,12 +13,18 @@ import numpy.testing as npt
 import pytest
 
 from fringelab import (
+    FilmStack,
     NoFringePeakError,
+    NoiseModel,
     PeakMeasurementError,
     WavenumberGrid,
+    add_noise,
     dft,
     dominant_peak,
+    hann_window,
     padded_peak,
+    simulate_reflectance,
+    to_wavenumber,
 )
 from fringelab.spectral import _full_padded_peak
 
@@ -91,12 +98,56 @@ def test_peak_fwhm_of_unwindowed_cosine():
     assert abs(peak.fwhm_nm / (1.2067 / span) - 1.0) < 0.02
 
 
-def test_zoomed_evaluation_matches_full_transform():
-    values, delta_sigma = fringe_values(noise=2e-3, seed=3)
-    pad = 2**21
-    fast = padded_peak(values, delta_sigma, pad)
-    slow = _full_padded_peak(values, delta_sigma, pad, 1000.0, False)
-    assert fast.center_frequency_nm == slow.center_frequency_nm
+RAMPS = {
+    "none": {},
+    "offset": {"offset_ramp_magnitude": 0.02},
+    "amplitude": {"amplitude_ramp_gain": 0.3},
+}
+
+
+def front_end_values(style, ramp, seed=3):
+    """Noisy fringes: a bare cosine, or a film spectrum through the lamp or rifts front end."""
+    if style == "cosine":
+        return fringe_values(noise=2e-3, seed=seed)
+    clean = simulate_reflectance(FilmStack(), np.linspace(500.0, 800.0, 768))
+    noisy = add_noise(clean, NoiseModel(target_snr_db=27.7, seed=seed, **RAMPS[ramp]))
+    if style == "lamp":  # linear resample, quadratic baseline removed, no window
+        resampled = to_wavenumber(noisy, method="linear")
+        u = np.linspace(-1.0, 1.0, resampled.values.size)
+        values = resampled.values - np.polyval(np.polyfit(u, resampled.values, 2), u)
+    else:  # cubic resample, mean removed, Hann window
+        resampled = to_wavenumber(noisy)
+        values = resampled.values - resampled.values.mean()
+        values = values * hann_window(values.size)
+    return values, resampled.grid.delta_sigma
+
+
+@pytest.mark.parametrize(
+    "style, ramp, pad, refine",
+    [
+        ("cosine", "none", 2**21, False),
+        ("lamp", "none", 2**21, False),
+        ("lamp", "offset", 2**21, False),
+        ("lamp", "amplitude", 2**18, False),
+        ("lamp", "none", 2**17, False),
+        ("rifts", "none", 2**21, False),
+        ("rifts", "offset", 2**18, False),
+        ("rifts", "amplitude", 2**21, False),
+        ("rifts", "amplitude", 2**17, False),
+        ("lamp", "offset", 3 * 2**17, False),  # not a power of two
+        ("rifts", "none", 5 * 3**11, False),  # odd: the coarse grid stops short of the last bin
+        ("lamp", "none", 2**21, True),
+        ("rifts", "offset", 2**21, True),
+    ],
+)
+def test_padded_peak_matches_full_transform(style, ramp, pad, refine):
+    values, delta_sigma = front_end_values(style, ramp)
+    fast = padded_peak(values, delta_sigma, pad, refine=refine)
+    slow = _full_padded_peak(values, delta_sigma, pad, 1000.0, refine)
+    # The parabolic refinement divides by a second difference of nearly equal
+    # magnitudes, which amplifies rounding; unrefined centers are bins, exactly equal.
+    npt.assert_allclose(fast.center_frequency_nm, slow.center_frequency_nm,
+                        rtol=1e-12 if refine else 0.0)
     npt.assert_allclose(fast.fwhm_nm, slow.fwhm_nm, rtol=1e-12)
     npt.assert_allclose(fast.peak_power, slow.peak_power, rtol=1e-12)
 
