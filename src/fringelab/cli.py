@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -192,11 +193,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _process_one(method: str, config: RunConfig, reference, analyte) -> dict:
+def _process_one(method: str, config: RunConfig, reference, analyte, reference_eot) -> dict:
     if method == "rifts":
         eot = rifts_eot(analyte, config.rifts)
-        reference_eot = rifts_eot(reference, config.rifts)
-        return {"signal": eot, "eot_nm": eot, "delta_eot_nm": eot - reference_eot}
+        return {"signal": eot, "eot_nm": eot, "delta_eot_nm": eot - reference_eot()}
     if method == "iaw":
         return {"signal": iaw(reference, analyte, config.iaw)}
     phase = lamp_signal(reference, analyte, config.lamp)
@@ -227,8 +227,9 @@ def _run_batch(items, work) -> tuple[list, int]:
 def cmd_process(args) -> int:
     config = _load_config(args)
     reference = read_spectrum(args.reference)
-    rows, code = _run_batch(((path, path) for path in args.analytes), lambda path: {
-        "file": path, **_process_one(args.method, config, reference, read_spectrum(path))})
+    reference_eot = cache(lambda: rifts_eot(reference, config.rifts))
+    rows, code = _run_batch(((path, path) for path in args.analytes), lambda path: {"file": path,
+        **_process_one(args.method, config, reference, read_spectrum(path), reference_eot)})
     _write_text(args.out, _rows_to_text(rows, args.format))
     return code
 
@@ -242,10 +243,12 @@ def cmd_timeseries(args) -> int:
     entries = read_manifest(args.manifest)
     reference_entry = next(e for e in entries if e.role == "reference")
     reference = read_spectrum(reference_entry.path)
+    reference_eot = cache(lambda: rifts_eot(reference, config.rifts))
 
     def work(entry):
         spectrum = read_spectrum(entry.path)
-        signals = {m: _process_one(m, config, reference, spectrum)["signal"] for m in methods}
+        signals = {m: _process_one(m, config, reference, spectrum, reference_eot)["signal"]
+                   for m in methods}
         return {"timestamp_s": entry.timestamp_s, **signals}
 
     rows, code = _run_batch(((f"at timestamp {e.timestamp_s:g}", e) for e in entries), work)

@@ -31,6 +31,10 @@ class GridAlignmentError(FringelabError):
     """Two spectra that must share a wavelength grid do not."""
 
 
+class WavelengthRangeError(FringelabError, ValueError):
+    """A processing window reaches beyond the sampled wavelengths."""
+
+
 class NoFringePeakError(FringelabError):
     """No local maximum above the low-frequency cutoff."""
 

@@ -198,6 +198,11 @@ def add_noise(spectrum: Spectrum, model: NoiseModel) -> Spectrum:
     ramp settings, so runs differing only in ramp magnitude share noise
     samples (paired comparisons stay paired).
     """
+    return Spectrum(spectrum.wavelengths_nm, noise_rows(spectrum, model, [model.seed])[0])
+
+
+def noise_rows(spectrum: Spectrum, model: NoiseModel, seeds) -> np.ndarray:
+    """add_noise's reflectance for each of seeds in place of the model's seed, one row each."""
     values = spectrum.reflectance
     t = _ramp_abscissa(spectrum.wavelengths_nm)
     if model.gaussian_sigma is not None:
@@ -205,10 +210,11 @@ def add_noise(spectrum: Spectrum, model: NoiseModel) -> Spectrum:
     else:
         sigma = white_sigma_for_target(spectrum, model.target_snr_db)
     noisy = values * (1.0 + model.amplitude_ramp_gain * t) + model.offset_ramp_magnitude * t
+    rows = np.tile(noisy, (len(seeds), 1))
     if sigma > 0.0:
-        rng = np.random.default_rng(model.seed)
-        noisy = noisy + rng.normal(0.0, sigma, values.size)
-    return Spectrum(spectrum.wavelengths_nm, noisy)
+        for row, seed in zip(rows, seeds):
+            row += np.random.default_rng(seed).normal(0.0, sigma, values.size)
+    return rows
 
 
 def _ramp_noise_power(clean: Spectrum, kind: str, magnitude: float) -> float:

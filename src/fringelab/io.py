@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SpectrumFormatError
-from .filmsim import FilmStack, NoiseModel, Spectrum
+from .filmsim import WAVELENGTH_CEIL_NM, WAVELENGTH_FLOOR_NM, FilmStack, NoiseModel, Spectrum
 from .lamp import LampConfig
 from .legacy import IawConfig, RiftsConfig
+from .lodstudy import LodStudyConfig
 
 SPECTRUM_HEADER = "wavelength_nm,reflectance"
 MANIFEST_HEADER = "timestamp_s,path,role"
@@ -178,10 +179,7 @@ _SECTION_TYPES = {
     "iaw": IawConfig,
     "lamp": LampConfig,
 }
-_STUDY_KEYS = {
-    "native_range_nm", "native_points", "n_trials", "calibration_delta_n",
-    "method", "offset_snr_db", "amplitude_snr_db", "strict_linearity",
-}
+_STUDY_KEYS = {f.name for f in dataclasses.fields(LodStudyConfig)} - set(_SECTION_TYPES)
 _TOP_LEVEL_KEYS = set(_SECTION_TYPES) | {"study", "range_nm", "n_points", "seed"}
 
 
@@ -216,13 +214,14 @@ def _build_section(name: str, cls, payload: dict):
 
 
 def check_range_nm(value) -> tuple[float, float]:
-    """A wavelength range as (low, high) nm; ConfigError unless 0 < low < high < inf."""
+    """A wavelength range as (low, high) nm; ConfigError unless ascending and in the band."""
     try:
         low, high = (float(x) for x in value)
     except (TypeError, ValueError):
         low = high = np.nan
-    if not 0.0 < low < high < np.inf:
-        raise ConfigError(f"wavelength range must be two numbers 0 < low < high, got {value!r}")
+    if not WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM:
+        raise ConfigError(f"wavelength range must be two numbers {WAVELENGTH_FLOOR_NM:g} <= "
+                          f"low < high <= {WAVELENGTH_CEIL_NM:g} nm, got {value!r}")
     return low, high
 
 

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .errors import FitError, FoldOverError, SaturationError
 from .filmsim import FilmStack, simulate_reflectance
@@ -208,6 +207,7 @@ def fit_redlich_peterson(series: ConcentrationSeries) -> RedlichPetersonFit:
         raise ValueError(f"need at least {N_PARAMETERS} concentration groups")
     if not any(g.concentration > 0 for g in series.groups):
         raise ValueError("need at least one positive concentration")
+    from scipy.optimize import least_squares  # scipy stays off the package's import path
     sigmas = _effective_sigmas(series)
     lower = [-np.inf, 0.0, 0.0, 0.0]
     upper = [np.inf, np.inf, np.inf, 1.0]
@@ -294,6 +294,7 @@ def lod_concentration(fit: RedlichPetersonFit, three_sigma_blank: float) -> floa
             f"threshold {three_sigma_blank:g} not reached by the fitted "
             "isotherm within any bounded concentration"
         )
+    from scipy.optimize import brentq  # scipy stays off the package's import path
     return float(brentq(rise, low, high, rtol=1e-9))
 
 

@@ -6,12 +6,17 @@ windowing would broaden the peak that sizes the filter). A complex Morlet
 wavelet matched to that peak isolates the fringe band; the filtered
 signal's unwrapped, cycle-anchored phase is averaged against a reference
 to give a sub-fringe measure of optical-thickness change.
+
+Every stage takes a (rows, points) stack; lamp_signal is a stack of one.
+The reference's phase profile is cached per (config, wavelengths,
+reflectance), so a stream or a study against one reference computes it once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .wavegrid import (
     ResampledSpectrum,
     WavenumberGrid,
     default_pad_length,
-    to_wavenumber,
+    resample_rows,
 )
 
 # Envelope support: samples span +/- this many envelope sigmas.
@@ -50,6 +55,7 @@ class LampConfig:
     reuse_reference_wavelet: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "range_nm", tuple(self.range_nm))  # hashable cache key
         if self.pad_exponent is not None and 2**self.pad_exponent < self.n_points:
             raise ValueError("pad_exponent smaller than the resampled length")
         if not self.wavelet_width_scale > 0.0:
@@ -76,15 +82,15 @@ class MorletWavelet:
 
 @dataclass(frozen=True)
 class FilteredSpectrum:
-    """Complex band-passed fringes on the resampled grid."""
+    """Complex band-passed fringes on the resampled grid, one row or a stack."""
 
     grid: WavenumberGrid
     complex_values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.complex_values, dtype=complex)
-        if v.ndim != 1 or v.size != self.grid.n_points:
-            raise ValueError("complex_values must match the grid length")
+        if v.ndim not in (1, 2) or v.shape[-1] != self.grid.n_points:
+            raise ValueError("complex_values must match the grid length in each row")
         object.__setattr__(self, "complex_values", v)
 
     @property
@@ -128,23 +134,32 @@ def design_wavelet(
     )
 
 
-def filter_spectrum(resampled: ResampledSpectrum, wavelet: MorletWavelet) -> FilteredSpectrum:
-    """Convolve the resampled fringes with the wavelet ("same" alignment).
+def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
+    """Convolve each row with its wavelet ("same" alignment): one MorletWavelet, or one per row.
 
-    The data is zero-extended beyond its ends, so amplitude decays near
-    the edges. The wavelet must have been designed for this grid's spacing.
+    The data is zero-extended beyond its ends, so amplitude decays near the
+    edges. The wavelets must have been designed for this grid's spacing.
+    Rows whose full convolutions share a power-of-two length share one FFT.
     """
     spacing = resampled.grid.delta_sigma
-    if not math.isclose(wavelet.spacing, spacing, rel_tol=1e-9, abs_tol=0.0):
+    values = np.atleast_2d(resampled.values)
+    wavelets = [wavelet] * len(values) if isinstance(wavelet, MorletWavelet) else list(wavelet)
+    if not all(math.isclose(w.spacing, spacing, rel_tol=1e-9, abs_tol=0.0) for w in wavelets):
         raise ValueError("wavelet sample spacing does not match the grid")
-    n, m = resampled.values.size, wavelet.samples.size
-    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1, the full length
-    full = np.fft.ifft(np.fft.fft(resampled.values, size) * np.fft.fft(wavelet.samples, size))
-    return FilteredSpectrum(resampled.grid, full[(m - 1) // 2 :][:n] * spacing)
+    n, out = values.shape[1], np.empty(values.shape, dtype=complex)
+    # a power of two >= n + m - 1, the full length
+    sizes = [1 << (n + w.samples.size - 2).bit_length() for w in wavelets]
+    for size in set(sizes):
+        rows = [r for r, s in enumerate(sizes) if s == size]
+        kernels = [np.fft.fft(wavelets[r].samples, size) for r in rows]
+        full = np.fft.ifft(np.fft.fft(values[rows], size) * kernels)
+        for r, row in zip(rows, full):
+            out[r] = row[(wavelets[r].samples.size - 1) // 2 :][:n] * spacing
+    return FilteredSpectrum(resampled.grid, out.reshape(np.shape(resampled.values)))
 
 
-def _checked_amplitude(filtered: FilteredSpectrum) -> np.ndarray:
-    amplitude = filtered.amplitude
+def _checked_amplitude(complex_values: np.ndarray) -> np.ndarray:
+    amplitude = np.abs(complex_values)
     if np.any(amplitude < AMPLITUDE_FLOOR):
         raise DegenerateAmplitudeError(
             f"filtered amplitude below {AMPLITUDE_FLOOR:g}; phase undefined"
@@ -154,36 +169,38 @@ def _checked_amplitude(filtered: FilteredSpectrum) -> np.ndarray:
 
 def normalize_fringes(filtered: FilteredSpectrum) -> np.ndarray:
     """Unit-amplitude fringes cos(phase), i.e. real part over amplitude."""
-    return filtered.complex_values.real / _checked_amplitude(filtered)
+    return filtered.complex_values.real / _checked_amplitude(filtered.complex_values)
 
 
 def unwrap_phase(wrapped) -> np.ndarray:
     """Unwrap by 2*pi steps so successive differences stay within (-pi, pi].
 
-    The first element is returned unchanged.
+    Takes one profile or a (rows, points) stack, unwrapped row by row. The
+    first element of each row is returned unchanged.
     """
     w = np.asarray(wrapped, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise ValueError("need a 1-d array of at least two phases")
-    return np.unwrap(w)
+    if w.ndim not in (1, 2) or w.shape[-1] < 2:
+        raise ValueError("need a 1-d array or rows of at least two phases")
+    return np.unwrap(w, axis=-1)
 
 
-def anchor_cycle(unwrapped: np.ndarray, coarse_eot_nm: float, sigma_min: float) -> np.ndarray:
+def anchor_cycle(unwrapped: np.ndarray, coarse_eot_nm, sigma_min: float) -> np.ndarray:
     """Shift an unwrapped profile by whole cycles to match a coarse estimate.
 
     Unwrapping fixes only phase differences; the absolute cycle count comes
     from the transform-peak estimate: the profile is offset by the integer
     number of cycles that brings its first sample closest to
-    2*pi*coarse_eot_nm*sigma_min.
+    2*pi*coarse_eot_nm*sigma_min. A (rows, points) stack takes one
+    estimate per row.
     """
     u = np.asarray(unwrapped, dtype=float)
     two_pi = 2.0 * math.pi
-    cycles = round((two_pi * coarse_eot_nm * sigma_min - u[0]) / two_pi)
-    return u + two_pi * cycles
+    cycles = np.round((two_pi * np.asarray(coarse_eot_nm) * sigma_min - u[..., 0]) / two_pi)
+    return u + two_pi * cycles[..., None]
 
 
 def _remove_baseline(grid: WavenumberGrid, values: np.ndarray) -> np.ndarray:
-    """Subtract a quadratic least-squares baseline from resampled values.
+    """Subtract a quadratic least-squares baseline from each resampled row.
 
     The fringe carrier rides on a slowly varying pedestal: the film's mean
     reflectance plus any broadband drift. Left in place, the pedestal's
@@ -191,34 +208,48 @@ def _remove_baseline(grid: WavenumberGrid, values: np.ndarray) -> np.ndarray:
     data edges would leak through the band-pass filter and bias the phase.
     A quadratic absorbs smooth wavelength-domain drifts, which map through
     1/lambda to near-parabolic trends on the wavenumber grid, while the
-    fringe carrier (several cycles across the grid) is left intact.
+    fringe carrier (several cycles across the grid) is left intact. Each
+    row gets its own fit: one 2-d polyfit rounds differently.
     """
     half_span = (grid.sigma_max - grid.sigma_min) / 2.0
     u = (grid.sigmas() - grid.mean_sigma) / half_span
-    coeffs = np.polyfit(u, values, 2)
-    return values - np.polyval(coeffs, u)
+    return np.array([row - np.polyval(np.polyfit(u, row, 2), u) for row in values])
 
 
-def _phase_profile(
-    spectrum: Spectrum, cfg: LampConfig, wavelet: MorletWavelet | None = None
-) -> tuple[np.ndarray, WavenumberGrid, PeakInfo, MorletWavelet]:
-    resampled = to_wavenumber(spectrum, cfg.range_nm, cfg.n_points, method="linear")
-    delta_sigma = resampled.grid.delta_sigma
-    if cfg.pad_exponent is not None:
-        pad = 2**cfg.pad_exponent
-    else:
-        pad = default_pad_length(delta_sigma)
-    centered = ResampledSpectrum(
-        resampled.grid, _remove_baseline(resampled.grid, resampled.values)
-    )
-    peak = padded_peak(centered.values, delta_sigma, pad, low_cutoff_nm=cfg.low_cutoff_nm)
-    if wavelet is None:
-        wavelet = design_wavelet(peak, delta_sigma, cfg.wavelet_width_scale)
-    filtered = filter_spectrum(centered, wavelet)
-    _checked_amplitude(filtered)
-    unwrapped = unwrap_phase(filtered.phase)
-    anchored = anchor_cycle(unwrapped, peak.center_frequency_nm, resampled.grid.sigma_min)
-    return anchored, resampled.grid, peak, wavelet
+def _phase_rows(wavelengths_nm, rows, cfg: LampConfig, wavelet: MorletWavelet | None = None):
+    """Anchored phase profile of each row, the grid, and each row's wavelet."""
+    resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, method="linear")
+    grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
+    pad = default_pad_length(delta_sigma) if cfg.pad_exponent is None else 2**cfg.pad_exponent
+    values = _remove_baseline(grid, resampled.values)
+    peaks = [padded_peak(v, delta_sigma, pad, low_cutoff_nm=cfg.low_cutoff_nm) for v in values]
+    wavelets = [wavelet if wavelet is not None
+                else design_wavelet(peak, delta_sigma, cfg.wavelet_width_scale) for peak in peaks]
+    filtered = filter_spectrum(ResampledSpectrum(grid, values), wavelets)
+    _checked_amplitude(filtered.complex_values)
+    anchored = anchor_cycle(unwrap_phase(filtered.phase),
+                            [peak.center_frequency_nm for peak in peaks], grid.sigma_min)
+    return anchored, grid, wavelets
+
+
+@lru_cache(maxsize=8)
+def _reference_profile(cfg: LampConfig, wavelengths: bytes, reflectance: bytes):
+    """Read-only anchored phase, grid and wavelet of the reference spectrum
+    whose float64 wavelengths and reflectance have these bytes."""
+    rows = np.frombuffer(reflectance)[None]
+    (phase,), grid, (wavelet,) = _phase_rows(np.frombuffer(wavelengths), rows, cfg)
+    phase.flags.writeable = wavelet.samples.flags.writeable = False
+    return phase, grid, wavelet
+
+
+def lamp_rows(reference: Spectrum, wavelengths_nm, rows, cfg: LampConfig = LampConfig()) -> list:
+    """lamp_signal of each analyte row of a stack sampled at wavelengths_nm, in radians."""
+    ref_phase, _, ref_wavelet = _reference_profile(
+        cfg, reference.wavelengths_nm.tobytes(), reference.reflectance.tobytes())
+    shared = ref_wavelet if cfg.reuse_reference_wavelet else None
+    phases, _, _ = _phase_rows(wavelengths_nm, rows, cfg, wavelet=shared)
+    trim = int(math.floor(cfg.edge_trim_fraction * ref_phase.size))
+    return [float((phase - ref_phase)[trim : ref_phase.size - trim].mean()) for phase in phases]
 
 
 def lamp_signal(reference: Spectrum, analyte: Spectrum, cfg: LampConfig = LampConfig()) -> float:
@@ -228,14 +259,7 @@ def lamp_signal(reference: Spectrum, analyte: Spectrum, cfg: LampConfig = LampCo
     Each spectrum gets its own matched wavelet unless the config says to
     reuse the reference's design.
     """
-    ref_phase, grid, _, ref_wavelet = _phase_profile(reference, cfg)
-    shared = ref_wavelet if cfg.reuse_reference_wavelet else None
-    ana_phase, _, _, _ = _phase_profile(analyte, cfg, wavelet=shared)
-    diff = ana_phase - ref_phase
-    trim = int(math.floor(cfg.edge_trim_fraction * diff.size))
-    if trim > 0:
-        diff = diff[trim : diff.size - trim]
-    return float(diff.mean())
+    return lamp_rows(reference, analyte.wavelengths_nm, analyte.reflectance[None], cfg)[0]
 
 
 def lamp_to_delta_eot(mean_phase_difference: float, grid: WavenumberGrid) -> float:

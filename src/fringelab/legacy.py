@@ -2,9 +2,10 @@
 integrated absolute difference.
 
 rifts_eot estimates effective optical thickness from the dominant peak of
-the windowed, zero-padded transform. iaw reduces a pair of spectra to the
-integrated absolute wavelength-domain difference; it needs no transform
-but folds over once fringes shift more than half a period.
+the windowed, zero-padded transform (rifts_rows: of each row of a stack).
+iaw reduces a pair of spectra to the integrated absolute wavelength-domain
+difference; it needs no transform but folds over once fringes shift more
+than half a period.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .wavegrid import (
     DEFAULT_RANGE_NM,
     default_pad_length,
     hann_window,
-    to_wavenumber,
+    resample_rows,
 )
 
 
@@ -39,6 +40,17 @@ class RiftsConfig:
             raise ValueError("pad_exponent smaller than the resampled length")
 
 
+def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
+    """rifts_eot of each row of a stack sampled at wavelengths_nm, in nm."""
+    resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, "cubic_spline")
+    values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
+    values = values * hann_window(values.shape[1])
+    delta_sigma = resampled.grid.delta_sigma
+    pad = default_pad_length(delta_sigma) if cfg.pad_exponent is None else 2**cfg.pad_exponent
+    return [padded_peak(v, delta_sigma, pad, low_cutoff_nm=cfg.low_cutoff_nm,
+                        refine=cfg.refine_peak).center_frequency_nm for v in values]
+
+
 def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:
     """Effective optical thickness (nm) from the dominant transform peak.
 
@@ -47,21 +59,7 @@ def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:
     region), Hann window, zero-pad, transform, take the dominant peak's
     center.
     """
-    resampled = to_wavenumber(spectrum, cfg.range_nm, cfg.n_points, method="cubic_spline")
-    values = resampled.values - resampled.values.mean()
-    values = values * hann_window(values.size)
-    if cfg.pad_exponent is not None:
-        pad = 2**cfg.pad_exponent
-    else:
-        pad = default_pad_length(resampled.grid.delta_sigma)
-    peak = padded_peak(
-        values,
-        resampled.grid.delta_sigma,
-        pad,
-        low_cutoff_nm=cfg.low_cutoff_nm,
-        refine=cfg.refine_peak,
-    )
-    return peak.center_frequency_nm
+    return rifts_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], cfg)[0]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .errors import WavelengthRangeError
 from .filmsim import Spectrum
 
 MIN_GRID_POINTS = 16
@@ -63,50 +63,59 @@ class WavenumberGrid:
 
 @dataclass(frozen=True)
 class ResampledSpectrum:
-    """Reflectance evaluated on a uniform wavenumber grid."""
+    """Reflectance on a uniform wavenumber grid: one row, or a (rows, points) stack."""
 
     grid: WavenumberGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size != self.grid.n_points:
-            raise ValueError("values must be 1-d with one entry per grid point")
+        if v.ndim not in (1, 2) or v.shape[-1] != self.grid.n_points:
+            raise ValueError("values must hold one entry per grid point in each row")
         object.__setattr__(self, "values", v)
 
 
-def to_wavenumber(
-    spectrum: Spectrum,
-    range_nm=DEFAULT_RANGE_NM,
-    n_points: int = DEFAULT_GRID_POINTS,
-    method: str = "cubic_spline",
-) -> ResampledSpectrum:
-    """Resample a wavelength-domain spectrum onto a uniform wavenumber grid.
+def resample_rows(wavelengths_nm, rows, range_nm=DEFAULT_RANGE_NM,
+                  n_points: int = DEFAULT_GRID_POINTS,
+                  method: str = "cubic_spline") -> ResampledSpectrum:
+    """Resample a (rows, points) reflectance stack onto a uniform wavenumber grid.
 
-    range_nm must lie within the sampled wavelengths. method is "linear"
-    or "cubic_spline" (natural boundary conditions). Both interpolants are
-    built over the converted sample abscissae, so data linear in wavenumber
-    is reproduced exactly by the linear method.
+    Every row is sampled at the same ascending wavelengths, and range_nm
+    must lie within them. method is "linear" or "cubic_spline" (natural
+    boundary conditions). Both interpolants are built over the converted
+    sample abscissae, so data linear in wavenumber is reproduced exactly
+    by the linear method.
     """
     lo, hi = float(range_nm[0]), float(range_nm[1])
-    wl = spectrum.wavelengths_nm
+    wl = wavelengths_nm
     if lo < wl[0] or hi > wl[-1]:
-        raise ValueError(
+        raise WavelengthRangeError(
             f"requested range [{lo:g}, {hi:g}] nm exceeds sampled range "
             f"[{wl[0]:g}, {wl[-1]:g}] nm"
         )
     grid = WavenumberGrid.from_wavelength_range((lo, hi), n_points)
     sigma_samples = 1.0 / wl[::-1]
-    values = spectrum.reflectance[::-1]
+    values = np.asarray(rows, dtype=float)[:, ::-1]
     targets = grid.sigmas()
     if method == "linear":
-        resampled = np.interp(targets, sigma_samples, values)
+        resampled = np.array([np.interp(targets, sigma_samples, row) for row in values])
     elif method == "cubic_spline":
-        spline = CubicSpline(sigma_samples, values, bc_type="natural")
-        resampled = spline(targets)
+        from scipy.interpolate import CubicSpline  # ~0.5 s to import; only this path needs it
+        spline = CubicSpline(sigma_samples, values, axis=1, bc_type="natural")
+        # C order, so a row's reductions round as they do for a lone row
+        resampled = np.ascontiguousarray(spline(targets))
     else:
         raise ValueError(f"unknown interpolation method {method!r}")
     return ResampledSpectrum(grid, resampled)
+
+
+def to_wavenumber(spectrum: Spectrum, range_nm=DEFAULT_RANGE_NM,
+                  n_points: int = DEFAULT_GRID_POINTS,
+                  method: str = "cubic_spline") -> ResampledSpectrum:
+    """Resample one spectrum: resample_rows on a batch of one."""
+    stack = resample_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], range_nm,
+                          n_points, method)
+    return ResampledSpectrum(stack.grid, stack.values[0])
 
 
 def hann_window(n: int) -> np.ndarray:

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fringelab
 from fringelab import (
     FilmStack,
     ManifestEntry,
@@ -388,6 +393,8 @@ class TestSnrAndErrors:
         (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "0"], None),
         (["lod-table", "--trials", "0"], None),
         (["lod-table", "--trials", "many"], None),
+        (["simulate", "--range", "100,300"], None),
+        (["simulate"], '{"range_nm": [500, 2500]}'),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
@@ -405,3 +412,22 @@ def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error" in line]) == 1
+
+
+def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
+    # scipy costs ~0.5 s of start-up; only the cubic resampler and the
+    # isotherm fit import it, on first use
+    reference = write_stack_spectrum(tmp_path / "ref.csv")
+    analyte = write_stack_spectrum(tmp_path / "mod.csv", delta_n=1e-3)
+    script = (
+        "import sys, fringelab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "rc = fringelab.cli.main(['process', '--method', 'lamp', sys.argv[1], sys.argv[2],"
+        " '--out', sys.argv[3]])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fringelab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(reference), str(analyte), str(tmp_path / "rows.json")],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines() == ["[]", "0 []"]

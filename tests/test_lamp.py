@@ -27,6 +27,7 @@ from fringelab import (
     unwrap_phase,
     white_sigma_for_target,
 )
+from fringelab.lamp import _reference_profile, lamp_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 GRID = WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
@@ -341,3 +342,79 @@ def test_phase_converts_to_thickness_shift():
     assert abs(lamp_to_delta_eot(0.0490, GRID) - 4.8) < 0.1
     signal = lamp_signal(film(), film(1e-3))
     assert abs(lamp_to_delta_eot(signal, GRID) / 4.8 - 1.0) < 0.02
+
+
+# ------------------------------------------- reference cache and stacks
+
+
+def noisy_rows(count=5, seed=3):
+    """Noisy analytes at several shifts, two of them with drift ramps."""
+    reference = film()
+    sigma = white_sigma_for_target(reference, 27.7)
+    rows = []
+    for i, dn in enumerate(np.linspace(0.0, 2e-3, count)):
+        model = NoiseModel(gaussian_sigma=sigma, offset_ramp_magnitude=0.01 * (i == 1),
+                           amplitude_ramp_gain=0.05 * (i == 2), seed=seed + i)
+        rows.append(add_noise(film(dn), model).reflectance)
+    return np.array(rows)
+
+
+def test_cache_hit_returns_the_fresh_value():
+    a, b = film(), film(1e-3)
+    _reference_profile.cache_clear()
+    fresh = lamp_signal(a, b)
+    hits = _reference_profile.cache_info().hits
+    assert lamp_signal(a, b) == fresh
+    assert _reference_profile.cache_info().hits == hits + 1
+
+
+def test_cached_reference_profile_is_read_only():
+    a, b = film(), film(1e-3)
+    lamp_signal(a, b)
+    phase, _, wavelet = _reference_profile(
+        LampConfig(), a.wavelengths_nm.tobytes(), a.reflectance.tobytes())
+    assert not phase.flags.writeable
+    assert not wavelet.samples.flags.writeable
+
+
+def test_mutated_reference_array_is_not_served_stale():
+    values = film().reflectance.copy()
+    reference = Spectrum(WAVELENGTHS, values)
+    assert np.shares_memory(reference.reflectance, values)
+    analyte = film(1e-3)
+    before = lamp_signal(reference, analyte)
+    values[:] = film(2e-3).reflectance
+    after = lamp_signal(reference, analyte)
+    assert after != before
+    assert after == lamp_signal(film(2e-3), analyte)
+
+
+def test_list_range_still_works():
+    a, b = film(), film(1e-3)
+    listed = LampConfig(range_nm=[520.0, 780.0])
+    assert lamp_signal(a, b, listed) == lamp_signal(a, b, LampConfig(range_nm=(520.0, 780.0)))
+
+
+@pytest.mark.parametrize("cfg", [
+    LampConfig(),
+    LampConfig(reuse_reference_wavelet=True),
+    LampConfig(edge_trim_fraction=0.1),
+], ids=["per-row-wavelet", "reused-wavelet", "edge-trim"])
+def test_stack_equals_rows_one_at_a_time(cfg):
+    reference, rows = film(), noisy_rows()
+    single = [lamp_signal(reference, Spectrum(WAVELENGTHS, row), cfg) for row in rows]
+    assert lamp_rows(reference, WAVELENGTHS, rows, cfg) == single
+    assert lamp_rows(reference, WAVELENGTHS, rows[1:4], cfg) == single[1:4]
+
+
+def test_stacked_filter_matches_per_row_filter_across_transform_lengths():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 2048))
+    # the default design is longer than the data (8192-point convolution),
+    # a 4x wider band is shorter (4096 points)
+    wavelets = [matched_wavelet(), matched_wavelet(width_scale=4.0), matched_wavelet()]
+    together = filter_spectrum(ResampledSpectrum(GRID, stack), wavelets).complex_values
+    for row, wavelet, values in zip(stack, wavelets, together):
+        npt.assert_array_equal(values, filter_spectrum(ResampledSpectrum(GRID, row),
+                                                       wavelet).complex_values)
+

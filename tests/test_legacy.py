@@ -18,6 +18,7 @@ from fringelab import (
     simulate_reflectance,
     to_wavenumber,
 )
+from fringelab.legacy import rifts_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 
@@ -120,3 +121,19 @@ def test_iaw_rejects_mismatched_grids():
     b = Spectrum(a.wavelengths_nm + 0.5, a.reflectance)
     with pytest.raises(GridAlignmentError):
         iaw(a, b)
+
+
+@pytest.mark.parametrize("cfg", [RiftsConfig(), RiftsConfig(refine_peak=True)],
+                         ids=["bin", "refined"])
+def test_stack_equals_rows_one_at_a_time(cfg):
+    rng = np.random.default_rng(6)
+    rows = np.array([film(dn).reflectance + rng.normal(0.0, 0.005, WAVELENGTHS.size)
+                     for dn in (0.0, 1e-3, 5e-3, 1e-2)])
+    single = [rifts_eot(Spectrum(WAVELENGTHS, row), cfg) for row in rows]
+    assert rifts_rows(WAVELENGTHS, rows, cfg) == single
+    assert rifts_rows(WAVELENGTHS, rows[2:], cfg) == single[2:]
+
+
+def test_list_range_still_works():
+    listed = RiftsConfig(range_nm=[520.0, 780.0])
+    assert rifts_eot(film(), listed) == rifts_eot(film(), RiftsConfig(range_nm=(520.0, 780.0)))

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo detection-limit engine."""
 
+import importlib
 import math
 import warnings
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fringelab.lodstudy as lodstudy
 from fringelab import (
     CalibrationError,
     LampConfig,
@@ -14,13 +16,15 @@ from fringelab import (
     NoiseModel,
     Spectrum,
     StudyError,
+    add_noise,
     gradient_delta,
     iaw,
     lod_riu,
     response_distribution,
     run_table1,
 )
-from fringelab.lodstudy import _StudyEngine, _trial_seed
+from fringelab.filmsim import noise_rows
+from fringelab.lodstudy import CHUNK_ROWS, _StudyEngine, _trial_seed
 
 # Mean phase advance of the default film for a 1e-3 index shift:
 # 4*pi*L*sigma_bar with L = 2400 nm and sigma_bar = (1/500 + 1/800)/2.
@@ -214,3 +218,56 @@ def test_gradient_rejected_outside_vocabulary():
         response_distribution(study(), 0.0, gradient="ramp")
     with pytest.raises(ValueError):
         lod_riu(study(), gradient="tilt")
+
+
+def test_noise_stack_rows_are_the_serial_trials():
+    # row i of a stack is what add_noise gives trial i on its own
+    engine = _StudyEngine(study(n_trials=CHUNK_ROWS))
+    clean, model = engine.clean_analyte(1e-3), engine._noise_model("offset")
+    seeds = [_trial_seed(engine.cfg.noise.seed, i) for i in range(CHUNK_ROWS)]
+    for row, seed in zip(noise_rows(clean, model, seeds), seeds):
+        np.testing.assert_array_equal(row, add_noise(clean, replace(model, seed=seed)).reflectance)
+
+
+def flatten_trial(monkeypatch, cfg, index):
+    """Make the study's noisy row for trial index featureless (no fringe peak)."""
+    target = _trial_seed(cfg.noise.seed, index)
+
+    def flattened(clean, model, seeds):
+        rows = noise_rows(clean, model, seeds)
+        if target in seeds:
+            rows[seeds.index(target)] = 0.2
+        return rows
+
+    monkeypatch.setattr(lodstudy, "noise_rows", flattened)
+
+
+@pytest.mark.parametrize("method", ["lamp", "rifts"])
+def test_domain_error_drops_only_its_row(monkeypatch, method):
+    cfg = study(method=method, n_trials=100)
+    flatten_trial(monkeypatch, cfg, 3)  # inside the first stack
+    engine = _StudyEngine(cfg)
+    stats = engine.distribution(0.0, "none")
+    # the other 99 trials keep the signals they have when evaluated alone
+    seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
+    rows = noise_rows(engine.clean_analyte(0.0), engine._noise_model("none"), seeds)
+    alone = np.array([engine._evaluate(row[None])[0] for row in rows])
+    assert stats.n_trials == 99
+    assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
+
+
+def test_domain_error_is_counted_with_its_trial_index(monkeypatch):
+    cfg = study(n_trials=16)
+    flatten_trial(monkeypatch, cfg, 11)  # inside the second stack
+    with pytest.raises(StudyError, match=r"1 of 16 trials failed .*first failure: trial 11: "):
+        response_distribution(cfg, 0.0)
+
+
+@pytest.mark.parametrize("method, module", [("lamp", "lamp"), ("rifts", "legacy")])
+def test_bug_in_a_stage_propagates(monkeypatch, method, module):
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), "padded_peak", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)
