@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, GridAlignmentError
 
 # Simulation is meant for the visible / near-IR band the instrument covers.
 WAVELENGTH_FLOOR_NM = 200.0
@@ -142,7 +142,7 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     rather than a finite decibel figure.
     """
     if not np.array_equal(clean.wavelengths_nm, noisy.wavelengths_nm):
-        raise ValueError("spectra must share a wavelength grid")
+        raise GridAlignmentError("spectra must share a wavelength grid")
     signal_power = ac_power(clean.reflectance)
     noise_power = float(np.mean((noisy.reflectance - clean.reflectance) ** 2))
     if noise_power == 0.0:

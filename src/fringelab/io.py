@@ -257,7 +257,7 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key(s) in 'study' section: {sorted(unknown)}")
     if "native_range_nm" in study:
-        study = {**study, "native_range_nm": tuple(study["native_range_nm"])}
+        study = {**study, "native_range_nm": check_range_nm(study["native_range_nm"])}
     range_nm = check_range_nm(document.get("range_nm", (500.0, 800.0)))
     seed = document.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):

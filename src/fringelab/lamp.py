@@ -8,8 +8,9 @@ signal's unwrapped, cycle-anchored phase is averaged against a reference
 to give a sub-fringe measure of optical-thickness change.
 
 Every stage takes a (rows, points) stack; lamp_signal is a stack of one.
-The reference's phase profile is cached per (config, wavelengths,
-reflectance), so a stream or a study against one reference computes it once.
+Cached read-only: the reference's phase profile per (config, wavelengths,
+reflectance), so a stream or a study against one reference computes it once;
+the baseline design per grid; the wavelet carrier per (peak, spacing, reach).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .errors import DegenerateAmplitudeError
 from .filmsim import Spectrum
-from .spectral import DEFAULT_LOW_CUTOFF_NM, PeakInfo, padded_peak
+# padded_peak is not called here; it stays a lamp attribute that perfbench's tracer wraps
+from .spectral import DEFAULT_LOW_CUTOFF_NM, PeakInfo, padded_peak, padded_peak_rows  # noqa: F401
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
@@ -103,6 +105,15 @@ class FilteredSpectrum:
         return np.abs(self.complex_values)
 
 
+@lru_cache(maxsize=16)
+def _carrier(center_frequency_nm: float, delta_sigma: float, reach: int) -> np.ndarray:
+    """Read-only exp(1j*2*pi*f*k*delta_sigma) for k in [-reach, reach]."""
+    offsets = np.arange(-reach, reach + 1) * delta_sigma
+    carrier = np.exp(1j * 2.0 * math.pi * center_frequency_nm * offsets)
+    carrier.setflags(write=False)
+    return carrier
+
+
 def design_wavelet(
     peak: PeakInfo, delta_sigma: float, width_scale: float = 1.0
 ) -> MorletWavelet:
@@ -121,8 +132,10 @@ def design_wavelet(
     half_count = int(math.floor(ENVELOPE_HALF_WIDTH_SIGMAS * sigma / delta_sigma))
     if half_count < 1:
         raise ValueError("grid too coarse to sample the wavelet envelope")
+    reach = -(-half_count // 256) * 256  # half counts up to a multiple of 256 share a carrier
+    carrier = _carrier(peak.center_frequency_nm, delta_sigma, reach)
     offsets = np.arange(-half_count, half_count + 1) * delta_sigma
-    samples = np.exp(1j * 2.0 * math.pi * peak.center_frequency_nm * offsets)
+    samples = carrier[reach - half_count : reach + half_count + 1]
     samples = samples * np.exp(-(offsets**2) / (2.0 * sigma**2))
     energy = np.sum(np.abs(samples) ** 2) * delta_sigma
     samples = samples / math.sqrt(energy)
@@ -209,11 +222,24 @@ def _remove_baseline(grid: WavenumberGrid, values: np.ndarray) -> np.ndarray:
     A quadratic absorbs smooth wavelength-domain drifts, which map through
     1/lambda to near-parabolic trends on the wavenumber grid, while the
     fringe carrier (several cycles across the grid) is left intact. Each
-    row gets its own fit: one 2-d polyfit rounds differently.
+    row gets its own fit, np.polyfit's steps: one 2-d solve rounds differently.
     """
-    half_span = (grid.sigma_max - grid.sigma_min) / 2.0
-    u = (grid.sigmas() - grid.mean_sigma) / half_span
-    return np.array([row - np.polyval(np.polyfit(u, row, 2), u) for row in values])
+    u, lhs, scale = _baseline_design(grid)
+    rcond = len(u) * np.finfo(float).eps
+    return np.array([row - np.polyval(np.linalg.lstsq(lhs, row, rcond)[0] / scale, u)
+                     for row in values])
+
+
+@lru_cache(maxsize=8)
+def _baseline_design(grid: WavenumberGrid):
+    """Read-only u in [-1, 1] on the grid, np.polyfit's column-scaled vander(u, 3), the scales."""
+    u = (grid.sigmas() - grid.mean_sigma) / ((grid.sigma_max - grid.sigma_min) / 2.0)
+    lhs = np.vander(u, 3)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    design = u, lhs / scale, scale
+    for array in design:
+        array.setflags(write=False)
+    return design
 
 
 def _phase_rows(wavelengths_nm, rows, cfg: LampConfig, wavelet: MorletWavelet | None = None):
@@ -222,7 +248,7 @@ def _phase_rows(wavelengths_nm, rows, cfg: LampConfig, wavelet: MorletWavelet | 
     grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
     pad = default_pad_length(delta_sigma) if cfg.pad_exponent is None else 2**cfg.pad_exponent
     values = _remove_baseline(grid, resampled.values)
-    peaks = [padded_peak(v, delta_sigma, pad, low_cutoff_nm=cfg.low_cutoff_nm) for v in values]
+    peaks = padded_peak_rows(values, delta_sigma, pad, cfg.low_cutoff_nm)
     wavelets = [wavelet if wavelet is not None
                 else design_wavelet(peak, delta_sigma, cfg.wavelet_width_scale) for peak in peaks]
     filtered = filter_spectrum(ResampledSpectrum(grid, values), wavelets)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridAlignmentError
 from .filmsim import Spectrum
-from .spectral import DEFAULT_LOW_CUTOFF_NM, padded_peak
+from .spectral import DEFAULT_LOW_CUTOFF_NM, padded_peak_rows
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
@@ -47,8 +47,8 @@ def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
     values = values * hann_window(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
     pad = default_pad_length(delta_sigma) if cfg.pad_exponent is None else 2**cfg.pad_exponent
-    return [padded_peak(v, delta_sigma, pad, low_cutoff_nm=cfg.low_cutoff_nm,
-                        refine=cfg.refine_peak).center_frequency_nm for v in values]
+    peaks = padded_peak_rows(values, delta_sigma, pad, cfg.low_cutoff_nm, cfg.refine_peak)
+    return [peak.center_frequency_nm for peak in peaks]
 
 
 def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:

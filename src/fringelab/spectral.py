@@ -10,11 +10,13 @@ A zero-padded transform is measured without materializing it: every
 step-th padded bin comes from a shorter rfft that keeps at least 16 coarse
 bins per resolution cell 1/(n * delta_sigma), which brackets the peak and
 both half-maximum crossings; the exact padded bins inside each bracket,
-summed directly, decide them.
+summed directly, decide them. padded_peak is padded_peak_rows on a stack of
+one. Cached read-only: phasors and bracket modulations per (points, pad, bin).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +76,15 @@ def dft(values, delta_sigma: float) -> FrequencySpectrum:
     return FrequencySpectrum(frequencies, amplitudes)
 
 
+def _first_at_or_below(walk: np.ndarray, level: float) -> int | None:
+    """Index of the first walk[k] <= level: the first 64 values usually hold it."""
+    for part in (walk[:64], walk):
+        hits = np.flatnonzero(part <= level)
+        if hits.size:
+            return int(hits[0])
+    return None
+
+
 def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, last=None):
     """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
 
@@ -85,10 +96,12 @@ def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, las
         def exact(lo, hi):
             return coarse[lo : hi + 1]
     last = coarse.size - 1 if last is None else last
-    allowed = np.flatnonzero(f0 + df * (step * np.arange(coarse.size)) > low_cutoff_nm)
-    if allowed.size == 0:
+    # the coarse bin frequencies ascend: bisect for the first above the cutoff
+    first = bisect_left(range(coarse.size), True,
+                        key=lambda c: f0 + df * (step * c) > low_cutoff_nm)
+    if first == coarse.size:
         raise NoFringePeakError(f"no transform bins above the {low_cutoff_nm:g} nm cutoff")
-    c = int(allowed[int(np.argmax(coarse[allowed]))])
+    c = first + int(np.argmax(coarse[first:]))
     lo = max(step * (c - 1) - 1, 0)
     mags = exact(lo, min(step * (c + 1) + 1, last))
     bins = lo + np.arange(mags.size)
@@ -122,12 +135,11 @@ def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, las
         f_j, f_k = f0 + j_bin * df, f0 + k_bin * df
         return float(f_j + frac * (f_k - f_j))
 
-    first_right = peak // step + 1
-    right_hits = np.flatnonzero(coarse[first_right:] <= half)
-    hi = step * (first_right + int(right_hits[0])) if right_hits.size else last
+    right_hit = _first_at_or_below(coarse[peak // step + 1 :], half)
+    hi = step * (peak // step + 1 + right_hit) if right_hit is not None else last
     right = crossing(max(peak, hi - step), hi, +1)
-    left_hits = np.flatnonzero(coarse[: (peak - 1) // step + 1] <= half)
-    lo = step * int(left_hits[-1]) if left_hits.size else 0
+    left_hit = _first_at_or_below(coarse[(peak - 1) // step :: -1], half)
+    lo = step * ((peak - 1) // step - left_hit) if left_hit is not None else 0
     left = crossing(lo, min(peak, lo + step), -1)
 
     center = float(f0 + peak * df)
@@ -175,6 +187,36 @@ def _plan(n: int, pad_length: int) -> tuple[int, np.ndarray]:
     return step, phasors
 
 
+@lru_cache(maxsize=16)
+def _modulation(n: int, pad_length: int, lo: int) -> np.ndarray:
+    """Read-only exp(-2j*pi*lo*j/pad_length), j < n: it shifts padded bin lo to bin 0."""
+    modulation = np.exp(-2j * np.pi * ((lo * np.arange(n)) % pad_length) / pad_length)
+    modulation.setflags(write=False)
+    return modulation
+
+
+def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
+                     low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM, refine: bool = False) -> list:
+    """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
+    v = np.asarray(rows, dtype=float)
+    if v.ndim != 2 or v.shape[1] < MIN_TRANSFORM_POINTS:
+        raise ValueError(f"need rows of at least {MIN_TRANSFORM_POINTS} samples")
+    if delta_sigma <= 0.0:
+        raise ValueError("delta_sigma must be positive")
+    if pad_length < v.shape[1]:
+        raise ValueError("pad_length shorter than the data")
+    n, pad = v.shape[1], pad_length
+    step, phasors = _plan(n, pad)
+    coarse = np.abs(np.fft.rfft(v, n=pad // step, axis=1))
+    df = 1.0 / (pad * delta_sigma)
+
+    def exact(row):  # |padded bins lo..hi| of one row: bin lo modulated down to phasor row 0
+        return lambda lo, hi: np.abs(phasors[: hi - lo + 1] @ (row * _modulation(n, pad, lo)))
+
+    return [_measure_peak(c, 0.0, df, low_cutoff_nm, refine, step, exact(row), pad // 2)
+            for row, c in zip(v, coarse)]
+
+
 def padded_peak(
     values,
     delta_sigma: float,
@@ -185,24 +227,8 @@ def padded_peak(
     """Dominant peak of the zero-padded transform, without materializing it.
 
     Equivalent to dft(zero_pad(values, pad_length), ...) then dominant_peak.
-    Every step-th padded bin, at least 16 per resolution cell, brackets the
-    peak and both half-maximum crossings; exact padded bins decide them.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < MIN_TRANSFORM_POINTS:
+    if v.ndim != 1:
         raise ValueError(f"need a 1-d array of at least {MIN_TRANSFORM_POINTS} samples")
-    if delta_sigma <= 0.0:
-        raise ValueError("delta_sigma must be positive")
-    if pad_length < v.size:
-        raise ValueError("pad_length shorter than the data")
-    step, phasors = _plan(v.size, pad_length)
-    coarse = np.abs(np.fft.rfft(v, n=pad_length // step))
-    j = np.arange(v.size)
-
-    def exact(lo: int, hi: int) -> np.ndarray:
-        # Modulating the data by bin lo shifts it to row 0 of the phasors.
-        shifted = v * np.exp(-2j * np.pi * ((lo * j) % pad_length) / pad_length)
-        return np.abs(phasors[: hi - lo + 1] @ shifted)
-
-    df = 1.0 / (pad_length * delta_sigma)
-    return _measure_peak(coarse, 0.0, df, low_cutoff_nm, refine, step, exact, pad_length // 2)
+    return padded_peak_rows(v[None], delta_sigma, pad_length, low_cutoff_nm, refine)[0]

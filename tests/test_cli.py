@@ -364,6 +364,15 @@ class TestSnrAndErrors:
         assert rc == 0
         assert achieved.splitlines()[-1].split(": ")[1] == reported.split(": ")[1].strip()
 
+    def test_snr_on_mismatched_grids_is_a_processing_error(self, tmp_path, capsys):
+        clean = write_stack_spectrum(tmp_path / "clean.csv")
+        noisy = write_stack_spectrum(tmp_path / "noisy.csv", range_nm=(500.0, 700.0))
+        rc = main(["snr", str(clean), str(noisy)])
+        err = capsys.readouterr().err
+        assert rc == PROCESS_EXIT
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error" in line]) == 1
+
     def test_missing_input_file_is_a_parse_error(self, tmp_path, capsys):
         rc = main(["process", "--method", "rifts",
                    str(tmp_path / "ghost.csv"), str(tmp_path / "also.csv")])
@@ -395,6 +404,8 @@ class TestSnrAndErrors:
         (["lod-table", "--trials", "many"], None),
         (["simulate", "--range", "100,300"], None),
         (["simulate"], '{"range_nm": [500, 2500]}'),
+        (["lod-table"], '{"study": {"native_range_nm": 5}}'),
+        (["lod-table"], '{"study": {"native_range_nm": [100, 300]}}'),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):

@@ -27,7 +27,15 @@ from fringelab import (
     unwrap_phase,
     white_sigma_for_target,
 )
-from fringelab.lamp import _reference_profile, lamp_rows
+from fringelab.lamp import (
+    _FWHM_TO_SIGMA,
+    ENVELOPE_HALF_WIDTH_SIGMAS,
+    _baseline_design,
+    _carrier,
+    _reference_profile,
+    _remove_baseline,
+    lamp_rows,
+)
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 GRID = WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
@@ -97,6 +105,43 @@ def test_wavelet_design_is_deterministic():
     a = np.asarray(matched_wavelet().samples)
     b = np.asarray(matched_wavelet().samples)
     npt.assert_array_equal(a, b)
+
+
+def direct_wavelet_samples(f_c, fwhm, delta_sigma):
+    """The Morlet design written out in full, with no cached carrier."""
+    sigma = _FWHM_TO_SIGMA / (2.0 * math.pi * fwhm)
+    half_count = int(math.floor(ENVELOPE_HALF_WIDTH_SIGMAS * sigma / delta_sigma))
+    offsets = np.arange(-half_count, half_count + 1) * delta_sigma
+    samples = np.exp(1j * 2.0 * math.pi * f_c * offsets)
+    samples = samples * np.exp(-(offsets**2) / (2.0 * sigma**2))
+    return samples / math.sqrt(np.sum(np.abs(samples) ** 2) * delta_sigma)
+
+
+@pytest.mark.parametrize("boundary", [256, 2304, 4864])
+def test_wavelet_cut_from_cached_carrier_equals_direct_design(boundary):
+    _carrier.cache_clear()
+    for half_count in (boundary - 1, boundary, boundary + 1):
+        # a FWHM whose envelope spans half_count + 0.5 grid steps
+        fwhm = (ENVELOPE_HALF_WIDTH_SIGMAS * _FWHM_TO_SIGMA
+                / (2.0 * math.pi * (half_count + 0.5) * GRID.delta_sigma))
+        for _ in range(2):  # the first design of a reach fills the cache, the second hits it
+            wavelet = design_wavelet(PeakInfo(5761.3, fwhm, 1.0), GRID.delta_sigma)
+            assert wavelet.samples.size == 2 * half_count + 1
+            npt.assert_array_equal(wavelet.samples,
+                                   direct_wavelet_samples(5761.3, fwhm, GRID.delta_sigma))
+    # boundary - 1 and boundary share one reach, boundary + 1 rounds up to the next
+    assert _carrier.cache_info().misses == 2
+    assert _carrier.cache_info().hits == 4
+    assert not _carrier(5761.3, GRID.delta_sigma, boundary).flags.writeable
+
+
+def test_baseline_equals_per_row_polyfit_bit_for_bit():
+    u = (GRID.sigmas() - GRID.mean_sigma) / ((GRID.sigma_max - GRID.sigma_min) / 2.0)
+    fringes = 0.07 * np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + 0.2 + 0.03 * u**2
+    rows = fringes + np.random.default_rng(5).normal(0.0, 2e-3, (6, GRID.n_points))
+    expected = np.array([row - np.polyval(np.polyfit(u, row, 2), u) for row in rows])
+    npt.assert_array_equal(_remove_baseline(GRID, rows), expected)
+    assert all(not array.flags.writeable for array in _baseline_design(GRID))
 
 
 def test_wavelet_rejects_bad_width():

@@ -268,6 +268,6 @@ def test_bug_in_a_stage_propagates(monkeypatch, method, module):
     def broken(*args, **kwargs):
         raise TypeError("injected bug")
 
-    monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), "padded_peak", broken)
+    monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), "padded_peak_rows", broken)
     with pytest.raises(TypeError, match="injected bug"):
         response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)

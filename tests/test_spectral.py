@@ -26,7 +26,13 @@ from fringelab import (
     simulate_reflectance,
     to_wavenumber,
 )
-from fringelab.spectral import _full_padded_peak
+from fringelab.spectral import (
+    _first_at_or_below,
+    _full_padded_peak,
+    _modulation,
+    _plan,
+    padded_peak_rows,
+)
 
 
 def direct_bins(values, delta_sigma, n_transform, bins):
@@ -150,6 +156,34 @@ def test_padded_peak_matches_full_transform(style, ramp, pad, refine):
                         rtol=1e-12 if refine else 0.0)
     npt.assert_allclose(fast.fwhm_nm, slow.fwhm_nm, rtol=1e-12)
     npt.assert_allclose(fast.peak_power, slow.peak_power, rtol=1e-12)
+
+
+@pytest.mark.parametrize("pad", [2**17, 2**18, 2**21, 3 * 2**17, 5 * 3**11])
+@pytest.mark.parametrize("refine", [False, True])
+def test_stacked_peaks_equal_single_rows_bit_for_bit(pad, refine):
+    cases = [("cosine", "none")] + [(style, ramp) for style in ("lamp", "rifts") for ramp in RAMPS]
+    rows, deltas = zip(*(front_end_values(style, ramp) for style, ramp in cases))
+    assert len(set(deltas)) == 1  # one grid, so one stack
+    stacked = padded_peak_rows(np.array(rows), deltas[0], pad, 1000.0, refine)
+    assert stacked == [padded_peak(row, deltas[0], pad, refine=refine) for row in rows]
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
+def test_first_at_or_below_finds_a_lone_hit_inside_or_past_the_first_window(size):
+    for hit in (0, 62, 63, 64, 65, size - 1):
+        if 0 <= hit < size:
+            walk = np.ones(size)
+            walk[hit] = 0.5
+            assert _first_at_or_below(walk, 0.5) == hit
+            assert _first_at_or_below(walk[::-1], 0.5) == size - 1 - hit
+    assert _first_at_or_below(np.ones(size), 0.5) is None
+
+
+def test_cached_plans_are_read_only():
+    values, delta_sigma = fringe_values()
+    padded_peak(values, delta_sigma, 2**18)
+    assert not _plan(values.size, 2**18)[1].flags.writeable
+    assert not _modulation(values.size, 2**18, 100).flags.writeable
 
 
 def test_no_peak_above_cutoff():
