@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -145,14 +146,21 @@ def _resolve_seed(args, config: RunConfig) -> int:
     return int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
 
 
+def _write_file(write, path, *args) -> None:
+    """write(path, *args), an unwritable path being a configuration error (exit 2)."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_file(lambda p: Path(p).write_text(text, encoding="utf-8", newline=""), path)
 
 
 def _rows_to_text(rows: list, fmt: str) -> str:
@@ -182,11 +190,11 @@ def cmd_simulate(args) -> int:
     wavelengths = np.linspace(config.range_nm[0], config.range_nm[1], config.n_points)
     clean = simulate_reflectance(config.stack, wavelengths)
     if args.clean_out is not None:
-        write_spectrum(args.clean_out, clean)
+        _write_file(write_spectrum, args.clean_out, clean)
     print(f"seed: {seed}")
     if args.out is not None:
         noisy = add_noise(clean, replace(config.noise, seed=seed))
-        write_spectrum(args.out, noisy)
+        _write_file(write_spectrum, args.out, noisy)
         snr = measure_snr(clean, noisy)
         label = "infinite" if snr == float("inf") else f"{snr:.2f} dB"
         print(f"achieved S/N: {label}")
@@ -261,7 +269,8 @@ def cmd_timeseries(args) -> int:
     _write_text(args.out, _rows_to_text(rows, args.format))
     if args.svg is not None and rows:
         stamps = [row["timestamp_s"] for row in rows]
-        write_polyline_svg(args.svg, {m: (stamps, [r[m] for r in rows]) for m in methods})
+        _write_file(write_polyline_svg, args.svg,
+                    {m: (stamps, [r[m] for r in rows]) for m in methods})
     return code
 
 

@@ -11,13 +11,26 @@ Trials run as stacks of CHUNK_ROWS (8) through lamp_rows and rifts_rows, against
 lamp's cached reference profile. A stack that raises a FringelabError is rerun
 row by row (a row's result is the same alone or stacked): only its failing
 trials are dropped and counted. Any other exception propagates.
+
+run_table1 splits its work by method, never by trial: a forked worker computes
+lamp's three cells while the caller computes rifts' and then iaw's, so each
+side keeps its own cold state (lamp's reference profile, rifts' scipy import)
+and no spectra cross between processes. Both sides run numpy's OpenBLAS on one
+thread, and the caller restores the old count afterwards. The table stays
+serial, with the thread count untouched, when fewer than 2 CPUs are usable,
+the fork start method is unavailable, the caller is itself a daemonic process,
+or n_trials <= CHUNK_ROWS (every distribution is then one stack). Results,
+failures, warnings and the to_dict() key order are the same on both paths.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -315,6 +328,66 @@ class Table1Report:
         return out
 
 
+def _method_cells(base_cfg: LodStudyConfig, method: str) -> tuple[dict, dict, list]:
+    """One method's row of Table 1: (cells, failures, caught warnings).
+
+    Warnings are returned as (message text, category) so that a forked
+    worker can hand them back to the caller.
+    """
+    engine = _StudyEngine(replace(base_cfg, method=method))
+    cells: dict = {}
+    failures: dict = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for gradient in GRADIENTS:
+            try:
+                cells[(method, gradient)] = _lod_from_engine(engine, gradient)
+            except (StudyError, CalibrationError) as exc:
+                failures[(method, gradient)] = str(exc)
+    return cells, failures, [(str(w.message), w.category) for w in caught]
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None if it or its thread calls are missing."""
+    import ctypes
+
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it already: the same handle
+        if (hasattr(lib, "scipy_openblas_get_num_threads64_")
+                and hasattr(lib, "scipy_openblas_set_num_threads64_")):
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the old count."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def _fork_context(base_cfg: LodStudyConfig):
+    """The fork multiprocessing context if lamp's cells should run in a worker, else None."""
+    if base_cfg.n_trials <= CHUNK_ROWS:
+        return None
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
                allow_smoke_trials: bool = False) -> Table1Report:
     """Compute the full method-by-drift detection-limit matrix.
@@ -323,21 +396,30 @@ def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
     matrix. Distributions shared between cells of one row (blank,
     calibration shift) are computed once. allow_smoke_trials waives the
     minimum trial count for quick shakedown runs whose numbers are not
-    meant to be reported.
+    meant to be reported. Where two CPUs and fork are available, lamp's
+    row is computed in a forked worker (see the module docstring).
     """
     if base_cfg.n_trials < MIN_REPORTED_TRIALS and not allow_smoke_trials:
         raise ValueError(
             f"reported studies need at least {MIN_REPORTED_TRIALS} trials"
         )
+    context = _fork_context(base_cfg)
+    if context is None:
+        rows = {method: _method_cells(base_cfg, method) for method in METHODS}
+    else:
+        with _one_blas_thread(), context.Pool(1) as pool:
+            pending = pool.apply_async(_method_cells, (base_cfg, "lamp"))
+            rows = {method: _method_cells(base_cfg, method)
+                    for method in METHODS if method != "lamp"}
+            rows["lamp"] = pending.get()
     cells: dict = {}
     failures: dict = {}
     for method in METHODS:
-        engine = _StudyEngine(replace(base_cfg, method=method))
-        for gradient in GRADIENTS:
-            try:
-                cells[(method, gradient)] = _lod_from_engine(engine, gradient)
-            except (StudyError, CalibrationError) as exc:
-                failures[(method, gradient)] = str(exc)
+        method_cells, method_failures, caught = rows[method]
+        cells.update(method_cells)
+        failures.update(method_failures)
+        for message, category in caught:
+            warnings.warn(message, category, stacklevel=2)
     return Table1Report(
         cells=cells,
         failures=failures,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,17 +426,47 @@ def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch,
     assert len([line for line in err.splitlines() if "error" in line]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1", "--out", "{missing}/noisy.csv"],
+        ["simulate", "--seed", "1", "--clean-out", "{missing}/clean.csv"],
+        ["simulate", "--seed", "1", "--out", "."],
+        ["process", "--method", "lamp", "s0.csv", "s1.csv", "--out", "{missing}/rows.json"],
+        ["timeseries", "--manifest", "run.manifest", "--methods", "lamp",
+         "--out", "ts.csv", "--svg", "{missing}/ts.svg"],
+        ["lod-table", "--trials", "4", "--seed", "1", "--out", "{missing}/table.json"],
+    ],
+)
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    TestTimeseries().build_manifest(tmp_path)
+    missing = tmp_path / "no" / "such"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the smoke table's linearity warnings
+        rc = main([arg.format(missing=missing) for arg in argv])
+    assert rc == PARSE_EXIT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write ")
+    assert not missing.parent.exists()
+
+
 def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
     # scipy costs ~0.5 s of start-up; only the cubic resampler and the
-    # isotherm fit import it, on first use
+    # isotherm fit import it, on first use. multiprocessing (~8 ms) is
+    # imported only by a run_table1 that may fork.
     reference = write_stack_spectrum(tmp_path / "ref.csv")
     analyte = write_stack_spectrum(tmp_path / "mod.csv", delta_n=1e-3)
     script = (
         "import sys, fringelab.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "lazy = lambda: sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
+        "print(lazy())\n"
         "rc = fringelab.cli.main(['process', '--method', 'lamp', sys.argv[1], sys.argv[2],"
         " '--out', sys.argv[3]])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(rc, lazy())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(fringelab.__file__).parents[1])}
     done = subprocess.run(

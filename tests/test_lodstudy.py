@@ -271,3 +271,103 @@ def test_bug_in_a_stage_propagates(monkeypatch, method, module):
     monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), "padded_peak_rows", broken)
     with pytest.raises(TypeError, match="injected bug"):
         response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)
+
+
+FORKS = lodstudy._fork_context(study(n_trials=2 * CHUNK_ROWS)) is not None
+needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork and 2 CPUs")
+
+
+def smoke_table(**kw):
+    """A 16-trial table: two stacks per distribution, so lamp's row is forked."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_table1(study(n_trials=2 * CHUNK_ROWS, seed=3, **kw), allow_smoke_trials=True)
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(lodstudy.os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("rule", ["one cpu", "one stack", "no fork", "daemon"])
+def test_table_stays_serial_when_forking_cannot_pay(monkeypatch, rule):
+    import multiprocessing
+    from types import SimpleNamespace
+
+    n_trials = CHUNK_ROWS if rule == "one stack" else 2 * CHUNK_ROWS
+    if rule == "one cpu":
+        one_cpu(monkeypatch)
+    if rule == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    if rule == "daemon":
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+    assert lodstudy._fork_context(study(n_trials=n_trials)) is None
+
+
+@needs_fork
+def test_forked_table_equals_serial(monkeypatch):
+    import json
+
+    forked = json.dumps(smoke_table().to_dict())
+    one_cpu(monkeypatch)
+    assert json.dumps(smoke_table().to_dict()) == forked
+
+
+@needs_fork
+def test_forked_warnings_reach_the_caller_in_method_order(monkeypatch):
+    monkeypatch.setattr(lodstudy, "LINEARITY_TOLERANCE", -1.0)
+    with pytest.warns(UserWarning, match="lamp response is not linear") as record:
+        run_table1(study(n_trials=2 * CHUNK_ROWS), allow_smoke_trials=True)
+    linearity = [w for w in record if "not linear" in str(w.message)]
+    assert [str(w.message).split()[0] for w in linearity] == [
+        m for m in lodstudy.METHODS for _ in lodstudy.GRADIENTS]
+    assert {w.filename for w in linearity} == {__file__}
+
+
+@needs_fork
+def test_bug_in_the_forked_worker_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(importlib.import_module("fringelab.lamp"), "padded_peak_rows", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        smoke_table()
+
+
+@needs_fork
+def test_forked_lamp_failures_equal_serial(monkeypatch):
+    lamp = LampConfig(range_nm=(400.0, 900.0))
+    forked = smoke_table(lamp=lamp)
+    assert set(forked.failures) == {("lamp", g) for g in lodstudy.GRADIENTS}
+    one_cpu(monkeypatch)
+    serial = smoke_table(lamp=lamp)
+    assert forked.failures == serial.failures
+    assert forked.to_dict() == serial.to_dict()
+
+
+@needs_fork
+@pytest.mark.skipif(lodstudy._openblas() is None, reason="numpy's OpenBLAS thread calls not found")
+def test_blas_threads_are_one_inside_and_restored_after(monkeypatch):
+    blas = lodstudy._openblas()
+    before = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(2)
+    seen = []
+    lod_from_engine = lodstudy._lod_from_engine
+
+    def spying(engine, gradient):
+        seen.append(blas.scipy_openblas_get_num_threads64_())
+        return lod_from_engine(engine, gradient)
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    try:
+        monkeypatch.setattr(lodstudy, "_lod_from_engine", spying)
+        smoke_table()
+        assert seen == [1] * 6  # the caller's rifts and iaw cells
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+        monkeypatch.setattr(importlib.import_module("fringelab.lamp"), "padded_peak_rows", broken)
+        with pytest.raises(TypeError):
+            smoke_table()
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        blas.scipy_openblas_set_num_threads64_(before)
