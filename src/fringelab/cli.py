@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -296,10 +297,15 @@ def cmd_lod_table(args) -> int:
     if smoke:
         print("smoke mode: trial count below the reporting minimum", file=sys.stderr)
     started = time.perf_counter()
-    report = run_table1(study_cfg, allow_smoke_trials=smoke)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # every run reports all of them, not only the first
+        report = run_table1(study_cfg, allow_smoke_trials=smoke)
     payload = report.to_dict()
     payload["runtime_s"] = time.perf_counter() - started
     payload["smoke"] = smoke
+    payload["warnings"] = [str(caught_warning.message) for caught_warning in caught]
+    for message in payload["warnings"]:
+        print(f"warning: {message}", file=sys.stderr)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     for key, message in sorted(report.failures.items()):
         print(f"cell failed: {key[0]}/{key[1]}: {message}", file=sys.stderr)

@@ -30,8 +30,8 @@ from .wavegrid import (
     DEFAULT_RANGE_NM,
     ResampledSpectrum,
     WavenumberGrid,
-    default_pad_length,
     resample_rows,
+    resolve_pad_length,
 )
 
 # Envelope support: samples span +/- this many envelope sigmas.
@@ -246,7 +246,7 @@ def _phase_rows(wavelengths_nm, rows, cfg: LampConfig, wavelet: MorletWavelet | 
     """Anchored phase profile of each row, the grid, and each row's wavelet."""
     resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, method="linear")
     grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
-    pad = default_pad_length(delta_sigma) if cfg.pad_exponent is None else 2**cfg.pad_exponent
+    pad = resolve_pad_length(delta_sigma, cfg.pad_exponent)
     values = _remove_baseline(grid, resampled.values)
     peaks = padded_peak_rows(values, delta_sigma, pad, cfg.low_cutoff_nm)
     wavelets = [wavelet if wavelet is not None

@@ -20,9 +20,9 @@ from .spectral import DEFAULT_LOW_CUTOFF_NM, padded_peak_rows
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
-    default_pad_length,
     hann_window,
     resample_rows,
+    resolve_pad_length,
 )
 
 
@@ -46,7 +46,7 @@ def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
     values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
     values = values * hann_window(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
-    pad = default_pad_length(delta_sigma) if cfg.pad_exponent is None else 2**cfg.pad_exponent
+    pad = resolve_pad_length(delta_sigma, cfg.pad_exponent)
     peaks = padded_peak_rows(values, delta_sigma, pad, cfg.low_cutoff_nm, cfg.refine_peak)
     return [peak.center_frequency_nm for peak in peaks]
 

@@ -14,7 +14,7 @@ trials are dropped and counted. Any other exception propagates.
 
 run_table1 splits its work by method, never by trial: a forked worker computes
 lamp's three cells while the caller computes rifts' and then iaw's, so each
-side keeps its own cold state (lamp's reference profile, rifts' scipy import)
+side keeps its own caches (lamp's reference profile, rifts' spline operator)
 and no spectra cross between processes. Both sides run numpy's OpenBLAS on one
 thread, and the caller restores the old count afterwards. The table stays
 serial, with the thread count untouched, when fewer than 2 CPUs are usable,

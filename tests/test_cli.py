@@ -300,6 +300,19 @@ class TestLodTable:
         payload_b.pop("runtime_s")
         assert payload_a == payload_b
 
+    def test_warnings_are_one_line_each_and_in_the_report(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        rc = main(["lod-table", "--trials", "4", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        recorded = json.loads(out.read_text())["warnings"]
+        # iaw's calibration is not linear at any drift: one warning per gradient
+        assert len(recorded) == 3
+        assert all(message.startswith("iaw response is not linear") for message in recorded)
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
+            f"warning: {message}" for message in recorded]
+        assert "cli.py:" not in err and "UserWarning" not in err and "run_table1(" not in err
+
     def test_bad_trial_count_is_a_config_error(self, tmp_path, capsys):
         rc = main(["lod-table", "--trials", "1", "--seed", "0",
                    "--out", str(tmp_path / "t.json")])
@@ -454,9 +467,9 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, monkeyp
 
 
 def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
-    # scipy costs ~0.5 s of start-up; only the cubic resampler and the
-    # isotherm fit import it, on first use. multiprocessing (~8 ms) is
-    # imported only by a run_table1 that may fork.
+    # scipy costs ~0.5 s of start-up; only the isotherm fit imports it, on
+    # first use. multiprocessing (~8 ms) is imported only by a run_table1
+    # that may fork.
     reference = write_stack_spectrum(tmp_path / "ref.csv")
     analyte = write_stack_spectrum(tmp_path / "mod.csv", delta_n=1e-3)
     script = (
@@ -473,3 +486,27 @@ def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
         [sys.executable, "-c", script, str(reference), str(analyte), str(tmp_path / "rows.json")],
         capture_output=True, text=True, env=env, check=True)
     assert done.stdout.splitlines() == ["[]", "0 []"]
+
+
+def test_rifts_and_the_smoke_table_never_load_scipy(tmp_path):
+    # rifts resamples through fringelab's own natural spline, not scipy's
+    reference = write_stack_spectrum(tmp_path / "ref.csv")
+    analyte = write_stack_spectrum(tmp_path / "mod.csv", delta_n=1e-3)
+    script = (
+        "import sys, warnings, fringelab.cli\n"
+        "from fringelab import LodStudyConfig, read_spectrum, rifts_eot, run_table1\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "rifts_eot(read_spectrum(sys.argv[1]))\n"
+        "print(scipy())\n"
+        "rc = fringelab.cli.main(['process', '--method', 'rifts', sys.argv[1], sys.argv[2],"
+        " '--out', sys.argv[3]])\n"
+        "print(rc, scipy())\n"
+        "warnings.simplefilter('ignore')  # the smoke table's linearity warnings\n"
+        "run_table1(LodStudyConfig(n_trials=4), allow_smoke_trials=True)\n"
+        "print(scipy())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fringelab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(reference), str(analyte), str(tmp_path / "rows.json")],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines() == ["[]", "0 []", "[]"]

@@ -14,6 +14,7 @@ from fringelab import (
     padded_peak,
     unwrap_phase,
 )
+from fringelab.wavegrid import resample_rows
 
 N_CASES = 1000
 
@@ -93,3 +94,22 @@ def test_isotherm_lod_inverts_the_rise_and_grows_with_the_floor():
         assert lod_low == pytest.approx(c_low, rel=1e-6)
         assert lod_high == pytest.approx(c_high, rel=1e-6)
         assert lod_low < lod_high
+
+
+def test_cubic_resampler_matches_scipy_on_random_knots():
+    """The cached natural spline is scipy's natural CubicSpline on any knot spacing."""
+    from scipy.interpolate import CubicSpline  # the reference; fringelab itself never imports it
+
+    rng = np.random.default_rng(606)
+    for _ in range(N_CASES):
+        n = int(rng.integers(2, 300))
+        gaps = rng.uniform(0.2, 1.8, n - 1)
+        low = rng.uniform(450.0, 550.0)
+        wl = low + rng.uniform(100.0, 400.0) * np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum()
+        rows = rng.uniform(0.1, 0.4, (int(rng.integers(1, 9)), n))
+        range_nm = (wl[0], wl[-1])
+        resampled = resample_rows(wl, rows, range_nm, int(rng.integers(16, 400)))
+        spline = CubicSpline(1.0 / wl[::-1], rows[:, ::-1], axis=1, bc_type="natural")
+        # atol: where the spline passes near zero, both sides round at the data's scale
+        np.testing.assert_allclose(resampled.values, spline(resampled.grid.sigmas()),
+                                   rtol=1e-12, atol=1e-14)

@@ -14,6 +14,7 @@ from fringelab import (
     to_wavenumber,
     zero_pad,
 )
+from fringelab.wavegrid import natural_spline, resample_rows, resolve_pad_length
 
 
 def default_grid():
@@ -81,6 +82,79 @@ def test_resampling_rejects_unknown_method():
         to_wavenumber(spec, (500.0, 800.0), 64, method="pchip")
 
 
+def jittered_wavelengths(n, rng, range_nm=(500.0, 800.0)):
+    """n ascending wavelengths spanning range_nm, each gap 0.5-1.5 times the mean gap."""
+    gaps = rng.uniform(0.5, 1.5, n - 1)
+    edges = np.concatenate(([0.0], np.cumsum(gaps)))
+    wl = range_nm[0] + (range_nm[1] - range_nm[0]) * edges / edges[-1]
+    wl[-1] = range_nm[1]
+    return wl
+
+
+def scipy_natural_spline(wl, rows, grid):
+    from scipy.interpolate import CubicSpline  # the reference; fringelab itself never imports it
+
+    return CubicSpline(1.0 / wl[::-1], rows[:, ::-1], axis=1, bc_type="natural")(grid.sigmas())
+
+
+@pytest.mark.parametrize("n_rows", [1, 8])
+@pytest.mark.parametrize("n_knots", [2, 3, 16, 17, 768, 3648])
+def test_cubic_resampler_matches_scipy_natural_spline(n_knots, n_rows):
+    # odd and even knot counts take both parities of each reduction step
+    rng = np.random.default_rng(n_knots)
+    wl = jittered_wavelengths(n_knots, rng)
+    rows = rng.uniform(0.1, 0.4, (n_rows, n_knots))
+    n_points = 2048 if n_knots > 100 else 64
+    resampled = resample_rows(wl, rows, (500.0, 800.0), n_points)
+    expected = scipy_natural_spline(wl, rows, resampled.grid)
+    npt.assert_allclose(resampled.values, expected, rtol=1e-12)
+    assert resampled.values.flags.c_contiguous
+    for i in range(n_rows):
+        lone = resample_rows(wl, rows[i:i + 1], (500.0, 800.0), n_points).values[0]
+        assert np.array_equal(lone, resampled.values[i])
+
+
+def test_cached_spline_arrays_are_read_only():
+    grid = default_grid()
+    knots = 1.0 / jittered_wavelengths(768, np.random.default_rng(1))[::-1]
+    spline = natural_spline(knots.tobytes(), grid)
+    assert natural_spline(knots.tobytes(), grid) is spline
+    arrays = [spline.spacing, spline.last_inv, spline.index, spline.weights,
+              *(array for level in spline.levels for array in level)]
+    assert len(spline.levels) == 10  # 766 interior unknowns halve to one in ten steps
+    for array in arrays:
+        assert not array.flags.writeable
+
+
+def test_new_wavelengths_get_a_fresh_spline():
+    rng = np.random.default_rng(2)
+    rows = rng.uniform(0.1, 0.4, (2, 768))
+    first, second = jittered_wavelengths(768, rng), jittered_wavelengths(768, rng)
+    grid = default_grid()
+    resample_rows(first, rows)
+    resampled = resample_rows(second, rows)
+    npt.assert_allclose(resampled.values, scipy_natural_spline(second, rows, grid), rtol=1e-12)
+    assert (natural_spline((1.0 / first[::-1]).tobytes(), grid)
+            is not natural_spline((1.0 / second[::-1]).tobytes(), grid))
+
+
+@pytest.mark.parametrize("wl", [
+    [500.0, 600.0, 600.0, 800.0],  # repeated
+    [500.0, 700.0, 600.0, 800.0],  # out of order
+])
+def test_cubic_resampler_rejects_non_increasing_wavelengths(wl):
+    with pytest.raises(ValueError):
+        resample_rows(np.array(wl), np.full((1, 4), 0.2), (500.0, 800.0), 64)
+
+
+def test_cubic_resampler_rejects_non_finite_or_mismatched_rows():
+    wl = np.linspace(500.0, 800.0, 8)
+    with pytest.raises(ValueError):
+        resample_rows(wl, np.array([[0.2] * 7 + [np.nan]]), (500.0, 800.0), 64)
+    with pytest.raises(ValueError):
+        resample_rows(wl, np.full((1, 7), 0.2), (500.0, 800.0), 64)
+
+
 def test_hann_window_small_cases():
     npt.assert_allclose(hann_window(4), [0.0, 0.75, 0.75, 0.0], atol=1e-15)
     npt.assert_allclose(hann_window(5), [0.0, 0.5, 1.0, 0.5, 0.0], atol=1e-15)
@@ -100,6 +174,12 @@ def test_default_pad_length_meets_resolution_bound():
     # smallest power of two whose transform bins are at most 1.5 nm apart
     assert 1.0 / (pad * grid.delta_sigma) <= 1.5
     assert 1.0 / ((pad // 2) * grid.delta_sigma) > 1.5
+
+
+def test_pad_length_is_the_exponent_or_the_default():
+    delta_sigma = default_grid().delta_sigma
+    assert resolve_pad_length(delta_sigma, None) == default_pad_length(delta_sigma)
+    assert resolve_pad_length(delta_sigma, 18) == 2**18
 
 
 def test_zero_pad_extends_and_validates():
