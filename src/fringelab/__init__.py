@@ -39,7 +39,6 @@ from .wavegrid import (
     default_pad_length,
     hann_window,
     to_wavenumber,
-    zero_pad,
 )
 from .spectral import FrequencySpectrum, PeakInfo, dft, dominant_peak, padded_peak
 from .legacy import IawConfig, RiftsConfig, iaw, rifts_eot

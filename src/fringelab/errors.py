@@ -13,14 +13,7 @@ class FringelabError(Exception):
 
 
 class SpectrumFormatError(FringelabError):
-    """A spectrum, manifest, or series file failed to parse.
-
-    line_numbers holds the offending 1-based line numbers when known.
-    """
-
-    def __init__(self, message: str, line_numbers: list[int] | None = None):
-        super().__init__(message)
-        self.line_numbers = line_numbers or []
+    """A spectrum, manifest, or series file failed to parse."""
 
 
 class ConfigError(FringelabError):
@@ -32,7 +25,7 @@ class GridAlignmentError(FringelabError):
 
 
 class WavelengthRangeError(FringelabError, ValueError):
-    """A processing window reaches beyond the sampled wavelengths."""
+    """A processing window exceeds the samples, holds too few, or is too narrow to transform."""
 
 
 class NoFringePeakError(FringelabError):

@@ -27,8 +27,6 @@ MANIFEST_HEADER = "timestamp_s,path,role"
 MANIFEST_ROLES = ("reference", "sample")
 SERIES_HEADER = "concentration,unit,response"
 
-FLOAT_FORMAT = "%.17g"
-
 
 def write_spectrum(path, spectrum: Spectrum) -> None:
     lines = [SPECTRUM_HEADER]
@@ -208,8 +206,10 @@ def _build_section(name: str, cls, payload: dict):
         for k, v in payload.items()
     }
     try:
+        if "range_nm" in converted:  # every section's window lies in the simulated band
+            converted["range_nm"] = check_range_nm(converted["range_nm"])
         return cls(**converted)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"invalid {name!r} section: {exc}") from exc
 
 

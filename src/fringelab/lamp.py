@@ -1,11 +1,12 @@
 """Fringe phase extraction with a complex Morlet band-pass filter.
 
 A spectrum is resampled linearly onto a uniform wavenumber grid and its
-dominant fringe frequency located on the zero-padded transform (no window;
-windowing would broaden the peak that sizes the filter). A complex Morlet
-wavelet matched to that peak isolates the fringe band; the filtered
-signal's unwrapped, cycle-anchored phase is averaged against a reference
-to give a sub-fringe measure of optical-thickness change.
+dominant fringe frequency located on the zero-padded transform, whose pad
+length and cutoff follow from the grid (no window function: it would broaden
+the peak that sizes the filter). A complex Morlet wavelet with that peak's bandwidth isolates
+the fringe band; the filtered signal's unwrapped, cycle-anchored phase is
+averaged against a reference to give a sub-fringe measure of
+optical-thickness change.
 
 Every stage takes a (rows, points) stack; lamp_signal is a stack of one.
 Cached read-only: the reference's phase profile per (config, wavelengths,
@@ -24,14 +25,14 @@ import numpy as np
 from .errors import DegenerateAmplitudeError
 from .filmsim import Spectrum
 # padded_peak is not called here; it stays a lamp attribute that perfbench's tracer wraps
-from .spectral import DEFAULT_LOW_CUTOFF_NM, PeakInfo, padded_peak, padded_peak_rows  # noqa: F401
+from .spectral import PeakInfo, padded_peak, padded_peak_rows  # noqa: F401
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
     ResampledSpectrum,
     WavenumberGrid,
+    default_pad_length,
     resample_rows,
-    resolve_pad_length,
 )
 
 # Envelope support: samples span +/- this many envelope sigmas.
@@ -47,10 +48,6 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 class LampConfig:
     range_nm: tuple[float, float] = DEFAULT_RANGE_NM
     n_points: int = DEFAULT_GRID_POINTS
-    pad_exponent: int | None = None
-    low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM
-    # Scales the filter bandwidth relative to the measured peak width.
-    wavelet_width_scale: float = 1.0
     # Fraction of grid points dropped from each end before averaging.
     edge_trim_fraction: float = 0.0
     # Design the filter once from the reference instead of per spectrum.
@@ -58,10 +55,7 @@ class LampConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "range_nm", tuple(self.range_nm))  # hashable cache key
-        if self.pad_exponent is not None and 2**self.pad_exponent < self.n_points:
-            raise ValueError("pad_exponent smaller than the resampled length")
-        if not self.wavelet_width_scale > 0.0:
-            raise ValueError("wavelet_width_scale must be positive")
+        WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
         if not 0.0 <= self.edge_trim_fraction <= 0.4:
             raise ValueError("edge_trim_fraction must lie in [0, 0.4]")
 
@@ -99,10 +93,6 @@ class FilteredSpectrum:
     def phase(self) -> np.ndarray:
         """Wrapped phase in (-pi, pi]."""
         return np.angle(self.complex_values)
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return np.abs(self.complex_values)
 
 
 @lru_cache(maxsize=16)
@@ -246,11 +236,10 @@ def _phase_rows(wavelengths_nm, rows, cfg: LampConfig, wavelet: MorletWavelet | 
     """Anchored phase profile of each row, the grid, and each row's wavelet."""
     resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, method="linear")
     grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
-    pad = resolve_pad_length(delta_sigma, cfg.pad_exponent)
     values = _remove_baseline(grid, resampled.values)
-    peaks = padded_peak_rows(values, delta_sigma, pad, cfg.low_cutoff_nm)
-    wavelets = [wavelet if wavelet is not None
-                else design_wavelet(peak, delta_sigma, cfg.wavelet_width_scale) for peak in peaks]
+    peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma))
+    wavelets = [wavelet if wavelet is not None else design_wavelet(peak, delta_sigma)
+                for peak in peaks]
     filtered = filter_spectrum(ResampledSpectrum(grid, values), wavelets)
     _checked_amplitude(filtered.complex_values)
     anchored = anchor_cycle(unwrap_phase(filtered.phase),

@@ -2,10 +2,10 @@
 integrated absolute difference.
 
 rifts_eot estimates effective optical thickness from the dominant peak of
-the windowed, zero-padded transform (rifts_rows: of each row of a stack).
-iaw reduces a pair of spectra to the integrated absolute wavelength-domain
-difference; it needs no transform but folds over once fringes shift more
-than half a period.
+the windowed, zero-padded transform, whose pad length and cutoff follow
+from the grid (rifts_rows: of each row of a stack). iaw reduces a pair of
+spectra to the integrated absolute wavelength-domain difference; it needs
+no transform but folds over once fringes shift more than half a period.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridAlignmentError
+from .errors import GridAlignmentError, WavelengthRangeError
 from .filmsim import Spectrum
-from .spectral import DEFAULT_LOW_CUTOFF_NM, padded_peak_rows
+from .spectral import padded_peak_rows
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
+    WavenumberGrid,
+    default_pad_length,
     hann_window,
     resample_rows,
-    resolve_pad_length,
 )
 
 
@@ -30,14 +31,10 @@ from .wavegrid import (
 class RiftsConfig:
     range_nm: tuple[float, float] = DEFAULT_RANGE_NM
     n_points: int = DEFAULT_GRID_POINTS
-    # None picks the smallest power of two meeting the bin-spacing target.
-    pad_exponent: int | None = None
-    low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM
     refine_peak: bool = False
 
     def __post_init__(self):
-        if self.pad_exponent is not None and 2**self.pad_exponent < self.n_points:
-            raise ValueError("pad_exponent smaller than the resampled length")
+        WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
 
 
 def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
@@ -46,8 +43,8 @@ def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
     values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
     values = values * hann_window(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
-    pad = resolve_pad_length(delta_sigma, cfg.pad_exponent)
-    peaks = padded_peak_rows(values, delta_sigma, pad, cfg.low_cutoff_nm, cfg.refine_peak)
+    peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma),
+                             refine=cfg.refine_peak)
     return [peak.center_frequency_nm for peak in peaks]
 
 
@@ -70,6 +67,8 @@ class IawConfig:
     def __post_init__(self):
         if self.rule not in ("mean_abs", "sum_abs"):
             raise ValueError(f"unknown integration rule {self.rule!r}")
+        if not float(self.range_nm[0]) < float(self.range_nm[1]):
+            raise ValueError("range must satisfy low < high")
 
 
 def iaw(reference: Spectrum, analyte: Spectrum, cfg: IawConfig = IawConfig()) -> float:
@@ -82,11 +81,9 @@ def iaw(reference: Spectrum, analyte: Spectrum, cfg: IawConfig = IawConfig()) ->
     if not np.array_equal(reference.wavelengths_nm, analyte.wavelengths_nm):
         raise GridAlignmentError("spectra are sampled on different wavelength grids")
     lo, hi = float(cfg.range_nm[0]), float(cfg.range_nm[1])
-    if not lo < hi:
-        raise ValueError("range must satisfy low < high")
     mask = (reference.wavelengths_nm >= lo) & (reference.wavelengths_nm <= hi)
     if int(mask.sum()) < 2:
-        raise ValueError("fewer than two samples fall inside the requested range")
+        raise WavelengthRangeError("fewer than two samples fall inside the requested range")
     diff = analyte.reflectance[mask] - reference.reflectance[mask]
     diff = diff - diff.mean()
     magnitude = np.abs(diff)

@@ -157,6 +157,7 @@ class _StudyEngine:
         self._clean_cache: dict[float, Spectrum] = {}
         self._ramp_cache: dict[str, float] = {}
         self._dist_cache: dict[tuple, DistributionStats] = {}
+        self._calibration: tuple | None = None
 
     def clean_analyte(self, delta_n: float) -> Spectrum:
         if delta_n not in self._clean_cache:
@@ -228,6 +229,30 @@ class _StudyEngine:
         self._dist_cache[key] = stats
         return stats
 
+    def calibration(self) -> tuple[DistributionStats, float, float]:
+        """(blank, slope, half-shift ratio), shared by every gradient: a success, and
+        its linearity warning, once per engine; a CalibrationError on every call."""
+        if self._calibration is not None:
+            return self._calibration
+        cfg = self.cfg
+        blank = self.distribution(0.0, "none")
+        shifted = self.distribution(cfg.calibration_delta_n, "none")
+        slope = (shifted.mean - blank.mean) / cfg.calibration_delta_n
+        if slope <= 0:
+            raise CalibrationError(f"{cfg.method} signal did not respond to the calibration "
+                                   f"shift (slope {slope:g})")
+        half = self.distribution(cfg.calibration_delta_n / 2.0, "none")
+        half_slope = (half.mean - blank.mean) / (cfg.calibration_delta_n / 2.0)
+        ratio = half_slope / slope
+        if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
+            message = (f"{cfg.method} response is not linear near the calibration point: "
+                       f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%")
+            if cfg.strict_linearity:
+                raise CalibrationError(message)
+            warnings.warn(message, stacklevel=3)
+        self._calibration = blank, slope, ratio
+        return self._calibration
+
 
 def response_distribution(
     cfg: LodStudyConfig, delta_n: float, gradient: str = "none"
@@ -253,27 +278,8 @@ def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | No
 
 
 def _lod_from_engine(engine: _StudyEngine, gradient: str) -> LodResult:
-    cfg = engine.cfg
-    blank = engine.distribution(0.0, "none")
-    shifted = engine.distribution(cfg.calibration_delta_n, "none")
-    slope = (shifted.mean - blank.mean) / cfg.calibration_delta_n
-    if slope <= 0:
-        raise CalibrationError(
-            f"{cfg.method} signal did not respond to the calibration shift "
-            f"(slope {slope:g})"
-        )
-    half = engine.distribution(cfg.calibration_delta_n / 2.0, "none")
-    half_slope = (half.mean - blank.mean) / (cfg.calibration_delta_n / 2.0)
-    ratio = half_slope / slope
-    if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
-        message = (
-            f"{cfg.method} response is not linear near the calibration point: "
-            f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%"
-        )
-        if cfg.strict_linearity:
-            raise CalibrationError(message)
-        warnings.warn(message, stacklevel=2)
-    delta_g = 0.0 if gradient == "none" else gradient_delta(cfg, gradient, engine)
+    blank, slope, ratio = engine.calibration()
+    delta_g = 0.0 if gradient == "none" else gradient_delta(engine.cfg, gradient, engine)
     lod = 3.3 * (blank.std + delta_g) / slope
     return LodResult(
         sigma_blank=blank.std,
@@ -392,12 +398,12 @@ def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
                allow_smoke_trials: bool = False) -> Table1Report:
     """Compute the full method-by-drift detection-limit matrix.
 
-    Cell failures are recorded rather than aborting the rest of the
-    matrix. Distributions shared between cells of one row (blank,
-    calibration shift) are computed once. allow_smoke_trials waives the
-    minimum trial count for quick shakedown runs whose numbers are not
-    meant to be reported. Where two CPUs and fork are available, lamp's
-    row is computed in a forked worker (see the module docstring).
+    Cell failures are recorded rather than aborting the rest of the matrix.
+    A row's calibration (and its linearity warning) and the distributions its
+    cells share are computed once. allow_smoke_trials waives the minimum
+    trial count for quick shakedown runs whose numbers are not meant to be
+    reported. Where two CPUs and fork are available, lamp's row is computed
+    in a forked worker (see the module docstring).
     """
     if base_cfg.n_trials < MIN_REPORTED_TRIALS and not allow_smoke_trials:
         raise ValueError(

@@ -226,7 +226,8 @@ def padded_peak(
 ) -> PeakInfo:
     """Dominant peak of the zero-padded transform, without materializing it.
 
-    Equivalent to dft(zero_pad(values, pad_length), ...) then dominant_peak.
+    Equivalent to dominant_peak of the dft of values followed by zeros up to
+    pad_length points.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:

@@ -1,4 +1,4 @@
-"""Resampling reflectance onto a uniform wavenumber grid, plus windowing.
+"""Resampling reflectance onto a uniform wavenumber grid, windowing, and the pad length.
 
 Fringes from a film of fixed optical thickness are periodic in wavenumber
 (1/wavelength), so every transform stage works on an evenly spaced
@@ -12,7 +12,7 @@ and the grid is built once per pair and cached read-only as a NaturalSpline
 operator: the knot spacings, the odd-even cyclic reduction (Hockney, J. ACM
 12, 1965) of its tridiagonal system for the second derivatives, and each
 target's interval and weights. A call then costs about log2(knots) array
-steps, vectorised over rows.
+steps, vectorised over rows. The pad length follows from the grid alone.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ DEFAULT_GRID_POINTS = 2048
 # Default padding keeps transform bins at or below this spacing on the
 # optical-thickness axis.
 MAX_BIN_SPACING_NM = 1.5
+# Largest pad: the default window needs 2**21, and the peak's phasor table grows with it.
+MAX_PAD_LENGTH = 2**24
 
 
 @dataclass(frozen=True)
@@ -221,26 +223,15 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * i / (n - 1)))
 
 
-def default_pad_length(delta_sigma: float, max_bin_spacing_nm: float = MAX_BIN_SPACING_NM) -> int:
-    """Smallest power of two whose transform bins are <= the given spacing."""
+def default_pad_length(delta_sigma: float) -> int:
+    """Smallest power of two whose transform bins are <= MAX_BIN_SPACING_NM apart,
+    or WavelengthRangeError if that exceeds MAX_PAD_LENGTH."""
     if delta_sigma <= 0.0:
         raise ValueError("delta_sigma must be positive")
-    needed = 1.0 / (max_bin_spacing_nm * delta_sigma)
-    return 2 ** max(0, math.ceil(math.log2(needed)))
-
-
-def resolve_pad_length(delta_sigma: float, pad_exponent: int | None) -> int:
-    """2**pad_exponent, or default_pad_length(delta_sigma) when pad_exponent is None."""
-    return default_pad_length(delta_sigma) if pad_exponent is None else 2**pad_exponent
-
-
-def zero_pad(values: np.ndarray, target_length: int) -> np.ndarray:
-    """Extend with trailing zeros to target_length (>= current length)."""
-    v = np.asarray(values)
-    if target_length < v.size:
-        raise ValueError("target length shorter than the data")
-    if target_length == v.size:
-        return v.copy()
-    out = np.zeros(target_length, dtype=v.dtype)
-    out[: v.size] = v
-    return out
+    needed = 1.0 / (MAX_BIN_SPACING_NM * delta_sigma)
+    pad = 2 ** max(0, math.ceil(math.log2(needed)))
+    if pad > MAX_PAD_LENGTH:
+        raise WavelengthRangeError(
+            f"window too narrow: a {MAX_BIN_SPACING_NM:g} nm transform bin needs a {pad}-point "
+            f"pad, above the {MAX_PAD_LENGTH}-point limit; widen range_nm or lower n_points")
+    return pad

@@ -305,8 +305,8 @@ class TestLodTable:
         rc = main(["lod-table", "--trials", "4", "--seed", "1", "--out", str(out)])
         assert rc == 0
         recorded = json.loads(out.read_text())["warnings"]
-        # iaw's calibration is not linear at any drift: one warning per gradient
-        assert len(recorded) == 3
+        # iaw's calibration is not linear; every gradient shares it: one warning
+        assert len(recorded) == 1
         assert all(message.startswith("iaw response is not linear") for message in recorded)
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
@@ -437,6 +437,73 @@ def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error" in line]) == 1
+
+
+@pytest.mark.parametrize("command", ["process", "lod-table"])
+@pytest.mark.parametrize("config", [
+    '{"lamp": {"range_nm": [800, 500]}}',
+    '{"rifts": {"range_nm": [800, 500]}}',
+    '{"iaw": {"range_nm": [800, 500]}}',
+    '{"lamp": {"n_points": 8}}',
+    '{"iaw": {"range_nm": [100, 3000]}}',
+])
+def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                        command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(config)
+    if command == "process":  # the method whose section is bad
+        write_stack_spectrum(tmp_path / "ref.csv")
+        write_stack_spectrum(tmp_path / "a.csv", 1e-3)
+        argv = ["process", "--method", next(iter(json.loads(config))), "ref.csv", "a.csv"]
+    else:
+        argv = ["lod-table", "--trials", "4", "--seed", "1"]
+    assert main([*argv, "--config", "run.json", "--out", "out"]) == PARSE_EXIT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [err.strip()]
+    assert err.startswith("error: invalid ")
+
+
+NARROW_IAW = '{"iaw": {"range_nm": [600, 600.1]}}'  # no native sample inside
+
+
+@pytest.mark.parametrize("flags, failing, reason", [
+    (["--range", "600,610"], {"rifts", "lamp"}, "too narrow"),
+    (["--config", "run.json"], {"iaw"}, "fewer than two samples"),
+], ids=["range-600-610", "iaw-600-600.1"])
+def test_window_too_narrow_fails_its_table_cells(tmp_path, capsys, monkeypatch,
+                                                 flags, failing, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(NARROW_IAW)
+    rc = main(["lod-table", "--trials", "4", "--seed", "1", *flags, "--out", "table.json"])
+    assert rc == PROCESS_EXIT
+    cells = json.loads((tmp_path / "table.json").read_text())["cells"]
+    assert {key.split("/")[0] for key, cell in cells.items() if "error" in cell} == failing
+    assert all(reason in cells[f"{m}/{g}"]["error"]
+               for m in failing for g in ("none", "offset", "amplitude"))
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, flags, reason", [
+    ("rifts", ["--range", "600,610"], "too narrow"),
+    ("lamp", ["--range", "600,610"], "too narrow"),
+    ("iaw", ["--config", "run.json"], "fewer than two samples"),
+], ids=["rifts", "lamp", "iaw"])
+def test_window_too_narrow_fails_each_processed_file(tmp_path, capsys, monkeypatch,
+                                                     method, flags, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(NARROW_IAW)
+    write_stack_spectrum(tmp_path / "ref.csv")
+    for name in ("a.csv", "b.csv"):
+        write_stack_spectrum(tmp_path / name, 1e-3)
+    rc = main(["process", "--method", method, "ref.csv", "a.csv", "b.csv", *flags])
+    assert rc == PROCESS_EXIT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert [line.split(": ")[:2] for line in lines] == [["error (process)", "a.csv"],
+                                                        ["error (process)", "b.csv"]]
+    assert all(reason in line for line in lines)
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,11 @@ class TestRunConfig:
     def test_unknown_section_key_names_the_section(self):
         with pytest.raises(ConfigError, match="'noise' section"):
             load_run_config(text='{"noise": {"sigma": 0.1}}')
+        # the pad, cutoff and wavelet width follow from the window: no section takes them
+        for section, key in (("lamp", '"pad_exponent": 20'), ("rifts", '"low_cutoff_nm": 900'),
+                             ("lamp", '"wavelet_width_scale": 2')):
+            with pytest.raises(ConfigError, match=f"unknown key.*'{section}' section"):
+                load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
     def test_unknown_study_key_rejected(self):
         with pytest.raises(ConfigError, match="'study' section"):

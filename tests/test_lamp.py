@@ -371,6 +371,10 @@ def test_config_validation():
         LampConfig(edge_trim_fraction=0.5)
     with pytest.raises(ValueError):
         LampConfig(edge_trim_fraction=-0.1)
+    with pytest.raises(ValueError):
+        LampConfig(range_nm=(800.0, 500.0))
+    with pytest.raises(ValueError):
+        LampConfig(n_points=8)
 
 
 # ------------------------------------------------------- unit conversion

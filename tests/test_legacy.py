@@ -18,6 +18,7 @@ from fringelab import (
     simulate_reflectance,
     to_wavenumber,
 )
+from fringelab.errors import FringelabError, WavelengthRangeError
 from fringelab.legacy import rifts_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
@@ -68,11 +69,6 @@ def test_peak_location_ignores_scaling():
     assert rifts_eot(scaled) == rifts_eot(spec)
 
 
-def test_rifts_config_validation():
-    with pytest.raises(ValueError):
-        RiftsConfig(n_points=2048, pad_exponent=10)  # pad shorter than data
-
-
 def test_iaw_zero_for_identical_inputs():
     spec = film()
     assert iaw(spec, spec) == 0.0
@@ -114,6 +110,23 @@ def test_iaw_subrange_matches_manual_mask():
     diff = b.reflectance[mask] - a.reflectance[mask]
     diff = diff - diff.mean()
     assert math.isclose(iaw(a, b, cfg), np.abs(diff).mean(), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RiftsConfig(range_nm=(800.0, 500.0)),
+    lambda: RiftsConfig(n_points=8),
+    lambda: IawConfig(range_nm=(800.0, 500.0)),
+], ids=["rifts-range", "rifts-points", "iaw-range"])
+def test_configs_validate_their_window(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_iaw_window_with_fewer_than_two_samples_is_a_range_error():
+    a = film()
+    with pytest.raises(WavelengthRangeError, match="fewer than two") as caught:
+        iaw(a, a, IawConfig(range_nm=(600.0, 600.1)))
+    assert isinstance(caught.value, FringelabError) and isinstance(caught.value, ValueError)
 
 
 def test_iaw_rejects_mismatched_grids():

@@ -12,9 +12,9 @@ from fringelab import (
     default_pad_length,
     hann_window,
     to_wavenumber,
-    zero_pad,
 )
-from fringelab.wavegrid import natural_spline, resample_rows, resolve_pad_length
+from fringelab.errors import WavelengthRangeError
+from fringelab.wavegrid import MAX_BIN_SPACING_NM, MAX_PAD_LENGTH, natural_spline, resample_rows
 
 
 def default_grid():
@@ -176,16 +176,9 @@ def test_default_pad_length_meets_resolution_bound():
     assert 1.0 / ((pad // 2) * grid.delta_sigma) > 1.5
 
 
-def test_pad_length_is_the_exponent_or_the_default():
-    delta_sigma = default_grid().delta_sigma
-    assert resolve_pad_length(delta_sigma, None) == default_pad_length(delta_sigma)
-    assert resolve_pad_length(delta_sigma, 18) == 2**18
-
-
-def test_zero_pad_extends_and_validates():
-    values = np.array([1.0, 2.0, 3.0])
-    padded = zero_pad(values, 8)
-    npt.assert_array_equal(padded[:3], values)
-    npt.assert_array_equal(padded[3:], 0.0)
-    with pytest.raises(ValueError):
-        zero_pad(values, 2)
+def test_pad_length_stops_at_the_ceiling():
+    # the spacing whose bins are MAX_BIN_SPACING_NM apart at exactly MAX_PAD_LENGTH points
+    at_ceiling = 1.0 / (MAX_BIN_SPACING_NM * MAX_PAD_LENGTH)
+    assert default_pad_length(1.01 * at_ceiling) == MAX_PAD_LENGTH
+    with pytest.raises(WavelengthRangeError, match="too narrow"):
+        default_pad_length(0.99 * at_ceiling)
