@@ -313,6 +313,9 @@ def cmd_lod_table(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if not 0.0 < args.three_sigma_blank < float("inf"):
+        raise ConfigError(f"--three-sigma-blank must be positive and finite, "
+                          f"got {args.three_sigma_blank!r}")
     concentrations, unit, groups = read_concentration_table(args.series)
     order = np.argsort(concentrations)
     try:

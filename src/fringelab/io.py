@@ -1,9 +1,14 @@
 """File formats: spectrum tables, time-series manifests, run configuration.
 
-All formats are plain text. Spectra and manifests are comma-separated
-with fixed headers; configuration is a single JSON object whose sections
-mirror the library's config dataclasses. Floats are written with 17
-significant digits so a parse of the written file reproduces the
+All formats are UTF-8 text, read and decoded in one place: a file that
+cannot be read or decoded is a SpectrumFormatError (tables) or a
+ConfigError (configuration). Spectra, manifests and concentration series
+are comma-separated tables with fixed headers, split into rows by one
+reader that checks the header and each row's field count; their numeric
+columns must hold finite numbers. Every error names the file, and the
+line where there is one. Configuration is a single JSON object whose
+sections mirror the library's config dataclasses. Floats are written with
+17 significant digits so a parse of the written file reproduces the
 in-memory values bit-exactly.
 """
 
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,40 +34,62 @@ MANIFEST_ROLES = ("reference", "sample")
 SERIES_HEADER = "concentration,unit,response"
 
 
+def _read_text(path, error) -> str:
+    """The file's text; a file that cannot be read or decoded as UTF-8 raises error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def _table_rows(path, header: str) -> list:
+    """(line number, fields) of each non-blank row under a fixed header line."""
+    lines = _read_text(path, SpectrumFormatError).splitlines()
+    if not lines or lines[0].strip() != header:
+        raise SpectrumFormatError(f"{path}:1: header must be exactly {header!r}")
+    width = header.count(",") + 1
+    rows = [(number, line.split(",")) for number, line in enumerate(lines[1:], start=2)
+            if line.strip()]
+    for number, fields in rows:
+        if len(fields) != width:
+            raise SpectrumFormatError(f"{path}:{number}: expected {width} fields, got {len(fields)}")
+    return rows
+
+
+def _finite_column(path, rows, column: int) -> np.ndarray:
+    """One column of the rows as finite float64; the first bad value names its line."""
+    texts = [fields[column] for _, fields in rows]
+    try:
+        values = np.array(texts, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    values = []  # numpy refused the column: parse it line by line to name the line at fault
+    for (number, _), text in zip(rows, texts):
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise SpectrumFormatError(f"{path}:{number}: {exc}") from exc
+        if not math.isfinite(values[-1]):
+            raise SpectrumFormatError(f"{path}:{number}: {text.strip()!r} is not a finite number")
+    return np.array(values)
+
+
+def _write_table(path, header: str, lines) -> None:
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    lines = [SPECTRUM_HEADER]
-    for wl, r in zip(spectrum.wavelengths_nm, spectrum.reflectance):
-        lines.append(f"{wl:.17g},{r:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, SPECTRUM_HEADER, (f"{wl:.17g},{r:.17g}" for wl, r in
+                                         zip(spectrum.wavelengths_nm, spectrum.reflectance)))
 
 
 def read_spectrum(path) -> Spectrum:
     """Parse a two-column spectrum table, reporting errors by line number."""
-    path = Path(path)
+    rows = _table_rows(path, SPECTRUM_HEADER)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpectrumFormatError(f"{path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SPECTRUM_HEADER:
-        raise SpectrumFormatError(
-            f"{path}:1: header must be exactly {SPECTRUM_HEADER!r}"
-        )
-    wavelengths = []
-    reflectance = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise SpectrumFormatError(f"{path}:{number}: expected 2 fields, got {len(parts)}")
-        try:
-            wavelengths.append(float(parts[0]))
-            reflectance.append(float(parts[1]))
-        except ValueError as exc:
-            raise SpectrumFormatError(f"{path}:{number}: {exc}") from exc
-    try:
-        return Spectrum(np.asarray(wavelengths), np.asarray(reflectance))
+        return Spectrum(_finite_column(path, rows, 0), _finite_column(path, rows, 1))
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}: {exc}") from exc
 
@@ -80,33 +108,17 @@ def read_manifest(path) -> tuple[ManifestEntry, ...]:
     be non-decreasing.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SpectrumFormatError(f"{path}: {exc}") from exc
-    if not lines or lines[0].strip() != MANIFEST_HEADER:
-        raise SpectrumFormatError(f"{path}:1: header must be exactly {MANIFEST_HEADER!r}")
+    rows = _table_rows(path, MANIFEST_HEADER)
+    stamps = _finite_column(path, rows, 0).tolist()
     entries = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise SpectrumFormatError(f"{path}:{number}: expected 3 fields, got {len(parts)}")
-        stamp, rel_path, role = (p.strip() for p in parts)
-        try:
-            timestamp = float(stamp)
-        except ValueError as exc:
-            raise SpectrumFormatError(f"{path}:{number}: {exc}") from exc
+    for (number, (_, rel_path, role)), stamp in zip(rows, stamps):
+        role = role.strip()
         if role not in MANIFEST_ROLES:
-            raise SpectrumFormatError(
-                f"{path}:{number}: role must be one of {MANIFEST_ROLES}"
-            )
-        resolved = path.parent / rel_path
+            raise SpectrumFormatError(f"{path}:{number}: role must be one of {MANIFEST_ROLES}")
+        resolved = path.parent / rel_path.strip()
         if not resolved.exists():
             raise SpectrumFormatError(f"{path}:{number}: no such spectrum file {resolved}")
-        entries.append(ManifestEntry(timestamp, resolved, role))
-    stamps = [e.timestamp_s for e in entries]
+        entries.append(ManifestEntry(stamp, resolved, role))
     if any(b < a for a, b in zip(stamps, stamps[1:])):
         raise SpectrumFormatError(f"{path}: timestamps must be non-decreasing")
     references = [e for e in entries if e.role == "reference"]
@@ -118,11 +130,8 @@ def read_manifest(path) -> tuple[ManifestEntry, ...]:
 
 
 def write_manifest(path, entries) -> None:
-    path = Path(path)
-    lines = [MANIFEST_HEADER]
-    for entry in entries:
-        lines.append(f"{entry.timestamp_s:.17g},{entry.path},{entry.role}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, MANIFEST_HEADER,
+                 (f"{e.timestamp_s:.17g},{e.path},{e.role}" for e in entries))
 
 
 def read_concentration_table(path):
@@ -132,40 +141,18 @@ def read_concentration_table(path):
     declare the same unit. Returns (concentrations, unit, response lists)
     with concentrations in file order of first appearance.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SpectrumFormatError(f"{path}: {exc}") from exc
-    if not lines or lines[0].strip() != SERIES_HEADER:
-        raise SpectrumFormatError(f"{path}:1: header must be exactly {SERIES_HEADER!r}")
-    unit = None
-    order = []
-    groups: dict[float, list] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise SpectrumFormatError(f"{path}:{number}: expected 3 fields, got {len(parts)}")
-        try:
-            concentration = float(parts[0])
-            response = float(parts[2])
-        except ValueError as exc:
-            raise SpectrumFormatError(f"{path}:{number}: {exc}") from exc
-        if unit is None:
-            unit = parts[1]
-        elif parts[1] != unit:
-            raise SpectrumFormatError(
-                f"{path}:{number}: mixed units {unit!r} and {parts[1]!r}"
-            )
-        if concentration not in groups:
-            order.append(concentration)
-            groups[concentration] = []
-        groups[concentration].append(response)
-    if unit is None:
+    rows = _table_rows(path, SERIES_HEADER)
+    if not rows:
         raise SpectrumFormatError(f"{path}: no data rows")
-    return order, unit, [groups[c] for c in order]
+    units = [fields[1].strip() for _, fields in rows]
+    for (number, _), unit in zip(rows, units):
+        if unit != units[0]:
+            raise SpectrumFormatError(f"{path}:{number}: mixed units {units[0]!r} and {unit!r}")
+    groups: dict[float, list] = {}  # insertion-ordered: first appearance
+    for concentration, response in zip(_finite_column(path, rows, 0).tolist(),
+                                       _finite_column(path, rows, 2).tolist()):
+        groups.setdefault(concentration, []).append(response)
+    return list(groups), units[0], list(groups.values())
 
 
 # Section name -> dataclass it mirrors. The study section is kept as a
@@ -177,7 +164,13 @@ _SECTION_TYPES = {
     "iaw": IawConfig,
     "lamp": LampConfig,
 }
-_STUDY_KEYS = {f.name for f in dataclasses.fields(LodStudyConfig)} - set(_SECTION_TYPES)
+# Keys each section takes. The top-level seed is the one seed key, and
+# run_table1 computes every method, so neither a noise seed nor a study
+# method is one.
+_SECTION_KEYS = {name: {f.name for f in dataclasses.fields(cls)} - {"seed"}
+                 for name, cls in _SECTION_TYPES.items()}
+_STUDY_KEYS = ({f.name for f in dataclasses.fields(LodStudyConfig)}
+               - set(_SECTION_TYPES) - {"method"})
 _TOP_LEVEL_KEYS = set(_SECTION_TYPES) | {"study", "range_nm", "n_points", "seed"}
 
 
@@ -196,15 +189,19 @@ class RunConfig:
     seed: int | None = None
 
 
-def _build_section(name: str, cls, payload: dict):
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - field_names
+def _section(document: dict, name: str, keys: set, default=None) -> dict:
+    """document[name], or default when absent: an object holding only the given keys."""
+    payload = document.get(name, default or {})
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{name!r} section must be an object")
+    unknown = set(payload) - keys
     if unknown:
         raise ConfigError(f"unknown key(s) in {name!r} section: {sorted(unknown)}")
-    converted = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in payload.items()
-    }
+    return payload
+
+
+def _build_section(name: str, cls, payload: dict):
+    converted = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     try:
         if "range_nm" in converted:  # every section's window lies in the simulated band
             converted["range_nm"] = check_range_nm(converted["range_nm"])
@@ -227,19 +224,12 @@ def check_range_nm(value) -> tuple[float, float]:
 
 def load_run_config(path=None, text: str | None = None) -> RunConfig:
     """Load and validate a JSON run configuration; unknown keys are errors."""
-    if text is None:
-        if path is None:
-            document = {}
-        else:
-            try:
-                text = Path(path).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-    if text is not None:
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+    if text is None and path is not None:
+        text = _read_text(path, ConfigError)
+    try:
+        document = {} if text is None else json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError("configuration must be a JSON object")
     unknown = set(document) - _TOP_LEVEL_KEYS
@@ -247,15 +237,11 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
         raise ConfigError(f"unknown configuration key(s): {sorted(unknown)}")
     defaults = {"noise": {"target_snr_db": 27.7}}
     sections = {
-        name: _build_section(name, cls, document.get(name, defaults.get(name, {})))
+        name: _build_section(name, cls, _section(document, name, _SECTION_KEYS[name],
+                                                 defaults.get(name)))
         for name, cls in _SECTION_TYPES.items()
     }
-    study = document.get("study", {})
-    if not isinstance(study, dict):
-        raise ConfigError("'study' section must be an object")
-    unknown = set(study) - _STUDY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key(s) in 'study' section: {sorted(unknown)}")
+    study = _section(document, "study", _STUDY_KEYS)
     if "native_range_nm" in study:
         study = {**study, "native_range_nm": check_range_nm(study["native_range_nm"])}
     range_nm = check_range_nm(document.get("range_nm", (500.0, 800.0)))
@@ -265,17 +251,7 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
     n_points = document.get("n_points", 768)
     if not isinstance(n_points, int) or n_points < 16:
         raise ConfigError("'n_points' must be an integer >= 16")
-    return RunConfig(
-        stack=sections["stack"],
-        noise=sections["noise"],
-        rifts=sections["rifts"],
-        iaw=sections["iaw"],
-        lamp=sections["lamp"],
-        study=study,
-        range_nm=range_nm,
-        n_points=n_points,
-        seed=seed,
-    )
+    return RunConfig(**sections, study=study, range_nm=range_nm, n_points=n_points, seed=seed)
 
 
 SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b")

@@ -420,6 +420,14 @@ class TestSnrAndErrors:
         (["simulate"], '{"range_nm": [500, 2500]}'),
         (["lod-table"], '{"study": {"native_range_nm": 5}}'),
         (["lod-table"], '{"study": {"native_range_nm": [100, 300]}}'),
+        (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"rifts": 5}'),
+        (["lod-table"], '{"rifts": 5}'),
+        (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"noise": [1, 2]}'),
+        (["lod-table"], '{"noise": [1, 2]}'),
+        (["fit", "series.csv", "--three-sigma-blank", "-1"], None),
+        (["fit", "series.csv", "--three-sigma-blank", "0"], None),
+        (["fit", "series.csv", "--three-sigma-blank", "nan"], None),
+        (["fit", "series.csv", "--three-sigma-blank", "inf"], None),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
@@ -437,6 +445,26 @@ def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error" in line]) == 1
+
+
+@pytest.mark.parametrize("argv, first_error", [
+    (["process", "--method", "lamp", "bad", "s1.csv"], "error: bad: "),
+    (["process", "--method", "lamp", "s0.csv", "bad"], "error (parse): bad: bad: "),
+    (["snr", "s0.csv", "bad"], "error: bad: "),
+    (["fit", "bad", "--three-sigma-blank", "0.01"], "error: bad: "),
+    (["timeseries", "--manifest", "bad", "--methods", "lamp"], "error: bad: "),
+    (["simulate", "--seed", "1", "--config", "bad"], "error: bad: "),
+], ids=["process-reference", "process-analyte", "snr", "fit", "timeseries-manifest", "config"])
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, monkeypatch, argv, first_error):
+    monkeypatch.chdir(tmp_path)
+    TestTimeseries().build_manifest(tmp_path)
+    (tmp_path / "bad").write_bytes(b"\xff\xfe\x00bad")  # not UTF-8
+    assert main([*argv, "--out", "out"]) == PARSE_EXIT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(first_error)
+    assert "utf-8" in errors[0]
 
 
 @pytest.mark.parametrize("command", ["process", "lod-table"])

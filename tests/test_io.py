@@ -168,6 +168,47 @@ class TestConcentrationTables:
             read_concentration_table(path)
 
 
+# One table of each format: a good row, then on line 3 a row whose numeric
+# field {} is under test. The manifest's rows name s0.csv.
+TABLES = {
+    "spectrum-reflectance": ("s.csv", read_spectrum,
+                             "wavelength_nm,reflectance\n500,0.1\n501,{}\n"),
+    "spectrum-wavelength": ("s.csv", read_spectrum,
+                            "wavelength_nm,reflectance\n500,0.1\n{},0.2\n"),
+    "manifest-timestamp": ("run.manifest", read_manifest,
+                           "timestamp_s,path,role\n0,s0.csv,reference\n{},s0.csv,sample\n"),
+    "series-concentration": ("series.csv", read_concentration_table,
+                             "concentration,unit,response\n1,uM,0.1\n{},uM,0.2\n"),
+    "series-response": ("series.csv", read_concentration_table,
+                        "concentration,unit,response\n1,uM,0.1\n2,uM,{}\n"),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+class TestEveryTableFormat:
+    def read_with(self, tmp_path, table, value):
+        name, reader, template = TABLES[table]
+        write_spectrum(tmp_path / "s0.csv", sample_spectrum())
+        (tmp_path / name).write_text(template.format(value))
+        return reader(tmp_path / name)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", " NaN "])
+    def test_non_finite_value_names_its_line(self, tmp_path, table, value):
+        name = TABLES[table][0]
+        with pytest.raises(SpectrumFormatError, match=rf"{name}:3: .* is not a finite number"):
+            self.read_with(tmp_path, table, value)
+
+    def test_unparsable_value_names_its_line(self, tmp_path, table):
+        name = TABLES[table][0]
+        with pytest.raises(SpectrumFormatError, match=rf"{name}:3: could not convert"):
+            self.read_with(tmp_path, table, "1.5e")
+
+    def test_extra_field_names_its_line(self, tmp_path, table):
+        name = TABLES[table][0]
+        with pytest.raises(SpectrumFormatError, match=rf"{name}:3: expected \d fields"):
+            self.read_with(tmp_path, table, "0,0")
+
+
 class TestRunConfig:
     def test_empty_document_gives_defaults(self):
         config = load_run_config(text="{}")
@@ -185,16 +226,16 @@ class TestRunConfig:
         path = tmp_path / "run.json"
         path.write_text(
             '{"stack": {"film_thickness_nm": 1200.0},'
-            ' "noise": {"gaussian_sigma": 0.002, "seed": 9},'
+            ' "noise": {"gaussian_sigma": 0.002},'
             ' "lamp": {"n_points": 1024},'
-            ' "study": {"n_trials": 200, "method": "iaw"},'
+            ' "study": {"n_trials": 200},'
             ' "seed": 42}'
         )
         config = load_run_config(path)
         assert config.stack.film_thickness_nm == 1200.0
         assert config.noise.gaussian_sigma == 0.002
         assert config.lamp.n_points == 1024
-        assert config.study == {"n_trials": 200, "method": "iaw"}
+        assert config.study == {"n_trials": 200}
         assert config.seed == 42
 
     def test_unknown_top_level_key_rejected(self):
@@ -205,14 +246,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'noise' section"):
             load_run_config(text='{"noise": {"sigma": 0.1}}')
         # the pad, cutoff and wavelet width follow from the window: no section takes them
+        # nor does the noise section take a seed: the top-level seed is the one seed key
         for section, key in (("lamp", '"pad_exponent": 20'), ("rifts", '"low_cutoff_nm": 900'),
-                             ("lamp", '"wavelet_width_scale": 2')):
+                             ("lamp", '"wavelet_width_scale": 2'), ("noise", '"seed": 5')):
             with pytest.raises(ConfigError, match=f"unknown key.*'{section}' section"):
                 load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
     def test_unknown_study_key_rejected(self):
-        with pytest.raises(ConfigError, match="'study' section"):
-            load_run_config(text='{"study": {"trials": 10}}')
+        # run_table1 computes every method, so the study takes none
+        for study in ('{"trials": 10}', '{"method": "iaw"}'):
+            with pytest.raises(ConfigError, match="unknown key.*'study' section"):
+                load_run_config(text=f'{{"study": {study}}}')
+
+    @pytest.mark.parametrize("section", ["stack", "noise", "rifts", "iaw", "lamp", "study"])
+    @pytest.mark.parametrize("value", ["5", "[1, 2]", "null"])
+    def test_non_object_section_rejected(self, section, value):
+        with pytest.raises(ConfigError, match=f"^'{section}' section must be an object$"):
+            load_run_config(text=f'{{"{section}": {value}}}')
 
     def test_invalid_section_value_wrapped(self):
         with pytest.raises(ConfigError, match="invalid 'stack'"):
