@@ -1,10 +1,10 @@
 """Command-line front end: simulation, processing, studies, and fitting.
 
-Subcommands share a JSON configuration file (see io.load_run_config) and
-a few global flags. Randomized commands print the seed they ran with, so
-any run can be reproduced afterwards; when no seed is given anywhere one
-is drawn from system entropy. Exit codes: 0 success, 2 parse or
-configuration failure, 3 processing failure.
+Each subcommand takes only the shared flags its handler reads: --config (a
+JSON run configuration, see io.load_run_config), --seed, --range, --out and
+--format. Randomized commands print their seed, so any run can be reproduced;
+with no seed given anywhere one is drawn from system entropy. Exit codes: 0
+success, 2 parse or configuration failure, 3 processing failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .filmsim import add_noise, measure_snr, simulate_reflectance
 from .io import (
     RunConfig,
     check_range_nm,
+    check_seed,
     load_run_config,
     read_concentration_table,
     read_manifest,
@@ -42,7 +43,7 @@ from .isotherm import (
 )
 from .lamp import lamp_signal, lamp_to_delta_eot
 from .legacy import iaw, rifts_eot
-from .lodstudy import LodStudyConfig, run_table1
+from .lodstudy import MIN_REPORTED_TRIALS, LodStudyConfig, run_table1
 from .wavegrid import WavenumberGrid
 
 PARSE_EXIT = 2
@@ -65,68 +66,68 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration file")
-    common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument("--range", type=_float_pair, dest="range_nm",
-                        help="wavelength range LO,HI in nm")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="structured output format")
-
+    # The flags several subcommands share; each subcommand adds those its handler reads.
+    shared_flags = {
+        "config": {"help": "JSON run configuration file"},
+        "seed": {"type": int, "help": "override the master seed"},
+        "range": {"type": _float_pair, "dest": "range_nm", "help": "wavelength range LO,HI in nm"},
+        "out": {"help": "output file path"},
+        "format": {"choices": ("json", "csv"), "default": "json", "help": "output format"},
+    }
     parser = argparse.ArgumentParser(
         prog="fringelab",
         description="thin-film fringe simulation and signal processing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="simulate reflectance spectra and write them out")
-    p.add_argument("--clean-out", help="also write the noiseless spectrum here")
-    p.set_defaults(handler=cmd_simulate)
+    def add_command(name, handler, shared, summary):
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(f"--{flag}", **shared_flags[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("process", parents=[common],
-                       help="run one method on analyte spectra against a reference")
+    p = add_command("simulate", cmd_simulate, ("config", "seed", "range", "out"),
+                    "simulate reflectance spectra and write them out")
+    p.add_argument("--clean-out", help="also write the noiseless spectrum here")
+
+    p = add_command("process", cmd_process, ("config", "range", "out", "format"),
+                    "run one method on analyte spectra against a reference")
     p.add_argument("--method", choices=METHOD_CHOICES, required=True)
     p.add_argument("reference", help="reference spectrum file")
     p.add_argument("analytes", nargs="+", help="analyte spectrum files")
-    p.set_defaults(handler=cmd_process)
 
-    p = sub.add_parser("timeseries", parents=[common],
-                       help="process a timestamped manifest against its reference")
+    p = add_command("timeseries", cmd_timeseries, ("config", "range", "out", "format"),
+                    "process a timestamped manifest against its reference")
     p.add_argument("--manifest", required=True)
     p.add_argument("--methods", default="rifts,iaw,lamp",
                    help="comma-separated subset of rifts,iaw,lamp")
     p.add_argument("--normalize", action="store_true",
                    help="map each method's series to [0, 1] by its min/max")
     p.add_argument("--svg", help="also write a line plot to this path")
-    p.set_defaults(handler=cmd_timeseries)
 
-    p = sub.add_parser("lod-table", parents=[common],
-                       help="Monte-Carlo detection-limit matrix over methods and drifts")
+    p = add_command("lod-table", cmd_lod_table, ("config", "seed", "range", "out"),
+                    "Monte-Carlo detection-limit matrix over methods and drifts")
     p.add_argument("--trials", type=_positive_int, help="override the trial count")
-    p.set_defaults(handler=cmd_lod_table)
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit the adsorption isotherm to a concentration table")
+    p = add_command("fit", cmd_fit, ("out", "format"),
+                    "fit the adsorption isotherm to a concentration table")
     p.add_argument("series", help="concentration,unit,response table")
     p.add_argument("--three-sigma-blank", type=float, required=True,
                    help="noise floor above the intercept defining the LOD")
     p.add_argument("--curve-points", type=_positive_int, default=200)
-    p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("snr", parents=[common],
-                       help="signal-to-noise ratio between a clean and a noisy spectrum")
+    p = add_command("snr", cmd_snr, (),
+                    "signal-to-noise ratio between a clean and a noisy spectrum")
     p.add_argument("clean")
     p.add_argument("noisy")
-    p.set_defaults(handler=cmd_snr)
 
     return parser
 
 
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config)
-    if getattr(args, "range_nm", None) is not None:
+    if args.range_nm is not None:
         config = replace(
             config,
             range_nm=args.range_nm,
@@ -139,9 +140,7 @@ def _load_config(args) -> RunConfig:
 
 def _resolve_seed(args, config: RunConfig) -> int:
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be an unsigned 64-bit integer")
-        return args.seed
+        return check_seed(args.seed, "--seed")
     if config.seed is not None:
         return config.seed
     return int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
@@ -292,7 +291,7 @@ def cmd_lod_table(args) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"study configuration: {exc}") from exc
-    smoke = study_cfg.n_trials < 100
+    smoke = study_cfg.n_trials < MIN_REPORTED_TRIALS
     print(f"seed: {seed}")
     if smoke:
         print("smoke mode: trial count below the reporting minimum", file=sys.stderr)

@@ -233,10 +233,8 @@ def calibrate_ramp_magnitude(
     kind: str,
     target_snr_db: float,
     white_sigma: float = 0.0,
-    tolerance_db: float = 1e-9,
-    max_iterations: int = 200,
 ) -> float:
-    """Bisect the ramp magnitude until total S/N hits target_snr_db.
+    """Bisect the ramp magnitude, in at most 200 halvings, to within 1e-9 dB of target_snr_db.
 
     Total noise power is the deterministic ramp power plus white_sigma**2,
     matching what measure_snr reports in expectation when white noise of
@@ -267,12 +265,12 @@ def calibrate_ramp_magnitude(
         grow += 1
         if grow > 200:
             raise CalibrationError("ramp magnitude bracket failed to expand")
-    for _ in range(max_iterations):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if snr_at(mid) > target_snr_db:
             lo = mid
         else:
             hi = mid
-        if abs(snr_at(hi) - target_snr_db) <= tolerance_db:
+        if abs(snr_at(hi) - target_snr_db) <= 1e-9:
             return hi
     raise CalibrationError("ramp calibration did not converge")

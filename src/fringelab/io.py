@@ -222,12 +222,24 @@ def check_range_nm(value) -> tuple[float, float]:
     return low, high
 
 
+def check_seed(value, name: str) -> int:
+    """A master seed; ConfigError naming name unless an int (not a bool) in [0, 2**64)."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be an integer 0 <= seed < 2**64, got {value!r}")
+    return value
+
+
 def load_run_config(path=None, text: str | None = None) -> RunConfig:
     """Load and validate a JSON run configuration; unknown keys are errors."""
+    def number(literal):  # refuses NaN, Infinity, -Infinity and overflows such as 1e999
+        if not math.isfinite(float(literal)):
+            raise ConfigError(f"configuration holds {literal}, which is not a finite number")
+        return float(literal)
     if text is None and path is not None:
         text = _read_text(path, ConfigError)
     try:
-        document = {} if text is None else json.loads(text)
+        document = {} if text is None else json.loads(text, parse_float=number,
+                                                      parse_constant=number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
@@ -245,9 +257,7 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
     if "native_range_nm" in study:
         study = {**study, "native_range_nm": check_range_nm(study["native_range_nm"])}
     range_nm = check_range_nm(document.get("range_nm", (500.0, 800.0)))
-    seed = document.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
-        raise ConfigError("'seed' must be a non-negative integer")
+    seed = None if document.get("seed") is None else check_seed(document["seed"], "'seed'")
     n_points = document.get("n_points", 768)
     if not isinstance(n_points, int) or n_points < 16:
         raise ConfigError("'n_points' must be an integer >= 16")
@@ -257,14 +267,13 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
 SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b")
 
 
-def write_polyline_svg(path, series: dict, width: int = 800, height: int = 400,
-                       x_label: str = "time (s)", y_label: str = "signal") -> None:
-    """Write a minimal line plot: one polyline per named series.
+def write_polyline_svg(path, series: dict) -> None:
+    """Write a minimal 800x400 line plot of signal against time, one polyline per series.
 
     series maps a label to (x values, y values). Axes are linear with a
     shared x range and a shared y range across all series.
     """
-    margin = 50
+    width, height, margin = 800, 400, 50
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -285,9 +294,9 @@ def write_polyline_svg(path, series: dict, width: int = 800, height: int = 400,
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="13">{x_label}</text>',
+        'font-size="13">time (s)</text>',
         f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 14 {height / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 14 {height / 2:.1f})">signal</text>',
     ]
     for i, (label, (x, y)) in enumerate(series.items()):
         color = SVG_PALETTE[i % len(SVG_PALETTE)]

@@ -62,11 +62,8 @@ def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:
 @dataclass(frozen=True)
 class IawConfig:
     range_nm: tuple[float, float] = DEFAULT_RANGE_NM
-    rule: str = "mean_abs"  # or "sum_abs"
 
     def __post_init__(self):
-        if self.rule not in ("mean_abs", "sum_abs"):
-            raise ValueError(f"unknown integration rule {self.rule!r}")
         if not float(self.range_nm[0]) < float(self.range_nm[1]):
             raise ValueError("range must satisfy low < high")
 
@@ -86,7 +83,4 @@ def iaw(reference: Spectrum, analyte: Spectrum, cfg: IawConfig = IawConfig()) ->
         raise WavelengthRangeError("fewer than two samples fall inside the requested range")
     diff = analyte.reflectance[mask] - reference.reflectance[mask]
     diff = diff - diff.mean()
-    magnitude = np.abs(diff)
-    if cfg.rule == "sum_abs":
-        return float(magnitude.sum())
-    return float(magnitude.mean())
+    return float(np.abs(diff).mean())

@@ -428,6 +428,13 @@ class TestSnrAndErrors:
         (["fit", "series.csv", "--three-sigma-blank", "0"], None),
         (["fit", "series.csv", "--three-sigma-blank", "nan"], None),
         (["fit", "series.csv", "--three-sigma-blank", "inf"], None),
+        (["simulate", "--seed", "1"], '{"noise": {"target_snr_db": NaN}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"offset_snr_db": NaN}}'),
+        (["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": Infinity}}'),
+        (["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": 1e999}}'),
+        (["simulate"], '{"seed": 18446744073709551616}'),
+        (["lod-table", "--trials", "4"], '{"seed": 18446744073709551616}'),
+        (["simulate", "--seed", "18446744073709551616"], None),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
@@ -448,23 +455,52 @@ def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, first_error", [
-    (["process", "--method", "lamp", "bad", "s1.csv"], "error: bad: "),
-    (["process", "--method", "lamp", "s0.csv", "bad"], "error (parse): bad: bad: "),
+    (["process", "--method", "lamp", "bad", "s1.csv", "--out", "out"], "error: bad: "),
+    (["process", "--method", "lamp", "s0.csv", "bad", "--out", "out"],
+     "error (parse): bad: bad: "),
     (["snr", "s0.csv", "bad"], "error: bad: "),
-    (["fit", "bad", "--three-sigma-blank", "0.01"], "error: bad: "),
-    (["timeseries", "--manifest", "bad", "--methods", "lamp"], "error: bad: "),
-    (["simulate", "--seed", "1", "--config", "bad"], "error: bad: "),
+    (["fit", "bad", "--three-sigma-blank", "0.01", "--out", "out"], "error: bad: "),
+    (["timeseries", "--manifest", "bad", "--methods", "lamp", "--out", "out"], "error: bad: "),
+    (["simulate", "--seed", "1", "--config", "bad", "--out", "out"], "error: bad: "),
 ], ids=["process-reference", "process-analyte", "snr", "fit", "timeseries-manifest", "config"])
 def test_undecodable_input_is_a_parse_error(tmp_path, capsys, monkeypatch, argv, first_error):
     monkeypatch.chdir(tmp_path)
     TestTimeseries().build_manifest(tmp_path)
     (tmp_path / "bad").write_bytes(b"\xff\xfe\x00bad")  # not UTF-8
-    assert main([*argv, "--out", "out"]) == PARSE_EXIT
+    assert main(argv) == PARSE_EXIT
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith(first_error)
     assert "utf-8" in errors[0]
+
+
+UNREAD_FLAG_VALUES = {"--config": "run.json", "--seed": "1", "--range": "600,700",
+                      "--out": "out", "--format": "csv"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--seed", "1", "--out", "n.csv"], "--format"),
+    (["process", "--method", "lamp", "s0.csv", "s1.csv"], "--seed"),
+    (["timeseries", "--manifest", "run.manifest", "--methods", "lamp"], "--seed"),
+    (["lod-table", "--trials", "4", "--seed", "1", "--out", "table.json"], "--format"),
+    *((["fit", "series.csv", "--three-sigma-blank", "0.01"], flag)
+      for flag in ("--config", "--seed", "--range")),
+    *((["snr", "s0.csv", "s1.csv"], flag) for flag in UNREAD_FLAG_VALUES),
+])
+def test_shared_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, monkeypatch,
+                                                              argv, flag):
+    # each of these was accepted and then ignored while every subcommand took all five flags
+    monkeypatch.chdir(tmp_path)
+    TestTimeseries().build_manifest(tmp_path)
+    TestFit().write_series(tmp_path / "series.csv")
+    (tmp_path / "run.json").write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, UNREAD_FLAG_VALUES[flag]])
+    assert exc.value.code == PARSE_EXIT
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"fringelab: error: unrecognized arguments: "
+                      f"{flag} {UNREAD_FLAG_VALUES[flag]}"]
 
 
 @pytest.mark.parametrize("command", ["process", "lod-table"])

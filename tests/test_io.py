@@ -246,9 +246,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'noise' section"):
             load_run_config(text='{"noise": {"sigma": 0.1}}')
         # the pad, cutoff and wavelet width follow from the window: no section takes them
-        # nor does the noise section take a seed: the top-level seed is the one seed key
+        # nor does the noise section take a seed: the top-level seed is the one seed key;
+        # iaw has one rule, the mean (a sum scales the blank, drift and slope alike)
         for section, key in (("lamp", '"pad_exponent": 20'), ("rifts", '"low_cutoff_nm": 900'),
-                             ("lamp", '"wavelet_width_scale": 2'), ("noise", '"seed": 5')):
+                             ("lamp", '"wavelet_width_scale": 2'), ("noise", '"seed": 5'),
+                             ("iaw", '"rule": "sum_abs"')):
             with pytest.raises(ConfigError, match=f"unknown key.*'{section}' section"):
                 load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
@@ -280,10 +282,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             load_run_config(text="[1, 2]")
 
-    @pytest.mark.parametrize("seed", ["-1", "2.5", "true", '"7"'])
+    @pytest.mark.parametrize("seed", ["-1", "2.5", "true", '"7"', str(2**64)])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="'seed'"):
             load_run_config(text=f'{{"seed": {seed}}}')
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_names_its_literal(self, literal):
+        with pytest.raises(ConfigError, match=f"^configuration holds {literal}, which is not"):
+            load_run_config(text=f'{{"noise": {{"target_snr_db": {literal}}}}}')
 
     def test_bad_n_points_rejected(self):
         with pytest.raises(ConfigError, match="'n_points'"):

@@ -79,15 +79,6 @@ def test_iaw_symmetric_in_its_arguments():
     assert math.isclose(iaw(a, b), iaw(b, a), rel_tol=1e-12)
 
 
-def test_iaw_rules_are_consistent():
-    a, b = film(), film(delta_n=5e-4)
-    mean_rule = iaw(a, b, IawConfig(rule="mean_abs"))
-    sum_rule = iaw(a, b, IawConfig(rule="sum_abs"))
-    count = np.count_nonzero(
-        (a.wavelengths_nm >= 500.0) & (a.wavelengths_nm <= 800.0))
-    assert math.isclose(sum_rule, mean_rule * count, rel_tol=1e-12)
-
-
 def test_iaw_grows_with_small_shifts():
     a = film()
     responses = [iaw(a, film(delta_n=dn)) for dn in (1e-4, 5e-4, 1e-3)]
