@@ -235,10 +235,17 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
         if not math.isfinite(float(literal)):
             raise ConfigError(f"configuration holds {literal}, which is not a finite number")
         return float(literal)
+
+    def integer(literal):  # refuses integers too large for a float, such as 1 and 400 zeros
+        if not math.isfinite(float(literal)):
+            raise ConfigError(f"configuration holds a {len(literal.lstrip('-'))}-digit "
+                              "integer, too large for a float")
+        return int(literal)
+
     if text is None and path is not None:
         text = _read_text(path, ConfigError)
     try:
-        document = {} if text is None else json.loads(text, parse_float=number,
+        document = {} if text is None else json.loads(text, parse_float=number, parse_int=integer,
                                                       parse_constant=number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc

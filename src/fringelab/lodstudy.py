@@ -12,15 +12,15 @@ lamp's cached reference profile. A stack that raises a FringelabError is rerun
 row by row (a row's result is the same alone or stacked): only its failing
 trials are dropped and counted. Any other exception propagates.
 
-run_table1 splits its work by method, never by trial: a forked worker computes
-lamp's three cells while the caller computes rifts' and then iaw's, so each
-side keeps its own caches (lamp's reference profile, rifts' spline operator)
-and no spectra cross between processes. Both sides run numpy's OpenBLAS on one
-thread, and the caller restores the old count afterwards. The table stays
-serial, with the thread count untouched, when fewer than 2 CPUs are usable,
-the fork start method is unavailable, the caller is itself a daemonic process,
-or n_trials <= CHUNK_ROWS (every distribution is then one stack). Results,
-failures, warnings and the to_dict() key order are the same on both paths.
+Where two CPUs and fork are available, each distribution is split by trial at a
+stack boundary: a forked one-process pool computes the upper half of its stacks
+while the caller computes the lower half, and the halves are joined in trial
+order, so every row's result is what the serial loop gives. Only arguments and
+signals cross; warnings and failures are raised by the caller. Both processes
+run numpy's OpenBLAS on one thread, and the caller restores the old count after.
+The study stays serial, with the thread count untouched, on fewer than 2 usable
+CPUs, without the fork start method, inside a daemonic process, or at n_trials <=
+CHUNK_ROWS. Results, failures, warnings and to_dict() are the same on both paths.
 """
 
 from __future__ import annotations
@@ -144,11 +144,40 @@ def _trial_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
-class _StudyEngine:
-    """Shared per-study state: clean spectra, resolved noise, calibrated ramps."""
+def _evaluate(cfg: LodStudyConfig, reference: Spectrum, rows: np.ndarray) -> list:
+    """The configured method's signal for each row of a noisy stack."""
+    if cfg.method == "rifts":
+        return rifts_rows(reference.wavelengths_nm, rows, cfg.rifts)
+    if cfg.method == "iaw":
+        return [iaw(reference, Spectrum(reference.wavelengths_nm, row), cfg.iaw) for row in rows]
+    return lamp_rows(reference, reference.wavelengths_nm, rows, cfg.lamp)
 
-    def __init__(self, cfg: LodStudyConfig):
+
+def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, clean: Spectrum,
+                   model: NoiseModel, trials: range) -> tuple[list, list[str]]:
+    """(signals, "trial i: ..." errors) of trials, in stacks of CHUNK_ROWS from trials.start."""
+    signals = []
+    errors: list[str] = []
+    for start in range(trials.start, trials.stop, CHUNK_ROWS):
+        stack = range(start, min(start + CHUNK_ROWS, trials.stop))
+        rows = noise_rows(clean, model, [_trial_seed(cfg.noise.seed, i) for i in stack])
+        try:
+            signals += _evaluate(cfg, reference, rows)
+        except FringelabError:
+            for i, row in zip(stack, rows):
+                try:
+                    signals += _evaluate(cfg, reference, row[None])
+                except FringelabError as exc:
+                    errors.append(f"trial {i}: {exc}")
+    return signals, errors
+
+
+class _StudyEngine:
+    """Shared per-study state: clean spectra, resolved noise, calibrated ramps, a pool or None."""
+
+    def __init__(self, cfg: LodStudyConfig, pool=None):
         self.cfg = cfg
+        self.pool = pool
         self.reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
         if cfg.noise.gaussian_sigma is not None:
             self.white_sigma = cfg.noise.gaussian_sigma
@@ -186,34 +215,19 @@ class _StudyEngine:
             seed=self.cfg.noise.seed,
         )
 
-    def _evaluate(self, rows: np.ndarray) -> list:
-        """The method's signal for each row of a noisy stack."""
-        cfg, wavelengths = self.cfg, self.reference.wavelengths_nm
-        if cfg.method == "rifts":
-            return rifts_rows(wavelengths, rows, cfg.rifts)
-        if cfg.method == "iaw":
-            return [iaw(self.reference, Spectrum(wavelengths, row), cfg.iaw) for row in rows]
-        return lamp_rows(self.reference, wavelengths, rows, cfg.lamp)
-
     def distribution(self, delta_n: float, gradient: str) -> DistributionStats:
         key = (self.cfg.method, delta_n, gradient)
         if key in self._dist_cache:
             return self._dist_cache[key]
-        clean = self.clean_analyte(delta_n)
-        model, n_trials = self._noise_model(gradient), self.cfg.n_trials
-        signals = []
-        errors: list[str] = []
-        for start in range(0, n_trials, CHUNK_ROWS):
-            trials = range(start, min(start + CHUNK_ROWS, n_trials))
-            rows = noise_rows(clean, model, [_trial_seed(self.cfg.noise.seed, i) for i in trials])
-            try:
-                signals += self._evaluate(rows)
-            except FringelabError:
-                for i, row in zip(trials, rows):
-                    try:
-                        signals += self._evaluate(row[None])
-                    except FringelabError as exc:
-                        errors.append(f"trial {i}: {exc}")
+        n_trials = self.cfg.n_trials
+        args = (self.cfg, self.reference, self.clean_analyte(delta_n), self._noise_model(gradient))
+        if self.pool is None:
+            signals, errors = _trial_signals(*args, range(n_trials))
+        else:  # the worker takes the odd stack out, as the caller also calibrates
+            split = CHUNK_ROWS * (math.ceil(n_trials / CHUNK_ROWS) // 2)
+            upper = self.pool.apply_async(_trial_signals, (*args, range(split, n_trials)))
+            lower = _trial_signals(*args, range(split))
+            signals, errors = (low + high for low, high in zip(lower, upper.get()))
         if len(errors) > MAX_FAILURE_FRACTION * n_trials:
             raise StudyError(
                 f"{len(errors)} of {n_trials} trials failed "
@@ -249,7 +263,8 @@ class _StudyEngine:
                        f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%")
             if cfg.strict_linearity:
                 raise CalibrationError(message)
-            warnings.warn(message, stacklevel=3)
+            # calibration <- _lod_from_engine <- run_table1 or lod_riu <- the user's call
+            warnings.warn(message, stacklevel=4)
         self._calibration = blank, slope, ratio
         return self._calibration
 
@@ -260,7 +275,8 @@ def response_distribution(
     """Distribution of the configured method's signal over noisy trials."""
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    return _StudyEngine(cfg).distribution(delta_n, gradient)
+    with _study_pool(cfg) as pool:
+        return _StudyEngine(cfg, pool).distribution(delta_n, gradient)
 
 
 def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | None = None) -> float:
@@ -294,7 +310,8 @@ def lod_riu(cfg: LodStudyConfig, gradient: str = "none") -> LodResult:
     """Detection limit in refractive index units for one method and drift case."""
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    return _lod_from_engine(_StudyEngine(cfg), gradient)
+    with _study_pool(cfg) as pool:
+        return _lod_from_engine(_StudyEngine(cfg, pool), gradient)
 
 
 @dataclass(frozen=True)
@@ -334,25 +351,6 @@ class Table1Report:
         return out
 
 
-def _method_cells(base_cfg: LodStudyConfig, method: str) -> tuple[dict, dict, list]:
-    """One method's row of Table 1: (cells, failures, caught warnings).
-
-    Warnings are returned as (message text, category) so that a forked
-    worker can hand them back to the caller.
-    """
-    engine = _StudyEngine(replace(base_cfg, method=method))
-    cells: dict = {}
-    failures: dict = {}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for gradient in GRADIENTS:
-            try:
-                cells[(method, gradient)] = _lod_from_engine(engine, gradient)
-            except (StudyError, CalibrationError) as exc:
-                failures[(method, gradient)] = str(exc)
-    return cells, failures, [(str(w.message), w.category) for w in caught]
-
-
 def _openblas():
     """numpy's bundled OpenBLAS through ctypes, or None if it or its thread calls are missing."""
     import ctypes
@@ -381,7 +379,7 @@ def _one_blas_thread():
 
 
 def _fork_context(base_cfg: LodStudyConfig):
-    """The fork multiprocessing context if lamp's cells should run in a worker, else None."""
+    """The fork multiprocessing context if a worker should share the trials, else None."""
     if base_cfg.n_trials <= CHUNK_ROWS:
         return None
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
@@ -394,38 +392,39 @@ def _fork_context(base_cfg: LodStudyConfig):
     return multiprocessing.get_context("fork")
 
 
+@contextmanager
+def _study_pool(cfg: LodStudyConfig):
+    """A forked one-process pool, with OpenBLAS on one thread, or None where forking cannot pay."""
+    context = _fork_context(cfg)
+    if context is None:
+        yield None
+        return
+    with _one_blas_thread(), context.Pool(1) as pool:
+        yield pool
+
+
 def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
                allow_smoke_trials: bool = False) -> Table1Report:
     """Compute the full method-by-drift detection-limit matrix.
 
-    Cell failures are recorded rather than aborting the rest of the matrix.
-    A row's calibration (and its linearity warning) and the distributions its
-    cells share are computed once. allow_smoke_trials waives the minimum
-    trial count for quick shakedown runs whose numbers are not meant to be
-    reported. Where two CPUs and fork are available, lamp's row is computed
-    in a forked worker (see the module docstring).
+    Cell failures are recorded rather than aborting the rest of the matrix. A row's
+    calibration (and its linearity warning) and the distributions its cells share are
+    computed once. allow_smoke_trials waives the minimum trial count for shakedown
+    runs whose numbers are not reported. A forked worker may compute the upper half
+    of every distribution's trials (see the module docstring).
     """
     if base_cfg.n_trials < MIN_REPORTED_TRIALS and not allow_smoke_trials:
-        raise ValueError(
-            f"reported studies need at least {MIN_REPORTED_TRIALS} trials"
-        )
-    context = _fork_context(base_cfg)
-    if context is None:
-        rows = {method: _method_cells(base_cfg, method) for method in METHODS}
-    else:
-        with _one_blas_thread(), context.Pool(1) as pool:
-            pending = pool.apply_async(_method_cells, (base_cfg, "lamp"))
-            rows = {method: _method_cells(base_cfg, method)
-                    for method in METHODS if method != "lamp"}
-            rows["lamp"] = pending.get()
+        raise ValueError(f"reported studies need at least {MIN_REPORTED_TRIALS} trials")
     cells: dict = {}
     failures: dict = {}
-    for method in METHODS:
-        method_cells, method_failures, caught = rows[method]
-        cells.update(method_cells)
-        failures.update(method_failures)
-        for message, category in caught:
-            warnings.warn(message, category, stacklevel=2)
+    with _study_pool(base_cfg) as pool:
+        for method in METHODS:
+            engine = _StudyEngine(replace(base_cfg, method=method), pool)
+            for gradient in GRADIENTS:
+                try:
+                    cells[(method, gradient)] = _lod_from_engine(engine, gradient)
+                except (StudyError, CalibrationError) as exc:
+                    failures[(method, gradient)] = str(exc)
     return Table1Report(
         cells=cells,
         failures=failures,

@@ -435,6 +435,13 @@ class TestSnrAndErrors:
         (["simulate"], '{"seed": 18446744073709551616}'),
         (["lod-table", "--trials", "4"], '{"seed": 18446744073709551616}'),
         (["simulate", "--seed", "18446744073709551616"], None),
+        pytest.param(["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": 1%s}}'
+                     % ("0" * 400), id="stack-integer-too-large-for-a-float"),
+        pytest.param(["simulate", "--seed", "1"], '{"noise": {"target_snr_db": 1%s}}'
+                     % ("0" * 400), id="noise-integer-too-large-for-a-float"),
+        pytest.param(["lod-table", "--trials", "4", "--seed", "1"],
+                     '{"study": {"calibration_delta_n": 1%s}}' % ("0" * 400),
+                     id="study-integer-too-large-for-a-float"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):

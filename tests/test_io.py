@@ -292,6 +292,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^configuration holds {literal}, which is not"):
             load_run_config(text=f'{{"noise": {{"target_snr_db": {literal}}}}}')
 
+    @pytest.mark.parametrize("document", [
+        '{"stack": {"film_thickness_nm": %s}}', '{"noise": {"target_snr_db": -%s}}',
+        '{"rifts": {"n_points": %s}}', '{"iaw": {"range_nm": [500, %s]}}',
+        '{"lamp": {"n_points": %s}}', '{"study": {"calibration_delta_n": %s}}',
+        '{"range_nm": [500, %s]}', '{"n_points": %s}', '{"seed": %s}',
+    ])
+    def test_integer_too_large_for_a_float_rejected(self, document):
+        with pytest.raises(ConfigError, match="401-digit integer, too large for a float"):
+            load_run_config(text=document % ("1" + "0" * 400))
+
     def test_bad_n_points_rejected(self):
         with pytest.raises(ConfigError, match="'n_points'"):
             load_run_config(text='{"n_points": 4}')

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -251,16 +252,9 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     # the other 99 trials keep the signals they have when evaluated alone
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
     rows = noise_rows(engine.clean_analyte(0.0), engine._noise_model("none"), seeds)
-    alone = np.array([engine._evaluate(row[None])[0] for row in rows])
+    alone = np.array([lodstudy._evaluate(cfg, engine.reference, row[None])[0] for row in rows])
     assert stats.n_trials == 99
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
-
-
-def test_domain_error_is_counted_with_its_trial_index(monkeypatch):
-    cfg = study(n_trials=16)
-    flatten_trial(monkeypatch, cfg, 11)  # inside the second stack
-    with pytest.raises(StudyError, match=r"1 of 16 trials failed .*first failure: trial 11: "):
-        response_distribution(cfg, 0.0)
 
 
 @pytest.mark.parametrize("method, module", [("lamp", "lamp"), ("rifts", "legacy")])
@@ -278,7 +272,7 @@ needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork an
 
 
 def smoke_table(**kw):
-    """A 16-trial table: two stacks per distribution, so lamp's row is forked."""
+    """A 16-trial table: two stacks per distribution, so the second runs in the worker."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run_table1(study(n_trials=2 * CHUNK_ROWS, seed=3, **kw), allow_smoke_trials=True)
@@ -301,6 +295,48 @@ def test_table_stays_serial_when_forking_cannot_pay(monkeypatch, rule):
     if rule == "daemon":
         monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
     assert lodstudy._fork_context(study(n_trials=n_trials)) is None
+
+
+@pytest.mark.parametrize("index", [3, 11])  # in the caller's and the worker's half
+def test_domain_error_is_counted_with_its_trial_index(monkeypatch, index):
+    cfg = study(n_trials=2 * CHUNK_ROWS)
+    flatten_trial(monkeypatch, cfg, index)
+    expected = rf"1 of 16 trials failed .*first failure: trial {index}: "
+    messages = []
+    for path in ("forked", "one cpu") if FORKS else ("one cpu",):
+        if path == "one cpu":
+            one_cpu(monkeypatch)
+        with pytest.raises(StudyError, match=expected) as info:
+            response_distribution(cfg, 0.0)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+
+
+@needs_fork
+def test_worker_computes_the_upper_half_of_the_stacks(monkeypatch, tmp_path):
+    cfg = study(n_trials=100)
+    caller = os.getpid()
+    trial_of = {_trial_seed(cfg.noise.seed, i): i for i in range(100)}
+
+    def logged(clean, model, seeds):
+        side = "caller" if os.getpid() == caller else "worker"
+        with open(tmp_path / side, "a") as log:
+            log.writelines(f"{trial_of[seed]}\n" for seed in seeds)
+        return noise_rows(clean, model, seeds)
+
+    monkeypatch.setattr(lodstudy, "noise_rows", logged)
+    response_distribution(cfg, 0.0)
+    trials = {side: [int(i) for i in (tmp_path / side).read_text().split()]
+              for side in ("caller", "worker")}
+    assert trials == {"caller": list(range(48)), "worker": list(range(48, 100))}
+
+
+@pytest.mark.parametrize("n_trials", [CHUNK_ROWS, 2 * CHUNK_ROWS])
+def test_lod_riu_warning_names_its_caller(monkeypatch, n_trials):
+    monkeypatch.setattr(lodstudy, "LINEARITY_TOLERANCE", -1.0)
+    with pytest.warns(UserWarning, match="iaw response is not linear") as record:
+        lod_riu(study(method="iaw", n_trials=n_trials))
+    assert [w.filename for w in record] == [__file__]
 
 
 @needs_fork
@@ -362,7 +398,7 @@ def test_blas_threads_are_one_inside_and_restored_after(monkeypatch):
     try:
         monkeypatch.setattr(lodstudy, "_lod_from_engine", spying)
         smoke_table()
-        assert seen == [1] * 6  # the caller's rifts and iaw cells
+        assert seen == [1] * 9  # the caller computes every cell
         assert blas.scipy_openblas_get_num_threads64_() == 2
         monkeypatch.setattr(importlib.import_module("fringelab.lamp"), "padded_peak_rows", broken)
         with pytest.raises(TypeError):
