@@ -16,11 +16,10 @@ Where two CPUs and fork are available, each distribution is split by trial at a
 stack boundary: a forked one-process pool computes the upper half of its stacks
 while the caller computes the lower half, and the halves are joined in trial
 order, so every row's result is what the serial loop gives. Only arguments and
-signals cross; warnings and failures are raised by the caller. Both processes
-run numpy's OpenBLAS on one thread, and the caller restores the old count after.
-The study stays serial, with the thread count untouched, on fewer than 2 usable
-CPUs, without the fork start method, inside a daemonic process, or at n_trials <=
-CHUNK_ROWS. Results, failures, warnings and to_dict() are the same on both paths.
+signals cross; warnings and failures are raised by the caller. The study stays
+serial on fewer than 2 usable CPUs, without the fork start method, inside a
+daemonic process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and
+to_dict() are the same on both paths.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -293,6 +291,22 @@ def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | No
     return abs(with_ramp.mean - without.mean)
 
 
+def crlb_delta_n(cfg: LodStudyConfig) -> float:
+    """Cramér–Rao bound (RIU) on the standard deviation of any unbiased film-index estimate.
+
+    With white Gaussian noise of sigma on the native samples against a noiseless
+    reference, std(delta_n) >= sigma / |dR/dn| (Kay 1993, ch. 3); the derivative is a
+    central difference of step 1e-6 on the native wavelengths. Drift ramps are not
+    included, so the bound applies to the none column.
+    """
+    h = 1e-6
+    wavelengths = cfg.wavelengths()
+    up, down = (simulate_reflectance(cfg.stack.with_film_index_shift(s), wavelengths)
+                for s in (h, -h))
+    jacobian = (up.reflectance - down.reflectance) / (2.0 * h)
+    return _StudyEngine(cfg).white_sigma / float(np.linalg.norm(jacobian))
+
+
 def _lod_from_engine(engine: _StudyEngine, gradient: str) -> LodResult:
     blank, slope, ratio = engine.calibration()
     delta_g = 0.0 if gradient == "none" else gradient_delta(engine.cfg, gradient, engine)
@@ -351,33 +365,6 @@ class Table1Report:
         return out
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS through ctypes, or None if it or its thread calls are missing."""
-    import ctypes
-
-    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
-        lib = ctypes.CDLL(str(path))  # numpy has loaded it already: the same handle
-        if (hasattr(lib, "scipy_openblas_get_num_threads64_")
-                and hasattr(lib, "scipy_openblas_set_num_threads64_")):
-            return lib
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the old count."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
-
-
 def _fork_context(base_cfg: LodStudyConfig):
     """The fork multiprocessing context if a worker should share the trials, else None."""
     if base_cfg.n_trials <= CHUNK_ROWS:
@@ -394,12 +381,12 @@ def _fork_context(base_cfg: LodStudyConfig):
 
 @contextmanager
 def _study_pool(cfg: LodStudyConfig):
-    """A forked one-process pool, with OpenBLAS on one thread, or None where forking cannot pay."""
+    """A forked one-process pool, or None where forking cannot pay."""
     context = _fork_context(cfg)
     if context is None:
         yield None
         return
-    with _one_blas_thread(), context.Pool(1) as pool:
+    with context.Pool(1) as pool:
         yield pool
 
 

@@ -7,11 +7,13 @@ forward transform applies no normalization (plain summation), so
 sum |X|^2 over a full transform equals N times the input energy.
 
 A zero-padded transform is measured without materializing it: every
-step-th padded bin comes from a shorter rfft that keeps at least 16 coarse
+step-th padded bin comes from a shorter rfft that keeps at least 4 coarse
 bins per resolution cell 1/(n * delta_sigma), which brackets the peak and
-both half-maximum crossings; the exact padded bins inside each bracket,
-summed directly, decide them. padded_peak is padded_peak_rows on a stack of
-one. Cached read-only: phasors and bracket modulations per (points, pad, bin).
+both half-maximum crossings; a bisection over single exact padded bins in
+each bracket decides them. Bin b is summed directly as phasor row r = b mod 64
+against the data modulated to the base b - r, on a fixed 64-bin grid. Cached
+read-only: phasor rows per (points, pad), modulations per (points, pad, base).
+padded_peak is padded_peak_rows on a stack of one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .errors import NoFringePeakError, PeakMeasurementError
 MIN_TRANSFORM_POINTS = 16
 
 DEFAULT_LOW_CUTOFF_NM = 1000.0
+
+COARSE_BINS_PER_SAMPLE = 4
+BASE_BINS = 64  # exact sums start from bases on this fixed grid, so no bin depends on the step
 
 
 @dataclass(frozen=True)
@@ -88,77 +93,61 @@ def _first_at_or_below(walk: np.ndarray, level: float) -> int | None:
 def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, last=None):
     """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
 
-    exact(lo, hi) returns |X[lo..hi]| (the coarse bins when step == 1); it
-    decides the argmax inside +/-1 coarse bin and each half-maximum
-    crossing inside one coarse interval.
+    exact(b) returns |X[b]| (the coarse bin when step == 1). A main lobe spans >= 8 coarse
+    bins, so it is unimodal within +/-1 of the coarse argmax and monotone on each flank:
+    single bins bisect the peak and both crossings; the first bin above the cutoff is checked.
     """
     if step == 1:
-        def exact(lo, hi):
-            return coarse[lo : hi + 1]
+        exact = coarse.__getitem__
     last = coarse.size - 1 if last is None else last
-    # the coarse bin frequencies ascend: bisect for the first above the cutoff
-    first = bisect_left(range(coarse.size), True,
-                        key=lambda c: f0 + df * (step * c) > low_cutoff_nm)
-    if first == coarse.size:
+    # the bin frequencies ascend: bisect for the first bin above the cutoff, then its coarse bin
+    edge = bisect_left(range(last + 1), True, key=lambda b: f0 + df * b > low_cutoff_nm)
+    first = -(-edge // step)
+    if first >= coarse.size:
         raise NoFringePeakError(f"no transform bins above the {low_cutoff_nm:g} nm cutoff")
     c = first + int(np.argmax(coarse[first:]))
-    lo = max(step * (c - 1) - 1, 0)
-    mags = exact(lo, min(step * (c + 1) + 1, last))
-    bins = lo + np.arange(mags.size)
-    inside = (np.abs(bins - step * c) <= step) & (f0 + df * bins > low_cutoff_nm)
-    i = int(np.argmax(np.where(inside, mags, -1.0)))
-    peak = lo + i
-    is_local_max = (
-        0 < peak < last
-        and mags[i] > 0.0
-        and mags[i] >= mags[i - 1]
-        and mags[i] >= mags[i + 1]
-        and (mags[i] > mags[i - 1] or mags[i] > mags[i + 1])
-    )
-    if not is_local_max:
+    lo, hi = max(step * (c - 1), edge), min(step * (c + 1), last)
+    # the first bin no lower than its right neighbour is the bracket's (first) maximum
+    peak = lo + bisect_left(range(lo, hi), True, key=lambda b: exact(b) >= exact(b + 1))
+    peak = edge if exact(edge) > exact(peak) else peak
+    m = exact(peak)
+    if not (0 < peak < last and m > 0.0 and m >= max(exact(peak - 1), exact(peak + 1))
+            and m > min(exact(peak - 1), exact(peak + 1))):
         raise NoFringePeakError(
-            "no fringe peak: largest magnitude above the cutoff is not a local maximum"
-        )
+            "no fringe peak: largest magnitude above the cutoff is not a local maximum")
+    half = 0.5 * m
 
-    half = 0.5 * mags[i]
-
-    def crossing(lo: int, hi: int, direction: int) -> float:
-        walk = exact(lo, hi)[:: direction]
-        start = lo if direction > 0 else hi
-        below = np.flatnonzero(walk[1:] <= half)
-        if below.size == 0:
+    def crossing(inner: int, outer: int) -> float:
+        # bisect for the first bin at or below half walking from inner (above it) to outer
+        if exact(outer) > half:
             raise PeakMeasurementError("half-maximum crossing ran off the spectrum")
-        k = int(below[0]) + 1
-        j_bin, k_bin = start + direction * (k - 1), start + direction * k
+        d = 1 if outer > inner else -1
+        k_bin = inner + d * (1 + bisect_left(range(1, abs(outer - inner) + 1), True,
+                                             key=lambda s: exact(inner + d * s) <= half))
+        j_bin = k_bin - d
         # Linear interpolation between bins j and k on magnitude.
-        frac = (half - walk[k - 1]) / (walk[k] - walk[k - 1])
+        frac = (half - exact(j_bin)) / (exact(k_bin) - exact(j_bin))
         f_j, f_k = f0 + j_bin * df, f0 + k_bin * df
         return float(f_j + frac * (f_k - f_j))
 
     right_hit = _first_at_or_below(coarse[peak // step + 1 :], half)
-    hi = step * (peak // step + 1 + right_hit) if right_hit is not None else last
-    right = crossing(max(peak, hi - step), hi, +1)
+    outer = step * (peak // step + 1 + right_hit) if right_hit is not None else last
+    right = crossing(max(peak, outer - step), outer)
     left_hit = _first_at_or_below(coarse[(peak - 1) // step :: -1], half)
-    lo = step * ((peak - 1) // step - left_hit) if left_hit is not None else 0
-    left = crossing(lo, min(peak, lo + step), -1)
+    outer = step * ((peak - 1) // step - left_hit) if left_hit is not None else 0
+    left = crossing(min(peak, outer + step), outer)
 
     center = float(f0 + peak * df)
     if refine:
-        m_l, m_c, m_r = mags[i - 1], mags[i], mags[i + 1]
-        denom = m_l - 2.0 * m_c + m_r
+        m_l, m_r = exact(peak - 1), exact(peak + 1)
+        denom = m_l - 2.0 * m + m_r
         if denom != 0.0:
-            shift = 0.5 * (m_l - m_r) / denom
-            center += shift * df
-
-    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left,
-                    peak_power=float(mags[i] ** 2))
+            center += 0.5 * (m_l - m_r) / denom * df
+    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left, peak_power=float(m**2))
 
 
-def dominant_peak(
-    spectrum: FrequencySpectrum,
-    low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM,
-    refine: bool = False,
-) -> PeakInfo:
+def dominant_peak(spectrum: FrequencySpectrum, low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM,
+                  refine: bool = False) -> PeakInfo:
     """Largest-magnitude local maximum above the low-frequency cutoff.
 
     The full width at half maximum is measured on magnitude (not power) by
@@ -176,23 +165,42 @@ def _full_padded_peak(values, delta_sigma, pad_length, low_cutoff_nm, refine) ->
 
 @lru_cache(maxsize=8)
 def _plan(n: int, pad_length: int) -> tuple[int, np.ndarray]:
-    """Coarse step and read-only phasors exp(-2j*pi*r*j/pad_length), r < 2*step + 3, j < n.
-
-    The step is the largest divisor of pad_length leaving >= 16 coarse bins per sample.
-    """
-    step = next(d for d in range(max(pad_length // (16 * n), 1), 0, -1) if pad_length % d == 0)
-    turns = np.outer(np.arange(2 * step + 3), np.arange(n)) % pad_length
+    """Coarse step (the largest divisor of pad_length leaving >= COARSE_BINS_PER_SAMPLE
+    coarse bins per sample) and read-only exp(-2j*pi*r*j/pad_length), r < BASE_BINS, j < n."""
+    step = next(d for d in range(max(pad_length // (COARSE_BINS_PER_SAMPLE * n), 1), 0, -1)
+                if pad_length % d == 0)
+    turns = np.outer(np.arange(BASE_BINS), np.arange(n)) % pad_length
     phasors = np.exp(-2j * np.pi * turns / pad_length)
     phasors.setflags(write=False)
     return step, phasors
 
 
-@lru_cache(maxsize=16)
-def _modulation(n: int, pad_length: int, lo: int) -> np.ndarray:
-    """Read-only exp(-2j*pi*lo*j/pad_length), j < n: it shifts padded bin lo to bin 0."""
-    modulation = np.exp(-2j * np.pi * ((lo * np.arange(n)) % pad_length) / pad_length)
+@lru_cache(maxsize=64)
+def _modulation(n: int, pad_length: int, base: int) -> np.ndarray:
+    """Read-only exp(-2j*pi*base*j/pad_length), j < n: it shifts padded bin base to bin 0."""
+    modulation = np.exp(-2j * np.pi * ((base * np.arange(n)) % pad_length) / pad_length)
     modulation.setflags(write=False)
     return modulation
+
+
+def _bin_magnitude(phasor_row: np.ndarray, modulated: np.ndarray) -> float:
+    """One padded bin's magnitude: the only direct sum the peak measurement makes."""
+    return abs(phasor_row @ modulated)
+
+
+def _exact_bins(row: np.ndarray, pad_length: int, phasors: np.ndarray):
+    """b -> |padded bin b| of row, each bin summed once against the row modulated to its base."""
+    modulated, mags = {}, {}  # base -> row * modulation, bin -> magnitude
+
+    def exact(b: int) -> float:
+        if b not in mags:
+            base = b - b % BASE_BINS
+            if base not in modulated:
+                modulated[base] = row * _modulation(row.size, pad_length, base)
+            mags[b] = _bin_magnitude(phasors[b - base], modulated[base])
+        return mags[b]
+
+    return exact
 
 
 def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
@@ -205,25 +213,16 @@ def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
         raise ValueError("delta_sigma must be positive")
     if pad_length < v.shape[1]:
         raise ValueError("pad_length shorter than the data")
-    n, pad = v.shape[1], pad_length
-    step, phasors = _plan(n, pad)
-    coarse = np.abs(np.fft.rfft(v, n=pad // step, axis=1))
-    df = 1.0 / (pad * delta_sigma)
-
-    def exact(row):  # |padded bins lo..hi| of one row: bin lo modulated down to phasor row 0
-        return lambda lo, hi: np.abs(phasors[: hi - lo + 1] @ (row * _modulation(n, pad, lo)))
-
-    return [_measure_peak(c, 0.0, df, low_cutoff_nm, refine, step, exact(row), pad // 2)
+    step, phasors = _plan(v.shape[1], pad_length)
+    coarse = np.abs(np.fft.rfft(v, n=pad_length // step, axis=1))
+    df = 1.0 / (pad_length * delta_sigma)
+    return [_measure_peak(c, 0.0, df, low_cutoff_nm, refine, step,
+                          _exact_bins(row, pad_length, phasors), pad_length // 2)
             for row, c in zip(v, coarse)]
 
 
-def padded_peak(
-    values,
-    delta_sigma: float,
-    pad_length: int,
-    low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM,
-    refine: bool = False,
-) -> PeakInfo:
+def padded_peak(values, delta_sigma: float, pad_length: int,
+                low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM, refine: bool = False) -> PeakInfo:
     """Dominant peak of the zero-padded transform, without materializing it.
 
     Equivalent to dominant_peak of the dft of values followed by zeros up to

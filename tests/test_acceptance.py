@@ -39,6 +39,7 @@ from fringelab import (
 from fringelab.cli import main
 from fringelab.isotherm import ConcentrationSeries
 from fringelab.lamp import LampConfig
+from fringelab.lodstudy import crlb_delta_n
 from fringelab.wavegrid import WavenumberGrid
 
 MASTER_SEED = 20260817
@@ -142,6 +143,28 @@ def test_criterion_1c_degradation_pattern_and_runtime(table1, capsys):
         ok,
         f"iaw degrades x{iaw_off:.1f} (>=3) / x{iaw_amp:.1f} (>=10), "
         f"lamp worst x{lamp_worst:.2f} (<3), runtime {elapsed:.0f}s (<300s)",
+    )
+
+
+def test_none_column_respects_the_cramer_rao_bound(table1, capsys):
+    # sigma_blank / slope is each method's delta_n scatter; no unbiased estimator
+    # beats the bound, and lamp is within a few percent of it on white noise
+    report, _ = table1
+    bound = crlb_delta_n(
+        LodStudyConfig(noise=NoiseModel(target_snr_db=27.7, seed=MASTER_SEED))
+    )
+    efficiency = {
+        m: report.cells[(m, "none")].sigma_blank / report.cells[(m, "none")].slope / bound
+        for m in METHODS
+    }
+    ok = min(efficiency.values()) >= 0.9 and efficiency["lamp"] <= 1.2
+    check(
+        capsys,
+        "Cramér–Rao bound",
+        ok,
+        f"sigma_blank/slope over the bound {bound:.3e} RIU: "
+        + ", ".join(f"{m} x{e:.2f}" for m, e in efficiency.items())
+        + " (all >=0.9, lamp <=1.2)",
     )
 
 

@@ -25,7 +25,7 @@ from fringelab import (
     run_table1,
 )
 from fringelab.filmsim import noise_rows
-from fringelab.lodstudy import CHUNK_ROWS, _StudyEngine, _trial_seed
+from fringelab.lodstudy import CHUNK_ROWS, _StudyEngine, _trial_seed, crlb_delta_n
 
 # Mean phase advance of the default film for a 1e-3 index shift:
 # 4*pi*L*sigma_bar with L = 2400 nm and sigma_bar = (1/500 + 1/800)/2.
@@ -185,6 +185,20 @@ def test_lod_scales_with_white_noise_for_linear_methods():
                 for s in (0.002, 0.02)
             ]
             assert lods[1] / lods[0] == pytest.approx(10.0, rel=0.3)
+
+
+def test_cramer_rao_bound_is_linear_in_white_sigma():
+    bounds = [crlb_delta_n(study(sigma=s)) for s in (1e-3, 3e-3)]
+    assert bounds[1] / bounds[0] == pytest.approx(3.0, rel=1e-9)
+    # an S/N target resolves to the same sigma the study draws its noise with
+    resolved = _StudyEngine(study()).white_sigma
+    assert crlb_delta_n(study()) == pytest.approx(bounds[0] * resolved / 1e-3, rel=1e-12)
+
+
+def test_cramer_rao_bound_falls_as_one_over_root_n():
+    # four times the native samples over the same range: |dR/dn| grows by two
+    coarse, dense = (crlb_delta_n(study(sigma=1e-3, native_points=n)) for n in (768, 4 * 768))
+    assert coarse / dense == pytest.approx(2.0, rel=1e-3)
 
 
 def test_run_table1_structure_and_orderings():
@@ -377,32 +391,3 @@ def test_forked_lamp_failures_equal_serial(monkeypatch):
     serial = smoke_table(lamp=lamp)
     assert forked.failures == serial.failures
     assert forked.to_dict() == serial.to_dict()
-
-
-@needs_fork
-@pytest.mark.skipif(lodstudy._openblas() is None, reason="numpy's OpenBLAS thread calls not found")
-def test_blas_threads_are_one_inside_and_restored_after(monkeypatch):
-    blas = lodstudy._openblas()
-    before = blas.scipy_openblas_get_num_threads64_()
-    blas.scipy_openblas_set_num_threads64_(2)
-    seen = []
-    lod_from_engine = lodstudy._lod_from_engine
-
-    def spying(engine, gradient):
-        seen.append(blas.scipy_openblas_get_num_threads64_())
-        return lod_from_engine(engine, gradient)
-
-    def broken(*args, **kwargs):
-        raise TypeError("injected bug")
-
-    try:
-        monkeypatch.setattr(lodstudy, "_lod_from_engine", spying)
-        smoke_table()
-        assert seen == [1] * 9  # the caller computes every cell
-        assert blas.scipy_openblas_get_num_threads64_() == 2
-        monkeypatch.setattr(importlib.import_module("fringelab.lamp"), "padded_peak_rows", broken)
-        with pytest.raises(TypeError):
-            smoke_table()
-        assert blas.scipy_openblas_get_num_threads64_() == 2
-    finally:
-        blas.scipy_openblas_set_num_threads64_(before)

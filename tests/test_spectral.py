@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import fringelab.spectral as spectral
 from fringelab import (
     FilmStack,
     NoFringePeakError,
@@ -27,6 +28,7 @@ from fringelab import (
     to_wavenumber,
 )
 from fringelab.spectral import (
+    BASE_BINS,
     _first_at_or_below,
     _full_padded_peak,
     _modulation,
@@ -181,9 +183,118 @@ def test_first_at_or_below_finds_a_lone_hit_inside_or_past_the_first_window(size
 
 def test_cached_plans_are_read_only():
     values, delta_sigma = fringe_values()
-    padded_peak(values, delta_sigma, 2**18)
-    assert not _plan(values.size, 2**18)[1].flags.writeable
-    assert not _modulation(values.size, 2**18, 100).flags.writeable
+    peak = padded_peak(values, delta_sigma, 2**18)
+    phasors = _plan(values.size, 2**18)[1]
+    assert phasors.shape == (BASE_BINS, values.size)
+    assert not phasors.flags.writeable
+    center = round(peak.center_frequency_nm * 2**18 * delta_sigma)
+    assert not _modulation(values.size, 2**18, center - center % BASE_BINS).flags.writeable
+
+
+def cosine(tone, pad, amplitude=0.07):
+    """A bare cosine on the fringe_values grid at the frequency of padded bin tone."""
+    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
+    values = amplitude * np.cos(2 * np.pi * tone / (pad * grid.delta_sigma) * grid.sigmas())
+    return values, grid.delta_sigma
+
+
+def cosine_where(guess, pad, condition):
+    """The cosine nearest padded bin guess whose full-transform magnitudes meet condition.
+
+    The negative-frequency image moves the peak and crossings a bin or two off the tone,
+    so tones are tried a quarter bin apart.
+    """
+    for quarter in sorted(range(-32, 33), key=abs):
+        values, delta_sigma = cosine(guess + quarter / 4, pad)
+        if condition(np.abs(np.fft.rfft(values, n=pad))):
+            return values, delta_sigma
+    raise AssertionError(f"no tone near bin {guess} meets the condition")
+
+
+def assert_matches_full_transform(values, delta_sigma, pad, low_cutoff_nm=1000.0):
+    fast = padded_peak(values, delta_sigma, pad, low_cutoff_nm)
+    slow = _full_padded_peak(values, delta_sigma, pad, low_cutoff_nm, False)
+    assert fast.center_frequency_nm == slow.center_frequency_nm
+    npt.assert_allclose([fast.fwhm_nm, fast.peak_power], [slow.fwhm_nm, slow.peak_power],
+                        rtol=1e-12)
+    return round(fast.center_frequency_nm * pad * delta_sigma)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 16, 31])
+@pytest.mark.parametrize("cutoff_at_bracket", [False, True])
+def test_peak_anywhere_between_coarse_bins_and_at_the_cutoff_edge(offset, cutoff_at_bracket):
+    # step 32 at this pad: offset 16 leaves the two coarse neighbours nearly tied, and 0 / 31
+    # put the peak on the coarse argmax or one bin short of the next; with the cutoff half a
+    # bin below coarse bin c, that bin is the first above it and the bracket's lower edge
+    pad, c = 2**18, 62
+    step = _plan(2048, pad)[0]
+    assert step == 32
+    peak = step * c + offset
+    values, delta_sigma = cosine_where(peak, pad, lambda mags: np.argmax(mags) == peak)
+    cutoff = (step * c - 0.5) / (pad * delta_sigma) if cutoff_at_bracket else 1000.0
+    assert assert_matches_full_transform(values, delta_sigma, pad, cutoff) == peak
+
+
+def test_peak_below_the_cutoff_is_no_fringe_peak():
+    # the coarse grid skips the bins between the cutoff and its first coarse bin; the main
+    # lobe's falling flank there still outranks every later sidelobe, as in the full transform
+    pad = 2**18
+    values, delta_sigma = cosine(540, pad)
+    cutoff = 550.5 / (pad * delta_sigma)
+    for measure in (padded_peak, lambda *a: _full_padded_peak(*a, False)):
+        with pytest.raises(NoFringePeakError):
+            measure(values, delta_sigma, pad, cutoff)
+
+
+def half_maximum_bins(mags):
+    """(inside, outside) bins of the right and of the left half-maximum crossing."""
+    peak = int(np.argmax(mags))
+    half = 0.5 * mags[peak]
+    right = peak + int(np.argmax(mags[peak:] <= half))
+    left = peak - int(np.argmax(mags[peak::-1] <= half))
+    return (right - 1, right), (left + 1, left)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["right", "left"])
+@pytest.mark.parametrize("which", [0, 1], ids=["inside", "outside"])
+def test_half_maximum_crossing_on_a_base_boundary(side, which):
+    pad, tone = 2**18, 1984
+    values = cosine(tone, pad)[0]
+    crossing = half_maximum_bins(np.abs(np.fft.rfft(values, n=pad)))[side][which]
+    values, delta_sigma = cosine_where(
+        tone - crossing % BASE_BINS, pad,
+        lambda mags: half_maximum_bins(mags)[side][which] % BASE_BINS == 0)
+    assert_matches_full_transform(values, delta_sigma, pad)
+
+
+@pytest.mark.parametrize("stronger", ["between", "on"])
+def test_two_tones_within_1_db_pick_the_global_maximum(stronger):
+    # one tone midway between coarse bins, where the coarse grid undersamples it most
+    # (about 0.2 dB), the other on a coarse bin ten resolution cells away; the weaker
+    # is 0.5 dB down
+    pad = 2**18
+    between, on = 32 * 62 + 16, 32 * 102
+    weak = 0.07 * 10 ** (-0.5 / 20)
+    amplitudes = (0.07, weak) if stronger == "between" else (weak, 0.07)
+    values, delta_sigma = cosine(between, pad, amplitudes[0])
+    values = values + cosine(on, pad, amplitudes[1])[0]
+    center = assert_matches_full_transform(values, delta_sigma, pad)
+    strong, other = (between, on) if stronger == "between" else (on, between)
+    assert abs(center - strong) < abs(center - other)
+
+
+def test_peak_sums_few_exact_bins_per_row(monkeypatch):
+    # the searches take ~35 single-bin sums per row at the default 2^21 pad; summing whole
+    # brackets (131 + 2 x 65 bins, as a scan instead of a search would) fails this bound
+    real = spectral._bin_magnitude
+    sums = []
+    monkeypatch.setattr(spectral, "_bin_magnitude", lambda *a: sums.append(1) or real(*a))
+    for style in ("lamp", "rifts"):
+        for ramp in RAMPS:
+            values, delta_sigma = front_end_values(style, ramp)
+            sums.clear()
+            padded_peak(values, delta_sigma, 2**21)
+            assert 0 < len(sums) <= 64
 
 
 def test_no_peak_above_cutoff():
