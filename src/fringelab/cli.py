@@ -43,7 +43,7 @@ from .isotherm import (
 )
 from .lamp import lamp_signal, lamp_to_delta_eot
 from .legacy import iaw, rifts_eot
-from .lodstudy import MIN_REPORTED_TRIALS, LodStudyConfig, run_table1
+from .lodstudy import MIN_REPORTED_TRIALS, LodStudyConfig, crlb_delta_n, run_table1
 from .wavegrid import WavenumberGrid
 
 PARSE_EXIT = 2
@@ -303,6 +303,13 @@ def cmd_lod_table(args) -> int:
     payload["runtime_s"] = time.perf_counter() - started
     payload["smoke"] = smoke
     payload["warnings"] = [str(caught_warning.message) for caught_warning in caught]
+    # the none column's sigma_blank / slope against the Cramer-Rao bound; a noiseless study
+    # has a bound of 0 and no efficiency
+    payload["crlb_riu"] = bound = crlb_delta_n(study_cfg)
+    for (method, gradient), cell in report.cells.items():
+        if gradient == "none":
+            payload["cells"][f"{method}/none"]["efficiency"] = (
+                cell.sigma_blank / cell.slope / bound if bound > 0.0 else None)
     for message in payload["warnings"]:
         print(f"warning: {message}", file=sys.stderr)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")

@@ -11,6 +11,7 @@ no transform but folds over once fringes shift more than half a period.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,11 +38,19 @@ class RiftsConfig:
         WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
 
 
+@lru_cache(maxsize=8)
+def _taper(n: int) -> np.ndarray:
+    """Read-only hann_window(n), computed once per length rather than once per call."""
+    taper = hann_window(n)
+    taper.setflags(write=False)
+    return taper
+
+
 def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
     """rifts_eot of each row of a stack sampled at wavelengths_nm, in nm."""
     resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, "cubic_spline")
     values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
-    values = values * hann_window(values.shape[1])
+    values = values * _taper(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
     peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma),
                              refine=cfg.refine_peak)

@@ -8,17 +8,20 @@ sum |X|^2 over a full transform equals N times the input energy.
 
 A zero-padded transform is measured without materializing it: every
 step-th padded bin comes from a shorter rfft that keeps at least 4 coarse
-bins per resolution cell 1/(n * delta_sigma), which brackets the peak and
-both half-maximum crossings; a bisection over single exact padded bins in
-each bracket decides them. Bin b is summed directly as phasor row r = b mod 64
-against the data modulated to the base b - r, on a fixed 64-bin grid. Cached
-read-only: phasor rows per (points, pad), modulations per (points, pad, base).
+bins per resolution cell 1/(n * delta_sigma). It brackets the peak and each
+half-maximum crossing; in a bracket the answer is the bin where a test on
+single exact padded bins turns from False to True (assumed to turn once),
+found by galloping out from a guess off the coarse grid, refined once on
+exact bins, then bisecting. Bin b is summed directly as phasor row r = b mod
+64 against the data modulated to the base b - r, on a fixed 64-bin grid.
+Cached read-only: phasor rows per (points, pad), modulations per (points,
+pad, base), the first bin above the cutoff per grid.
 padded_peak is padded_peak_rows on a stack of one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,66 +87,106 @@ def dft(values, delta_sigma: float) -> FrequencySpectrum:
 def _first_at_or_below(walk: np.ndarray, level: float) -> int | None:
     """Index of the first walk[k] <= level: the first 64 values usually hold it."""
     for part in (walk[:64], walk):
-        hits = np.flatnonzero(part <= level)
-        if hits.size:
-            return int(hits[0])
+        below = part <= level
+        k = int(below.argmax())
+        if below[k]:
+            return k
     return None
+
+
+def _first_true(pred, lo: int, hi: int, guess: float) -> int:
+    """The first k in [lo, hi) with pred(k), else hi, for a pred that is False then True on
+    [lo, hi): bisect_left(range(hi), True, lo, key=pred). Probes gallop out from guess (a NaN
+    guess starts at hi - 1) by doubling strides until they pass the answer, then bisect."""
+    stride, way = 1, 0
+    while lo < hi:
+        k = int(max(lo, min(hi - 1, guess)))
+        turn = -1 if pred(k) else 1
+        lo, hi = (lo, k) if turn < 0 else (k + 1, hi)
+        stride = 0 if way + turn == 0 else stride  # passed the answer: bisect from here on
+        guess = k + turn * stride if stride else (lo + hi) // 2
+        way, stride = turn, 2 * stride
+    return lo
+
+
+def _fraction(start, end, level) -> float:
+    """Where level lies from start (0) to end (1) on a line; NaN if end == start. In Python
+    floats, so that a non-finite magnitude raises no numpy warning."""
+    start, end, level = float(start), float(end), float(level)
+    return (level - start) / (end - start) if end != start else math.nan
 
 
 def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, last=None):
     """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
 
     exact(b) returns |X[b]| (the coarse bin when step == 1). A main lobe spans >= 8 coarse
-    bins, so it is unimodal within +/-1 of the coarse argmax and monotone on each flank:
-    single bins bisect the peak and both crossings; the first bin above the cutoff is checked.
-    """
+    bins, so it is unimodal within +/-1 of the coarse argmax and monotone on each flank: the
+    argmax and both half-maximum crossings are where a False-then-True test on single exact
+    bins turns True, found by _first_true from a guess taken off the coarse grid and refined
+    once on exact bins."""
     if step == 1:
-        exact = coarse.__getitem__
-    last = coarse.size - 1 if last is None else last
-    # the bin frequencies ascend: bisect for the first bin above the cutoff, then its coarse bin
-    edge = bisect_left(range(last + 1), True, key=lambda b: f0 + df * b > low_cutoff_nm)
+        exact, last = coarse.__getitem__, coarse.size - 1
+    edge = _cutoff_edge(f0, df, float(low_cutoff_nm), last)
     first = -(-edge // step)
     if first >= coarse.size:
         raise NoFringePeakError(f"no transform bins above the {low_cutoff_nm:g} nm cutoff")
     c = first + int(np.argmax(coarse[first:]))
     lo, hi = max(step * (c - 1), edge), min(step * (c + 1), last)
-    # the first bin no lower than its right neighbour is the bracket's (first) maximum
-    peak = lo + bisect_left(range(lo, hi), True, key=lambda b: exact(b) >= exact(b + 1))
+    # the first bin no lower than its right neighbour is the bracket's (first) maximum; guess
+    # the vertex of the parabola through coarse bins c - 1..c + 1, then through exact bins
+    guess = step * c
+    if 0 < c < coarse.size - 1:
+        left, mid, right = coarse[c - 1 : c + 2].tolist()
+        guess = step * (c - 0.5 + _fraction(mid - left, right - mid, 0.0)) + 0.5
+    if lo + 1 <= guess < hi:
+        b = int(guess)
+        left, mid, right = (float(exact(b + i)) for i in (-1, 0, 1))
+        guess = b + _fraction(mid - left, right - mid, 0.0)
+    peak = _first_true(lambda b: exact(b) >= exact(b + 1), lo, hi, guess)
     peak = edge if exact(edge) > exact(peak) else peak
     m = exact(peak)
-    if not (0 < peak < last and m > 0.0 and m >= max(exact(peak - 1), exact(peak + 1))
-            and m > min(exact(peak - 1), exact(peak + 1))):
+    m_l, m_r = (exact(peak - 1), exact(peak + 1)) if 0 < peak < last else (m, m)
+    if not (0 < peak < last and m > 0.0 and m >= max(m_l, m_r) and m > min(m_l, m_r)):
         raise NoFringePeakError(
             "no fringe peak: largest magnitude above the cutoff is not a local maximum")
     half = 0.5 * m
 
-    def crossing(inner: int, outer: int) -> float:
-        # bisect for the first bin at or below half walking from inner (above it) to outer
-        if exact(outer) > half:
+    def crossing(d: int) -> float:
+        # walking from the peak by d, the first bin at or below half lies past inner (the peak
+        # or a coarse step before outer) and by outer, the first coarse bin at or below half;
+        # guess its step s from their magnitudes, then by a Newton step on exact bins s, s + 1
+        start = peak // step + 1 if d > 0 else (peak - 1) // step
+        hit = _first_at_or_below(coarse[start:] if d > 0 else coarse[start::-1], half)
+        outer = step * (start + d * hit) if hit is not None else (last if d > 0 else 0)
+        inner = max(peak, outer - step) if d > 0 else min(peak, outer + step)
+        n = guess = abs(outer - inner)
+        if hit is not None and n > 1:
+            high = m if inner == peak else coarse[inner // step]
+            s = int(max(1, min(n - 1, n * _fraction(high, coarse[outer // step], half))))
+            guess = s + 1 + _fraction(exact(inner + d * s), exact(inner + d * s + d), half)
+        k = _first_true(lambda s: exact(inner + d * s) <= half, 1, n + 1, guess)
+        if k > n:
             raise PeakMeasurementError("half-maximum crossing ran off the spectrum")
-        d = 1 if outer > inner else -1
-        k_bin = inner + d * (1 + bisect_left(range(1, abs(outer - inner) + 1), True,
-                                             key=lambda s: exact(inner + d * s) <= half))
-        j_bin = k_bin - d
+        j_bin, k_bin = inner + d * (k - 1), inner + d * k
         # Linear interpolation between bins j and k on magnitude.
         frac = (half - exact(j_bin)) / (exact(k_bin) - exact(j_bin))
         f_j, f_k = f0 + j_bin * df, f0 + k_bin * df
         return float(f_j + frac * (f_k - f_j))
 
-    right_hit = _first_at_or_below(coarse[peak // step + 1 :], half)
-    outer = step * (peak // step + 1 + right_hit) if right_hit is not None else last
-    right = crossing(max(peak, outer - step), outer)
-    left_hit = _first_at_or_below(coarse[(peak - 1) // step :: -1], half)
-    outer = step * ((peak - 1) // step - left_hit) if left_hit is not None else 0
-    left = crossing(min(peak, outer + step), outer)
-
+    right, left = crossing(1), crossing(-1)
     center = float(f0 + peak * df)
     if refine:
-        m_l, m_r = exact(peak - 1), exact(peak + 1)
         denom = m_l - 2.0 * m + m_r
         if denom != 0.0:
             center += 0.5 * (m_l - m_r) / denom * df
     return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left, peak_power=float(m**2))
+
+
+@lru_cache(maxsize=16)
+def _cutoff_edge(f0: float, df: float, low_cutoff_nm: float, last: int) -> int:
+    """First of bins 0..last above the cutoff (last + 1 if none); bin frequencies ascend.
+    Cached: the rows of a stack, and the spectra of one grid, share it."""
+    return _first_true(lambda b: f0 + df * b > low_cutoff_nm, 0, last + 1, 0)
 
 
 def dominant_peak(spectrum: FrequencySpectrum, low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM,
@@ -188,19 +231,20 @@ def _bin_magnitude(phasor_row: np.ndarray, modulated: np.ndarray) -> float:
     return abs(phasor_row @ modulated)
 
 
-def _exact_bins(row: np.ndarray, pad_length: int, phasors: np.ndarray):
-    """b -> |padded bin b| of row, each bin summed once against the row modulated to its base."""
-    modulated, mags = {}, {}  # base -> row * modulation, bin -> magnitude
+class _ExactBins(dict):
+    """bin b -> |padded bin b| of row, each bin summed once against the row modulated to its
+    base; a dict, so that a bin already summed costs one lookup and no Python call."""
 
-    def exact(b: int) -> float:
-        if b not in mags:
-            base = b - b % BASE_BINS
-            if base not in modulated:
-                modulated[base] = row * _modulation(row.size, pad_length, base)
-            mags[b] = _bin_magnitude(phasors[b - base], modulated[base])
-        return mags[b]
+    def __init__(self, row: np.ndarray, pad_length: int, phasors: np.ndarray):
+        super().__init__()
+        self.row, self.pad_length, self.phasors, self.modulated = row, pad_length, phasors, {}
 
-    return exact
+    def __missing__(self, b: int) -> float:
+        base = b - b % BASE_BINS
+        if base not in self.modulated:
+            self.modulated[base] = self.row * _modulation(self.row.size, self.pad_length, base)
+        self[b] = magnitude = _bin_magnitude(self.phasors[b - base], self.modulated[base])
+        return magnitude
 
 
 def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
@@ -217,7 +261,7 @@ def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
     coarse = np.abs(np.fft.rfft(v, n=pad_length // step, axis=1))
     df = 1.0 / (pad_length * delta_sigma)
     return [_measure_peak(c, 0.0, df, low_cutoff_nm, refine, step,
-                          _exact_bins(row, pad_length, phasors), pad_length // 2)
+                          _ExactBins(row, pad_length, phasors).__getitem__, pad_length // 2)
             for row, c in zip(v, coarse)]
 
 

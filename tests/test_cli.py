@@ -14,6 +14,7 @@ import fringelab
 from fringelab import (
     FilmStack,
     ManifestEntry,
+    NoiseModel,
     RedlichPetersonFit,
     model_eval,
     simulate_reflectance,
@@ -21,6 +22,7 @@ from fringelab import (
     write_spectrum,
 )
 from fringelab.cli import PARSE_EXIT, PROCESS_EXIT, main
+from fringelab.lodstudy import LodStudyConfig, crlb_delta_n
 
 
 def write_stack_spectrum(path, delta_n=0.0, n=768, range_nm=(500.0, 800.0)):
@@ -312,6 +314,27 @@ class TestLodTable:
         assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
             f"warning: {message}" for message in recorded]
         assert "cli.py:" not in err and "UserWarning" not in err and "run_table1(" not in err
+
+    def test_reports_the_bound_and_each_none_cells_efficiency(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        assert main(["lod-table", "--trials", "10", "--seed", "3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        bound = crlb_delta_n(LodStudyConfig(noise=NoiseModel(target_snr_db=27.7, seed=3)))
+        assert payload["crlb_riu"] == bound
+        for key, cell in payload["cells"].items():
+            if key.endswith("/none"):
+                assert cell["efficiency"] == cell["sigma_blank"] / cell["slope"] / bound
+            else:
+                assert "efficiency" not in cell
+        # a noiseless study has a bound of 0: no efficiency, and no Infinity or NaN in the file
+        config = tmp_path / "noiseless.json"
+        config.write_text(json.dumps({"noise": {"gaussian_sigma": 0}}))
+        assert main(["lod-table", "--config", str(config), "--trials", "10", "--seed", "3",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert payload["crlb_riu"] == 0.0
+        assert [cell["efficiency"] for key, cell in payload["cells"].items()
+                if key.endswith("/none")] == [None, None, None]
 
     def test_bad_trial_count_is_a_config_error(self, tmp_path, capsys):
         rc = main(["lod-table", "--trials", "1", "--seed", "0",

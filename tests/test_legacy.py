@@ -19,7 +19,7 @@ from fringelab import (
     to_wavenumber,
 )
 from fringelab.errors import FringelabError, WavelengthRangeError
-from fringelab.legacy import rifts_rows
+from fringelab.legacy import _taper, rifts_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 
@@ -141,3 +141,11 @@ def test_stack_equals_rows_one_at_a_time(cfg):
 def test_list_range_still_works():
     listed = RiftsConfig(range_nm=[520.0, 780.0])
     assert rifts_eot(film(), listed) == rifts_eot(film(), RiftsConfig(range_nm=(520.0, 780.0)))
+
+
+def test_taper_is_hann_window_computed_once_per_length():
+    taper = _taper(2048)
+    assert taper is _taper(2048)
+    assert not taper.flags.writeable
+    assert np.array_equal(taper, hann_window(2048))
+    assert hann_window(2048) is not hann_window(2048)  # the public window stays uncached

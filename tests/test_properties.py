@@ -1,5 +1,7 @@
 """Randomized invariants, a thousand drawn cases per property."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fringelab import (
     padded_peak,
     unwrap_phase,
 )
+from fringelab.spectral import _first_true
 from fringelab.wavegrid import resample_rows
 
 N_CASES = 1000
@@ -113,3 +116,31 @@ def test_cubic_resampler_matches_scipy_on_random_knots():
         # atol: where the spline passes near zero, both sides round at the data's scale
         np.testing.assert_allclose(resampled.values, spline(resampled.grid.sigmas()),
                                    rtol=1e-12, atol=1e-14)
+
+
+def test_first_true_is_bisect_left_from_any_guess():
+    """The padded-peak search: any threshold, any guess, the bisection's answer, few probes."""
+    rng = np.random.default_rng(707)
+    for case in range(N_CASES):
+        lo = int(rng.integers(0, 100))
+        hi = lo + (case % 3 if case % 5 == 0 else int(rng.integers(2, 5000)))  # 0-2 bins
+        threshold = int(rng.integers(lo - 2, hi + 3))
+        calls = []
+
+        def pred(k):
+            calls.append(k)
+            assert lo <= k < hi
+            return k >= threshold
+
+        answer = bisect_left(range(hi), True, lo, key=pred)
+        assert answer == min(max(threshold, lo), hi)
+        for guess in (lo - int(rng.integers(1, 100)), int(rng.integers(lo, hi + 1)),
+                      hi + int(rng.integers(0, 100)), float(rng.uniform(lo, hi + 1)),
+                      answer, float("nan"), float("inf"), -float("inf")):
+            calls.clear()
+            assert _first_true(pred, lo, hi, guess) == answer
+            if guess == answer and lo < answer < hi:
+                assert len(calls) == 2
+            elif guess == guess and abs(guess) != float("inf"):  # a finite guess
+                distance = int(abs(min(max(guess, lo), hi - 1) - answer)) + 1
+                assert len(calls) <= 2 * distance.bit_length() + 2

@@ -7,6 +7,8 @@ the padded measurement is also checked against the full padded transform.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -284,17 +286,57 @@ def test_two_tones_within_1_db_pick_the_global_maximum(stronger):
 
 
 def test_peak_sums_few_exact_bins_per_row(monkeypatch):
-    # the searches take ~35 single-bin sums per row at the default 2^21 pad; summing whole
-    # brackets (131 + 2 x 65 bins, as a scan instead of a search would) fails this bound
-    real = spectral._bin_magnitude
-    sums = []
-    monkeypatch.setattr(spectral, "_bin_magnitude", lambda *a: sums.append(1) or real(*a))
+    # searched from coarse guesses, a row takes ~11 single-bin sums against 4 modulated bases
+    # at the default 2^21 pad; bisecting each bracket from its ends took 35 sums on 9-11
+    # bases, and summing whole brackets (131 + 2 x 65 bins) more still
+    real_sum, real_base = spectral._bin_magnitude, spectral._modulation
+    sums, bases = [], []
+    monkeypatch.setattr(spectral, "_bin_magnitude", lambda *a: sums.append(1) or real_sum(*a))
+    monkeypatch.setattr(spectral, "_modulation", lambda *a: bases.append(a[2]) or real_base(*a))
     for style in ("lamp", "rifts"):
         for ramp in RAMPS:
             values, delta_sigma = front_end_values(style, ramp)
             sums.clear()
+            bases.clear()
             padded_peak(values, delta_sigma, 2**21)
-            assert 0 < len(sums) <= 64
+            assert 0 < len(sums) <= 16
+            assert 0 < len(set(bases)) <= 5
+
+
+def degenerate_rows():
+    """Rows with no fringe peak: non-finite, all zero, or a tone below a 6000 nm cutoff."""
+    values = fringe_values()[0]
+    rows = {"zeros": np.zeros(values.size), "tone below the cutoff": values,
+            "inf impulse": np.where(np.arange(values.size) == 0, np.inf, 0.0)}  # |X| = inf
+    for name, fill in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        rows[f"all {name}"] = np.full(values.size, fill)
+        rows[f"one {name}"] = np.where(np.arange(values.size) == 700, fill, values)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(degenerate_rows()))
+@pytest.mark.parametrize("pad", [2**21, 2**12])  # steps 256 and 1
+@pytest.mark.parametrize("stacked", [False, True])
+def test_degenerate_rows_are_no_fringe_peak_and_warn_only_from_the_sums(name, pad, stacked):
+    # the parent's exception and warnings: no NaN search guess reaches int() (a ValueError),
+    # and guess arithmetic in numpy scalars would warn "invalid value ... in scalar subtract"
+    row, delta_sigma = degenerate_rows()[name], fringe_values()[1]
+    cutoff = 6000.0 if name == "tone below the cutoff" else 1000.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoFringePeakError, match="^no fringe peak: largest magnitude above "
+                           "the cutoff is not a local maximum$"):
+            if stacked:  # a good row first, measured before the degenerate one raises
+                padded_peak_rows(np.stack([fringe_values()[0], row]), delta_sigma, pad, cutoff)
+            else:
+                padded_peak(row, delta_sigma, pad, cutoff)
+    messages = {str(w.message) for w in caught}
+    if "inf" in name:  # inf - inf in the rfft, the modulation and the single-bin sums
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert all(re.fullmatch("invalid value encountered in (rfft.*|multiply|matmul)", m)
+                   for m in messages), messages
+    else:
+        assert not messages
 
 
 def test_no_peak_above_cutoff():
