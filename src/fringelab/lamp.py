@@ -142,11 +142,14 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
 
     The data is zero-extended beyond its ends, so amplitude decays near the
     edges. The wavelets must have been designed for this grid's spacing.
-    Rows whose full convolutions share a power-of-two length share one FFT.
+    Rows whose full convolutions share a power-of-two length form one zero-padded complex
+    block; ifft(fft(row, size) * fft(wavelet, size)) bit for bit, a shared wavelet once.
     """
     spacing = resampled.grid.delta_sigma
     values = np.atleast_2d(resampled.values)
     wavelets = [wavelet] * len(values) if isinstance(wavelet, MorletWavelet) else list(wavelet)
+    if len(wavelets) != len(values):
+        raise ValueError(f"need one wavelet per row: {len(wavelets)} for {len(values)} rows")
     if not all(math.isclose(w.spacing, spacing, rel_tol=1e-9, abs_tol=0.0) for w in wavelets):
         raise ValueError("wavelet sample spacing does not match the grid")
     n, out = values.shape[1], np.empty(values.shape, dtype=complex)
@@ -154,9 +157,17 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
     sizes = [1 << (n + w.samples.size - 2).bit_length() for w in wavelets]
     for size in set(sizes):
         rows = [r for r, s in enumerate(sizes) if s == size]
-        kernels = [np.fft.fft(wavelets[r].samples, size) for r in rows]
-        full = np.fft.ifft(np.fft.fft(values[rows], size) * kernels)
-        for r, row in zip(rows, full):
+        group = [wavelets[r] for r in rows]
+        group = group[:1] if all(w is group[0] for w in group) else group
+        block = np.zeros((len(rows), size), dtype=complex)
+        block[:, :n] = values[rows]
+        kernels = np.zeros((len(group), size), dtype=complex)
+        for kernel, w in zip(kernels, group):
+            kernel[: w.samples.size] = w.samples
+        np.fft.fft(block, out=block)
+        block *= np.fft.fft(kernels, out=kernels)
+        np.fft.ifft(block, out=block)
+        for r, row in zip(rows, block):
             out[r] = row[(wavelets[r].samples.size - 1) // 2 :][:n] * spacing
     return FilteredSpectrum(resampled.grid, out.reshape(np.shape(resampled.values)))
 

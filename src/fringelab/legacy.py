@@ -3,9 +3,9 @@ integrated absolute difference.
 
 rifts_eot estimates effective optical thickness from the dominant peak of
 the windowed, zero-padded transform, whose pad length and cutoff follow
-from the grid (rifts_rows: of each row of a stack). iaw reduces a pair of
-spectra to the integrated absolute wavelength-domain difference; it needs
-no transform but folds over once fringes shift more than half a period.
+from the grid (rifts_rows: of each row of a stack). iaw reduces a pair of spectra
+(iaw_rows: a stack and one reference) to the integrated absolute wavelength-domain
+difference; it needs no transform but folds over once fringes shift past half a period.
 """
 
 from __future__ import annotations
@@ -77,6 +77,23 @@ class IawConfig:
             raise ValueError("range must satisfy low < high")
 
 
+def iaw_rows(reference: Spectrum, rows, cfg: IawConfig = IawConfig()) -> list:
+    """iaw of each analyte row of a stack sampled on the reference's wavelengths."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(reference):
+        raise GridAlignmentError("spectra are sampled on different wavelength grids")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("spectrum contains non-finite values")
+    # a slice, not a column mask (an F-ordered copy): row means sum as a lone spectrum's do
+    lo = np.searchsorted(reference.wavelengths_nm, float(cfg.range_nm[0]), side="left")
+    hi = np.searchsorted(reference.wavelengths_nm, float(cfg.range_nm[1]), side="right")
+    if hi - lo < 2:
+        raise WavelengthRangeError("fewer than two samples fall inside the requested range")
+    diff = rows[:, lo:hi] - reference.reflectance[lo:hi]
+    diff -= diff.mean(axis=1, keepdims=True)
+    return np.abs(diff).mean(axis=1).tolist()
+
+
 def iaw(reference: Spectrum, analyte: Spectrum, cfg: IawConfig = IawConfig()) -> float:
     """Integrated absolute difference of two spectra on their native grid.
 
@@ -86,10 +103,4 @@ def iaw(reference: Spectrum, analyte: Spectrum, cfg: IawConfig = IawConfig()) ->
     """
     if not np.array_equal(reference.wavelengths_nm, analyte.wavelengths_nm):
         raise GridAlignmentError("spectra are sampled on different wavelength grids")
-    lo, hi = float(cfg.range_nm[0]), float(cfg.range_nm[1])
-    mask = (reference.wavelengths_nm >= lo) & (reference.wavelengths_nm <= hi)
-    if int(mask.sum()) < 2:
-        raise WavelengthRangeError("fewer than two samples fall inside the requested range")
-    diff = analyte.reflectance[mask] - reference.reflectance[mask]
-    diff = diff - diff.mean()
-    return float(np.abs(diff).mean())
+    return iaw_rows(reference, analyte.reflectance[None], cfg)[0]

@@ -7,24 +7,24 @@ blank-versus-shifted construction: LOD = 3.3 (sigma_blank + delta_g) / slope,
 where delta_g charges any systematic drift penalty and the slope converts
 signal units to refractive index units from a small calibration shift.
 
-Trials run as stacks of CHUNK_ROWS (8) through lamp_rows and rifts_rows, against
-lamp's cached reference profile. A stack that raises a FringelabError is rerun
-row by row (a row's result is the same alone or stacked): only its failing
-trials are dropped and counted. Any other exception propagates.
+One pass computes (delta_n, gradient) keys for every method a study serves: trials run
+as stacks of CHUNK_ROWS (8) from trial 0, each drawn once and evaluated by lamp_rows,
+rifts_rows and iaw_rows against lamp's cached reference profile, so run_table1 is one
+pass over five keys and three methods. A stack that raises a FringelabError for a method
+is rerun row by row for that method (a row's result is the same alone or stacked): only
+its failing trials are dropped and counted. Any other exception propagates.
 
-Where two CPUs and fork are available, each distribution is split by trial at a
-stack boundary: a forked one-process pool computes the upper half of its stacks
-while the caller computes the lower half, and the halves are joined in trial
-order, so every row's result is what the serial loop gives. Only arguments and
-signals cross; warnings and failures are raised by the caller. The study stays
-serial on fewer than 2 usable CPUs, without the fork start method, inside a
-daemonic process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and
-to_dict() are the same on both paths.
+Where two CPUs and fork are available, a pass's stacks are split once: a forked
+one-process pool computes the upper half while the caller computes the lower half,
+and the two are joined once, in stack order, so every row's result is what the serial
+loop gives. Only arguments and signals cross; warnings and failures are raised by the
+caller. The study stays serial on fewer than 2 usable CPUs, without the fork start
+method, inside a daemonic process, or at n_trials <= CHUNK_ROWS. Results, failures,
+warnings and to_dict() are the same on both paths.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -43,7 +43,7 @@ from .filmsim import (
     white_sigma_for_target,
 )
 from .lamp import LampConfig, lamp_rows
-from .legacy import IawConfig, RiftsConfig, iaw, rifts_rows
+from .legacy import IawConfig, RiftsConfig, iaw_rows, rifts_rows
 
 METHODS = ("rifts", "iaw", "lamp")
 GRADIENTS = ("none", "offset", "amplitude")
@@ -147,35 +147,37 @@ def _evaluate(cfg: LodStudyConfig, reference: Spectrum, rows: np.ndarray) -> lis
     if cfg.method == "rifts":
         return rifts_rows(reference.wavelengths_nm, rows, cfg.rifts)
     if cfg.method == "iaw":
-        return [iaw(reference, Spectrum(reference.wavelengths_nm, row), cfg.iaw) for row in rows]
+        return iaw_rows(reference, rows, cfg.iaw)
     return lamp_rows(reference, reference.wavelengths_nm, rows, cfg.lamp)
 
 
-def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, clean: Spectrum,
-                   model: NoiseModel, trials: range) -> tuple[list, list[str]]:
-    """(signals, "trial i: ..." errors) of trials, in stacks of CHUNK_ROWS from trials.start."""
-    signals = []
-    errors: list[str] = []
-    for start in range(trials.start, trials.stop, CHUNK_ROWS):
-        stack = range(start, min(start + CHUNK_ROWS, trials.stop))
-        rows = noise_rows(clean, model, [_trial_seed(cfg.noise.seed, i) for i in stack])
-        try:
-            signals += _evaluate(cfg, reference, rows)
-        except FringelabError:
-            for i, row in zip(stack, rows):
-                try:
-                    signals += _evaluate(cfg, reference, row[None])
-                except FringelabError as exc:
-                    errors.append(f"trial {i}: {exc}")
-    return signals, errors
+def _stack_signals(cfgs: dict, reference: Spectrum, stacks: list) -> list:
+    """Per (clean, model, trials) stack, {method: (signals, "trial i: ..." errors)}."""
+    results = []
+    for clean, model, trials in stacks:
+        rows = noise_rows(clean, model, [_trial_seed(model.seed, i) for i in trials])
+        results.append({})
+        for method, cfg in cfgs.items():
+            try:
+                signals, errors = _evaluate(cfg, reference, rows), []
+            except FringelabError:  # rerun row by row: only the failing trials are dropped
+                signals, errors = [], []
+                for i, row in zip(trials, rows):
+                    try:
+                        signals += _evaluate(cfg, reference, row[None])
+                    except FringelabError as exc:
+                        errors.append(f"trial {i}: {exc}")
+            results[-1][method] = signals, errors
+    return results
 
 
 class _StudyEngine:
-    """Shared per-study state: clean spectra, resolved noise, calibrated ramps, a pool or None."""
+    """Per-study state: clean spectra, noise, ramps, a pool or None, and each method's results."""
 
-    def __init__(self, cfg: LodStudyConfig, pool=None):
+    def __init__(self, cfg: LodStudyConfig, pool=None, methods: tuple = ()):
         self.cfg = cfg
         self.pool = pool
+        self.cfgs = {m: replace(cfg, method=m) for m in methods or (cfg.method,)}
         self.reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
         if cfg.noise.gaussian_sigma is not None:
             self.white_sigma = cfg.noise.gaussian_sigma
@@ -183,8 +185,8 @@ class _StudyEngine:
             self.white_sigma = white_sigma_for_target(self.reference, cfg.noise.target_snr_db)
         self._clean_cache: dict[float, Spectrum] = {}
         self._ramp_cache: dict[str, float] = {}
-        self._dist_cache: dict[tuple, DistributionStats] = {}
-        self._calibration: tuple | None = None
+        self._dist_cache: dict[tuple, dict] = {}  # (delta_n, gradient) -> {method: stats or error}
+        self._calibration: dict[str, tuple] = {}
 
     def clean_analyte(self, delta_n: float) -> Spectrum:
         if delta_n not in self._clean_cache:
@@ -213,47 +215,63 @@ class _StudyEngine:
             seed=self.cfg.noise.seed,
         )
 
-    def distribution(self, delta_n: float, gradient: str) -> DistributionStats:
-        key = (self.cfg.method, delta_n, gradient)
-        if key in self._dist_cache:
-            return self._dist_cache[key]
-        n_trials = self.cfg.n_trials
-        args = (self.cfg, self.reference, self.clean_analyte(delta_n), self._noise_model(gradient))
-        if self.pool is None:
-            signals, errors = _trial_signals(*args, range(n_trials))
-        else:  # the worker takes the odd stack out, as the caller also calibrates
-            split = CHUNK_ROWS * (math.ceil(n_trials / CHUNK_ROWS) // 2)
-            upper = self.pool.apply_async(_trial_signals, (*args, range(split, n_trials)))
-            lower = _trial_signals(*args, range(split))
-            signals, errors = (low + high for low, high in zip(lower, upper.get()))
-        if len(errors) > MAX_FAILURE_FRACTION * n_trials:
-            raise StudyError(
-                f"{len(errors)} of {n_trials} trials failed "
-                f"({self.cfg.method}, delta_n={delta_n:g}, gradient={gradient}); "
-                f"first failure: {errors[0]}"
-            )
+    def compute(self, keys) -> None:
+        """Every method's distribution at each (delta_n, gradient) key not yet cached, in one
+        pass; with a pool its stacks are split once, and the worker takes the odd one out."""
+        n_trials, todo, stacks = self.cfg.n_trials, [], []
+        trials = [range(s, min(s + CHUNK_ROWS, n_trials)) for s in range(0, n_trials, CHUNK_ROWS)]
+        for delta_n, gradient in keys:
+            if (delta_n, gradient) in self._dist_cache:
+                continue
+            try:
+                model = self._noise_model(gradient)
+            except CalibrationError as exc:  # the ramp's failure is every method's
+                self._dist_cache[delta_n, gradient] = dict.fromkeys(self.cfgs, exc)
+                continue
+            todo.append((delta_n, gradient, len(stacks)))
+            stacks += [(self.clean_analyte(delta_n), model, stack) for stack in trials]
+        args, split = (self.cfgs, self.reference), len(stacks) // 2
+        if self.pool is None or not stacks:
+            results = _stack_signals(*args, stacks)
+        else:
+            upper = self.pool.apply_async(_stack_signals, (*args, stacks[split:]))
+            results = _stack_signals(*args, stacks[:split]) + upper.get()
+        for delta_n, gradient, first in todo:
+            chunk = results[first:first + len(trials)]
+            self._dist_cache[delta_n, gradient] = {
+                method: self._stats(method, delta_n, gradient, chunk) for method in self.cfgs}
+
+    def _stats(self, method: str, delta_n: float, gradient: str, chunk: list):
+        """method's DistributionStats over one key's stack results, or its StudyError."""
+        signals = sum((result[method][0] for result in chunk), [])
+        errors = sum((result[method][1] for result in chunk), [])
+        if len(errors) > MAX_FAILURE_FRACTION * self.cfg.n_trials:
+            return StudyError(f"{len(errors)} of {self.cfg.n_trials} trials failed ({method}, "
+                              f"delta_n={delta_n:g}, gradient={gradient}); "
+                              f"first failure: {errors[0]}")
         values = np.asarray(signals)
-        stats = DistributionStats(
-            mean=float(values.mean()),
-            std=float(values.std(ddof=1)),
-            n_trials=values.size,
-        )
-        self._dist_cache[key] = stats
+        return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
+
+    def distribution(self, delta_n: float, gradient: str, method=None) -> DistributionStats:
+        self.compute([(delta_n, gradient)])
+        stats = self._dist_cache[delta_n, gradient][method or self.cfg.method]
+        if isinstance(stats, FringelabError):
+            raise stats.with_traceback(None)
         return stats
 
-    def calibration(self) -> tuple[DistributionStats, float, float]:
-        """(blank, slope, half-shift ratio), shared by every gradient: a success, and
+    def calibration(self, method: str | None = None) -> tuple[DistributionStats, float, float]:
+        """method's (blank, slope, half-shift ratio), shared by every gradient: a success, and
         its linearity warning, once per engine; a CalibrationError on every call."""
-        if self._calibration is not None:
-            return self._calibration
-        cfg = self.cfg
-        blank = self.distribution(0.0, "none")
-        shifted = self.distribution(cfg.calibration_delta_n, "none")
+        cfg = self.cfgs[method or self.cfg.method]
+        if cfg.method in self._calibration:
+            return self._calibration[cfg.method]
+        blank = self.distribution(0.0, "none", cfg.method)
+        shifted = self.distribution(cfg.calibration_delta_n, "none", cfg.method)
         slope = (shifted.mean - blank.mean) / cfg.calibration_delta_n
         if slope <= 0:
             raise CalibrationError(f"{cfg.method} signal did not respond to the calibration "
                                    f"shift (slope {slope:g})")
-        half = self.distribution(cfg.calibration_delta_n / 2.0, "none")
+        half = self.distribution(cfg.calibration_delta_n / 2.0, "none", cfg.method)
         half_slope = (half.mean - blank.mean) / (cfg.calibration_delta_n / 2.0)
         ratio = half_slope / slope
         if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
@@ -263,8 +281,8 @@ class _StudyEngine:
                 raise CalibrationError(message)
             # calibration <- _lod_from_engine <- run_table1 or lod_riu <- the user's call
             warnings.warn(message, stacklevel=4)
-        self._calibration = blank, slope, ratio
-        return self._calibration
+        self._calibration[cfg.method] = blank, slope, ratio
+        return self._calibration[cfg.method]
 
 
 def response_distribution(
@@ -286,8 +304,8 @@ def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | No
     if gradient not in ("offset", "amplitude"):
         raise ValueError("gradient must be 'offset' or 'amplitude'")
     engine = engine if engine is not None else _StudyEngine(cfg)
-    with_ramp = engine.distribution(0.0, gradient)
-    without = engine.distribution(0.0, "none")
+    with_ramp = engine.distribution(0.0, gradient, cfg.method)
+    without = engine.distribution(0.0, "none", cfg.method)
     return abs(with_ramp.mean - without.mean)
 
 
@@ -307,9 +325,16 @@ def crlb_delta_n(cfg: LodStudyConfig) -> float:
     return _StudyEngine(cfg).white_sigma / float(np.linalg.norm(jacobian))
 
 
-def _lod_from_engine(engine: _StudyEngine, gradient: str) -> LodResult:
-    blank, slope, ratio = engine.calibration()
-    delta_g = 0.0 if gradient == "none" else gradient_delta(engine.cfg, gradient, engine)
+def _lod_keys(cfg: LodStudyConfig, gradients) -> list:
+    """The (delta_n, gradient) keys that detection limits under gradients read."""
+    shifts = (0.0, cfg.calibration_delta_n, cfg.calibration_delta_n / 2.0)
+    return [(d, "none") for d in shifts] + [(0.0, g) for g in gradients if g != "none"]
+
+
+def _lod_from_engine(engine: _StudyEngine, gradient: str, method: str | None = None) -> LodResult:
+    cfg = engine.cfgs[method or engine.cfg.method]
+    blank, slope, ratio = engine.calibration(cfg.method)
+    delta_g = 0.0 if gradient == "none" else gradient_delta(cfg, gradient, engine)
     lod = 3.3 * (blank.std + delta_g) / slope
     return LodResult(
         sigma_blank=blank.std,
@@ -325,7 +350,9 @@ def lod_riu(cfg: LodStudyConfig, gradient: str = "none") -> LodResult:
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
     with _study_pool(cfg) as pool:
-        return _lod_from_engine(_StudyEngine(cfg, pool), gradient)
+        engine = _StudyEngine(cfg, pool)
+        engine.compute(_lod_keys(cfg, [gradient]))
+        return _lod_from_engine(engine, gradient)
 
 
 @dataclass(frozen=True)
@@ -395,21 +422,22 @@ def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
     """Compute the full method-by-drift detection-limit matrix.
 
     Cell failures are recorded rather than aborting the rest of the matrix. A row's
-    calibration (and its linearity warning) and the distributions its cells share are
-    computed once. allow_smoke_trials waives the minimum trial count for shakedown
-    runs whose numbers are not reported. A forked worker may compute the upper half
-    of every distribution's trials (see the module docstring).
+    calibration (and its linearity warning) is computed once, and every distribution of
+    every method in one pass over shared noisy stacks (see the module docstring).
+    allow_smoke_trials waives the minimum trial count for shakedown runs whose numbers
+    are not reported.
     """
     if base_cfg.n_trials < MIN_REPORTED_TRIALS and not allow_smoke_trials:
         raise ValueError(f"reported studies need at least {MIN_REPORTED_TRIALS} trials")
     cells: dict = {}
     failures: dict = {}
     with _study_pool(base_cfg) as pool:
+        engine = _StudyEngine(base_cfg, pool, METHODS)
+        engine.compute(_lod_keys(base_cfg, GRADIENTS))
         for method in METHODS:
-            engine = _StudyEngine(replace(base_cfg, method=method), pool)
             for gradient in GRADIENTS:
                 try:
-                    cells[(method, gradient)] = _lod_from_engine(engine, gradient)
+                    cells[(method, gradient)] = _lod_from_engine(engine, gradient, method)
                 except (StudyError, CalibrationError) as exc:
                     failures[(method, gradient)] = str(exc)
     return Table1Report(

@@ -456,6 +456,31 @@ def test_stack_equals_rows_one_at_a_time(cfg):
     assert lamp_rows(reference, WAVELENGTHS, rows[1:4], cfg) == single[1:4]
 
 
+@pytest.mark.parametrize("rows, count", [(3, 2), (2, 3)])
+def test_filter_needs_one_wavelet_per_row(rows, count):
+    stack = np.zeros((rows, 2048))
+    with pytest.raises(ValueError, match="one wavelet per row"):
+        filter_spectrum(ResampledSpectrum(GRID, stack), [matched_wavelet()] * count)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-wavelets", "shared-wavelet"])
+def test_block_filter_equals_the_per_row_transform_bit_for_bit(shared):
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(6, 2048))
+    # two size groups: 8192 points for the default design, 4096 for a 4x wider band
+    wide, narrow = matched_wavelet(), matched_wavelet(width_scale=4.0)
+    wavelets = [wide, narrow, wide, matched_wavelet(5800.0), narrow, wide]
+    if shared:
+        wavelets = [wide] * 6
+    filtered = filter_spectrum(ResampledSpectrum(GRID, stack), wavelets).complex_values
+    for row, w, values in zip(stack, wavelets, filtered):
+        # the row-at-a-time transform, kept as the reference
+        size = 1 << (row.size + w.samples.size - 2).bit_length()
+        full = np.fft.ifft(np.fft.fft(row, size) * np.fft.fft(w.samples, size))
+        expected = full[(w.samples.size - 1) // 2 :][: row.size] * GRID.delta_sigma
+        npt.assert_array_equal(values, expected)
+
+
 def test_stacked_filter_matches_per_row_filter_across_transform_lengths():
     rng = np.random.default_rng(4)
     stack = rng.normal(size=(3, 2048))

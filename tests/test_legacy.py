@@ -19,7 +19,7 @@ from fringelab import (
     to_wavenumber,
 )
 from fringelab.errors import FringelabError, WavelengthRangeError
-from fringelab.legacy import _taper, rifts_rows
+from fringelab.legacy import _taper, iaw_rows, rifts_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 
@@ -125,6 +125,35 @@ def test_iaw_rejects_mismatched_grids():
     b = Spectrum(a.wavelengths_nm + 0.5, a.reflectance)
     with pytest.raises(GridAlignmentError):
         iaw(a, b)
+
+
+@pytest.mark.parametrize("window", [(500.0, 800.0), (600.0, 700.0)], ids=["full", "sub"])
+def test_iaw_stack_equals_rows_one_at_a_time_bit_for_bit(window):
+    reference, cfg = film(), IawConfig(range_nm=window)
+    rng = np.random.default_rng(9)
+    rows = np.array([film(dn).reflectance + rng.normal(0.0, 0.005, WAVELENGTHS.size)
+                     for dn in np.linspace(0.0, 2e-3, 8)])
+    # the single-spectrum reduction over a column mask, kept as the reference
+    mask = (WAVELENGTHS >= window[0]) & (WAVELENGTHS <= window[1])
+    assert mask.all() == (window == (500.0, 800.0))
+    expected = []
+    for row in rows:
+        diff = row[mask] - reference.reflectance[mask]
+        expected.append(float(np.abs(diff - diff.mean()).mean()))
+    assert iaw_rows(reference, rows, cfg) == expected
+    assert [iaw(reference, Spectrum(WAVELENGTHS, row), cfg) for row in rows] == expected
+
+
+def test_iaw_stack_keeps_the_single_spectrum_errors():
+    reference, rows = film(), np.tile(film(1e-3).reflectance, (3, 1))
+    with pytest.raises(GridAlignmentError):
+        iaw_rows(reference, rows[:, 1:])
+    with pytest.raises(WavelengthRangeError):
+        iaw_rows(reference, rows, IawConfig(range_nm=(600.0, 600.1)))
+    rows[1, 5] = np.nan  # a non-finite row is a bug in the caller, not a domain failure
+    with pytest.raises(ValueError, match="non-finite") as caught:
+        iaw_rows(reference, rows)
+    assert not isinstance(caught.value, FringelabError)
 
 
 @pytest.mark.parametrize("cfg", [RiftsConfig(), RiftsConfig(refine_peak=True)],

@@ -139,7 +139,7 @@ def test_lamp_slope_converts_phase_to_riu():
 
 def test_unresponsive_signal_raises_calibration_error():
     engine = _StudyEngine(study(n_trials=4))
-    engine.distribution = lambda delta_n, gradient: type(
+    engine.distribution = lambda delta_n, gradient, method=None: type(
         "S", (), {"mean": 1.0 - 500.0 * delta_n, "std": 0.1}
     )()
     from fringelab.lodstudy import _lod_from_engine
@@ -271,6 +271,46 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
 
 
+def test_domain_error_drops_its_trial_only_from_the_failing_methods(monkeypatch):
+    # a flat row has no fringe peak for lamp or rifts; iaw still measures it
+    cfg = study(n_trials=100)
+    flatten_trial(monkeypatch, cfg, 3)
+    shared = _StudyEngine(cfg, methods=lodstudy.METHODS)
+    counts = {m: shared.distribution(0.0, "none", m).n_trials for m in lodstudy.METHODS}
+    assert counts == {"rifts": 99, "iaw": 100, "lamp": 99}
+    for method in lodstudy.METHODS:  # evaluating the methods on shared stacks changes no value
+        alone = _StudyEngine(replace(cfg, method=method)).distribution(0.0, "none")
+        assert shared.distribution(0.0, "none", method) == alone
+
+
+def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
+    one_cpu(monkeypatch)
+    calls = {"noise_rows": 0, "calibrate_ramp_magnitude": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(lodstudy, name, counting(name, getattr(lodstudy, name)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_table1(study(n_trials=100))
+    # 5 keys x 13 stacks, each evaluated by all three methods
+    assert calls == {"noise_rows": 65, "calibrate_ramp_magnitude": 2}
+
+
+def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):
+    # white noise at 27.7 dB cannot be topped up to a 40 dB floor
+    one_cpu(monkeypatch)
+    report = smoke_table(offset_snr_db=40.0)
+    assert set(report.failures) == {(m, "offset") for m in lodstudy.METHODS}
+    messages = set(report.failures.values())
+    assert len(messages) == 1 and "white noise alone" in messages.pop()
+
+
 @pytest.mark.parametrize("method, module", [("lamp", "lamp"), ("rifts", "legacy")])
 def test_bug_in_a_stage_propagates(monkeypatch, method, module):
     def broken(*args, **kwargs):
@@ -360,6 +400,22 @@ def test_forked_table_equals_serial(monkeypatch):
     forked = json.dumps(smoke_table().to_dict())
     one_cpu(monkeypatch)
     assert json.dumps(smoke_table().to_dict()) == forked
+
+
+@needs_fork
+def test_forked_table_joins_the_worker_once(monkeypatch):
+    from multiprocessing.pool import Pool
+
+    submitted = []
+    original = Pool.apply_async
+
+    def counted(self, func, args=(), *rest, **kwargs):
+        submitted.append(len(args[-1]))
+        return original(self, func, args, *rest, **kwargs)
+
+    monkeypatch.setattr(Pool, "apply_async", counted)
+    smoke_table()
+    assert submitted == [5]  # the upper half of 5 keys x 2 stacks
 
 
 @needs_fork
