@@ -252,17 +252,17 @@ class _StudyEngine:
         values = np.asarray(signals)
         return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
 
-    def distribution(self, delta_n: float, gradient: str, method=None) -> DistributionStats:
+    def distribution(self, delta_n: float, gradient: str, method: str) -> DistributionStats:
         self.compute([(delta_n, gradient)])
-        stats = self._dist_cache[delta_n, gradient][method or self.cfg.method]
+        stats = self._dist_cache[delta_n, gradient][method]
         if isinstance(stats, FringelabError):
             raise stats.with_traceback(None)
         return stats
 
-    def calibration(self, method: str | None = None) -> tuple[DistributionStats, float, float]:
+    def calibration(self, method: str) -> tuple[DistributionStats, float, float]:
         """method's (blank, slope, half-shift ratio), shared by every gradient: a success, and
         its linearity warning, once per engine; a CalibrationError on every call."""
-        cfg = self.cfgs[method or self.cfg.method]
+        cfg = self.cfgs[method]
         if cfg.method in self._calibration:
             return self._calibration[cfg.method]
         blank = self.distribution(0.0, "none", cfg.method)
@@ -292,7 +292,7 @@ def response_distribution(
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
     with _study_pool(cfg) as pool:
-        return _StudyEngine(cfg, pool).distribution(delta_n, gradient)
+        return _StudyEngine(cfg, pool).distribution(delta_n, gradient, cfg.method)
 
 
 def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | None = None) -> float:
@@ -331,9 +331,9 @@ def _lod_keys(cfg: LodStudyConfig, gradients) -> list:
     return [(d, "none") for d in shifts] + [(0.0, g) for g in gradients if g != "none"]
 
 
-def _lod_from_engine(engine: _StudyEngine, gradient: str, method: str | None = None) -> LodResult:
-    cfg = engine.cfgs[method or engine.cfg.method]
-    blank, slope, ratio = engine.calibration(cfg.method)
+def _lod_from_engine(engine: _StudyEngine, gradient: str, method: str) -> LodResult:
+    cfg = engine.cfgs[method]
+    blank, slope, ratio = engine.calibration(method)
     delta_g = 0.0 if gradient == "none" else gradient_delta(cfg, gradient, engine)
     lod = 3.3 * (blank.std + delta_g) / slope
     return LodResult(
@@ -352,7 +352,7 @@ def lod_riu(cfg: LodStudyConfig, gradient: str = "none") -> LodResult:
     with _study_pool(cfg) as pool:
         engine = _StudyEngine(cfg, pool)
         engine.compute(_lod_keys(cfg, [gradient]))
-        return _lod_from_engine(engine, gradient)
+        return _lod_from_engine(engine, gradient, cfg.method)
 
 
 @dataclass(frozen=True)

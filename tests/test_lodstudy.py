@@ -139,13 +139,13 @@ def test_lamp_slope_converts_phase_to_riu():
 
 def test_unresponsive_signal_raises_calibration_error():
     engine = _StudyEngine(study(n_trials=4))
-    engine.distribution = lambda delta_n, gradient, method=None: type(
+    engine.distribution = lambda delta_n, gradient, method: type(
         "S", (), {"mean": 1.0 - 500.0 * delta_n, "std": 0.1}
     )()
     from fringelab.lodstudy import _lod_from_engine
 
     with pytest.raises(CalibrationError, match="did not respond"):
-        _lod_from_engine(engine, "none")
+        _lod_from_engine(engine, "none", "lamp")
 
 
 def test_rectified_response_trips_linearity_guard():
@@ -262,7 +262,7 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     cfg = study(method=method, n_trials=100)
     flatten_trial(monkeypatch, cfg, 3)  # inside the first stack
     engine = _StudyEngine(cfg)
-    stats = engine.distribution(0.0, "none")
+    stats = engine.distribution(0.0, "none", method)
     # the other 99 trials keep the signals they have when evaluated alone
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
     rows = noise_rows(engine.clean_analyte(0.0), engine._noise_model("none"), seeds)
@@ -279,7 +279,7 @@ def test_domain_error_drops_its_trial_only_from_the_failing_methods(monkeypatch)
     counts = {m: shared.distribution(0.0, "none", m).n_trials for m in lodstudy.METHODS}
     assert counts == {"rifts": 99, "iaw": 100, "lamp": 99}
     for method in lodstudy.METHODS:  # evaluating the methods on shared stacks changes no value
-        alone = _StudyEngine(replace(cfg, method=method)).distribution(0.0, "none")
+        alone = _StudyEngine(replace(cfg, method=method)).distribution(0.0, "none", method)
         assert shared.distribution(0.0, "none", method) == alone
 
 
@@ -300,6 +300,25 @@ def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
         run_table1(study(n_trials=100))
     # 5 keys x 13 stacks, each evaluated by all three methods
     assert calls == {"noise_rows": 65, "calibrate_ramp_magnitude": 2}
+
+
+def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
+    # _lod_keys names every key that calibration and gradient_delta read: none is computed later
+    one_cpu(monkeypatch)
+    passes = []
+    original = lodstudy._stack_signals
+
+    def recorded(cfgs, reference, stacks):
+        if stacks:
+            passes.append(len(stacks))
+        return original(cfgs, reference, stacks)
+
+    monkeypatch.setattr(lodstudy, "_stack_signals", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lod_riu(study(n_trials=2 * CHUNK_ROWS), "offset")
+    smoke_table()
+    assert passes == [4 * 2, 5 * 2]  # keys x stacks: lod_riu's one pass, then the table's
 
 
 def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):
