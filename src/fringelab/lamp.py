@@ -8,7 +8,8 @@ the fringe band; the filtered signal's unwrapped, cycle-anchored phase is
 averaged against a reference to give a sub-fringe measure of
 optical-thickness change.
 
-Every stage takes a (rows, points) stack; lamp_signal is a stack of one.
+Every stage takes a (rows, points) stack; lamp_signal is a stack of one. The
+filter transforms a stack as one complex block, at the one size its grid sets.
 Cached read-only: the reference's phase profile per (config, wavelengths,
 reflectance), so a stream or a study against one reference computes it once;
 the baseline design per grid; the wavelet carrier per (peak, spacing, reach).
@@ -142,8 +143,10 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
 
     The data is zero-extended beyond its ends, so amplitude decays near the
     edges. The wavelets must have been designed for this grid's spacing.
-    Rows whose full convolutions share a power-of-two length form one zero-padded complex
-    block; ifft(fft(row, size) * fft(wavelet, size)) bit for bit, a shared wavelet once.
+    Each kernel is the wavelet's taps within h = min((m - 1) / 2, n - 1) of its centre, the
+    only ones that meet data, wrapped around index 0. The stack is one zero-padded complex
+    block of the power of two >= 2n - 1 points, so nothing aliases into the n kept samples and
+    a row's bits do not depend on its stack; a shared wavelet is transformed once.
     """
     spacing = resampled.grid.delta_sigma
     values = np.atleast_2d(resampled.values)
@@ -152,23 +155,20 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
         raise ValueError(f"need one wavelet per row: {len(wavelets)} for {len(values)} rows")
     if not all(math.isclose(w.spacing, spacing, rel_tol=1e-9, abs_tol=0.0) for w in wavelets):
         raise ValueError("wavelet sample spacing does not match the grid")
-    n, out = values.shape[1], np.empty(values.shape, dtype=complex)
-    # a power of two >= n + m - 1, the full length
-    sizes = [1 << (n + w.samples.size - 2).bit_length() for w in wavelets]
-    for size in set(sizes):
-        rows = [r for r, s in enumerate(sizes) if s == size]
-        group = [wavelets[r] for r in rows]
-        group = group[:1] if all(w is group[0] for w in group) else group
-        block = np.zeros((len(rows), size), dtype=complex)
-        block[:, :n] = values[rows]
-        kernels = np.zeros((len(group), size), dtype=complex)
-        for kernel, w in zip(kernels, group):
-            kernel[: w.samples.size] = w.samples
-        np.fft.fft(block, out=block)
-        block *= np.fft.fft(kernels, out=kernels)
-        np.fft.ifft(block, out=block)
-        for r, row in zip(rows, block):
-            out[r] = row[(wavelets[r].samples.size - 1) // 2 :][:n] * spacing
+    n = values.shape[1]
+    size = 1 << (2 * n - 2).bit_length()
+    block = np.zeros((len(values), size), dtype=complex)
+    block[:, :n] = values
+    group = wavelets[:1] if all(w is wavelets[0] for w in wavelets) else wavelets
+    kernels = np.zeros((len(group), size), dtype=complex)
+    for kernel, w in zip(kernels, group):
+        c = (w.samples.size - 1) // 2
+        h = min(c, n - 1)
+        kernel[: h + 1], kernel[size - h :] = w.samples[c : c + h + 1], w.samples[c - h : c]
+    np.fft.fft(block, out=block)
+    block *= np.fft.fft(kernels, out=kernels)
+    np.fft.ifft(block, out=block)
+    out = block[:, :n] * spacing
     return FilteredSpectrum(resampled.grid, out.reshape(np.shape(resampled.values)))
 
 
@@ -275,7 +275,7 @@ def lamp_rows(reference: Spectrum, wavelengths_nm, rows, cfg: LampConfig = LampC
     shared = ref_wavelet if cfg.reuse_reference_wavelet else None
     phases, _, _ = _phase_rows(wavelengths_nm, rows, cfg, wavelet=shared)
     trim = int(math.floor(cfg.edge_trim_fraction * ref_phase.size))
-    return [float((phase - ref_phase)[trim : ref_phase.size - trim].mean()) for phase in phases]
+    return (phases - ref_phase)[:, trim : ref_phase.size - trim].mean(axis=1).tolist()
 
 
 def lamp_signal(reference: Spectrum, analyte: Spectrum, cfg: LampConfig = LampConfig()) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,9 +173,9 @@ def _stack_signals(cfgs: dict, reference: Spectrum, stacks: list) -> list:
 class _StudyEngine:
     """Per-study state: clean spectra, noise, ramps, a pool or None, and each method's results."""
 
-    def __init__(self, cfg: LodStudyConfig, pool=None, methods: tuple = ()):
+    def __init__(self, cfg: LodStudyConfig, methods: tuple = ()):
         self.cfg = cfg
-        self.pool = pool
+        self.pool = None  # _computed_engine's forked pool during its one pass
         self.cfgs = {m: replace(cfg, method=m) for m in methods or (cfg.method,)}
         self.reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
         if cfg.noise.gaussian_sigma is not None:
@@ -291,19 +290,20 @@ def response_distribution(
     """Distribution of the configured method's signal over noisy trials."""
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    with _study_pool(cfg) as pool:
-        return _StudyEngine(cfg, pool).distribution(delta_n, gradient, cfg.method)
+    return _computed_engine(cfg, [(delta_n, gradient)]).distribution(delta_n, gradient, cfg.method)
 
 
 def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | None = None) -> float:
     """Drift penalty: shift of the blank mean when the ramp is switched on.
 
     Trials are paired (same derived seeds with and without the ramp), so
-    the white-noise contribution cancels from the comparison.
+    the white-noise contribution cancels from the comparison. Without an
+    engine, both distributions are computed in one pass, as lod_riu's are.
     """
     if gradient not in ("offset", "amplitude"):
         raise ValueError("gradient must be 'offset' or 'amplitude'")
-    engine = engine if engine is not None else _StudyEngine(cfg)
+    if engine is None:
+        engine = _computed_engine(cfg, [(0.0, "none"), (0.0, gradient)])
     with_ramp = engine.distribution(0.0, gradient, cfg.method)
     without = engine.distribution(0.0, "none", cfg.method)
     return abs(with_ramp.mean - without.mean)
@@ -349,10 +349,7 @@ def lod_riu(cfg: LodStudyConfig, gradient: str = "none") -> LodResult:
     """Detection limit in refractive index units for one method and drift case."""
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    with _study_pool(cfg) as pool:
-        engine = _StudyEngine(cfg, pool)
-        engine.compute(_lod_keys(cfg, [gradient]))
-        return _lod_from_engine(engine, gradient, cfg.method)
+    return _lod_from_engine(_computed_engine(cfg, _lod_keys(cfg, [gradient])), gradient, cfg.method)
 
 
 @dataclass(frozen=True)
@@ -406,15 +403,17 @@ def _fork_context(base_cfg: LodStudyConfig):
     return multiprocessing.get_context("fork")
 
 
-@contextmanager
-def _study_pool(cfg: LodStudyConfig):
-    """A forked one-process pool, or None where forking cannot pay."""
-    context = _fork_context(cfg)
+def _computed_engine(cfg: LodStudyConfig, keys, methods: tuple = ()) -> _StudyEngine:
+    """An engine with every key computed in one pass: shared with a forked one-process pool,
+    or serial where forking cannot pay."""
+    engine, context = _StudyEngine(cfg, methods), _fork_context(cfg)
     if context is None:
-        yield None
-        return
-    with context.Pool(1) as pool:
-        yield pool
+        engine.compute(keys)
+        return engine
+    with context.Pool(1) as engine.pool:
+        engine.compute(keys)
+    engine.pool = None  # the pool is closed: any later pass is serial
+    return engine
 
 
 def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
@@ -431,15 +430,13 @@ def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
         raise ValueError(f"reported studies need at least {MIN_REPORTED_TRIALS} trials")
     cells: dict = {}
     failures: dict = {}
-    with _study_pool(base_cfg) as pool:
-        engine = _StudyEngine(base_cfg, pool, METHODS)
-        engine.compute(_lod_keys(base_cfg, GRADIENTS))
-        for method in METHODS:
-            for gradient in GRADIENTS:
-                try:
-                    cells[(method, gradient)] = _lod_from_engine(engine, gradient, method)
-                except (StudyError, CalibrationError) as exc:
-                    failures[(method, gradient)] = str(exc)
+    engine = _computed_engine(base_cfg, _lod_keys(base_cfg, GRADIENTS), METHODS)
+    for method in METHODS:
+        for gradient in GRADIENTS:
+            try:
+                cells[(method, gradient)] = _lod_from_engine(engine, gradient, method)
+            except (StudyError, CalibrationError) as exc:
+                failures[(method, gradient)] = str(exc)
     return Table1Report(
         cells=cells,
         failures=failures,

@@ -159,18 +159,20 @@ def test_filter_requires_matching_spacing():
         filter_spectrum(ResampledSpectrum(other, np.zeros(1024)), w)
 
 
-@pytest.mark.parametrize("width_scale", [1.0, 4.0])
-def test_filter_is_the_centred_direct_convolution(width_scale):
-    # width_scale 1 gives the default design, longer than the data; 4 a shorter one
+@pytest.mark.parametrize("width_scale, shortest, longest", [
+    (4.0, 1, 2047), (2.0, 2048, 4095), (1.0, 4096, math.inf),
+], ids=["shorter-than-n", "up-to-2n-1", "longer-than-2n-1"])
+def test_filter_is_the_centred_direct_convolution(width_scale, shortest, longest):
+    # width_scale 1 gives the default design; the filter crops it to the taps within n - 1
     rng = np.random.default_rng(8)
     values = np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + rng.normal(0.0, 0.1, 2048)
     w = matched_wavelet(width_scale=width_scale)
-    assert (w.samples.size > values.size) == (width_scale == 1.0)
+    assert shortest <= w.samples.size <= longest
     filtered = filter_spectrum(ResampledSpectrum(GRID, values), w)
     # np.convolve's "same" keeps max(n, m) points; the filter keeps the data's
-    # n points of the full convolution, starting at (m - 1) // 2
-    full = np.convolve(values, w.samples, mode="full")
-    expected = full[(w.samples.size - 1) // 2 :][: values.size] * GRID.delta_sigma
+    # n points of the full convolution, starting at c = (m - 1) // 2
+    c = (w.samples.size - 1) // 2
+    expected = np.convolve(values, w.samples)[c : c + values.size] * GRID.delta_sigma
     npt.assert_allclose(filtered.complex_values, expected, rtol=1e-12)
 
 
@@ -467,28 +469,45 @@ def test_filter_needs_one_wavelet_per_row(rows, count):
 def test_block_filter_equals_the_per_row_transform_bit_for_bit(shared):
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(6, 2048))
-    # two size groups: 8192 points for the default design, 4096 for a 4x wider band
+    # the default design is cropped to n - 1 taps each side, a 4x wider band is kept whole
     wide, narrow = matched_wavelet(), matched_wavelet(width_scale=4.0)
     wavelets = [wide, narrow, wide, matched_wavelet(5800.0), narrow, wide]
     if shared:
         wavelets = [wide] * 6
     filtered = filter_spectrum(ResampledSpectrum(GRID, stack), wavelets).complex_values
+    size = 4096  # the power of two >= 2n - 1
     for row, w, values in zip(stack, wavelets, filtered):
-        # the row-at-a-time transform, kept as the reference
-        size = 1 << (row.size + w.samples.size - 2).bit_length()
-        full = np.fft.ifft(np.fft.fft(row, size) * np.fft.fft(w.samples, size))
-        expected = full[(w.samples.size - 1) // 2 :][: row.size] * GRID.delta_sigma
-        npt.assert_array_equal(values, expected)
+        # the row-at-a-time transform, kept as the reference: the wavelet's taps within
+        # +/-h of its centre, wrapped around index 0
+        c = (w.samples.size - 1) // 2
+        h = min(c, row.size - 1)
+        kernel = np.zeros(size, dtype=complex)
+        kernel[: h + 1], kernel[size - h :] = w.samples[c : c + h + 1], w.samples[c - h : c]
+        full = np.fft.ifft(np.fft.fft(row, size) * np.fft.fft(kernel))
+        npt.assert_array_equal(values, full[: row.size] * GRID.delta_sigma)
 
 
-def test_stacked_filter_matches_per_row_filter_across_transform_lengths():
-    rng = np.random.default_rng(4)
-    stack = rng.normal(size=(3, 2048))
-    # the default design is longer than the data (8192-point convolution),
-    # a 4x wider band is shorter (4096 points)
-    wavelets = [matched_wavelet(), matched_wavelet(width_scale=4.0), matched_wavelet()]
-    together = filter_spectrum(ResampledSpectrum(GRID, stack), wavelets).complex_values
+@pytest.mark.parametrize("n", [2048, 1500, 768])
+def test_stacked_filter_matches_per_row_filter_across_wavelet_lengths(n):
+    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
+    stack = np.random.default_rng(4).normal(size=(4, n))
+    # shorter than the data, up to 2n - 1, and longer (the default design): one transform size
+    wavelets = [design_wavelet(PeakInfo(5760.0, 1333.0, 1.0), grid.delta_sigma, width_scale)
+                for width_scale in (1.0, 4.0, 2.0, 1.0)]
+    sizes = [w.samples.size for w in wavelets]
+    assert sizes[1] < n <= sizes[2] < 2 * n - 1 < sizes[0]
+    together = filter_spectrum(ResampledSpectrum(grid, stack), wavelets).complex_values
     for row, wavelet, values in zip(stack, wavelets, together):
-        npt.assert_array_equal(values, filter_spectrum(ResampledSpectrum(GRID, row),
+        npt.assert_array_equal(values, filter_spectrum(ResampledSpectrum(grid, row),
                                                        wavelet).complex_values)
 
+
+def test_stack_phase_means_equal_the_per_row_means_bit_for_bit():
+    # lamp_rows reduces a stack in one step; each row's mean sums as a lone row's does
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        rows, n = int(rng.integers(1, 10)), int(rng.integers(2, 3000))
+        phases, ref_phase = rng.normal(size=(rows, n)), rng.normal(size=n)
+        trim = int(rng.integers(0, n // 2))
+        means = (phases - ref_phase)[:, trim : n - trim].mean(axis=1).tolist()
+        assert means == [float((phase - ref_phase)[trim : n - trim].mean()) for phase in phases]

@@ -303,7 +303,8 @@ def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
 
 
 def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
-    # _lod_keys names every key that calibration and gradient_delta read: none is computed later
+    # _lod_keys names every key that calibration and gradient_delta read: none is computed later;
+    # gradient_delta alone computes its two keys in one pass
     one_cpu(monkeypatch)
     passes = []
     original = lodstudy._stack_signals
@@ -318,7 +319,9 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
         warnings.simplefilter("ignore")
         lod_riu(study(n_trials=2 * CHUNK_ROWS), "offset")
     smoke_table()
-    assert passes == [4 * 2, 5 * 2]  # keys x stacks: lod_riu's one pass, then the table's
+    gradient_delta(study(n_trials=2 * CHUNK_ROWS), "amplitude")
+    # keys x stacks: lod_riu's one pass, the table's, then gradient_delta's (ramp and blank)
+    assert passes == [4 * 2, 5 * 2, 2 * 2]
 
 
 def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):

@@ -7,8 +7,12 @@ import pytest
 
 from fringelab import (
     IawConfig,
+    MorletWavelet,
     RedlichPetersonFit,
+    ResampledSpectrum,
     Spectrum,
+    WavenumberGrid,
+    filter_spectrum,
     hann_window,
     iaw,
     lod_concentration,
@@ -17,7 +21,7 @@ from fringelab import (
     unwrap_phase,
 )
 from fringelab.spectral import _first_true
-from fringelab.wavegrid import resample_rows
+from fringelab.wavegrid import MIN_GRID_POINTS, resample_rows
 
 N_CASES = 1000
 
@@ -116,6 +120,23 @@ def test_cubic_resampler_matches_scipy_on_random_knots():
         # atol: where the spline passes near zero, both sides round at the data's scale
         np.testing.assert_allclose(resampled.values, spline(resampled.grid.sigmas()),
                                    rtol=1e-12, atol=1e-14)
+
+
+def test_cropped_filter_is_the_centred_direct_convolution():
+    """Any row length, any odd wavelet length up to 6n: the n centred points of np.convolve."""
+    rng = np.random.default_rng(808)
+    for _ in range(N_CASES):
+        n = int(rng.integers(MIN_GRID_POINTS, 400))
+        grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
+        rows = rng.normal(size=(int(rng.integers(1, 4)), n))
+        wavelets = [MorletWavelet(5760.0, 1.0, grid.delta_sigma,
+                                  rng.normal(size=m) + 1j * rng.normal(size=m))
+                    for m in 2 * rng.integers(0, 3 * n, size=len(rows)) + 1]
+        filtered = filter_spectrum(ResampledSpectrum(grid, rows), wavelets).complex_values
+        for row, w, values in zip(rows, wavelets, filtered):
+            c = (w.samples.size - 1) // 2
+            expected = np.convolve(row, w.samples)[c : c + n] * grid.delta_sigma
+            assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_first_true_is_bisect_left_from_any_guess():
