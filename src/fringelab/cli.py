@@ -330,9 +330,14 @@ def cmd_fit(args) -> int:
             [groups[i] for i in order],
             unit=unit,
         )
-        fit = fit_redlich_peterson(series)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_redlich_peterson(series)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    fit_warnings = [str(caught_warning.message) for caught_warning in caught]
+    for message in fit_warnings:
+        print(f"warning: {message}", file=sys.stderr)
     lod = lod_concentration(fit, args.three_sigma_blank)
     display = series.display_concentrations()
     positive = display[display > 0]
@@ -350,6 +355,7 @@ def cmd_fit(args) -> int:
         "reduced_chi2": fit.reduced_chi2,
         "three_sigma_blank": args.three_sigma_blank,
         "lod_concentration": lod,
+        "warnings": fit_warnings,
     }
     if args.format == "csv":
         print(json.dumps(report))

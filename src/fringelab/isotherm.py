@@ -3,11 +3,11 @@
 The response of a sensor surface to an analyte concentration C follows the
 Redlich-Peterson form theta(C) = I + A C / (1 + B C^beta) with beta in
 [0, 1] (the Langmuir isotherm at beta = 1). Fitting is variance-weighted
-nonlinear least squares over replicate groups; the detection limit is the
-concentration where the fitted curve rises a given amount above its own
-intercept. A separate helper linearizes integrated-difference responses,
-whose raw output folds over once a shift exceeds half the free spectral
-range.
+nonlinear least squares over replicate groups by bounded Levenberg-Marquardt;
+the detection limit, found by bisection, is the concentration where the
+fitted curve rises a given amount above its own intercept. A separate helper
+linearizes integrated-difference responses, whose raw output folds over once
+a shift exceeds half the free spectral range.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ UNIT_SCALES = {
 }
 
 N_PARAMETERS = 4  # intercept, a, b, beta
+LOWER = np.array([-np.inf, 0.0, 0.0, 0.0])
+UPPER = np.array([np.inf, np.inf, np.inf, 1.0])
 BETA_STARTS = (0.2, 0.5, 0.8, 0.95, 1.0)
+MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,8 @@ def model_eval(fit: RedlichPetersonFit, concentration):
     return theta
 
 
-def _effective_sigmas(series: ConcentrationSeries):
-    """Per-group weighting sigmas with fallbacks for degenerate variances.
+def _replicates(series: ConcentrationSeries):
+    """Each replicate's display-unit concentration, response and weighting sigma.
 
     Zero or non-finite group variances fall back to the pooled variance of
     the healthy groups; if no group has usable spread, weights collapse to
@@ -157,28 +160,61 @@ def _effective_sigmas(series: ConcentrationSeries):
     if not usable.all():
         if usable.any():
             pooled = float(variances[usable].mean())
-            warnings.warn(
-                "zero-variance concentration groups weighted by the pooled variance",
-                stacklevel=3,
-            )
+            warnings.warn("zero-variance concentration groups weighted by the pooled variance",
+                          stacklevel=3)
             variances = np.where(usable, variances, pooled)
         else:
-            warnings.warn(
-                "no usable group variances; falling back to unweighted residuals",
-                stacklevel=3,
-            )
+            warnings.warn("no usable group variances; falling back to unweighted residuals",
+                          stacklevel=3)
             variances = np.ones_like(variances)
-    return np.sqrt(variances)
+    counts = [len(g.responses) for g in series.groups]
+    return (np.repeat(series.display_concentrations(), counts),
+            np.concatenate([g.responses for g in series.groups]),
+            np.repeat(np.sqrt(variances), counts))
 
 
-def _residuals(params, series, sigmas):
+def _residuals(params, c, y, sigma):
     intercept, a, b, beta = params
-    fit = RedlichPetersonFit(intercept=intercept, a=a, b=b, beta=min(max(beta, 0.0), 1.0))
-    out = []
-    for group, sigma in zip(series.groups, sigmas):
-        theta = model_eval(fit, group.concentration / UNIT_SCALES[series.display_unit])
-        out.extend((r - theta) / sigma for r in group.responses)
-    return np.asarray(out)
+    return (y - model_eval(RedlichPetersonFit(intercept, a, b, beta), c)) / sigma
+
+
+def _jacobian(params, c, sigma):
+    """d residual / d (intercept, a, b, beta); all but the first column vanish at C = 0."""
+    _, a, b, beta = params
+    powered = np.power(c, beta, where=c > 0, out=np.zeros_like(c))
+    log_c = np.log(c, where=c > 0, out=np.zeros_like(c))
+    d = 1.0 + b * powered
+    rise = a * c * powered / d**2
+    return np.column_stack([np.ones_like(c), c / d, -rise, -b * rise * log_c]) / -sigma[:, None]
+
+
+def _levenberg_marquardt(x, c, y, sigma):
+    """Minimise |_residuals|^2 / 2 from x inside the bounds; returns (x, cost).
+
+    Marquardt's damping is scaled by the running maximum of diag(J^T J); the
+    trial point is clipped to the bounds, and a parameter on a bound whose
+    gradient points outward is held for that step.
+    """
+    r = _residuals(x, c, y, sigma)
+    cost, damping, scale = 0.5 * r @ r, 1e-3, np.zeros_like(x)
+    for _ in range(MAX_ITERATIONS):
+        jac = _jacobian(x, c, sigma)
+        gradient, curvature = jac.T @ r, jac.T @ jac
+        scale = np.maximum(scale, np.diag(curvature))
+        held = ((x <= LOWER) & (gradient > 0)) | ((x >= UPPER) & (gradient < 0))
+        gradient[held] = curvature[held] = curvature[:, held] = 0.0
+        while True:
+            step = np.linalg.solve(curvature + damping * np.diag(scale), -gradient)
+            trial = np.clip(x + step, LOWER, UPPER)
+            r_trial = _residuals(trial, c, y, sigma)
+            cost_trial = 0.5 * r_trial @ r_trial
+            if cost_trial < cost:
+                break
+            damping *= 10.0
+            if cost_trial <= cost * (1.0 + 1e-15) or damping > 1e16:
+                return x, cost  # no lower cost is representable, or none within reach
+        x, r, cost, damping = trial, r_trial, cost_trial, damping / 10.0
+    return x, cost
 
 
 def _starting_points(series: ConcentrationSeries):
@@ -198,54 +234,39 @@ def _starting_points(series: ConcentrationSeries):
 def fit_redlich_peterson(series: ConcentrationSeries) -> RedlichPetersonFit:
     """Variance-weighted least-squares fit of the four isotherm parameters.
 
-    Each replicate contributes (y - theta(C)) / sigma_group. The bounded
-    solver runs from several beta starting values and the lowest-cost
-    converged solution wins; concentrations enter in the series' display
-    unit, so the returned a and b are scaled to that unit.
+    Each replicate contributes (y - theta(C)) / sigma_group. A bounded
+    Levenberg-Marquardt solver runs from several beta starting values and
+    the lowest-cost solution wins; concentrations enter in the series'
+    display unit, so the returned a and b are scaled to that unit.
     """
     if len(series.groups) < N_PARAMETERS:
         raise ValueError(f"need at least {N_PARAMETERS} concentration groups")
     if not any(g.concentration > 0 for g in series.groups):
         raise ValueError("need at least one positive concentration")
-    from scipy.optimize import least_squares  # scipy stays off the package's import path
-    sigmas = _effective_sigmas(series)
-    lower = [-np.inf, 0.0, 0.0, 0.0]
-    upper = [np.inf, np.inf, np.inf, 1.0]
-    best = None
-    diagnostics = []
+    c, y, sigma = _replicates(series)
+    best, diagnostics = (None, np.inf), []
     for x0 in _starting_points(series):
         try:
-            result = least_squares(
-                _residuals, x0, args=(series, sigmas),
-                bounds=(lower, upper), method="trf", x_scale="jac",
-                max_nfev=5000,
-            )
-        except Exception as exc:  # noqa: BLE001 - collected for the failure message
+            x, cost = _levenberg_marquardt(x0, c, y, sigma)
+        except np.linalg.LinAlgError as exc:
             diagnostics.append(f"start beta={x0[3]:.2f}: {exc}")
             continue
-        if not result.success or not np.isfinite(result.cost):
-            diagnostics.append(f"start beta={x0[3]:.2f}: status {result.status}")
-            continue
-        if best is None or result.cost < best.cost:
-            best = result
-    if best is None:
+        if not np.isfinite(cost):
+            diagnostics.append(f"start beta={x0[3]:.2f}: non-finite cost")
+        elif cost < best[1]:
+            best = x, cost
+    if best[0] is None:
         raise FitError("no fit start converged: " + "; ".join(diagnostics))
-    intercept, a, b, beta = best.x
+    (intercept, a, b, beta), cost = best
     n_points = series.n_points()
-    reduced = 2.0 * best.cost / (n_points - N_PARAMETERS) if n_points > N_PARAMETERS else None
-    jtj = best.jac.T @ best.jac
+    reduced = 2.0 * cost / (n_points - N_PARAMETERS) if n_points > N_PARAMETERS else None
+    jac = _jacobian(best[0], c, sigma)
     try:
-        covariance = tuple(map(tuple, np.linalg.inv(jtj)))
+        covariance = tuple(map(tuple, np.linalg.inv(jac.T @ jac)))
     except np.linalg.LinAlgError:
         covariance = None
-    return RedlichPetersonFit(
-        intercept=float(intercept),
-        a=float(a),
-        b=float(b),
-        beta=float(min(max(beta, 0.0), 1.0)),
-        reduced_chi2=reduced,
-        covariance=covariance,
-    )
+    return RedlichPetersonFit(intercept=float(intercept), a=float(a), b=float(b),
+                              beta=float(beta), reduced_chi2=reduced, covariance=covariance)
 
 
 def reduced_chi_squared(fit: RedlichPetersonFit, series: ConcentrationSeries) -> float:
@@ -256,17 +277,18 @@ def reduced_chi_squared(fit: RedlichPetersonFit, series: ConcentrationSeries) ->
             f"reduced chi-squared undefined for {n_points} points and "
             f"{N_PARAMETERS} parameters"
         )
-    sigmas = _effective_sigmas(series)
-    residuals = _residuals((fit.intercept, fit.a, fit.b, fit.beta), series, sigmas)
+    c, y, sigma = _replicates(series)
+    residuals = _residuals((fit.intercept, fit.a, fit.b, fit.beta), c, y, sigma)
     return float(np.sum(residuals**2) / (n_points - N_PARAMETERS))
 
 
 def lod_concentration(fit: RedlichPetersonFit, three_sigma_blank: float) -> float:
     """Concentration where the fitted curve exceeds its intercept by the noise floor.
 
-    Solves theta(C) = intercept + three_sigma_blank on the monotone branch
-    by bracket expansion and bisection, to 1e-6 relative in C. The result
-    is expressed in the same unit the fit's parameters carry.
+    Solves theta(C) = intercept + three_sigma_blank on the monotone branch:
+    the bracket doubles from the linear model's crossing until the curve
+    reaches the threshold, then bisection narrows it to 1e-9 relative in C.
+    The result is expressed in the same unit the fit's parameters carry.
     """
     if not three_sigma_blank > 0:
         raise ValueError("three_sigma_blank must be positive")
@@ -294,8 +316,11 @@ def lod_concentration(fit: RedlichPetersonFit, three_sigma_blank: float) -> floa
             f"threshold {three_sigma_blank:g} not reached by the fitted "
             "isotherm within any bounded concentration"
         )
-    from scipy.optimize import brentq  # scipy stays off the package's import path
-    return float(brentq(rise, low, high, rtol=1e-9))
+    # math.ulp(0.0) ends a bracket of two adjacent subnormals, which no halving narrows
+    while high - low > 1e-9 * high + math.ulp(0.0):
+        middle = 0.5 * (low + high)
+        low, high = (low, middle) if rise(middle) >= 0.0 else (middle, high)
+    return 0.5 * (low + high)
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,24 @@ class TestFit:
         assert len(payload["curve"]) == 200
         theta = payload["curve"][-1]["theta_fit"]
         assert theta == pytest.approx(0.08 + 0.82 * 300 / (1 + 0.47 * 300**0.88), rel=0.05)
+        assert payload["warnings"] == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_variance_group_is_one_warning_line_and_recorded(self, tmp_path, capsys, fmt):
+        table = self.write_series(tmp_path / "series.csv", replicates=4)
+        header, *rows = table.read_text().splitlines()
+        # the lowest concentration's four replicates all read the same response
+        table.write_text("\n".join([header, *[rows[0]] * 4, *rows[4:]]) + "\n")
+        out = tmp_path / f"fit.{fmt}"
+        rc = main(["fit", str(table), "--three-sigma-blank", "1.85e-4", "--format", fmt,
+                   "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        payload = json.loads(out.read_text() if fmt == "json" else captured.out)
+        assert payload["warnings"] == [
+            "zero-variance concentration groups weighted by the pooled variance"]
+        assert captured.err.splitlines() == [f"warning: {payload['warnings'][0]}"]
 
     def test_too_few_groups_is_a_config_error(self, tmp_path, capsys):
         table = tmp_path / "series.csv"
@@ -628,25 +646,32 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, monkeyp
 
 
 def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
-    # scipy costs ~0.5 s of start-up; only the isotherm fit imports it, on
-    # first use. multiprocessing (~8 ms) is imported only by a run_table1
-    # that may fork.
+    # scipy costs ~0.5 s of start-up and no fringelab module imports it; it
+    # is only the tests' reference. multiprocessing (~8 ms) is imported only
+    # by a run_table1 that may fork.
     reference = write_stack_spectrum(tmp_path / "ref.csv")
     analyte = write_stack_spectrum(tmp_path / "mod.csv", delta_n=1e-3)
+    table = TestFit().write_series(tmp_path / "series.csv")
     script = (
         "import sys, fringelab.cli\n"
+        "from fringelab import RedlichPetersonFit, lod_concentration\n"
         "lazy = lambda: sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
         "print(lazy())\n"
         "rc = fringelab.cli.main(['process', '--method', 'lamp', sys.argv[1], sys.argv[2],"
         " '--out', sys.argv[3]])\n"
         "print(rc, lazy())\n"
+        "rc = fringelab.cli.main(['fit', sys.argv[4], '--three-sigma-blank', '1.85e-4',"
+        " '--out', sys.argv[5]])\n"
+        "lod_concentration(RedlichPetersonFit(intercept=0.08, a=0.82, b=0.47, beta=0.88), 1.85e-4)\n"
+        "print(rc, lazy())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(fringelab.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", script, str(reference), str(analyte), str(tmp_path / "rows.json")],
+        [sys.executable, "-c", script, str(reference), str(analyte), str(tmp_path / "rows.json"),
+         str(table), str(tmp_path / "fit.json")],
         capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines() == ["[]", "0 []"]
+    assert done.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
 def test_rifts_and_the_smoke_table_never_load_scipy(tmp_path):

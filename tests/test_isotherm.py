@@ -8,6 +8,7 @@ from fringelab import (
     ConcentrationGroup,
     ConcentrationSeries,
     FilmStack,
+    FitError,
     FoldOverError,
     RedlichPetersonFit,
     SaturationError,
@@ -21,9 +22,17 @@ from fringelab import (
     reduced_chi_squared,
     simulate_reflectance,
 )
+from fringelab import isotherm
 
 LAMP_ROW = RedlichPetersonFit(intercept=0.08, a=0.82, b=0.47, beta=0.88)
 CONCENTRATIONS_UM = np.logspace(np.log10(3e-6), np.log10(300.0), 7)
+# (3.3 sigma_blank, I, a, b, beta) with concentrations in micromolar, then the
+# reported LOD (uM) and its tolerance
+ASSAY_ROWS = {
+    "transform peak": (1.62e-1, 8.78, 50.16, 0.24, 0.92, 3.24e-3, 0.02),
+    "integrated difference": (1.00e-2, 0.32, 4.02, 0.37, 0.95, 2.50e-3, 0.05),
+    "filtered phase": (1.85e-4, 0.08, 0.82, 0.47, 0.88, 2.2e-4, 0.05),
+}
 
 
 def synthetic_series(true_fit, seed=0, replicates=16, noise=True):
@@ -145,6 +154,76 @@ def test_all_degenerate_variances_fall_back_to_unweighted():
         fit_redlich_peterson(series)
 
 
+def test_fit_error_names_every_failed_start(monkeypatch):
+    monkeypatch.setattr(isotherm, "_residuals", lambda params, c, y, sigma: np.full_like(y, np.nan))
+    with pytest.raises(FitError, match="no fit start converged") as raised:
+        fit_redlich_peterson(synthetic_series(LAMP_ROW, seed=0))
+    message = str(raised.value)
+    assert [f"start beta={beta:.2f}: non-finite cost" in message
+            for beta in isotherm.BETA_STARTS] == [True] * 5
+
+
+def test_a_fault_in_the_model_propagates_instead_of_failing_a_start(monkeypatch):
+    def broken(params, c, y, sigma):
+        raise ZeroDivisionError("model fault")
+
+    monkeypatch.setattr(isotherm, "_residuals", broken)
+    with pytest.raises(ZeroDivisionError, match="model fault"):
+        fit_redlich_peterson(synthetic_series(LAMP_ROW, seed=0))
+
+
+def scipy_trf_fit(series):
+    """The bounded fit by scipy's trust-region-reflective solver, from the same starts."""
+    from scipy.optimize import least_squares  # the reference; fringelab itself never imports it
+    counts = [len(g.responses) for g in series.groups]
+    c = np.repeat(series.display_concentrations(), counts)
+    y = np.concatenate([g.responses for g in series.groups])
+    sigma = np.repeat([np.sqrt(g.sample_variance()) for g in series.groups], counts)
+
+    def residuals(p):
+        fit = RedlichPetersonFit(intercept=p[0], a=p[1], b=p[2], beta=min(max(p[3], 0.0), 1.0))
+        return (y - model_eval(fit, c)) / sigma
+
+    bounds = ([-np.inf, 0.0, 0.0, 0.0], [np.inf, np.inf, np.inf, 1.0])
+    return min((least_squares(residuals, x0, bounds=bounds, method="trf", x_scale="jac",
+                              max_nfev=5000)
+                for x0 in isotherm._starting_points(series)), key=lambda result: result.cost)
+
+
+@pytest.mark.parametrize("true_beta", [0.5, 0.88, 1.0])
+def test_fit_matches_scipy_trf_reference(true_beta):
+    # true beta = 1 puts the optimum on or near the bound, where clipping alone stalls
+    true = RedlichPetersonFit(intercept=0.08, a=0.82, b=0.47, beta=true_beta)
+    for seed in range(10):
+        series = synthetic_series(true, seed=seed)
+        fit = fit_redlich_peterson(series)
+        reference = scipy_trf_fit(series)
+        cost = 0.5 * fit.reduced_chi2 * (series.n_points() - 4)
+        assert cost <= reference.cost * (1.0 + 1e-9), seed
+        np.testing.assert_allclose([fit.intercept, fit.a, fit.b, fit.beta], reference.x,
+                                   rtol=1e-6, err_msg=f"seed {seed}")
+
+
+def test_lod_matches_scipy_brentq_reference():
+    from scipy.optimize import brentq  # the reference; fringelab itself never imports it
+    rng = np.random.default_rng(5)
+    cases = [(RedlichPetersonFit(intercept=i0, a=a, b=b, beta=beta), floor)
+             for floor, i0, a, b, beta, _, _ in ASSAY_ROWS.values()]
+    for _ in range(50):
+        fit = RedlichPetersonFit(intercept=rng.normal(), a=10 ** rng.uniform(-1, 2),
+                                 b=10 ** rng.uniform(-2, 1), beta=rng.uniform(0.3, 1.0))
+        # a threshold below the Langmuir cap a / b, which binds at beta = 1
+        cases.append((fit, rng.uniform(0.01, 0.9) * fit.a / fit.b))
+    for fit, floor in cases:
+        low = floor / fit.a
+        high = low
+        while model_eval(fit, high) - fit.intercept < floor:
+            high *= 2.0
+        expected = brentq(lambda c: model_eval(fit, c) - fit.intercept - floor, low, high,
+                          rtol=1e-9)
+        assert lod_concentration(fit, floor) == pytest.approx(expected, rel=1e-8)
+
+
 def test_fit_scales_linearly_with_response_units():
     series = synthetic_series(LAMP_ROW, seed=1)
     scaled = ConcentrationSeries(
@@ -224,15 +303,14 @@ def test_lod_closed_form_for_linear_model():
 
 
 def test_lod_reproduces_reported_assay_limits():
-    # (3.3 sigma_blank, I, a, b, beta) with concentrations in micromolar
-    rows = {
-        "transform peak": (1.62e-1, 8.78, 50.16, 0.24, 0.92, 3.24e-3, 0.02),
-        "integrated difference": (1.00e-2, 0.32, 4.02, 0.37, 0.95, 2.50e-3, 0.05),
-        "filtered phase": (1.85e-4, 0.08, 0.82, 0.47, 0.88, 2.2e-4, 0.05),
-    }
-    for noise_floor, intercept, a, b, beta, expected, tol in rows.values():
+    for noise_floor, intercept, a, b, beta, expected, tol in ASSAY_ROWS.values():
         fit = RedlichPetersonFit(intercept=intercept, a=a, b=b, beta=beta)
         assert lod_concentration(fit, noise_floor) == pytest.approx(expected, rel=tol)
+
+
+def test_lod_bisection_ends_on_a_subnormal_bracket():
+    fit = RedlichPetersonFit(intercept=0.0, a=1.0, b=1.0, beta=0.5)
+    assert lod_concentration(fit, 1e-315) == pytest.approx(1e-315, rel=1e-8)
 
 
 def test_lod_increases_with_threshold():
