@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -152,6 +153,12 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     return 10.0 * math.log10(signal_power / noise_power)
 
 
+def check_snr_db(name: str, value) -> None:
+    """ValueError unless an S/N in dB is None or a number; a bool is neither."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise ValueError(f"{name} must be a number or None, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """White Gaussian noise plus linear offset / amplitude ramps.
@@ -169,6 +176,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        check_snr_db("target_snr_db", self.target_snr_db)
         if (self.target_snr_db is None) == (self.gaussian_sigma is None):
             raise ValueError("specify exactly one of target_snr_db or gaussian_sigma")
         if self.gaussian_sigma is not None and self.gaussian_sigma < 0.0:

@@ -49,16 +49,10 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 class LampConfig:
     range_nm: tuple[float, float] = DEFAULT_RANGE_NM
     n_points: int = DEFAULT_GRID_POINTS
-    # Fraction of grid points dropped from each end before averaging.
-    edge_trim_fraction: float = 0.0
-    # Design the filter once from the reference instead of per spectrum.
-    reuse_reference_wavelet: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "range_nm", tuple(self.range_nm))  # hashable cache key
         WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
-        if not 0.0 <= self.edge_trim_fraction <= 0.4:
-            raise ValueError("edge_trim_fraction must lie in [0, 0.4]")
 
 
 @dataclass(frozen=True)
@@ -105,21 +99,18 @@ def _carrier(center_frequency_nm: float, delta_sigma: float, reach: int) -> np.n
     return carrier
 
 
-def design_wavelet(
-    peak: PeakInfo, delta_sigma: float, width_scale: float = 1.0
-) -> MorletWavelet:
+def design_wavelet(peak: PeakInfo, delta_sigma: float) -> MorletWavelet:
     """Morlet wavelet matched to a measured fringe peak.
 
-    The envelope is sized so the wavelet's frequency-domain FWHM equals
-    width_scale times the peak's measured FWHM; samples are spaced like
-    the grid the filter will run on and normalized to unit energy.
+    The envelope is sized so the wavelet's frequency-domain FWHM equals the
+    peak's measured FWHM; samples are spaced like the grid the filter will
+    run on and normalized to unit energy.
     """
     if delta_sigma <= 0.0:
         raise ValueError("delta_sigma must be positive")
-    if peak.fwhm_nm <= 0.0 or width_scale <= 0.0:
-        raise ValueError("peak FWHM and width_scale must be positive")
-    fwhm_f = width_scale * peak.fwhm_nm
-    sigma = _FWHM_TO_SIGMA / (2.0 * math.pi * fwhm_f)
+    if peak.fwhm_nm <= 0.0:
+        raise ValueError("peak FWHM must be positive")
+    sigma = _FWHM_TO_SIGMA / (2.0 * math.pi * peak.fwhm_nm)
     half_count = int(math.floor(ENVELOPE_HALF_WIDTH_SIGMAS * sigma / delta_sigma))
     if half_count < 1:
         raise ValueError("grid too coarse to sample the wavelet envelope")
@@ -146,7 +137,7 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
     Each kernel is the wavelet's taps within h = min((m - 1) / 2, n - 1) of its centre, the
     only ones that meet data, wrapped around index 0. The stack is one zero-padded complex
     block of the power of two >= 2n - 1 points, so nothing aliases into the n kept samples and
-    a row's bits do not depend on its stack; a shared wavelet is transformed once.
+    a row's bits do not depend on its stack.
     """
     spacing = resampled.grid.delta_sigma
     values = np.atleast_2d(resampled.values)
@@ -159,9 +150,8 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
     size = 1 << (2 * n - 2).bit_length()
     block = np.zeros((len(values), size), dtype=complex)
     block[:, :n] = values
-    group = wavelets[:1] if all(w is wavelets[0] for w in wavelets) else wavelets
-    kernels = np.zeros((len(group), size), dtype=complex)
-    for kernel, w in zip(kernels, group):
+    kernels = np.zeros((len(wavelets), size), dtype=complex)
+    for kernel, w in zip(kernels, wavelets):
         c = (w.samples.size - 1) // 2
         h = min(c, n - 1)
         kernel[: h + 1], kernel[size - h :] = w.samples[c : c + h + 1], w.samples[c - h : c]
@@ -243,47 +233,41 @@ def _baseline_design(grid: WavenumberGrid):
     return design
 
 
-def _phase_rows(wavelengths_nm, rows, cfg: LampConfig, wavelet: MorletWavelet | None = None):
-    """Anchored phase profile of each row, the grid, and each row's wavelet."""
+def _phase_rows(wavelengths_nm, rows, cfg: LampConfig) -> np.ndarray:
+    """Anchored phase profile of each row, each filtered by the wavelet matched to its peak."""
     resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, method="linear")
     grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
     values = _remove_baseline(grid, resampled.values)
     peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma))
-    wavelets = [wavelet if wavelet is not None else design_wavelet(peak, delta_sigma)
-                for peak in peaks]
+    wavelets = [design_wavelet(peak, delta_sigma) for peak in peaks]
     filtered = filter_spectrum(ResampledSpectrum(grid, values), wavelets)
     _checked_amplitude(filtered.complex_values)
-    anchored = anchor_cycle(unwrap_phase(filtered.phase),
-                            [peak.center_frequency_nm for peak in peaks], grid.sigma_min)
-    return anchored, grid, wavelets
+    return anchor_cycle(unwrap_phase(filtered.phase),
+                        [peak.center_frequency_nm for peak in peaks], grid.sigma_min)
 
 
 @lru_cache(maxsize=8)
-def _reference_profile(cfg: LampConfig, wavelengths: bytes, reflectance: bytes):
-    """Read-only anchored phase, grid and wavelet of the reference spectrum
-    whose float64 wavelengths and reflectance have these bytes."""
-    rows = np.frombuffer(reflectance)[None]
-    (phase,), grid, (wavelet,) = _phase_rows(np.frombuffer(wavelengths), rows, cfg)
-    phase.flags.writeable = wavelet.samples.flags.writeable = False
-    return phase, grid, wavelet
+def _reference_profile(cfg: LampConfig, wavelengths: bytes, reflectance: bytes) -> np.ndarray:
+    """Read-only anchored phase of the reference spectrum whose float64 wavelengths and
+    reflectance have these bytes."""
+    (phase,) = _phase_rows(np.frombuffer(wavelengths), np.frombuffer(reflectance)[None], cfg)
+    phase.flags.writeable = False
+    return phase
 
 
 def lamp_rows(reference: Spectrum, wavelengths_nm, rows, cfg: LampConfig = LampConfig()) -> list:
     """lamp_signal of each analyte row of a stack sampled at wavelengths_nm, in radians."""
-    ref_phase, _, ref_wavelet = _reference_profile(
+    ref_phase = _reference_profile(
         cfg, reference.wavelengths_nm.tobytes(), reference.reflectance.tobytes())
-    shared = ref_wavelet if cfg.reuse_reference_wavelet else None
-    phases, _, _ = _phase_rows(wavelengths_nm, rows, cfg, wavelet=shared)
-    trim = int(math.floor(cfg.edge_trim_fraction * ref_phase.size))
-    return (phases - ref_phase)[:, trim : ref_phase.size - trim].mean(axis=1).tolist()
+    return (_phase_rows(wavelengths_nm, rows, cfg) - ref_phase).mean(axis=1).tolist()
 
 
 def lamp_signal(reference: Spectrum, analyte: Spectrum, cfg: LampConfig = LampConfig()) -> float:
     """Mean anchored-phase difference (analyte minus reference), in radians.
 
     Positive when the analyte's optical thickness exceeds the reference's.
-    Each spectrum gets its own matched wavelet unless the config says to
-    reuse the reference's design.
+    Each spectrum gets its own wavelet, matched to its own fringe peak, and
+    every grid point counts in the average.
     """
     return lamp_rows(reference, analyte.wavelengths_nm, analyte.reflectance[None], cfg)[0]
 

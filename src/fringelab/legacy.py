@@ -32,7 +32,6 @@ from .wavegrid import (
 class RiftsConfig:
     range_nm: tuple[float, float] = DEFAULT_RANGE_NM
     n_points: int = DEFAULT_GRID_POINTS
-    refine_peak: bool = False
 
     def __post_init__(self):
         WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
@@ -52,8 +51,7 @@ def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
     values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
     values = values * _taper(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
-    peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma),
-                             refine=cfg.refine_peak)
+    peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma))
     return [peak.center_frequency_nm for peak in peaks]
 
 

@@ -37,6 +37,7 @@ from .filmsim import (
     NoiseModel,
     Spectrum,
     calibrate_ramp_magnitude,
+    check_snr_db,
     noise_rows,
     simulate_reflectance,
     white_sigma_for_target,
@@ -109,7 +110,6 @@ class LodStudyConfig:
     method: str = "lamp"
     offset_snr_db: float | None = OFFSET_GRADIENT_SNR_DB
     amplitude_snr_db: float | None = AMPLITUDE_GRADIENT_SNR_DB
-    strict_linearity: bool = False
     rifts: RiftsConfig = field(default_factory=RiftsConfig)
     iaw: IawConfig = field(default_factory=IawConfig)
     lamp: LampConfig = field(default_factory=LampConfig)
@@ -117,12 +117,14 @@ class LodStudyConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.n_trials < 2:
-            raise ValueError("n_trials must be at least 2")
+        if not isinstance(self.n_trials, (int, np.integer)) or self.n_trials < 2:
+            raise ValueError("n_trials must be an integer >= 2")
         if not self.calibration_delta_n > 0:
             raise ValueError("calibration_delta_n must be positive")
-        if self.native_points < 16:
-            raise ValueError("native grid needs at least 16 samples")
+        if not isinstance(self.native_points, (int, np.integer)) or self.native_points < 16:
+            raise ValueError("native_points must be an integer >= 16")
+        for name in ("offset_snr_db", "amplitude_snr_db"):
+            check_snr_db(name, getattr(self, name))
         lo, hi = self.native_range_nm
         if not 0 < lo < hi:
             raise ValueError("native range must satisfy 0 < low < high")
@@ -171,11 +173,10 @@ def _stack_signals(cfgs: dict, reference: Spectrum, stacks: list) -> list:
 
 
 class _StudyEngine:
-    """Per-study state: clean spectra, noise, ramps, a pool or None, and each method's results."""
+    """Per-study state: clean spectra, noise, ramps, and each method's results."""
 
     def __init__(self, cfg: LodStudyConfig, methods: tuple = ()):
         self.cfg = cfg
-        self.pool = None  # _computed_engine's forked pool during its one pass
         self.cfgs = {m: replace(cfg, method=m) for m in methods or (cfg.method,)}
         self.reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
         if cfg.noise.gaussian_sigma is not None:
@@ -214,7 +215,7 @@ class _StudyEngine:
             seed=self.cfg.noise.seed,
         )
 
-    def compute(self, keys) -> None:
+    def compute(self, keys, pool=None) -> None:
         """Every method's distribution at each (delta_n, gradient) key not yet cached, in one
         pass; with a pool its stacks are split once, and the worker takes the odd one out."""
         n_trials, todo, stacks = self.cfg.n_trials, [], []
@@ -230,10 +231,10 @@ class _StudyEngine:
             todo.append((delta_n, gradient, len(stacks)))
             stacks += [(self.clean_analyte(delta_n), model, stack) for stack in trials]
         args, split = (self.cfgs, self.reference), len(stacks) // 2
-        if self.pool is None or not stacks:
+        if pool is None or not stacks:
             results = _stack_signals(*args, stacks)
         else:
-            upper = self.pool.apply_async(_stack_signals, (*args, stacks[split:]))
+            upper = pool.apply_async(_stack_signals, (*args, stacks[split:]))
             results = _stack_signals(*args, stacks[:split]) + upper.get()
         for delta_n, gradient, first in todo:
             chunk = results[first:first + len(trials)]
@@ -276,8 +277,6 @@ class _StudyEngine:
         if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
             message = (f"{cfg.method} response is not linear near the calibration point: "
                        f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%")
-            if cfg.strict_linearity:
-                raise CalibrationError(message)
             # calibration <- _lod_from_engine <- run_table1 or lod_riu <- the user's call
             warnings.warn(message, stacklevel=4)
         self._calibration[cfg.method] = blank, slope, ratio
@@ -410,9 +409,8 @@ def _computed_engine(cfg: LodStudyConfig, keys, methods: tuple = ()) -> _StudyEn
     if context is None:
         engine.compute(keys)
         return engine
-    with context.Pool(1) as engine.pool:
-        engine.compute(keys)
-    engine.pool = None  # the pool is closed: any later pass is serial
+    with context.Pool(1) as pool:
+        engine.compute(keys, pool)
     return engine
 
 

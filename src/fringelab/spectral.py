@@ -116,7 +116,7 @@ def _fraction(start, end, level) -> float:
     return (level - start) / (end - start) if end != start else math.nan
 
 
-def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, last=None):
+def _measure_peak(coarse, f0, df, low_cutoff_nm, step=1, exact=None, last=None):
     """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
 
     exact(b) returns |X[b]| (the coarse bin when step == 1). A main lobe spans >= 8 coarse
@@ -175,10 +175,6 @@ def _measure_peak(coarse, f0, df, low_cutoff_nm, refine, step=1, exact=None, las
 
     right, left = crossing(1), crossing(-1)
     center = float(f0 + peak * df)
-    if refine:
-        denom = m_l - 2.0 * m + m_r
-        if denom != 0.0:
-            center += 0.5 * (m_l - m_r) / denom * df
     return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left, peak_power=float(m**2))
 
 
@@ -189,21 +185,20 @@ def _cutoff_edge(f0: float, df: float, low_cutoff_nm: float, last: int) -> int:
     return _first_true(lambda b: f0 + df * b > low_cutoff_nm, 0, last + 1, 0)
 
 
-def dominant_peak(spectrum: FrequencySpectrum, low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM,
-                  refine: bool = False) -> PeakInfo:
+def dominant_peak(spectrum: FrequencySpectrum,
+                  low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM) -> PeakInfo:
     """Largest-magnitude local maximum above the low-frequency cutoff.
 
-    The full width at half maximum is measured on magnitude (not power) by
-    linear interpolation around the peak. With refine=True the center gets
-    a parabolic sub-bin adjustment; by default it is the bin frequency.
+    The center is the bin frequency. The full width at half maximum is
+    measured on magnitude (not power) by linear interpolation around the peak.
     """
     f0, df = float(spectrum.frequencies_nm[0]), spectrum.bin_spacing_nm
-    return _measure_peak(np.abs(spectrum.amplitudes), f0, df, low_cutoff_nm, refine)
+    return _measure_peak(np.abs(spectrum.amplitudes), f0, df, low_cutoff_nm)
 
 
-def _full_padded_peak(values, delta_sigma, pad_length, low_cutoff_nm, refine) -> PeakInfo:
+def _full_padded_peak(values, delta_sigma, pad_length, low_cutoff_nm) -> PeakInfo:
     mags = np.abs(np.fft.rfft(np.asarray(values, dtype=float), n=pad_length))
-    return _measure_peak(mags, 0.0, 1.0 / (pad_length * delta_sigma), low_cutoff_nm, refine)
+    return _measure_peak(mags, 0.0, 1.0 / (pad_length * delta_sigma), low_cutoff_nm)
 
 
 @lru_cache(maxsize=8)
@@ -248,7 +243,7 @@ class _ExactBins(dict):
 
 
 def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
-                     low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM, refine: bool = False) -> list:
+                     low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM) -> list:
     """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] < MIN_TRANSFORM_POINTS:
@@ -260,13 +255,13 @@ def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
     step, phasors = _plan(v.shape[1], pad_length)
     coarse = np.abs(np.fft.rfft(v, n=pad_length // step, axis=1))
     df = 1.0 / (pad_length * delta_sigma)
-    return [_measure_peak(c, 0.0, df, low_cutoff_nm, refine, step,
+    return [_measure_peak(c, 0.0, df, low_cutoff_nm, step,
                           _ExactBins(row, pad_length, phasors).__getitem__, pad_length // 2)
             for row, c in zip(v, coarse)]
 
 
 def padded_peak(values, delta_sigma: float, pad_length: int,
-                low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM, refine: bool = False) -> PeakInfo:
+                low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM) -> PeakInfo:
     """Dominant peak of the zero-padded transform, without materializing it.
 
     Equivalent to dominant_peak of the dft of values followed by zeros up to
@@ -275,4 +270,4 @@ def padded_peak(values, delta_sigma: float, pad_length: int,
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"need a 1-d array of at least {MIN_TRANSFORM_POINTS} samples")
-    return padded_peak_rows(v[None], delta_sigma, pad_length, low_cutoff_nm, refine)[0]
+    return padded_peak_rows(v[None], delta_sigma, pad_length, low_cutoff_nm)[0]

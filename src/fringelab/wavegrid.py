@@ -50,8 +50,8 @@ class WavenumberGrid:
     def __post_init__(self):
         if not 0.0 < self.sigma_min < self.sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
-        if self.n_points < MIN_GRID_POINTS:
-            raise ValueError(f"grid needs at least {MIN_GRID_POINTS} points")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < MIN_GRID_POINTS:
+            raise ValueError(f"n_points must be an integer >= {MIN_GRID_POINTS}")
 
     @property
     def delta_sigma(self) -> float:

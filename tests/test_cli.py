@@ -483,6 +483,12 @@ class TestSnrAndErrors:
         pytest.param(["lod-table", "--trials", "4", "--seed", "1"],
                      '{"study": {"calibration_delta_n": 1%s}}' % ("0" * 400),
                      id="study-integer-too-large-for-a-float"),
+        # a value of the wrong type, each of which once ran on to a traceback
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"rifts": {"n_points": 2048.0}}'),
+        (["lod-table", "--seed", "1"], '{"study": {"n_trials": 12.0}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"native_points": 768.0}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"noise": {"target_snr_db": "x"}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"offset_snr_db": "x"}}'),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):

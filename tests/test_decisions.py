@@ -2,7 +2,7 @@
 
 A change that only rounds differently may move a detection limit's last digits, but no
 trial's decisions: rifts' and lamp's padded-peak centre bin (centre / bin width, rounded;
-the default peak is unrefined, so it is the bin itself) and lamp's anchor cycle count.
+the centre is a bin frequency, so it is the bin itself) and lamp's anchor cycle count.
 tests/data/decisions_seed<N>_100.json holds them for run_table1 at seed N (0 and 7), 100
 trials and a 27.7 dB white-noise target, on the serial path, per (key, method, trial); they
 are compared with ==. The cached reference profile's own decisions are left out, so the

@@ -213,3 +213,6 @@ def test_noise_model_validation():
         NoiseModel()
     with pytest.raises(ValueError):
         NoiseModel(gaussian_sigma=-1e-3)
+    for target in ("x", True):
+        with pytest.raises(ValueError, match="target_snr_db must be a number"):
+            NoiseModel(target_snr_db=target)

@@ -250,13 +250,15 @@ class TestRunConfig:
         # iaw has one rule, the mean (a sum scales the blank, drift and slope alike)
         for section, key in (("lamp", '"pad_exponent": 20'), ("rifts", '"low_cutoff_nm": 900'),
                              ("lamp", '"wavelet_width_scale": 2'), ("noise", '"seed": 5'),
-                             ("iaw", '"rule": "sum_abs"')):
+                             ("iaw", '"rule": "sum_abs"'), ("rifts", '"refine_peak": true'),
+                             ("lamp", '"edge_trim_fraction": 0.1'),
+                             ("lamp", '"reuse_reference_wavelet": true')):
             with pytest.raises(ConfigError, match=f"unknown key.*'{section}' section"):
                 load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
     def test_unknown_study_key_rejected(self):
         # run_table1 computes every method, so the study takes none
-        for study in ('{"trials": 10}', '{"method": "iaw"}'):
+        for study in ('{"trials": 10}', '{"method": "iaw"}', '{"strict_linearity": true}'):
             with pytest.raises(ConfigError, match="unknown key.*'study' section"):
                 load_run_config(text=f'{{"study": {study}}}')
 

@@ -47,8 +47,8 @@ def film(delta_n=0.0):
     return simulate_reflectance(FilmStack().with_film_index_shift(delta_n), WAVELENGTHS)
 
 
-def matched_wavelet(f_c=5760.0, fwhm=1333.0, width_scale=1.0):
-    return design_wavelet(PeakInfo(f_c, fwhm, 1.0), GRID.delta_sigma, width_scale)
+def matched_wavelet(f_c=5760.0, fwhm=1333.0):
+    return design_wavelet(PeakInfo(f_c, fwhm, 1.0), GRID.delta_sigma)
 
 
 def predicted_phase(delta_n):
@@ -146,7 +146,7 @@ def test_baseline_equals_per_row_polyfit_bit_for_bit():
 
 def test_wavelet_rejects_bad_width():
     with pytest.raises(ValueError):
-        design_wavelet(PeakInfo(5760.0, 0.0, 1.0), GRID.delta_sigma, 1.0)
+        design_wavelet(PeakInfo(5760.0, 0.0, 1.0), GRID.delta_sigma)
 
 
 # ----------------------------------------------------------------- filter
@@ -159,14 +159,14 @@ def test_filter_requires_matching_spacing():
         filter_spectrum(ResampledSpectrum(other, np.zeros(1024)), w)
 
 
-@pytest.mark.parametrize("width_scale, shortest, longest", [
-    (4.0, 1, 2047), (2.0, 2048, 4095), (1.0, 4096, math.inf),
+@pytest.mark.parametrize("fwhm, shortest, longest", [
+    (4 * 1333.0, 1, 2047), (2 * 1333.0, 2048, 4095), (1333.0, 4096, math.inf),
 ], ids=["shorter-than-n", "up-to-2n-1", "longer-than-2n-1"])
-def test_filter_is_the_centred_direct_convolution(width_scale, shortest, longest):
-    # width_scale 1 gives the default design; the filter crops it to the taps within n - 1
+def test_filter_is_the_centred_direct_convolution(fwhm, shortest, longest):
+    # a 1333 nm FWHM gives the default design; the filter crops it to the taps within n - 1
     rng = np.random.default_rng(8)
     values = np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + rng.normal(0.0, 0.1, 2048)
-    w = matched_wavelet(width_scale=width_scale)
+    w = matched_wavelet(fwhm=fwhm)
     assert shortest <= w.samples.size <= longest
     filtered = filter_spectrum(ResampledSpectrum(GRID, values), w)
     # np.convolve's "same" keeps max(n, m) points; the filter keeps the data's
@@ -310,12 +310,6 @@ def test_signal_matches_analytic_phase_shift():
     assert abs(signal / predicted_phase(1e-3) - 1.0) < 0.02
 
 
-def test_signal_stable_under_edge_trim():
-    base = lamp_signal(film(), film(1e-3))
-    trimmed = lamp_signal(film(), film(1e-3), LampConfig(edge_trim_fraction=0.2))
-    assert abs(trimmed / base - 1.0) < 0.01
-
-
 def test_signal_linear_in_index_shift():
     reference = film()
     shifts = np.array([1e-4, 5e-4, 1e-3, 2e-3, 5e-3])
@@ -362,17 +356,7 @@ def test_signal_tolerates_calibrated_amplitude_ramp():
     assert abs(lamp_signal(a, ramped) - base) / base < 0.05
 
 
-def test_shared_wavelet_mode_agrees_with_per_spectrum_design():
-    a, b = film(), film(1e-3)
-    shared = lamp_signal(a, b, LampConfig(reuse_reference_wavelet=True))
-    assert abs(shared / lamp_signal(a, b) - 1.0) < 0.01
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LampConfig(edge_trim_fraction=0.5)
-    with pytest.raises(ValueError):
-        LampConfig(edge_trim_fraction=-0.1)
     with pytest.raises(ValueError):
         LampConfig(range_nm=(800.0, 500.0))
     with pytest.raises(ValueError):
@@ -422,10 +406,9 @@ def test_cache_hit_returns_the_fresh_value():
 def test_cached_reference_profile_is_read_only():
     a, b = film(), film(1e-3)
     lamp_signal(a, b)
-    phase, _, wavelet = _reference_profile(
+    phase = _reference_profile(
         LampConfig(), a.wavelengths_nm.tobytes(), a.reflectance.tobytes())
     assert not phase.flags.writeable
-    assert not wavelet.samples.flags.writeable
 
 
 def test_mutated_reference_array_is_not_served_stale():
@@ -446,11 +429,7 @@ def test_list_range_still_works():
     assert lamp_signal(a, b, listed) == lamp_signal(a, b, LampConfig(range_nm=(520.0, 780.0)))
 
 
-@pytest.mark.parametrize("cfg", [
-    LampConfig(),
-    LampConfig(reuse_reference_wavelet=True),
-    LampConfig(edge_trim_fraction=0.1),
-], ids=["per-row-wavelet", "reused-wavelet", "edge-trim"])
+@pytest.mark.parametrize("cfg", [LampConfig()], ids=["per-row-wavelet"])
 def test_stack_equals_rows_one_at_a_time(cfg):
     reference, rows = film(), noisy_rows()
     single = [lamp_signal(reference, Spectrum(WAVELENGTHS, row), cfg) for row in rows]
@@ -470,7 +449,7 @@ def test_block_filter_equals_the_per_row_transform_bit_for_bit(shared):
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(6, 2048))
     # the default design is cropped to n - 1 taps each side, a 4x wider band is kept whole
-    wide, narrow = matched_wavelet(), matched_wavelet(width_scale=4.0)
+    wide, narrow = matched_wavelet(), matched_wavelet(fwhm=4 * 1333.0)
     wavelets = [wide, narrow, wide, matched_wavelet(5800.0), narrow, wide]
     if shared:
         wavelets = [wide] * 6
@@ -492,8 +471,8 @@ def test_stacked_filter_matches_per_row_filter_across_wavelet_lengths(n):
     grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
     stack = np.random.default_rng(4).normal(size=(4, n))
     # shorter than the data, up to 2n - 1, and longer (the default design): one transform size
-    wavelets = [design_wavelet(PeakInfo(5760.0, 1333.0, 1.0), grid.delta_sigma, width_scale)
-                for width_scale in (1.0, 4.0, 2.0, 1.0)]
+    wavelets = [design_wavelet(PeakInfo(5760.0, scale * 1333.0, 1.0), grid.delta_sigma)
+                for scale in (1.0, 4.0, 2.0, 1.0)]
     sizes = [w.samples.size for w in wavelets]
     assert sizes[1] < n <= sizes[2] < 2 * n - 1 < sizes[0]
     together = filter_spectrum(ResampledSpectrum(grid, stack), wavelets).complex_values

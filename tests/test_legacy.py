@@ -156,8 +156,7 @@ def test_iaw_stack_keeps_the_single_spectrum_errors():
     assert not isinstance(caught.value, FringelabError)
 
 
-@pytest.mark.parametrize("cfg", [RiftsConfig(), RiftsConfig(refine_peak=True)],
-                         ids=["bin", "refined"])
+@pytest.mark.parametrize("cfg", [RiftsConfig()], ids=["bin"])
 def test_stack_equals_rows_one_at_a_time(cfg):
     rng = np.random.default_rng(6)
     rows = np.array([film(dn).reflectance + rng.normal(0.0, 0.005, WAVELENGTHS.size)

@@ -133,43 +133,38 @@ def front_end_values(style, ramp, seed=3):
 
 
 @pytest.mark.parametrize(
-    "style, ramp, pad, refine",
+    "style, ramp, pad",
     [
-        ("cosine", "none", 2**21, False),
-        ("lamp", "none", 2**21, False),
-        ("lamp", "offset", 2**21, False),
-        ("lamp", "amplitude", 2**18, False),
-        ("lamp", "none", 2**17, False),
-        ("rifts", "none", 2**21, False),
-        ("rifts", "offset", 2**18, False),
-        ("rifts", "amplitude", 2**21, False),
-        ("rifts", "amplitude", 2**17, False),
-        ("lamp", "offset", 3 * 2**17, False),  # not a power of two
-        ("rifts", "none", 5 * 3**11, False),  # odd: the coarse grid stops short of the last bin
-        ("lamp", "none", 2**21, True),
-        ("rifts", "offset", 2**21, True),
+        ("cosine", "none", 2**21),
+        ("lamp", "none", 2**21),
+        ("lamp", "offset", 2**21),
+        ("lamp", "amplitude", 2**18),
+        ("lamp", "none", 2**17),
+        ("rifts", "none", 2**21),
+        ("rifts", "offset", 2**18),
+        ("rifts", "amplitude", 2**21),
+        ("rifts", "amplitude", 2**17),
+        ("lamp", "offset", 3 * 2**17),  # not a power of two
+        ("rifts", "none", 5 * 3**11),  # odd: the coarse grid stops short of the last bin
     ],
 )
-def test_padded_peak_matches_full_transform(style, ramp, pad, refine):
+def test_padded_peak_matches_full_transform(style, ramp, pad):
     values, delta_sigma = front_end_values(style, ramp)
-    fast = padded_peak(values, delta_sigma, pad, refine=refine)
-    slow = _full_padded_peak(values, delta_sigma, pad, 1000.0, refine)
-    # The parabolic refinement divides by a second difference of nearly equal
-    # magnitudes, which amplifies rounding; unrefined centers are bins, exactly equal.
-    npt.assert_allclose(fast.center_frequency_nm, slow.center_frequency_nm,
-                        rtol=1e-12 if refine else 0.0)
+    fast = padded_peak(values, delta_sigma, pad)
+    slow = _full_padded_peak(values, delta_sigma, pad, 1000.0)
+    # centers are bins, so exactly equal
+    assert fast.center_frequency_nm == slow.center_frequency_nm
     npt.assert_allclose(fast.fwhm_nm, slow.fwhm_nm, rtol=1e-12)
     npt.assert_allclose(fast.peak_power, slow.peak_power, rtol=1e-12)
 
 
 @pytest.mark.parametrize("pad", [2**17, 2**18, 2**21, 3 * 2**17, 5 * 3**11])
-@pytest.mark.parametrize("refine", [False, True])
-def test_stacked_peaks_equal_single_rows_bit_for_bit(pad, refine):
+def test_stacked_peaks_equal_single_rows_bit_for_bit(pad):
     cases = [("cosine", "none")] + [(style, ramp) for style in ("lamp", "rifts") for ramp in RAMPS]
     rows, deltas = zip(*(front_end_values(style, ramp) for style, ramp in cases))
     assert len(set(deltas)) == 1  # one grid, so one stack
-    stacked = padded_peak_rows(np.array(rows), deltas[0], pad, 1000.0, refine)
-    assert stacked == [padded_peak(row, deltas[0], pad, refine=refine) for row in rows]
+    stacked = padded_peak_rows(np.array(rows), deltas[0], pad, 1000.0)
+    assert stacked == [padded_peak(row, deltas[0], pad) for row in rows]
 
 
 @pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
@@ -215,7 +210,7 @@ def cosine_where(guess, pad, condition):
 
 def assert_matches_full_transform(values, delta_sigma, pad, low_cutoff_nm=1000.0):
     fast = padded_peak(values, delta_sigma, pad, low_cutoff_nm)
-    slow = _full_padded_peak(values, delta_sigma, pad, low_cutoff_nm, False)
+    slow = _full_padded_peak(values, delta_sigma, pad, low_cutoff_nm)
     assert fast.center_frequency_nm == slow.center_frequency_nm
     npt.assert_allclose([fast.fwhm_nm, fast.peak_power], [slow.fwhm_nm, slow.peak_power],
                         rtol=1e-12)
@@ -243,7 +238,7 @@ def test_peak_below_the_cutoff_is_no_fringe_peak():
     pad = 2**18
     values, delta_sigma = cosine(540, pad)
     cutoff = 550.5 / (pad * delta_sigma)
-    for measure in (padded_peak, lambda *a: _full_padded_peak(*a, False)):
+    for measure in (padded_peak, _full_padded_peak):
         with pytest.raises(NoFringePeakError):
             measure(values, delta_sigma, pad, cutoff)
 
@@ -361,15 +356,6 @@ def test_half_maximum_must_be_reachable():
     delta_sigma = 100 / (512 * 1500.0)  # puts the bump at 1500 nm
     with pytest.raises(PeakMeasurementError):
         dominant_peak(dft(values, delta_sigma))
-
-
-def test_parabolic_refinement_improves_off_bin_center():
-    values, delta_sigma = fringe_values(frequency_nm=5761.3)
-    pad = 2**15  # coarse bins so the true frequency sits between them
-    coarse = padded_peak(values, delta_sigma, pad)
-    refined = padded_peak(values, delta_sigma, pad, refine=True)
-    true_f = 5761.3
-    assert abs(refined.center_frequency_nm - true_f) < abs(coarse.center_frequency_nm - true_f)
 
 
 def test_input_validation():

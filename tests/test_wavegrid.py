@@ -46,6 +46,10 @@ def test_grid_validation():
         WavenumberGrid(sigma_min=0.00125, sigma_max=0.002, n_points=8)
     with pytest.raises(ValueError):
         WavenumberGrid.from_wavelength_range((-500.0, 800.0), 64)
+    for n_points in (2048.0, True, "2048"):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            WavenumberGrid.from_wavelength_range((500.0, 800.0), n_points)
+    assert WavenumberGrid.from_wavelength_range((500.0, 800.0), np.int64(64)).n_points == 64
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic_spline"])
