@@ -32,6 +32,8 @@ class FilmStack:
     substrate_index: complex = 3.67 + 0.0j
 
     def __post_init__(self):
+        for name in ("ambient_index", "film_index", "film_thickness_nm"):
+            check_real(name, getattr(self, name))
         if self.ambient_index < 1.0 or self.film_index < 1.0:
             raise ValueError("refractive indices must be >= 1")
         ns = complex(self.substrate_index)
@@ -153,10 +155,12 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     return 10.0 * math.log10(signal_power / noise_power)
 
 
-def check_snr_db(name: str, value) -> None:
-    """ValueError unless an S/N in dB is None or a number; a bool is neither."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise ValueError(f"{name} must be a number or None, got {value!r}")
+def check_real(name: str, value, optional: bool = False) -> None:
+    """ValueError naming the field unless value is a number (not a bool), or None if optional."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number{' or None' if optional else ''}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        check_snr_db("target_snr_db", self.target_snr_db)
+        for name in ("target_snr_db", "gaussian_sigma"):
+            check_real(name, getattr(self, name), optional=True)
+        for name in ("offset_ramp_magnitude", "amplitude_ramp_gain"):
+            check_real(name, getattr(self, name))
         if (self.target_snr_db is None) == (self.gaussian_sigma is None):
             raise ValueError("specify exactly one of target_snr_db or gaussian_sigma")
         if self.gaussian_sigma is not None and self.gaussian_sigma < 0.0:

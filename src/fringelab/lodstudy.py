@@ -7,20 +7,21 @@ blank-versus-shifted construction: LOD = 3.3 (sigma_blank + delta_g) / slope,
 where delta_g charges any systematic drift penalty and the slope converts
 signal units to refractive index units from a small calibration shift.
 
-One pass computes (delta_n, gradient) keys for every method a study serves: trials run
-as stacks of CHUNK_ROWS (8) from trial 0, each drawn once and evaluated by lamp_rows,
-rifts_rows and iaw_rows against lamp's cached reference profile, so run_table1 is one
-pass over five keys and three methods. A stack that raises a FringelabError for a method
-is rerun row by row for that method (a row's result is the same alone or stacked): only
-its failing trials are dropped and counted. Any other exception propagates.
+Each public call is one pass: _distributions returns every (delta_n, gradient) key the call
+reads, for every method it serves, as a dict, and the call's detection limits are computed
+from that dict; run_table1 is one pass over five keys and three methods. Trials run as
+stacks of CHUNK_ROWS (8) from trial 0, each drawn once and evaluated by lamp_rows, rifts_rows
+and iaw_rows against lamp's cached reference profile. A stack that raises a FringelabError
+for a method is rerun row by row for that method (a row's result is the same alone or
+stacked): only its failing trials are dropped and counted. Any other exception propagates.
 
-Where two CPUs and fork are available, a pass's stacks are split once: a forked
-one-process pool computes the upper half while the caller computes the lower half,
-and the two are joined once, in stack order, so every row's result is what the serial
-loop gives. Only arguments and signals cross; warnings and failures are raised by the
-caller. The study stays serial on fewer than 2 usable CPUs, without the fork start
-method, inside a daemonic process, or at n_trials <= CHUNK_ROWS. Results, failures,
-warnings and to_dict() are the same on both paths.
+Where two CPUs and fork are available and a pass has stacks, they are split once: a forked
+one-process pool computes the upper half while the caller computes the lower half, and the
+two are joined once, in stack order, so every row's result is what the serial loop gives.
+Only arguments and signals cross; warnings and failures are raised by the caller. The study
+stays serial on fewer than 2 usable CPUs, without the fork start method, inside a daemonic
+process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and to_dict() are the
+same on both paths.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .filmsim import (
     NoiseModel,
     Spectrum,
     calibrate_ramp_magnitude,
-    check_snr_db,
+    check_real,
     noise_rows,
     simulate_reflectance,
     white_sigma_for_target,
@@ -119,12 +120,13 @@ class LodStudyConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not isinstance(self.n_trials, (int, np.integer)) or self.n_trials < 2:
             raise ValueError("n_trials must be an integer >= 2")
+        check_real("calibration_delta_n", self.calibration_delta_n)
         if not self.calibration_delta_n > 0:
             raise ValueError("calibration_delta_n must be positive")
         if not isinstance(self.native_points, (int, np.integer)) or self.native_points < 16:
             raise ValueError("native_points must be an integer >= 16")
         for name in ("offset_snr_db", "amplitude_snr_db"):
-            check_snr_db(name, getattr(self, name))
+            check_real(name, getattr(self, name), optional=True)
         lo, hi = self.native_range_nm
         if not 0 < lo < hi:
             raise ValueError("native range must satisfy 0 < low < high")
@@ -172,115 +174,100 @@ def _stack_signals(cfgs: dict, reference: Spectrum, stacks: list) -> list:
     return results
 
 
-class _StudyEngine:
-    """Per-study state: clean spectra, noise, ramps, and each method's results."""
+def _white_sigma(cfg: LodStudyConfig, reference: Spectrum) -> float:
+    """The configured white sigma, or the one that puts the reference at the S/N target."""
+    if cfg.noise.gaussian_sigma is not None:
+        return cfg.noise.gaussian_sigma
+    return white_sigma_for_target(reference, cfg.noise.target_snr_db)
 
-    def __init__(self, cfg: LodStudyConfig, methods: tuple = ()):
-        self.cfg = cfg
-        self.cfgs = {m: replace(cfg, method=m) for m in methods or (cfg.method,)}
-        self.reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
-        if cfg.noise.gaussian_sigma is not None:
-            self.white_sigma = cfg.noise.gaussian_sigma
-        else:
-            self.white_sigma = white_sigma_for_target(self.reference, cfg.noise.target_snr_db)
-        self._clean_cache: dict[float, Spectrum] = {}
-        self._ramp_cache: dict[str, float] = {}
-        self._dist_cache: dict[tuple, dict] = {}  # (delta_n, gradient) -> {method: stats or error}
-        self._calibration: dict[str, tuple] = {}
 
-    def clean_analyte(self, delta_n: float) -> Spectrum:
-        if delta_n not in self._clean_cache:
-            stack = self.cfg.stack.with_film_index_shift(delta_n)
-            self._clean_cache[delta_n] = simulate_reflectance(stack, self.cfg.wavelengths())
-        return self._clean_cache[delta_n]
+def _noise_model(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
+                 gradient: str) -> NoiseModel:
+    """The white level plus gradient's drift ramp, calibrated to its S/N floor."""
+    target = {"offset": cfg.offset_snr_db, "amplitude": cfg.amplitude_snr_db}.get(gradient)
+    magnitude = 0.0 if target is None else calibrate_ramp_magnitude(
+        reference, gradient, target, white_sigma=white_sigma)
+    return NoiseModel(gaussian_sigma=white_sigma, seed=cfg.noise.seed,
+                      offset_ramp_magnitude=magnitude if gradient == "offset" else 0.0,
+                      amplitude_ramp_gain=magnitude if gradient == "amplitude" else 0.0)
 
-    def ramp_magnitude(self, gradient: str) -> float:
-        if gradient == "none":
-            return 0.0
-        target = (self.cfg.offset_snr_db if gradient == "offset"
-                  else self.cfg.amplitude_snr_db)
-        if target is None:
-            return 0.0
-        if gradient not in self._ramp_cache:
-            self._ramp_cache[gradient] = calibrate_ramp_magnitude(
-                self.reference, gradient, target, white_sigma=self.white_sigma)
-        return self._ramp_cache[gradient]
 
-    def _noise_model(self, gradient: str) -> NoiseModel:
-        magnitude = self.ramp_magnitude(gradient)
-        return NoiseModel(
-            gaussian_sigma=self.white_sigma,
-            offset_ramp_magnitude=magnitude if gradient == "offset" else 0.0,
-            amplitude_ramp_gain=magnitude if gradient == "amplitude" else 0.0,
-            seed=self.cfg.noise.seed,
-        )
+def _stats(n_trials: int, method: str, delta_n: float, gradient: str, chunk: list):
+    """method's DistributionStats over one key's stack results, or its StudyError."""
+    signals = sum((result[method][0] for result in chunk), [])
+    errors = sum((result[method][1] for result in chunk), [])
+    if len(errors) > MAX_FAILURE_FRACTION * n_trials:
+        return StudyError(f"{len(errors)} of {n_trials} trials failed ({method}, "
+                          f"delta_n={delta_n:g}, gradient={gradient}); "
+                          f"first failure: {errors[0]}")
+    values = np.asarray(signals)
+    return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
 
-    def compute(self, keys, pool=None) -> None:
-        """Every method's distribution at each (delta_n, gradient) key not yet cached, in one
-        pass; with a pool its stacks are split once, and the worker takes the odd one out."""
-        n_trials, todo, stacks = self.cfg.n_trials, [], []
-        trials = [range(s, min(s + CHUNK_ROWS, n_trials)) for s in range(0, n_trials, CHUNK_ROWS)]
-        for delta_n, gradient in keys:
-            if (delta_n, gradient) in self._dist_cache:
-                continue
-            try:
-                model = self._noise_model(gradient)
-            except CalibrationError as exc:  # the ramp's failure is every method's
-                self._dist_cache[delta_n, gradient] = dict.fromkeys(self.cfgs, exc)
-                continue
-            todo.append((delta_n, gradient, len(stacks)))
-            stacks += [(self.clean_analyte(delta_n), model, stack) for stack in trials]
-        args, split = (self.cfgs, self.reference), len(stacks) // 2
-        if pool is None or not stacks:
-            results = _stack_signals(*args, stacks)
-        else:
-            upper = pool.apply_async(_stack_signals, (*args, stacks[split:]))
-            results = _stack_signals(*args, stacks[:split]) + upper.get()
-        for delta_n, gradient, first in todo:
-            chunk = results[first:first + len(trials)]
-            self._dist_cache[delta_n, gradient] = {
-                method: self._stats(method, delta_n, gradient, chunk) for method in self.cfgs}
 
-    def _stats(self, method: str, delta_n: float, gradient: str, chunk: list):
-        """method's DistributionStats over one key's stack results, or its StudyError."""
-        signals = sum((result[method][0] for result in chunk), [])
-        errors = sum((result[method][1] for result in chunk), [])
-        if len(errors) > MAX_FAILURE_FRACTION * self.cfg.n_trials:
-            return StudyError(f"{len(errors)} of {self.cfg.n_trials} trials failed ({method}, "
-                              f"delta_n={delta_n:g}, gradient={gradient}); "
-                              f"first failure: {errors[0]}")
-        values = np.asarray(signals)
-        return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
+def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
+    """{(delta_n, gradient): {method: DistributionStats or the FringelabError that stopped
+    it}} for every key, in one pass over every method (cfg.method by default)."""
+    cfgs = {m: replace(cfg, method=m) for m in methods or (cfg.method,)}
+    wavelengths = cfg.wavelengths()
+    reference = simulate_reflectance(cfg.stack, wavelengths)
+    white_sigma = _white_sigma(cfg, reference)
+    dists, todo = {}, []
+    for delta_n, gradient in keys:
+        try:
+            todo.append((delta_n, gradient, _noise_model(cfg, reference, white_sigma, gradient)))
+        except CalibrationError as exc:  # the ramp's failure is every method's
+            dists[delta_n, gradient] = dict.fromkeys(cfgs, exc)
+    clean = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
+             for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
+    trials = [range(s, min(s + CHUNK_ROWS, cfg.n_trials))
+              for s in range(0, cfg.n_trials, CHUNK_ROWS)]
+    stacks = [(clean[delta_n], model, t) for delta_n, _, model in todo for t in trials]
+    context = _fork_context(cfg) if stacks else None
+    if context is None:
+        results = _stack_signals(cfgs, reference, stacks)
+    else:  # the worker takes the upper half, the odd one out
+        split = len(stacks) // 2
+        with context.Pool(1) as pool:
+            upper = pool.apply_async(_stack_signals, (cfgs, reference, stacks[split:]))
+            results = _stack_signals(cfgs, reference, stacks[:split]) + upper.get()
+    for k, (delta_n, gradient, _) in enumerate(todo):
+        chunk = results[k * len(trials):(k + 1) * len(trials)]
+        dists[delta_n, gradient] = {
+            method: _stats(cfg.n_trials, method, delta_n, gradient, chunk) for method in cfgs}
+    return dists
 
-    def distribution(self, delta_n: float, gradient: str, method: str) -> DistributionStats:
-        self.compute([(delta_n, gradient)])
-        stats = self._dist_cache[delta_n, gradient][method]
-        if isinstance(stats, FringelabError):
-            raise stats.with_traceback(None)
-        return stats
 
-    def calibration(self, method: str) -> tuple[DistributionStats, float, float]:
-        """method's (blank, slope, half-shift ratio), shared by every gradient: a success, and
-        its linearity warning, once per engine; a CalibrationError on every call."""
-        cfg = self.cfgs[method]
-        if cfg.method in self._calibration:
-            return self._calibration[cfg.method]
-        blank = self.distribution(0.0, "none", cfg.method)
-        shifted = self.distribution(cfg.calibration_delta_n, "none", cfg.method)
-        slope = (shifted.mean - blank.mean) / cfg.calibration_delta_n
-        if slope <= 0:
-            raise CalibrationError(f"{cfg.method} signal did not respond to the calibration "
-                                   f"shift (slope {slope:g})")
-        half = self.distribution(cfg.calibration_delta_n / 2.0, "none", cfg.method)
-        half_slope = (half.mean - blank.mean) / (cfg.calibration_delta_n / 2.0)
-        ratio = half_slope / slope
-        if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
-            message = (f"{cfg.method} response is not linear near the calibration point: "
-                       f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%")
-            # calibration <- _lod_from_engine <- run_table1 or lod_riu <- the user's call
-            warnings.warn(message, stacklevel=4)
-        self._calibration[cfg.method] = blank, slope, ratio
-        return self._calibration[cfg.method]
+def _read(dists: dict, delta_n: float, gradient: str, method: str) -> DistributionStats:
+    """method's distribution at (delta_n, gradient) from a pass, or the error it stored."""
+    stats = dists[delta_n, gradient][method]
+    if isinstance(stats, FringelabError):
+        raise stats.with_traceback(None)
+    return stats
+
+
+def _calibration(cfg: LodStudyConfig, dists: dict, method: str) -> tuple:
+    """method's (blank, slope, half-shift ratio), shared by every gradient."""
+    blank = _read(dists, 0.0, "none", method)
+    shifted = _read(dists, cfg.calibration_delta_n, "none", method)
+    slope = (shifted.mean - blank.mean) / cfg.calibration_delta_n
+    if slope <= 0:
+        raise CalibrationError(f"{method} signal did not respond to the calibration "
+                               f"shift (slope {slope:g})")
+    half = _read(dists, cfg.calibration_delta_n / 2.0, "none", method)
+    half_slope = (half.mean - blank.mean) / (cfg.calibration_delta_n / 2.0)
+    ratio = half_slope / slope
+    if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
+        message = (f"{method} response is not linear near the calibration point: "
+                   f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%")
+        # _calibration <- run_table1 or lod_riu <- the user's call
+        warnings.warn(message, stacklevel=3)
+    return blank, slope, ratio
+
+
+def _drift(dists: dict, gradient: str, method: str) -> float:
+    """Shift of method's blank mean when gradient's ramp is switched on."""
+    with_ramp, without = (_read(dists, 0.0, g, method) for g in (gradient, "none"))
+    return abs(with_ramp.mean - without.mean)
 
 
 def response_distribution(
@@ -289,23 +276,19 @@ def response_distribution(
     """Distribution of the configured method's signal over noisy trials."""
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    return _computed_engine(cfg, [(delta_n, gradient)]).distribution(delta_n, gradient, cfg.method)
+    return _read(_distributions(cfg, [(delta_n, gradient)]), delta_n, gradient, cfg.method)
 
 
-def gradient_delta(cfg: LodStudyConfig, gradient: str, engine: _StudyEngine | None = None) -> float:
+def gradient_delta(cfg: LodStudyConfig, gradient: str) -> float:
     """Drift penalty: shift of the blank mean when the ramp is switched on.
 
     Trials are paired (same derived seeds with and without the ramp), so
-    the white-noise contribution cancels from the comparison. Without an
-    engine, both distributions are computed in one pass, as lod_riu's are.
+    the white-noise contribution cancels from the comparison. Both
+    distributions are computed in one pass, as lod_riu's are.
     """
     if gradient not in ("offset", "amplitude"):
         raise ValueError("gradient must be 'offset' or 'amplitude'")
-    if engine is None:
-        engine = _computed_engine(cfg, [(0.0, "none"), (0.0, gradient)])
-    with_ramp = engine.distribution(0.0, gradient, cfg.method)
-    without = engine.distribution(0.0, "none", cfg.method)
-    return abs(with_ramp.mean - without.mean)
+    return _drift(_distributions(cfg, [(0.0, "none"), (0.0, gradient)]), gradient, cfg.method)
 
 
 def crlb_delta_n(cfg: LodStudyConfig) -> float:
@@ -313,15 +296,17 @@ def crlb_delta_n(cfg: LodStudyConfig) -> float:
 
     With white Gaussian noise of sigma on the native samples against a noiseless
     reference, std(delta_n) >= sigma / |dR/dn| (Kay 1993, ch. 3); the derivative is a
-    central difference of step 1e-6 on the native wavelengths. Drift ramps are not
-    included, so the bound applies to the none column.
+    central difference of step 1e-6 on the native wavelengths, cut short below at the index
+    floor of 1. Drift ramps are not included, so the bound applies to the none column.
     """
     h = 1e-6
+    below = min(h, cfg.stack.film_index - 1.0)
     wavelengths = cfg.wavelengths()
     up, down = (simulate_reflectance(cfg.stack.with_film_index_shift(s), wavelengths)
-                for s in (h, -h))
-    jacobian = (up.reflectance - down.reflectance) / (2.0 * h)
-    return _StudyEngine(cfg).white_sigma / float(np.linalg.norm(jacobian))
+                for s in (h, -below))
+    jacobian = (up.reflectance - down.reflectance) / (h + below)
+    white_sigma = _white_sigma(cfg, simulate_reflectance(cfg.stack, wavelengths))
+    return white_sigma / float(np.linalg.norm(jacobian))
 
 
 def _lod_keys(cfg: LodStudyConfig, gradients) -> list:
@@ -330,25 +315,20 @@ def _lod_keys(cfg: LodStudyConfig, gradients) -> list:
     return [(d, "none") for d in shifts] + [(0.0, g) for g in gradients if g != "none"]
 
 
-def _lod_from_engine(engine: _StudyEngine, gradient: str, method: str) -> LodResult:
-    cfg = engine.cfgs[method]
-    blank, slope, ratio = engine.calibration(method)
-    delta_g = 0.0 if gradient == "none" else gradient_delta(cfg, gradient, engine)
-    lod = 3.3 * (blank.std + delta_g) / slope
-    return LodResult(
-        sigma_blank=blank.std,
-        delta_g=delta_g,
-        slope=slope,
-        lod_riu=lod,
-        linearity_ratio=ratio,
-    )
+def _lod(dists: dict, calibration: tuple, gradient: str, method: str) -> LodResult:
+    """method's detection limit under gradient, from a pass and method's calibration."""
+    blank, slope, ratio = calibration
+    delta_g = 0.0 if gradient == "none" else _drift(dists, gradient, method)
+    return LodResult(sigma_blank=blank.std, delta_g=delta_g, slope=slope,
+                     lod_riu=3.3 * (blank.std + delta_g) / slope, linearity_ratio=ratio)
 
 
 def lod_riu(cfg: LodStudyConfig, gradient: str = "none") -> LodResult:
     """Detection limit in refractive index units for one method and drift case."""
     if gradient not in GRADIENTS:
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    return _lod_from_engine(_computed_engine(cfg, _lod_keys(cfg, [gradient])), gradient, cfg.method)
+    dists = _distributions(cfg, _lod_keys(cfg, [gradient]))
+    return _lod(dists, _calibration(cfg, dists, cfg.method), gradient, cfg.method)
 
 
 @dataclass(frozen=True)
@@ -402,18 +382,6 @@ def _fork_context(base_cfg: LodStudyConfig):
     return multiprocessing.get_context("fork")
 
 
-def _computed_engine(cfg: LodStudyConfig, keys, methods: tuple = ()) -> _StudyEngine:
-    """An engine with every key computed in one pass: shared with a forked one-process pool,
-    or serial where forking cannot pay."""
-    engine, context = _StudyEngine(cfg, methods), _fork_context(cfg)
-    if context is None:
-        engine.compute(keys)
-        return engine
-    with context.Pool(1) as pool:
-        engine.compute(keys, pool)
-    return engine
-
-
 def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
                allow_smoke_trials: bool = False) -> Table1Report:
     """Compute the full method-by-drift detection-limit matrix.
@@ -426,18 +394,18 @@ def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
     """
     if base_cfg.n_trials < MIN_REPORTED_TRIALS and not allow_smoke_trials:
         raise ValueError(f"reported studies need at least {MIN_REPORTED_TRIALS} trials")
-    cells: dict = {}
-    failures: dict = {}
-    engine = _computed_engine(base_cfg, _lod_keys(base_cfg, GRADIENTS), METHODS)
+    cells, failures = {}, {}
+    dists = _distributions(base_cfg, _lod_keys(base_cfg, GRADIENTS), METHODS)
     for method in METHODS:
+        try:
+            calibration = _calibration(base_cfg, dists, method)
+        except (StudyError, CalibrationError) as exc:  # the whole row fails with it
+            failures.update({(method, gradient): str(exc) for gradient in GRADIENTS})
+            continue
         for gradient in GRADIENTS:
             try:
-                cells[(method, gradient)] = _lod_from_engine(engine, gradient, method)
+                cells[(method, gradient)] = _lod(dists, calibration, gradient, method)
             except (StudyError, CalibrationError) as exc:
                 failures[(method, gradient)] = str(exc)
-    return Table1Report(
-        cells=cells,
-        failures=failures,
-        n_trials=base_cfg.n_trials,
-        master_seed=base_cfg.noise.seed,
-    )
+    return Table1Report(cells=cells, failures=failures, n_trials=base_cfg.n_trials,
+                        master_seed=base_cfg.noise.seed)

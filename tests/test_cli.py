@@ -336,6 +336,17 @@ class TestLodTable:
         assert [cell["efficiency"] for key, cell in payload["cells"].items()
                 if key.endswith("/none")] == [None, None, None]
 
+    def test_film_at_the_index_floor_reports_its_bound(self, tmp_path, capsys):
+        # the bound's derivative once stepped below index 1 and ended the run in a traceback
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"stack": {"film_index": 1.0}}))
+        out = tmp_path / "table.json"
+        rc = main(["lod-table", "--config", str(config), "--trials", "4", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == PROCESS_EXIT
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["crlb_riu"] > 0.0
+
     def test_bad_trial_count_is_a_config_error(self, tmp_path, capsys):
         rc = main(["lod-table", "--trials", "1", "--seed", "0",
                    "--out", str(tmp_path / "t.json")])
@@ -489,6 +500,11 @@ class TestSnrAndErrors:
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"native_points": 768.0}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"noise": {"target_snr_db": "x"}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"offset_snr_db": "x"}}'),
+        (["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": true}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"stack": {"film_index": "x"}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"calibration_delta_n": "x"}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"],
+         '{"noise": {"gaussian_sigma": "x", "target_snr_db": null}}'),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):

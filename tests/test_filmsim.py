@@ -102,6 +102,18 @@ def test_stack_validation():
         FilmStack(substrate_index=3.67 - 0.1j)
 
 
+@pytest.mark.parametrize("model, key, value", [
+    (FilmStack, "ambient_index", "x"), (FilmStack, "film_index", "x"),
+    (FilmStack, "film_index", None), (FilmStack, "film_thickness_nm", True),
+    (NoiseModel, "gaussian_sigma", "x"), (NoiseModel, "gaussian_sigma", True),
+    (NoiseModel, "offset_ramp_magnitude", "x"), (NoiseModel, "amplitude_ramp_gain", True),
+])
+def test_numeric_fields_reject_a_value_of_the_wrong_type(model, key, value):
+    kwargs = {} if model is FilmStack or key == "gaussian_sigma" else {"target_snr_db": 20.0}
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        model(**kwargs, **{key: value})
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(np.array([800.0, 500.0]), np.array([0.1, 0.2]))

@@ -12,6 +12,7 @@ import pytest
 import fringelab.lodstudy as lodstudy
 from fringelab import (
     CalibrationError,
+    FilmStack,
     LampConfig,
     LodStudyConfig,
     NoiseModel,
@@ -23,9 +24,10 @@ from fringelab import (
     lod_riu,
     response_distribution,
     run_table1,
+    simulate_reflectance,
 )
 from fringelab.filmsim import noise_rows
-from fringelab.lodstudy import CHUNK_ROWS, _StudyEngine, _trial_seed, crlb_delta_n
+from fringelab.lodstudy import CHUNK_ROWS, _trial_seed, crlb_delta_n
 
 # Mean phase advance of the default film for a 1e-3 index shift:
 # 4*pi*L*sigma_bar with L = 2400 nm and sigma_bar = (1/500 + 1/800)/2.
@@ -38,6 +40,14 @@ def study(method="lamp", sigma=None, snr_db=27.7, seed=11, n_trials=12, **kw):
     else:
         noise = NoiseModel(target_snr_db=snr_db, seed=seed)
     return LodStudyConfig(noise=noise, method=method, n_trials=n_trials, **kw)
+
+
+def pass_inputs(cfg, delta_n, gradient):
+    """The reference, clean analyte and noise model a pass draws (delta_n, gradient) from."""
+    reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
+    clean = simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), cfg.wavelengths())
+    white_sigma = lodstudy._white_sigma(cfg, reference)
+    return reference, clean, lodstudy._noise_model(cfg, reference, white_sigma, gradient)
 
 
 def test_config_rejects_bad_inputs():
@@ -56,6 +66,7 @@ def test_config_rejects_bad_inputs():
 @pytest.mark.parametrize("key, value", [
     ("n_trials", 12.0), ("n_trials", True), ("native_points", 768.0), ("native_points", "768"),
     ("offset_snr_db", "x"), ("amplitude_snr_db", "x"), ("offset_snr_db", True),
+    ("calibration_delta_n", "x"), ("calibration_delta_n", True),
 ])
 def test_config_rejects_a_value_of_the_wrong_type(key, value):
     with pytest.raises(ValueError, match=key):
@@ -118,13 +129,13 @@ def test_gradient_delta_pairs_out_white_noise():
     # With a vanishing white level the paired comparison must reduce to
     # the deterministic ramp penalty computed directly on clean spectra.
     cfg = study(method="iaw", sigma=1e-9, n_trials=6)
-    engine = _StudyEngine(cfg)
-    magnitude = engine.ramp_magnitude("offset")
+    reference, _, model = pass_inputs(cfg, 0.0, "offset")
+    magnitude = model.offset_ramp_magnitude
     wl = cfg.wavelengths()
     t = (wl - wl[0]) / (wl[-1] - wl[0])
-    ramped = Spectrum(wl, engine.reference.reflectance + magnitude * t)
-    expected = iaw(engine.reference, ramped)
-    assert gradient_delta(cfg, "offset", engine) == pytest.approx(expected, rel=1e-6)
+    ramped = Spectrum(wl, reference.reflectance + magnitude * t)
+    expected = iaw(reference, ramped)
+    assert gradient_delta(cfg, "offset") == pytest.approx(expected, rel=1e-6)
     # Zero-meaned ramp residue: mean |t - 1/2| over an even n-point grid
     # is n / (4 (n - 1)), the discrete form of the triangular-mean 1/4.
     n = cfg.native_points
@@ -153,14 +164,13 @@ def test_lamp_slope_converts_phase_to_riu():
 
 
 def test_unresponsive_signal_raises_calibration_error():
-    engine = _StudyEngine(study(n_trials=4))
-    engine.distribution = lambda delta_n, gradient, method: type(
+    cfg = study(n_trials=4)
+    dists = {(delta_n, gradient): {"lamp": type(
         "S", (), {"mean": 1.0 - 500.0 * delta_n, "std": 0.1}
-    )()
-    from fringelab.lodstudy import _lod_from_engine
+    )()} for delta_n, gradient in lodstudy._lod_keys(cfg, ["none"])}
 
     with pytest.raises(CalibrationError, match="did not respond"):
-        _lod_from_engine(engine, "none", "lamp")
+        lodstudy._calibration(cfg, dists, "lamp")
 
 
 def test_rectified_response_trips_linearity_guard():
@@ -204,7 +214,8 @@ def test_cramer_rao_bound_is_linear_in_white_sigma():
     bounds = [crlb_delta_n(study(sigma=s)) for s in (1e-3, 3e-3)]
     assert bounds[1] / bounds[0] == pytest.approx(3.0, rel=1e-9)
     # an S/N target resolves to the same sigma the study draws its noise with
-    resolved = _StudyEngine(study()).white_sigma
+    cfg = study()
+    resolved = lodstudy._white_sigma(cfg, simulate_reflectance(cfg.stack, cfg.wavelengths()))
     assert crlb_delta_n(study()) == pytest.approx(bounds[0] * resolved / 1e-3, rel=1e-12)
 
 
@@ -212,6 +223,13 @@ def test_cramer_rao_bound_falls_as_one_over_root_n():
     # four times the native samples over the same range: |dR/dn| grows by two
     coarse, dense = (crlb_delta_n(study(sigma=1e-3, native_points=n)) for n in (768, 4 * 768))
     assert coarse / dense == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("film_index", [1.0, 1.0 + 5e-7])
+def test_cramer_rao_bound_steps_no_lower_than_the_index_floor(film_index):
+    # a central difference would step below 1, which FilmStack refuses
+    bound = crlb_delta_n(study(sigma=1e-3, stack=FilmStack(film_index=film_index)))
+    assert math.isfinite(bound) and bound > 0.0
 
 
 def test_run_table1_structure_and_orderings():
@@ -250,9 +268,9 @@ def test_gradient_rejected_outside_vocabulary():
 
 def test_noise_stack_rows_are_the_serial_trials():
     # row i of a stack is what add_noise gives trial i on its own
-    engine = _StudyEngine(study(n_trials=CHUNK_ROWS))
-    clean, model = engine.clean_analyte(1e-3), engine._noise_model("offset")
-    seeds = [_trial_seed(engine.cfg.noise.seed, i) for i in range(CHUNK_ROWS)]
+    cfg = study(n_trials=CHUNK_ROWS)
+    _, clean, model = pass_inputs(cfg, 1e-3, "offset")
+    seeds = [_trial_seed(cfg.noise.seed, i) for i in range(CHUNK_ROWS)]
     for row, seed in zip(noise_rows(clean, model, seeds), seeds):
         np.testing.assert_array_equal(row, add_noise(clean, replace(model, seed=seed)).reflectance)
 
@@ -274,12 +292,12 @@ def flatten_trial(monkeypatch, cfg, index):
 def test_domain_error_drops_only_its_row(monkeypatch, method):
     cfg = study(method=method, n_trials=100)
     flatten_trial(monkeypatch, cfg, 3)  # inside the first stack
-    engine = _StudyEngine(cfg)
-    stats = engine.distribution(0.0, "none", method)
+    stats = response_distribution(cfg, 0.0)
     # the other 99 trials keep the signals they have when evaluated alone
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
-    rows = noise_rows(engine.clean_analyte(0.0), engine._noise_model("none"), seeds)
-    alone = np.array([lodstudy._evaluate(cfg, engine.reference, row[None])[0] for row in rows])
+    reference, clean, model = pass_inputs(cfg, 0.0, "none")
+    rows = noise_rows(clean, model, seeds)
+    alone = np.array([lodstudy._evaluate(cfg, reference, row[None])[0] for row in rows])
     assert stats.n_trials == 99
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
 
@@ -288,12 +306,12 @@ def test_domain_error_drops_its_trial_only_from_the_failing_methods(monkeypatch)
     # a flat row has no fringe peak for lamp or rifts; iaw still measures it
     cfg = study(n_trials=100)
     flatten_trial(monkeypatch, cfg, 3)
-    shared = _StudyEngine(cfg, methods=lodstudy.METHODS)
-    counts = {m: shared.distribution(0.0, "none", m).n_trials for m in lodstudy.METHODS}
+    shared = lodstudy._distributions(cfg, [(0.0, "none")], lodstudy.METHODS)[0.0, "none"]
+    counts = {m: shared[m].n_trials for m in lodstudy.METHODS}
     assert counts == {"rifts": 99, "iaw": 100, "lamp": 99}
     for method in lodstudy.METHODS:  # evaluating the methods on shared stacks changes no value
-        alone = _StudyEngine(replace(cfg, method=method)).distribution(0.0, "none", method)
-        assert shared.distribution(0.0, "none", method) == alone
+        alone = response_distribution(replace(cfg, method=method), 0.0)
+        assert shared[method] == alone
 
 
 def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
