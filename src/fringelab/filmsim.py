@@ -36,6 +36,9 @@ class FilmStack:
             check_real(name, getattr(self, name))
         if self.ambient_index < 1.0 or self.film_index < 1.0:
             raise ValueError("refractive indices must be >= 1")
+        if isinstance(self.substrate_index, bool):  # complex(True) is 1; JSON gives a string
+            raise ValueError(f"substrate_index must be a complex number or its string, "
+                             f"got {self.substrate_index!r}")
         ns = complex(self.substrate_index)
         if ns.real < 1.0 or ns.imag < 0.0:
             raise ValueError("substrate index needs real part >= 1 and imag >= 0")
@@ -138,6 +141,17 @@ def ac_power(values) -> float:
     return float(np.mean((v - v.mean()) ** 2))
 
 
+def _fringe_power(clean: Spectrum) -> float:
+    """ac_power of a clean spectrum; CalibrationError if it has no fringes, that is if the
+    power is at most the rounding floor (n * eps * mean R)^2 of n samples of mean R."""
+    power = ac_power(clean.reflectance)
+    floor = (len(clean) * np.finfo(float).eps * float(clean.reflectance.mean())) ** 2
+    if power <= floor:
+        raise CalibrationError(f"clean spectrum has no fringes: its AC power {power:.3g} "
+                               f"is at most the rounding floor {floor:.3g}")
+    return power
+
+
 def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     """Signal-to-noise in dB: AC power of clean over power of (noisy - clean).
 
@@ -146,13 +160,10 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     """
     if not np.array_equal(clean.wavelengths_nm, noisy.wavelengths_nm):
         raise GridAlignmentError("spectra must share a wavelength grid")
-    signal_power = ac_power(clean.reflectance)
     noise_power = float(np.mean((noisy.reflectance - clean.reflectance) ** 2))
     if noise_power == 0.0:
         return math.inf
-    if signal_power == 0.0:
-        raise ValueError("clean spectrum has zero AC power; S/N undefined")
-    return 10.0 * math.log10(signal_power / noise_power)
+    return 10.0 * math.log10(_fringe_power(clean) / noise_power)
 
 
 def check_real(name: str, value, optional: bool = False) -> None:
@@ -161,6 +172,13 @@ def check_real(name: str, value, optional: bool = False) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number{' or None' if optional else ''}, got {value!r}")
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """value, a seed; ValueError naming name unless an int (not a bool) in [0, 2**64)."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an integer 0 <= seed < 2**64, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,16 +206,12 @@ class NoiseModel:
             raise ValueError("specify exactly one of target_snr_db or gaussian_sigma")
         if self.gaussian_sigma is not None and self.gaussian_sigma < 0.0:
             raise ValueError("gaussian_sigma must be >= 0")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
 
 
 def white_sigma_for_target(clean: Spectrum, target_snr_db: float) -> float:
     """Gaussian sigma that puts white noise at the requested S/N."""
-    power = ac_power(clean.reflectance)
-    if power == 0.0:
-        raise ValueError("clean spectrum has zero AC power; target S/N unreachable")
-    return math.sqrt(power) * 10.0 ** (-target_snr_db / 20.0)
+    return math.sqrt(_fringe_power(clean)) * 10.0 ** (-target_snr_db / 20.0)
 
 
 def _ramp_abscissa(wavelengths_nm: np.ndarray) -> np.ndarray:
@@ -255,9 +269,7 @@ def calibrate_ramp_magnitude(
     matching what measure_snr reports in expectation when white noise of
     that sigma rides on top of the ramp.
     """
-    signal_power = ac_power(clean.reflectance)
-    if signal_power == 0.0:
-        raise ValueError("clean spectrum has zero AC power")
+    signal_power = _fringe_power(clean)
     floor_snr = math.inf
     if white_sigma > 0.0:
         floor_snr = 10.0 * math.log10(signal_power / white_sigma**2)

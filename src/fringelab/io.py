@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import filmsim
 from .errors import ConfigError, SpectrumFormatError
 from .filmsim import WAVELENGTH_CEIL_NM, WAVELENGTH_FLOOR_NM, FilmStack, NoiseModel, Spectrum
 from .lamp import LampConfig
@@ -223,10 +224,11 @@ def check_range_nm(value) -> tuple[float, float]:
 
 
 def check_seed(value, name: str) -> int:
-    """A master seed; ConfigError naming name unless an int (not a bool) in [0, 2**64)."""
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
-        raise ConfigError(f"{name} must be an integer 0 <= seed < 2**64, got {value!r}")
-    return value
+    """filmsim.check_seed for a master seed, whose refusal is a ConfigError."""
+    try:
+        return filmsim.check_seed(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_run_config(path=None, text: str | None = None) -> RunConfig:

@@ -11,12 +11,12 @@ step-th padded bin comes from a shorter rfft that keeps at least 4 coarse
 bins per resolution cell 1/(n * delta_sigma). It brackets the peak and each
 half-maximum crossing; in a bracket the answer is the bin where a test on
 single exact padded bins turns from False to True (assumed to turn once),
-found by galloping out from a guess off the coarse grid, refined once on
-exact bins, then bisecting. Bin b is summed directly as phasor row r = b mod
-64 against the data modulated to the base b - r, on a fixed 64-bin grid.
+found by galloping out from a guess off the coarse grid (refined on exact
+bins for the crossings only), then bisecting. Bin b is summed directly as
+phasor row r = b mod 64 against the data modulated to the base b - r.
 Cached read-only: phasor rows per (points, pad), modulations per (points,
-pad, base), the first bin above the cutoff per grid.
-padded_peak is padded_peak_rows on a stack of one.
+pad, base), the first bin above the cutoff per grid. The 1000 nm cutoff is
+fixed, as in the run configuration. padded_peak is a stack of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import NoFringePeakError, PeakMeasurementError
 
 MIN_TRANSFORM_POINTS = 16
 
-DEFAULT_LOW_CUTOFF_NM = 1000.0
+LOW_CUTOFF_NM = 1000.0
 
 COARSE_BINS_PER_SAMPLE = 4
 BASE_BINS = 64  # exact sums start from bases on this fixed grid, so no bin depends on the step
@@ -116,32 +116,28 @@ def _fraction(start, end, level) -> float:
     return (level - start) / (end - start) if end != start else math.nan
 
 
-def _measure_peak(coarse, f0, df, low_cutoff_nm, step=1, exact=None, last=None):
+def _measure_peak(coarse, f0, df, step=1, exact=None, last=None):
     """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
 
     exact(b) returns |X[b]| (the coarse bin when step == 1). A main lobe spans >= 8 coarse
     bins, so it is unimodal within +/-1 of the coarse argmax and monotone on each flank: the
     argmax and both half-maximum crossings are where a False-then-True test on single exact
-    bins turns True, found by _first_true from a guess taken off the coarse grid and refined
-    once on exact bins."""
+    bins turns True, found by _first_true from a guess taken off the coarse grid; only the
+    crossings refine their guess on exact bins."""
     if step == 1:
         exact, last = coarse.__getitem__, coarse.size - 1
-    edge = _cutoff_edge(f0, df, float(low_cutoff_nm), last)
+    edge = _cutoff_edge(f0, df, last)
     first = -(-edge // step)
     if first >= coarse.size:
-        raise NoFringePeakError(f"no transform bins above the {low_cutoff_nm:g} nm cutoff")
+        raise NoFringePeakError(f"no transform bins above the {LOW_CUTOFF_NM:g} nm cutoff")
     c = first + int(np.argmax(coarse[first:]))
     lo, hi = max(step * (c - 1), edge), min(step * (c + 1), last)
     # the first bin no lower than its right neighbour is the bracket's (first) maximum; guess
-    # the vertex of the parabola through coarse bins c - 1..c + 1, then through exact bins
+    # the vertex of the parabola through coarse bins c - 1..c + 1, summing no exact bin
     guess = step * c
     if 0 < c < coarse.size - 1:
         left, mid, right = coarse[c - 1 : c + 2].tolist()
         guess = step * (c - 0.5 + _fraction(mid - left, right - mid, 0.0)) + 0.5
-    if lo + 1 <= guess < hi:
-        b = int(guess)
-        left, mid, right = (float(exact(b + i)) for i in (-1, 0, 1))
-        guess = b + _fraction(mid - left, right - mid, 0.0)
     peak = _first_true(lambda b: exact(b) >= exact(b + 1), lo, hi, guess)
     peak = edge if exact(edge) > exact(peak) else peak
     m = exact(peak)
@@ -179,26 +175,25 @@ def _measure_peak(coarse, f0, df, low_cutoff_nm, step=1, exact=None, last=None):
 
 
 @lru_cache(maxsize=16)
-def _cutoff_edge(f0: float, df: float, low_cutoff_nm: float, last: int) -> int:
+def _cutoff_edge(f0: float, df: float, last: int) -> int:
     """First of bins 0..last above the cutoff (last + 1 if none); bin frequencies ascend.
     Cached: the rows of a stack, and the spectra of one grid, share it."""
-    return _first_true(lambda b: f0 + df * b > low_cutoff_nm, 0, last + 1, 0)
+    return _first_true(lambda b: f0 + df * b > LOW_CUTOFF_NM, 0, last + 1, 0)
 
 
-def dominant_peak(spectrum: FrequencySpectrum,
-                  low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM) -> PeakInfo:
+def dominant_peak(spectrum: FrequencySpectrum) -> PeakInfo:
     """Largest-magnitude local maximum above the low-frequency cutoff.
 
     The center is the bin frequency. The full width at half maximum is
     measured on magnitude (not power) by linear interpolation around the peak.
     """
     f0, df = float(spectrum.frequencies_nm[0]), spectrum.bin_spacing_nm
-    return _measure_peak(np.abs(spectrum.amplitudes), f0, df, low_cutoff_nm)
+    return _measure_peak(np.abs(spectrum.amplitudes), f0, df)
 
 
-def _full_padded_peak(values, delta_sigma, pad_length, low_cutoff_nm) -> PeakInfo:
+def _full_padded_peak(values, delta_sigma, pad_length) -> PeakInfo:
     mags = np.abs(np.fft.rfft(np.asarray(values, dtype=float), n=pad_length))
-    return _measure_peak(mags, 0.0, 1.0 / (pad_length * delta_sigma), low_cutoff_nm)
+    return _measure_peak(mags, 0.0, 1.0 / (pad_length * delta_sigma))
 
 
 @lru_cache(maxsize=8)
@@ -242,8 +237,7 @@ class _ExactBins(dict):
         return magnitude
 
 
-def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
-                     low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM) -> list:
+def padded_peak_rows(rows, delta_sigma: float, pad_length: int) -> list:
     """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] < MIN_TRANSFORM_POINTS:
@@ -255,13 +249,12 @@ def padded_peak_rows(rows, delta_sigma: float, pad_length: int,
     step, phasors = _plan(v.shape[1], pad_length)
     coarse = np.abs(np.fft.rfft(v, n=pad_length // step, axis=1))
     df = 1.0 / (pad_length * delta_sigma)
-    return [_measure_peak(c, 0.0, df, low_cutoff_nm, step,
+    return [_measure_peak(c, 0.0, df, step,
                           _ExactBins(row, pad_length, phasors).__getitem__, pad_length // 2)
             for row, c in zip(v, coarse)]
 
 
-def padded_peak(values, delta_sigma: float, pad_length: int,
-                low_cutoff_nm: float = DEFAULT_LOW_CUTOFF_NM) -> PeakInfo:
+def padded_peak(values, delta_sigma: float, pad_length: int) -> PeakInfo:
     """Dominant peak of the zero-padded transform, without materializing it.
 
     Equivalent to dominant_peak of the dft of values followed by zeros up to
@@ -270,4 +263,4 @@ def padded_peak(values, delta_sigma: float, pad_length: int,
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"need a 1-d array of at least {MIN_TRANSFORM_POINTS} samples")
-    return padded_peak_rows(v[None], delta_sigma, pad_length, low_cutoff_nm)[0]
+    return padded_peak_rows(v[None], delta_sigma, pad_length)[0]

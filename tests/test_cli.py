@@ -16,12 +16,14 @@ from fringelab import (
     ManifestEntry,
     NoiseModel,
     RedlichPetersonFit,
+    Spectrum,
     model_eval,
     simulate_reflectance,
     write_manifest,
     write_spectrum,
 )
 from fringelab.cli import PARSE_EXIT, PROCESS_EXIT, main
+from fringelab.io import _SECTION_KEYS, _STUDY_KEYS
 from fringelab.lodstudy import LodStudyConfig, crlb_delta_n
 
 
@@ -337,15 +339,19 @@ class TestLodTable:
                 if key.endswith("/none")] == [None, None, None]
 
     def test_film_at_the_index_floor_reports_its_bound(self, tmp_path, capsys):
-        # the bound's derivative once stepped below index 1 and ended the run in a traceback
+        # the bound's derivative once stepped below index 1 and ended the run in a traceback;
+        # such a film has no fringes, so no S/N target has a white level and no cell an LOD
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"stack": {"film_index": 1.0}}))
         out = tmp_path / "table.json"
         rc = main(["lod-table", "--config", str(config), "--trials", "4", "--seed", "1",
                    "--out", str(out)])
         assert rc == PROCESS_EXIT
-        assert "Traceback" not in capsys.readouterr().err
-        assert json.loads(out.read_text())["crlb_riu"] > 0.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: clean spectrum has no fringes")
+        assert not out.exists()  # so no LOD of 0 is reported
 
     def test_bad_trial_count_is_a_config_error(self, tmp_path, capsys):
         rc = main(["lod-table", "--trials", "1", "--seed", "0",
@@ -439,6 +445,18 @@ class TestSnrAndErrors:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error" in line]) == 1
 
+    def test_snr_of_a_clean_spectrum_without_fringes_is_a_processing_error(self, tmp_path,
+                                                                            capsys):
+        wl = np.linspace(500.0, 800.0, 768)
+        write_spectrum(tmp_path / "flat.csv", Spectrum(wl, np.full(wl.size, 0.3)))
+        noisy = write_stack_spectrum(tmp_path / "noisy.csv")
+        rc = main(["snr", str(tmp_path / "flat.csv"), str(noisy)])
+        err = capsys.readouterr().err
+        assert rc == PROCESS_EXIT
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: clean spectrum has no fringes")
+
     def test_missing_input_file_is_a_parse_error(self, tmp_path, capsys):
         rc = main(["process", "--method", "rifts",
                    str(tmp_path / "ghost.csv"), str(tmp_path / "also.csv")])
@@ -451,6 +469,24 @@ class TestSnrAndErrors:
     def test_bad_range_flag_raises_system_exit(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--range", "500", "--out", str(tmp_path / "n.csv")])
+
+
+def true_key_cases():
+    """`true` for each numeric config key (complex(True) and int(True) are 1): under lod-table,
+    without --trials, which would override study.n_trials; under simulate too for the stack
+    and noise sections, which it reads. A noise section needs its S/N target."""
+    sections = {**_SECTION_KEYS, "study": _STUDY_KEYS}
+    for section, keys in sections.items():
+        commands = ("lod-table", "simulate") if section in ("stack", "noise") else ("lod-table",)
+        base = {"target_snr_db": 27.7} if section == "noise" else {}
+        for key in sorted(keys):
+            config = json.dumps({section: {**base, key: True}})
+            for command in commands:
+                yield pytest.param([command, "--seed", "1"], config,
+                                   id=f"{command}-{section}.{key}-true")
+    for key in ("range_nm", "n_points", "seed"):
+        yield pytest.param(["lod-table", "--seed", "1"], json.dumps({key: True}),
+                           id=f"lod-table-{key}-true")
 
 
 @pytest.mark.parametrize(
@@ -505,6 +541,7 @@ class TestSnrAndErrors:
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"calibration_delta_n": "x"}}'),
         (["lod-table", "--trials", "4", "--seed", "1"],
          '{"noise": {"gaussian_sigma": "x", "target_snr_db": null}}'),
+        *true_key_cases(),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv, config):

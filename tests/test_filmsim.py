@@ -100,6 +100,9 @@ def test_stack_validation():
         FilmStack(film_index=0.5)
     with pytest.raises(ValueError):
         FilmStack(substrate_index=3.67 - 0.1j)
+    with pytest.raises(ValueError, match="substrate_index must be a complex number"):
+        FilmStack(substrate_index=True)  # complex(True) would be an index of 1
+    assert FilmStack(substrate_index="3.67+0.5j").substrate_index == "3.67+0.5j"  # as JSON has it
 
 
 @pytest.mark.parametrize("model, key, value", [
@@ -212,6 +215,23 @@ def test_calibration_accounts_for_white_floor():
     assert math.isclose(total, 7.9, abs_tol=1e-6)
 
 
+@pytest.mark.parametrize("film_index", [1.0, 1.0 + 1e-9])
+def test_a_clean_spectrum_without_fringes_is_a_calibration_error(film_index):
+    # a film of the ambient index leaves rounding-level fringes; 1e-9 above it they are real
+    spec = default_spectrum(FilmStack(film_index=film_index))
+    noisy = Spectrum(spec.wavelengths_nm, spec.reflectance + 1e-3)
+    checks = (lambda: white_sigma_for_target(spec, 27.7),
+              lambda: calibrate_ramp_magnitude(spec, "offset", 7.9),
+              lambda: measure_snr(spec, noisy))
+    for check in checks:
+        if film_index == 1.0:
+            with pytest.raises(CalibrationError, match="^clean spectrum has no fringes"):
+                check()
+        else:
+            assert math.isfinite(check())
+    assert measure_snr(spec, spec) == math.inf
+
+
 def test_calibration_unreachable_target_raises():
     spec = default_spectrum()
     with pytest.raises(CalibrationError):
@@ -228,3 +248,6 @@ def test_noise_model_validation():
     for target in ("x", True):
         with pytest.raises(ValueError, match="target_snr_db must be a number"):
             NoiseModel(target_snr_db=target)
+    for seed in (True, -1, 2**64, 1.0):  # the rule io and the CLI apply to a master seed
+        with pytest.raises(ValueError, match="seed must be an integer 0 <= seed < 2"):
+            NoiseModel(target_snr_db=20.0, seed=seed)

@@ -20,7 +20,7 @@ from fringelab import (
     padded_peak,
     unwrap_phase,
 )
-from fringelab.spectral import _first_true
+from fringelab.spectral import LOW_CUTOFF_NM, _first_true
 from fringelab.wavegrid import MIN_GRID_POINTS, resample_rows
 
 N_CASES = 1000
@@ -70,14 +70,14 @@ def test_transform_peak_location_ignores_uniform_scaling():
     rng = np.random.default_rng(404)
     n = 128
     t = np.arange(n) / n
-    delta_sigma = 1.0 / n
+    delta_sigma = 1.0 / n * 2.0 / LOW_CUTOFF_NM  # the fixed cutoff sits at 2 cycles
     for _ in range(N_CASES):
         cycles = rng.uniform(4.0, 40.0)
         values = (rng.uniform(-0.2, 0.2)
                   + rng.uniform(0.5, 2.0) * np.cos(2.0 * np.pi * cycles * t))
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        base = padded_peak(values, delta_sigma, 512, low_cutoff_nm=2.0)
-        scaled = padded_peak(scale * values, delta_sigma, 512, low_cutoff_nm=2.0)
+        base = padded_peak(values, delta_sigma, 512)
+        scaled = padded_peak(scale * values, delta_sigma, 512)
         assert scaled.center_frequency_nm == base.center_frequency_nm
         assert scaled.fwhm_nm == pytest.approx(base.fwhm_nm, rel=1e-9)
         assert scaled.peak_power == pytest.approx(scale**2 * base.peak_power, rel=1e-9)

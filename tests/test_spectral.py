@@ -31,6 +31,7 @@ from fringelab import (
 )
 from fringelab.spectral import (
     BASE_BINS,
+    LOW_CUTOFF_NM,
     _first_at_or_below,
     _full_padded_peak,
     _modulation,
@@ -151,7 +152,7 @@ def front_end_values(style, ramp, seed=3):
 def test_padded_peak_matches_full_transform(style, ramp, pad):
     values, delta_sigma = front_end_values(style, ramp)
     fast = padded_peak(values, delta_sigma, pad)
-    slow = _full_padded_peak(values, delta_sigma, pad, 1000.0)
+    slow = _full_padded_peak(values, delta_sigma, pad)
     # centers are bins, so exactly equal
     assert fast.center_frequency_nm == slow.center_frequency_nm
     npt.assert_allclose(fast.fwhm_nm, slow.fwhm_nm, rtol=1e-12)
@@ -163,7 +164,7 @@ def test_stacked_peaks_equal_single_rows_bit_for_bit(pad):
     cases = [("cosine", "none")] + [(style, ramp) for style in ("lamp", "rifts") for ramp in RAMPS]
     rows, deltas = zip(*(front_end_values(style, ramp) for style, ramp in cases))
     assert len(set(deltas)) == 1  # one grid, so one stack
-    stacked = padded_peak_rows(np.array(rows), deltas[0], pad, 1000.0)
+    stacked = padded_peak_rows(np.array(rows), deltas[0], pad)
     assert stacked == [padded_peak(row, deltas[0], pad) for row in rows]
 
 
@@ -208,9 +209,9 @@ def cosine_where(guess, pad, condition):
     raise AssertionError(f"no tone near bin {guess} meets the condition")
 
 
-def assert_matches_full_transform(values, delta_sigma, pad, low_cutoff_nm=1000.0):
-    fast = padded_peak(values, delta_sigma, pad, low_cutoff_nm)
-    slow = _full_padded_peak(values, delta_sigma, pad, low_cutoff_nm)
+def assert_matches_full_transform(values, delta_sigma, pad):
+    fast = padded_peak(values, delta_sigma, pad)
+    slow = _full_padded_peak(values, delta_sigma, pad)
     assert fast.center_frequency_nm == slow.center_frequency_nm
     npt.assert_allclose([fast.fwhm_nm, fast.peak_power], [slow.fwhm_nm, slow.peak_power],
                         rtol=1e-12)
@@ -222,14 +223,16 @@ def assert_matches_full_transform(values, delta_sigma, pad, low_cutoff_nm=1000.0
 def test_peak_anywhere_between_coarse_bins_and_at_the_cutoff_edge(offset, cutoff_at_bracket):
     # step 32 at this pad: offset 16 leaves the two coarse neighbours nearly tied, and 0 / 31
     # put the peak on the coarse argmax or one bin short of the next; with the cutoff half a
-    # bin below coarse bin c, that bin is the first above it and the bracket's lower edge
+    # bin below coarse bin c, that bin is the first above it and the bracket's lower edge.
+    # The cutoff is fixed, so delta_sigma scaled by cutoff / LOW_CUTOFF_NM moves it there
     pad, c = 2**18, 62
     step = _plan(2048, pad)[0]
     assert step == 32
     peak = step * c + offset
     values, delta_sigma = cosine_where(peak, pad, lambda mags: np.argmax(mags) == peak)
-    cutoff = (step * c - 0.5) / (pad * delta_sigma) if cutoff_at_bracket else 1000.0
-    assert assert_matches_full_transform(values, delta_sigma, pad, cutoff) == peak
+    cutoff = (step * c - 0.5) / (pad * delta_sigma) if cutoff_at_bracket else LOW_CUTOFF_NM
+    assert assert_matches_full_transform(
+        values, delta_sigma * cutoff / LOW_CUTOFF_NM, pad) == peak
 
 
 def test_peak_below_the_cutoff_is_no_fringe_peak():
@@ -237,10 +240,10 @@ def test_peak_below_the_cutoff_is_no_fringe_peak():
     # lobe's falling flank there still outranks every later sidelobe, as in the full transform
     pad = 2**18
     values, delta_sigma = cosine(540, pad)
-    cutoff = 550.5 / (pad * delta_sigma)
+    cutoff = 550.5 / (pad * delta_sigma)  # bin 550.5, put at the fixed cutoff by delta_sigma
     for measure in (padded_peak, _full_padded_peak):
         with pytest.raises(NoFringePeakError):
-            measure(values, delta_sigma, pad, cutoff)
+            measure(values, delta_sigma * cutoff / LOW_CUTOFF_NM, pad)
 
 
 def half_maximum_bins(mags):
@@ -316,15 +319,16 @@ def test_degenerate_rows_are_no_fringe_peak_and_warn_only_from_the_sums(name, pa
     # the parent's exception and warnings: no NaN search guess reaches int() (a ValueError),
     # and guess arithmetic in numpy scalars would warn "invalid value ... in scalar subtract"
     row, delta_sigma = degenerate_rows()[name], fringe_values()[1]
-    cutoff = 6000.0 if name == "tone below the cutoff" else 1000.0
+    cutoff = 6000.0 if name == "tone below the cutoff" else LOW_CUTOFF_NM
+    delta_sigma *= cutoff / LOW_CUTOFF_NM  # bins above 6000 nm of the unscaled axis
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NoFringePeakError, match="^no fringe peak: largest magnitude above "
                            "the cutoff is not a local maximum$"):
             if stacked:  # a good row first, measured before the degenerate one raises
-                padded_peak_rows(np.stack([fringe_values()[0], row]), delta_sigma, pad, cutoff)
+                padded_peak_rows(np.stack([fringe_values()[0], row]), delta_sigma, pad)
             else:
-                padded_peak(row, delta_sigma, pad, cutoff)
+                padded_peak(row, delta_sigma, pad)
     messages = {str(w.message) for w in caught}
     if "inf" in name:  # inf - inf in the rfft, the modulation and the single-bin sums
         assert all(w.category is RuntimeWarning for w in caught)
