@@ -231,18 +231,30 @@ def add_noise(spectrum: Spectrum, model: NoiseModel) -> Spectrum:
 
 
 def noise_rows(spectrum: Spectrum, model: NoiseModel, seeds) -> np.ndarray:
-    """add_noise's reflectance for each of seeds in place of the model's seed, one row each."""
-    values = spectrum.reflectance
-    t = _ramp_abscissa(spectrum.wavelengths_nm)
+    """add_noise's reflectance for each of seeds in place of the model's seed, one row each:
+    the ramped reflectance plus each seed's white row."""
     if model.gaussian_sigma is not None:
         sigma = model.gaussian_sigma
     else:
         sigma = white_sigma_for_target(spectrum, model.target_snr_db)
-    noisy = values * (1.0 + model.amplitude_ramp_gain * t) + model.offset_ramp_magnitude * t
-    rows = np.tile(noisy, (len(seeds), 1))
+    return ramped_reflectance(spectrum, model) + white_rows(sigma, len(spectrum), seeds)
+
+
+def ramped_reflectance(spectrum: Spectrum, model: NoiseModel) -> np.ndarray:
+    """add_noise's reflectance before the white draw: clean*(1 + g*t) + m*t."""
+    t = _ramp_abscissa(spectrum.wavelengths_nm)
+    return (spectrum.reflectance * (1.0 + model.amplitude_ramp_gain * t)
+            + model.offset_ramp_magnitude * t)
+
+
+def white_rows(sigma: float, points: int, seeds) -> np.ndarray:
+    """add_noise's white draw of points samples for each of seeds, one row each. Unless
+    sigma > 0 nothing is drawn and the rows hold -0.0, which leaves every float it is added
+    to as it is (+0.0 would turn -0.0 into +0.0)."""
+    rows = np.full((len(seeds), points), -0.0)
     if sigma > 0.0:
         for row, seed in zip(rows, seeds):
-            row += np.random.default_rng(seed).normal(0.0, sigma, values.size)
+            row[:] = np.random.default_rng(seed).normal(0.0, sigma, points)
     return rows
 
 

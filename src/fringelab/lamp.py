@@ -10,9 +10,11 @@ optical-thickness change.
 
 Every stage takes a (rows, points) stack; lamp_signal is a stack of one. The
 filter transforms a stack as one complex block, at the one size its grid sets.
-Cached read-only: the reference's phase profile per (config, wavelengths,
-reflectance), so a stream or a study against one reference computes it once;
-the baseline design per grid; the wavelet carrier per (peak, spacing, reach).
+Unwrapping folds only the steps outside (-pi, pi), with np.unwrap's arithmetic,
+so it returns np.unwrap's bits. Cached read-only: the reference's phase profile
+per (config, wavelengths, reflectance), so a stream or a study against one
+reference computes it once; the baseline design per grid; the wavelet carrier
+per (peak, spacing, reach) and the envelope's squared offsets per (spacing, reach).
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def _carrier(center_frequency_nm: float, delta_sigma: float, reach: int) -> np.n
     return carrier
 
 
+@lru_cache(maxsize=4)
+def _squared_offsets(delta_sigma: float, reach: int) -> np.ndarray:
+    """Read-only -(k*delta_sigma)**2 for k in [-reach, reach]: one per reach, for every peak."""
+    exponent = -((np.arange(-reach, reach + 1) * delta_sigma) ** 2)
+    exponent.setflags(write=False)
+    return exponent
+
+
 def design_wavelet(peak: PeakInfo, delta_sigma: float) -> MorletWavelet:
     """Morlet wavelet matched to a measured fringe peak.
 
@@ -115,12 +125,12 @@ def design_wavelet(peak: PeakInfo, delta_sigma: float) -> MorletWavelet:
     if half_count < 1:
         raise ValueError("grid too coarse to sample the wavelet envelope")
     reach = -(-half_count // 256) * 256  # half counts up to a multiple of 256 share a carrier
-    carrier = _carrier(peak.center_frequency_nm, delta_sigma, reach)
-    offsets = np.arange(-half_count, half_count + 1) * delta_sigma
-    samples = carrier[reach - half_count : reach + half_count + 1]
-    samples = samples * np.exp(-(offsets**2) / (2.0 * sigma**2))
+    taps = slice(reach - half_count, reach + half_count + 1)
+    carrier = _carrier(peak.center_frequency_nm, delta_sigma, reach)[taps]
+    samples = carrier * np.exp(_squared_offsets(delta_sigma, reach)[taps] / (2.0 * sigma**2))
     energy = np.sum(np.abs(samples) ** 2) * delta_sigma
-    samples = samples / math.sqrt(energy)
+    # numpy divides complex by real as a product with the reciprocal: the same bits
+    samples *= 1.0 / math.sqrt(energy)
     return MorletWavelet(
         center_frequency_nm=peak.center_frequency_nm,
         envelope_sigma=sigma,
@@ -180,12 +190,27 @@ def unwrap_phase(wrapped) -> np.ndarray:
     """Unwrap by 2*pi steps so successive differences stay within (-pi, pi].
 
     Takes one profile or a (rows, points) stack, unwrapped row by row. The
-    first element of each row is returned unchanged.
+    first element of each row is returned unchanged. The result is
+    np.unwrap's, bit for bit: a NaN or infinite phase makes the rest of its
+    row NaN.
     """
     w = np.asarray(wrapped, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] < 2:
         raise ValueError("need a 1-d array or rows of at least two phases")
-    return np.unwrap(w, axis=-1)
+    # np.unwrap's steps, with the correction folded only where a step is not inside
+    # (-pi, pi): a few per row, against np.mod over every step
+    period = 2.0 * math.pi
+    high = period / 2.0
+    dd = np.diff(w, axis=-1)
+    jumps = ~(np.abs(dd) < high)
+    step = dd[jumps]
+    folded = np.mod(step + high, period) - high
+    folded[(folded == -high) & (step > 0)] = high
+    correction = np.zeros_like(dd)
+    correction[jumps] = folded - step
+    unwrapped = w.copy()
+    unwrapped[..., 1:] += correction.cumsum(axis=-1)
+    return unwrapped
 
 
 def anchor_cycle(unwrapped: np.ndarray, coarse_eot_nm, sigma_min: float) -> np.ndarray:

@@ -3,7 +3,10 @@ integrated absolute difference.
 
 rifts_eot estimates effective optical thickness from the dominant peak of
 the windowed, zero-padded transform, whose pad length and cutoff follow
-from the grid (rifts_rows: of each row of a stack). iaw reduces a pair of spectra
+from the grid (rifts_rows: of each row of a stack). It reads the peak's bin
+alone, so a row fails only when it has no fringe peak above the cutoff
+(NoFringePeakError), never over a half-maximum crossing it does not read.
+iaw reduces a pair of spectra
 (iaw_rows: a stack and one reference) to the integrated absolute wavelength-domain
 difference; it needs no transform but folds over once fringes shift past half a period.
 """
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import GridAlignmentError, WavelengthRangeError
 from .filmsim import Spectrum
-from .spectral import padded_peak_rows
+from .spectral import padded_centre_rows
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
@@ -51,8 +54,7 @@ def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
     values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
     values = values * _taper(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
-    peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma))
-    return [peak.center_frequency_nm for peak in peaks]
+    return padded_centre_rows(values, delta_sigma, default_pad_length(delta_sigma))
 
 
 def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:

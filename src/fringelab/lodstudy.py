@@ -9,15 +9,19 @@ signal units to refractive index units from a small calibration shift.
 
 Each public call is one pass: _distributions returns every (delta_n, gradient) key the call
 reads, for every method it serves, as a dict, and the call's detection limits are computed
-from that dict; run_table1 is one pass over five keys and three methods. Trials run as
-stacks of CHUNK_ROWS (8) from trial 0, each drawn once and evaluated by lamp_rows, rifts_rows
-and iaw_rows against lamp's cached reference profile. A stack that raises a FringelabError
-for a method is rerun row by row for that method (a row's result is the same alone or
-stacked): only its failing trials are dropped and counted. Any other exception propagates.
+from that dict; run_table1 is one pass over five keys and three methods. Trials run in chunks
+of CHUNK_ROWS (8) from trial 0. A chunk's white rows are drawn once per pass and serve every
+key: a key's stack is its ramped clean row plus them, the sum add_noise makes. The pass runs
+chunk by chunk, each chunk's keys in turn, and drops a chunk's draws after its last key.
+Each stack is evaluated by lamp_rows, rifts_rows and iaw_rows against lamp's cached reference
+profile. A stack that raises a FringelabError for a method is rerun row by row for that
+method (a row's result is the same alone or stacked): only its failing trials are dropped and
+counted. Any other exception propagates.
 
 Where two CPUs and fork are available and a pass has stacks, they are split once: a forked
-one-process pool computes the upper half while the caller computes the lower half, and the
-two are joined once, in stack order, so every row's result is what the serial loop gives.
+one-process pool computes the upper half while the caller computes the lower half (a chunk
+that straddles the split is drawn on both sides), and the two are joined once, in stack
+order, so every row's result is what the serial loop gives.
 Only arguments and signals cross; warnings and failures are raised by the caller. The study
 stays serial on fewer than 2 usable CPUs, without the fork start method, inside a daemonic
 process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and to_dict() are the
@@ -39,8 +43,9 @@ from .filmsim import (
     Spectrum,
     calibrate_ramp_magnitude,
     check_real,
-    noise_rows,
+    ramped_reflectance,
     simulate_reflectance,
+    white_rows,
     white_sigma_for_target,
 )
 from .lamp import LampConfig, lamp_rows
@@ -154,11 +159,18 @@ def _evaluate(cfg: LodStudyConfig, reference: Spectrum, rows: np.ndarray) -> lis
     return lamp_rows(reference, reference.wavelengths_nm, rows, cfg.lamp)
 
 
-def _stack_signals(cfgs: dict, reference: Spectrum, stacks: list) -> list:
-    """Per (clean, model, trials) stack, {method: (signals, "trial i: ..." errors)}."""
-    results = []
-    for clean, model, trials in stacks:
-        rows = noise_rows(clean, model, [_trial_seed(model.seed, i) for i in trials])
+def _stack_signals(cfgs: dict, reference: Spectrum, noise: tuple, stacks: list) -> list:
+    """Per (ramped clean row, trials) stack, {method: (signals, "trial i: ..." errors)}.
+
+    noise is (white sigma, master seed). Each stack's rows are its ramped row plus its trials'
+    white rows, drawn once for a run of stacks over the same trials and dropped after it."""
+    sigma, seed = noise
+    results, drawn, white = [], None, None
+    for ramped, trials in stacks:
+        if trials != drawn:
+            drawn, white = trials, white_rows(sigma, ramped.size,
+                                              [_trial_seed(seed, i) for i in trials])
+        rows = ramped + white
         results.append({})
         for method, cfg in cfgs.items():
             try:
@@ -219,21 +231,24 @@ def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
             dists[delta_n, gradient] = dict.fromkeys(cfgs, exc)
     clean = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
              for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
+    ramped = [ramped_reflectance(clean[delta_n], model) for delta_n, _, model in todo]
     trials = [range(s, min(s + CHUNK_ROWS, cfg.n_trials))
               for s in range(0, cfg.n_trials, CHUNK_ROWS)]
-    stacks = [(clean[delta_n], model, t) for delta_n, _, model in todo for t in trials]
+    # trial chunk by trial chunk, so that a chunk's white rows serve every key in turn
+    stacks = [(row, t) for t in trials for row in ramped]
+    noise = (white_sigma, cfg.noise.seed)
     context = _fork_context(cfg) if stacks else None
     if context is None:
-        results = _stack_signals(cfgs, reference, stacks)
+        results = _stack_signals(cfgs, reference, noise, stacks)
     else:  # the worker takes the upper half, the odd one out
         split = len(stacks) // 2
         with context.Pool(1) as pool:
-            upper = pool.apply_async(_stack_signals, (cfgs, reference, stacks[split:]))
-            results = _stack_signals(cfgs, reference, stacks[:split]) + upper.get()
+            upper = pool.apply_async(_stack_signals, (cfgs, reference, noise, stacks[split:]))
+            results = _stack_signals(cfgs, reference, noise, stacks[:split]) + upper.get()
     for k, (delta_n, gradient, _) in enumerate(todo):
-        chunk = results[k * len(trials):(k + 1) * len(trials)]
         dists[delta_n, gradient] = {
-            method: _stats(cfg.n_trials, method, delta_n, gradient, chunk) for method in cfgs}
+            method: _stats(cfg.n_trials, method, delta_n, gradient, results[k::len(todo)])
+            for method in cfgs}
     return dists
 
 

@@ -17,6 +17,11 @@ phasor row r = b mod 64 against the data modulated to the base b - r.
 Cached read-only: phasor rows per (points, pad), modulations per (points,
 pad, base), the first bin above the cutoff per grid. The 1000 nm cutoff is
 fixed, as in the run configuration. padded_peak is a stack of one.
+
+padded_peak_rows measures the peak bin and both crossings, which the width
+needs (lamp sizes its wavelet by it). padded_centre_rows finds the peak bin
+alone, for a caller that reads only the centre (rifts): it searches no
+crossing, so a crossing that runs off the spectrum raises nothing there.
 """
 
 from __future__ import annotations
@@ -116,24 +121,18 @@ def _fraction(start, end, level) -> float:
     return (level - start) / (end - start) if end != start else math.nan
 
 
-def _measure_peak(coarse, f0, df, step=1, exact=None, last=None):
-    """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
-
-    exact(b) returns |X[b]| (the coarse bin when step == 1). A main lobe spans >= 8 coarse
-    bins, so it is unimodal within +/-1 of the coarse argmax and monotone on each flank: the
-    argmax and both half-maximum crossings are where a False-then-True test on single exact
-    bins turns True, found by _first_true from a guess taken off the coarse grid; only the
-    crossings refine their guess on exact bins."""
-    if step == 1:
-        exact, last = coarse.__getitem__, coarse.size - 1
+def _peak_bin(coarse, f0, df, step, exact, last) -> int:
+    """The bin of the largest local maximum of |X[0..last]| above the cutoff, given coarse[c] =
+    |X[c*step]| and exact(b) = |X[b]|. A main lobe spans >= 8 coarse bins, so it is unimodal
+    within +/-1 of the coarse argmax: the peak is the first bin no lower than its right
+    neighbour there, found by _first_true from the vertex of the parabola through coarse
+    bins c - 1..c + 1, which sums no exact bin."""
     edge = _cutoff_edge(f0, df, last)
     first = -(-edge // step)
     if first >= coarse.size:
         raise NoFringePeakError(f"no transform bins above the {LOW_CUTOFF_NM:g} nm cutoff")
     c = first + int(np.argmax(coarse[first:]))
     lo, hi = max(step * (c - 1), edge), min(step * (c + 1), last)
-    # the first bin no lower than its right neighbour is the bracket's (first) maximum; guess
-    # the vertex of the parabola through coarse bins c - 1..c + 1, summing no exact bin
     guess = step * c
     if 0 < c < coarse.size - 1:
         left, mid, right = coarse[c - 1 : c + 2].tolist()
@@ -145,6 +144,28 @@ def _measure_peak(coarse, f0, df, step=1, exact=None, last=None):
     if not (0 < peak < last and m > 0.0 and m >= max(m_l, m_r) and m > min(m_l, m_r)):
         raise NoFringePeakError(
             "no fringe peak: largest magnitude above the cutoff is not a local maximum")
+    return peak
+
+
+def _peak_centre(coarse, f0, df, step=1, exact=None, last=None) -> float:
+    """_measure_peak's centre frequency alone: no half-maximum crossing is searched, so none
+    that runs off the spectrum raises."""
+    if step == 1:
+        exact, last = coarse.__getitem__, coarse.size - 1
+    return float(f0 + _peak_bin(coarse, f0, df, step, exact, last) * df)
+
+
+def _measure_peak(coarse, f0, df, step=1, exact=None, last=None) -> PeakInfo:
+    """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
+
+    exact(b) returns |X[b]| (the coarse bin when step == 1). The peak is _peak_bin's; each
+    flank is monotone, so each half-maximum crossing is where a False-then-True test on
+    single exact bins turns True, found by _first_true from a guess taken off the coarse grid
+    and refined on exact bins."""
+    if step == 1:
+        exact, last = coarse.__getitem__, coarse.size - 1
+    peak = _peak_bin(coarse, f0, df, step, exact, last)
+    m = exact(peak)
     half = 0.5 * m
 
     def crossing(d: int) -> float:
@@ -191,9 +212,10 @@ def dominant_peak(spectrum: FrequencySpectrum) -> PeakInfo:
     return _measure_peak(np.abs(spectrum.amplitudes), f0, df)
 
 
-def _full_padded_peak(values, delta_sigma, pad_length) -> PeakInfo:
+def _full_padded_peak(values, delta_sigma, pad_length, measure=_measure_peak):
+    """measure (_measure_peak, or _peak_centre) of the materialized zero-padded transform."""
     mags = np.abs(np.fft.rfft(np.asarray(values, dtype=float), n=pad_length))
-    return _measure_peak(mags, 0.0, 1.0 / (pad_length * delta_sigma))
+    return measure(mags, 0.0, 1.0 / (pad_length * delta_sigma))
 
 
 @lru_cache(maxsize=8)
@@ -237,8 +259,9 @@ class _ExactBins(dict):
         return magnitude
 
 
-def padded_peak_rows(rows, delta_sigma: float, pad_length: int) -> list:
-    """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
+def _padded_rows(measure, rows, delta_sigma: float, pad_length: int) -> list:
+    """measure (_measure_peak or _peak_centre) of each row's zero-padded transform, from one
+    coarse rfft of the (rows, points) stack and single exact bins."""
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] < MIN_TRANSFORM_POINTS:
         raise ValueError(f"need rows of at least {MIN_TRANSFORM_POINTS} samples")
@@ -249,9 +272,20 @@ def padded_peak_rows(rows, delta_sigma: float, pad_length: int) -> list:
     step, phasors = _plan(v.shape[1], pad_length)
     coarse = np.abs(np.fft.rfft(v, n=pad_length // step, axis=1))
     df = 1.0 / (pad_length * delta_sigma)
-    return [_measure_peak(c, 0.0, df, step,
-                          _ExactBins(row, pad_length, phasors).__getitem__, pad_length // 2)
+    return [measure(c, 0.0, df, step, _ExactBins(row, pad_length, phasors).__getitem__,
+                    pad_length // 2)
             for row, c in zip(v, coarse)]
+
+
+def padded_peak_rows(rows, delta_sigma: float, pad_length: int) -> list:
+    """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
+    return _padded_rows(_measure_peak, rows, delta_sigma, pad_length)
+
+
+def padded_centre_rows(rows, delta_sigma: float, pad_length: int) -> list:
+    """Each row's padded_peak centre frequency (nm) alone, with no half-maximum search: a
+    row whose crossing runs off the spectrum still has its centre."""
+    return _padded_rows(_peak_centre, rows, delta_sigma, pad_length)
 
 
 def padded_peak(values, delta_sigma: float, pad_length: int) -> PeakInfo:

@@ -37,12 +37,12 @@ def capture(seed: int) -> dict:
     where = {"reference": False}  # the stack being evaluated: its key, trials and calls
     pending = []  # (name, per-row values) made by the current _evaluate call
 
-    def peaks(original):
+    def peaks(original, centre):
         def recorded(rows, delta_sigma, pad_length, *args, **kwargs):
             result = original(rows, delta_sigma, pad_length, *args, **kwargs)
             if not where["reference"]:
                 width = 1.0 / (pad_length * delta_sigma)
-                pending.append(("bins", [round(p.center_frequency_nm / width) for p in result]))
+                pending.append(("bins", [round(centre(p) / width) for p in result]))
             return result
         return recorded
 
@@ -60,13 +60,14 @@ def capture(seed: int) -> dict:
         finally:
             where["reference"] = False
 
-    def stack_signals(cfgs, reference, stacks):
-        assert len(stacks) % len(keys) == 0  # the table's one pass: every key's stacks in order
-        per_key, results = len(stacks) // len(keys), []
+    def stack_signals(cfgs, reference, noise, stacks):
+        # the table's one pass: each chunk of trials, and in it every key's stack in order
+        assert len(stacks) % len(keys) == 0
+        results = []
         for s, stack in enumerate(stacks):
-            delta_n, gradient = keys[s // per_key]
-            where.update(key=f"{delta_n!r}/{gradient}", trials=list(stack[2]), calls={})
-            results += original_stack_signals(cfgs, reference, [stack])
+            delta_n, gradient = keys[s % len(keys)]
+            where.update(key=f"{delta_n!r}/{gradient}", trials=list(stack[1]), calls={})
+            results += original_stack_signals(cfgs, reference, noise, [stack])
         return results
 
     def evaluate(cfg, reference, rows):
@@ -87,8 +88,9 @@ def capture(seed: int) -> dict:
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # iaw's linearity warning
         patch.setattr(lodstudy.os, "sched_getaffinity", lambda pid: {0})  # the serial path
-        for module in (lamp, legacy):
-            patch.setattr(module, "padded_peak_rows", peaks(module.padded_peak_rows))
+        patch.setattr(lamp, "padded_peak_rows",
+                      peaks(lamp.padded_peak_rows, lambda peak: peak.center_frequency_nm))
+        patch.setattr(legacy, "padded_centre_rows", peaks(legacy.padded_centre_rows, float))
         patch.setattr(lamp, "anchor_cycle", anchor_cycle)
         patch.setattr(lamp, "_reference_profile", reference_profile)
         patch.setattr(lodstudy, "_stack_signals", stack_signals)

@@ -19,6 +19,7 @@ from fringelab import (
     simulate_reflectance,
     white_sigma_for_target,
 )
+from fringelab.filmsim import noise_rows, ramped_reflectance, white_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 
@@ -170,6 +171,23 @@ def test_noise_is_deterministic_per_seed():
     npt.assert_array_equal(a.reflectance, b.reflectance)
     c = add_noise(spec, NoiseModel(gaussian_sigma=2e-3, seed=8))
     assert not np.array_equal(a.reflectance, c.reflectance)
+
+
+def test_white_rows_of_a_silent_model_change_no_bit():
+    # -0.0 rows: x + -0.0 is x for every float, -0.0 included
+    values = np.array([-0.0, 0.0, 0.25, -1e-300])
+    rows = values + white_rows(0.0, values.size, [1, 2])
+    npt.assert_array_equal(rows.view(np.int64), np.tile(values, (2, 1)).view(np.int64))
+
+
+def test_noise_rows_are_the_ramped_reflectance_plus_the_white_rows():
+    spec = default_spectrum()
+    model = NoiseModel(gaussian_sigma=2e-3, offset_ramp_magnitude=0.01, amplitude_ramp_gain=0.02)
+    white = white_rows(2e-3, len(spec), [5, 6])
+    npt.assert_array_equal(noise_rows(spec, model, [5, 6]),
+                           ramped_reflectance(spec, model) + white)
+    alone = add_noise(spec, NoiseModel(gaussian_sigma=2e-3, seed=6))  # seed 6's draw
+    npt.assert_array_equal(spec.reflectance + white[1], alone.reflectance)
 
 
 def test_silent_model_is_identity():

@@ -1,6 +1,7 @@
 """Tests for Morlet band-pass filtering and the average-phase-difference signal."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -272,6 +273,49 @@ def test_unwrap_shifts_by_whole_cycles_only():
     wrapped = np.angle(np.exp(1j * phase))
     steps = (unwrap_phase(wrapped) - wrapped) / (2 * math.pi)
     npt.assert_allclose(steps, np.round(steps), atol=1e-9)
+
+
+def assert_unwraps_as_numpy(wrapped):
+    # assert_array_equal counts NaN equal to NaN; the view compares the bits of the rest
+    out, expected = unwrap_phase(wrapped), np.unwrap(wrapped)
+    npt.assert_array_equal(out, expected)
+    finite = np.isfinite(expected)
+    npt.assert_array_equal(out[finite].view(np.int64), expected[finite].view(np.int64))
+
+
+def test_unwrap_equals_numpy_bit_for_bit_on_rows_and_stacks():
+    rng = np.random.default_rng(23)
+    phase = np.cumsum(rng.uniform(-2.5, 2.5, (5, 2048)), axis=1)
+    stack = np.angle(np.exp(1j * phase))
+    assert_unwraps_as_numpy(stack)
+    for row in stack:
+        assert_unwraps_as_numpy(row)
+
+
+@pytest.mark.parametrize("steps", [
+    [math.pi, -math.pi, math.pi],  # exactly +/-pi: kept, with numpy's sign of the fold
+    [3 * math.pi, -3 * math.pi, 5 * math.pi, -7 * math.pi],  # odd multiples of pi
+    [0.5, -0.0, 2 * math.pi, -4 * math.pi, 1e-300],
+])
+def test_unwrap_equals_numpy_on_steps_at_the_fold(steps):
+    row = np.cumsum([0.25] + steps)
+    assert_unwraps_as_numpy(row)
+    assert_unwraps_as_numpy(np.array([row, -row, row[::-1]]))
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+def test_unwrap_equals_numpy_on_non_finite_phases(special):
+    rng = np.random.default_rng(29)
+    stack = rng.uniform(-math.pi, math.pi, (3, 40))
+    stack[1, 17] = special
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, and mod of inf
+        out = unwrap_phase(stack)
+        assert_unwraps_as_numpy(stack)
+        assert_unwraps_as_numpy(stack[1])
+    # a non-finite phase makes a NaN step that poisons the rest of its row only
+    assert np.isnan(out[1, 17:]).all() and np.isfinite(out[1, :17]).all()
+    assert np.isfinite(out[[0, 2]]).all()
 
 
 def test_anchor_no_slip_when_already_close():

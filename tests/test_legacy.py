@@ -18,8 +18,10 @@ from fringelab import (
     simulate_reflectance,
     to_wavenumber,
 )
-from fringelab.errors import FringelabError, WavelengthRangeError
+from fringelab.errors import FringelabError, PeakMeasurementError, WavelengthRangeError
 from fringelab.legacy import _taper, iaw_rows, rifts_rows
+from fringelab.spectral import _full_padded_peak, _peak_centre, padded_peak
+from fringelab.wavegrid import default_pad_length
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 
@@ -156,11 +158,29 @@ def test_iaw_stack_keeps_the_single_spectrum_errors():
     assert not isinstance(caught.value, FringelabError)
 
 
+def low_fringe():
+    """Fringes at 1500 nm: the lobe's left half-maximum lies below bin 0 of the transform."""
+    return Spectrum(WAVELENGTHS, 0.3 + 0.05 * np.cos(2 * np.pi * 1500.0 / WAVELENGTHS))
+
+
+def test_rifts_reads_the_peak_bin_where_the_width_is_unmeasurable():
+    # rifts never reads the half-maximum crossings, so one off the spectrum fails no row
+    spec = low_fringe()
+    resampled = to_wavenumber(spec, (500.0, 800.0), 2048, method="cubic_spline")
+    values = (resampled.values - resampled.values.mean()) * hann_window(2048)
+    delta_sigma = resampled.grid.delta_sigma
+    pad = default_pad_length(delta_sigma)
+    with pytest.raises(PeakMeasurementError):
+        padded_peak(values, delta_sigma, pad)
+    assert rifts_eot(spec) == _full_padded_peak(values, delta_sigma, pad, _peak_centre)
+
+
 @pytest.mark.parametrize("cfg", [RiftsConfig()], ids=["bin"])
 def test_stack_equals_rows_one_at_a_time(cfg):
+    # the last row's peak has no measurable width, which rifts does not read
     rng = np.random.default_rng(6)
     rows = np.array([film(dn).reflectance + rng.normal(0.0, 0.005, WAVELENGTHS.size)
-                     for dn in (0.0, 1e-3, 5e-3, 1e-2)])
+                     for dn in (0.0, 1e-3, 5e-3, 1e-2)] + [low_fringe().reflectance])
     single = [rifts_eot(Spectrum(WAVELENGTHS, row), cfg) for row in rows]
     assert rifts_rows(WAVELENGTHS, rows, cfg) == single
     assert rifts_rows(WAVELENGTHS, rows[2:], cfg) == single[2:]

@@ -26,7 +26,7 @@ from fringelab import (
     run_table1,
     simulate_reflectance,
 )
-from fringelab.filmsim import noise_rows
+from fringelab.filmsim import noise_rows, ramped_reflectance, white_rows
 from fringelab.lodstudy import CHUNK_ROWS, _trial_seed, crlb_delta_n
 
 # Mean phase advance of the default film for a 1e-3 index shift:
@@ -276,16 +276,19 @@ def test_noise_stack_rows_are_the_serial_trials():
 
 
 def flatten_trial(monkeypatch, cfg, index):
-    """Make the study's noisy row for trial index featureless (no fringe peak)."""
+    """Make the study's noisy blank row (0.0, "none") for trial index featureless (no fringe
+    peak): its white row is the blank's ramped row negated, so the row is +0.0 throughout."""
     target = _trial_seed(cfg.noise.seed, index)
+    _, clean, model = pass_inputs(cfg, 0.0, "none")
+    blank = ramped_reflectance(clean, model)
 
-    def flattened(clean, model, seeds):
-        rows = noise_rows(clean, model, seeds)
+    def flattened(sigma, points, seeds):
+        rows = white_rows(sigma, points, seeds)
         if target in seeds:
-            rows[seeds.index(target)] = 0.2
+            rows[seeds.index(target)] = -blank
         return rows
 
-    monkeypatch.setattr(lodstudy, "noise_rows", flattened)
+    monkeypatch.setattr(lodstudy, "white_rows", flattened)
 
 
 @pytest.mark.parametrize("method", ["lamp", "rifts"])
@@ -316,11 +319,14 @@ def test_domain_error_drops_its_trial_only_from_the_failing_methods(monkeypatch)
 
 def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
     one_cpu(monkeypatch)
-    calls = {"noise_rows": 0, "calibrate_ramp_magnitude": 0}
+    calls = {"white_rows": 0, "calibrate_ramp_magnitude": 0}
+    drawn = []  # the trial seeds of every white row drawn
 
     def counting(name, original):
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "white_rows":
+                drawn.extend(args[2])
             return original(*args, **kwargs)
         return counted
 
@@ -329,8 +335,9 @@ def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_table1(study(n_trials=100))
-    # 5 keys x 13 stacks, each evaluated by all three methods
-    assert calls == {"noise_rows": 65, "calibrate_ramp_magnitude": 2}
+    # 13 stacks of trials, each drawn once for all 5 keys and all three methods
+    assert calls == {"white_rows": 13, "calibrate_ramp_magnitude": 2}
+    assert len(drawn) == len(set(drawn)) == 100  # one white row per trial, not one per key
 
 
 def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
@@ -340,10 +347,10 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
     passes = []
     original = lodstudy._stack_signals
 
-    def recorded(cfgs, reference, stacks):
+    def recorded(cfgs, reference, noise, stacks):
         if stacks:
             passes.append(len(stacks))
-        return original(cfgs, reference, stacks)
+        return original(cfgs, reference, noise, stacks)
 
     monkeypatch.setattr(lodstudy, "_stack_signals", recorded)
     with warnings.catch_warnings():
@@ -364,12 +371,13 @@ def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):
     assert len(messages) == 1 and "white noise alone" in messages.pop()
 
 
-@pytest.mark.parametrize("method, module", [("lamp", "lamp"), ("rifts", "legacy")])
-def test_bug_in_a_stage_propagates(monkeypatch, method, module):
+@pytest.mark.parametrize("method, module, stage", [("lamp", "lamp", "padded_peak_rows"),
+                                                   ("rifts", "legacy", "padded_centre_rows")])
+def test_bug_in_a_stage_propagates(monkeypatch, method, module, stage):
     def broken(*args, **kwargs):
         raise TypeError("injected bug")
 
-    monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), "padded_peak_rows", broken)
+    monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), stage, broken)
     with pytest.raises(TypeError, match="injected bug"):
         response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)
 
@@ -425,13 +433,13 @@ def test_worker_computes_the_upper_half_of_the_stacks(monkeypatch, tmp_path):
     caller = os.getpid()
     trial_of = {_trial_seed(cfg.noise.seed, i): i for i in range(100)}
 
-    def logged(clean, model, seeds):
+    def logged(sigma, points, seeds):
         side = "caller" if os.getpid() == caller else "worker"
         with open(tmp_path / side, "a") as log:
             log.writelines(f"{trial_of[seed]}\n" for seed in seeds)
-        return noise_rows(clean, model, seeds)
+        return white_rows(sigma, points, seeds)
 
-    monkeypatch.setattr(lodstudy, "noise_rows", logged)
+    monkeypatch.setattr(lodstudy, "white_rows", logged)
     response_distribution(cfg, 0.0)
     trials = {side: [int(i) for i in (tmp_path / side).read_text().split()]
               for side in ("caller", "worker")}
