@@ -160,10 +160,18 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     """
     if not np.array_equal(clean.wavelengths_nm, noisy.wavelengths_nm):
         raise GridAlignmentError("spectra must share a wavelength grid")
-    noise_power = float(np.mean((noisy.reflectance - clean.reflectance) ** 2))
+    diff = noisy.reflectance - clean.reflectance
+    with np.errstate(over="ignore"):
+        noise_power = float(np.mean(diff**2))
     if noise_power == 0.0:
         return math.inf
-    return 10.0 * math.log10(_fringe_power(clean) / noise_power)
+    signal_power = _fringe_power(clean)
+    if 0.0 < signal_power / noise_power < math.inf:
+        return 10.0 * math.log10(signal_power / noise_power)
+    # past the float range: square the difference scaled to at most 1, decibels term by term
+    scale = float(np.max(np.abs(diff)))
+    return 10.0 * (math.log10(signal_power) - 2.0 * math.log10(scale)
+                   - math.log10(float(np.mean((diff / scale) ** 2))))
 
 
 def check_real(name: str, value, optional: bool = False) -> None:
@@ -208,6 +216,12 @@ class NoiseModel:
             raise ValueError("gaussian_sigma must be >= 0")
         check_seed(self.seed)
 
+    def white_sigma(self, clean: Spectrum) -> float:
+        """The white level: gaussian_sigma, or the sigma that puts clean at target_snr_db."""
+        if self.gaussian_sigma is not None:
+            return self.gaussian_sigma
+        return white_sigma_for_target(clean, self.target_snr_db)
+
 
 def white_sigma_for_target(clean: Spectrum, target_snr_db: float) -> float:
     """Gaussian sigma that puts white noise at the requested S/N."""
@@ -233,11 +247,8 @@ def add_noise(spectrum: Spectrum, model: NoiseModel) -> Spectrum:
 def noise_rows(spectrum: Spectrum, model: NoiseModel, seeds) -> np.ndarray:
     """add_noise's reflectance for each of seeds in place of the model's seed, one row each:
     the ramped reflectance plus each seed's white row."""
-    if model.gaussian_sigma is not None:
-        sigma = model.gaussian_sigma
-    else:
-        sigma = white_sigma_for_target(spectrum, model.target_snr_db)
-    return ramped_reflectance(spectrum, model) + white_rows(sigma, len(spectrum), seeds)
+    return (ramped_reflectance(spectrum, model)
+            + white_rows(model.white_sigma(spectrum), len(spectrum), seeds))
 
 
 def ramped_reflectance(spectrum: Spectrum, model: NoiseModel) -> np.ndarray:
@@ -284,7 +295,8 @@ def calibrate_ramp_magnitude(
     signal_power = _fringe_power(clean)
     floor_snr = math.inf
     if white_sigma > 0.0:
-        floor_snr = 10.0 * math.log10(signal_power / white_sigma**2)
+        # term by term in decibels: white_sigma**2 overflows or underflows at extreme sigmas
+        floor_snr = 10.0 * math.log10(signal_power) - 20.0 * math.log10(white_sigma)
     if floor_snr <= target_snr_db:
         raise CalibrationError(
             f"white noise alone already puts S/N at {floor_snr:.3f} dB, "
@@ -292,10 +304,11 @@ def calibrate_ramp_magnitude(
         )
 
     def snr_at(magnitude: float) -> float:
-        noise_power = _ramp_noise_power(clean, kind, magnitude) + white_sigma**2
+        noise_power = _ramp_noise_power(clean, kind, magnitude) + white_sigma * white_sigma
         if noise_power == 0.0:
             return math.inf
-        return 10.0 * math.log10(signal_power / noise_power)
+        ratio = signal_power / noise_power  # 0 once the white power overflows
+        return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
 
     lo, hi = 0.0, 1.0
     grow = 0

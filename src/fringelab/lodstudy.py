@@ -9,30 +9,29 @@ signal units to refractive index units from a small calibration shift.
 
 Each public call is one pass: _distributions returns every (delta_n, gradient) key the call
 reads, for every method it serves, as a dict, and the call's detection limits are computed
-from that dict; run_table1 is one pass over five keys and three methods. Trials run in chunks
-of CHUNK_ROWS (8) from trial 0. A chunk's white rows are drawn once per pass and serve every
-key: a key's stack is its ramped clean row plus them, the sum add_noise makes. The pass runs
-chunk by chunk, each chunk's keys in turn, and drops a chunk's draws after its last key.
-Each stack is evaluated by lamp_rows, rifts_rows and iaw_rows against lamp's cached reference
-profile. A stack that raises a FringelabError for a method is rerun row by row for that
-method (a row's result is the same alone or stacked): only its failing trials are dropped and
-counted. Any other exception propagates.
+from that dict; run_table1 is one pass over five keys and three methods. _trial_signals runs
+a range of trials in chunks of CHUNK_ROWS (8) from the range's own start. A chunk's white rows
+are drawn once and serve every key: a key's stack is its ramped clean row plus them, the sum
+add_noise makes. Each stack is evaluated by lamp_rows, rifts_rows and iaw_rows against lamp's
+cached reference profile, and the chunk's draws are dropped after its last key. A stack that
+raises a FringelabError for a method is rerun row by row for that method (a row's result is
+the same alone or stacked): only its failing trials are dropped and counted. Any other
+exception propagates. A pass whose every ramp failed to calibrate draws nothing.
 
-Where two CPUs and fork are available and a pass has stacks, they are split once: a forked
-one-process pool computes the upper half while the caller computes the lower half (a chunk
-that straddles the split is drawn on both sides), and the two are joined once, in stack
-order, so every row's result is what the serial loop gives.
-Only arguments and signals cross; warnings and failures are raised by the caller. The study
-stays serial on fewer than 2 usable CPUs, without the fork start method, inside a daemonic
-process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and to_dict() are the
-same on both paths.
+Where two CPUs and fork are available, a pass's trials are split once: a forked one-process
+pool runs trials n_trials // 2 to n_trials - 1 while the caller runs the rest, and each key's
+signals and errors are joined once, the caller's first, so every trial's result is what the
+serial loop gives. Only arguments and signals cross; warnings and failures are raised by the
+caller. The study stays serial on fewer than 2 usable CPUs, without the fork start method,
+inside a daemonic process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and
+to_dict() are the same on both paths.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .filmsim import (
     ramped_reflectance,
     simulate_reflectance,
     white_rows,
-    white_sigma_for_target,
 )
 from .lamp import LampConfig, lamp_rows
 from .legacy import IawConfig, RiftsConfig, iaw_rows, rifts_rows
@@ -150,47 +148,36 @@ def _trial_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _evaluate(cfg: LodStudyConfig, reference: Spectrum, rows: np.ndarray) -> list:
-    """The configured method's signal for each row of a noisy stack."""
-    if cfg.method == "rifts":
+def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, rows: np.ndarray) -> list:
+    """method's signal for each row of a noisy stack."""
+    if method == "rifts":
         return rifts_rows(reference.wavelengths_nm, rows, cfg.rifts)
-    if cfg.method == "iaw":
+    if method == "iaw":
         return iaw_rows(reference, rows, cfg.iaw)
     return lamp_rows(reference, reference.wavelengths_nm, rows, cfg.lamp)
 
 
-def _stack_signals(cfgs: dict, reference: Spectrum, noise: tuple, stacks: list) -> list:
-    """Per (ramped clean row, trials) stack, {method: (signals, "trial i: ..." errors)}.
-
-    noise is (white sigma, master seed). Each stack's rows are its ramped row plus its trials'
-    white rows, drawn once for a run of stacks over the same trials and dropped after it."""
-    sigma, seed = noise
-    results, drawn, white = [], None, None
-    for ramped, trials in stacks:
-        if trials != drawn:
-            drawn, white = trials, white_rows(sigma, ramped.size,
-                                              [_trial_seed(seed, i) for i in trials])
-        rows = ramped + white
-        results.append({})
-        for method, cfg in cfgs.items():
-            try:
-                signals, errors = _evaluate(cfg, reference, rows), []
-            except FringelabError:  # rerun row by row: only the failing trials are dropped
-                signals, errors = [], []
-                for i, row in zip(trials, rows):
-                    try:
-                        signals += _evaluate(cfg, reference, row[None])
-                    except FringelabError as exc:
-                        errors.append(f"trial {i}: {exc}")
-            results[-1][method] = signals, errors
+def _trial_signals(cfg: LodStudyConfig, methods: tuple, reference: Spectrum, white_sigma: float,
+                   ramped: list, trials: range) -> list:
+    """Per ramped clean row, {method: (signals, "trial i: ..." errors)} over trials, in order;
+    each chunk of CHUNK_ROWS trials from trials.start draws its white rows once for every row."""
+    results = [{method: ([], []) for method in methods} for _ in ramped]
+    for start in range(trials.start, trials.stop, CHUNK_ROWS):
+        chunk = range(start, min(start + CHUNK_ROWS, trials.stop))
+        white = white_rows(white_sigma, len(reference),
+                           [_trial_seed(cfg.noise.seed, i) for i in chunk])
+        for row, result in zip(ramped, results):
+            rows = row + white
+            for method, (signals, errors) in result.items():
+                try:
+                    signals += _evaluate(cfg, method, reference, rows)
+                except FringelabError:  # rerun row by row: only the failing trials are dropped
+                    for i, alone in zip(chunk, rows):
+                        try:
+                            signals += _evaluate(cfg, method, reference, alone[None])
+                        except FringelabError as exc:
+                            errors.append(f"trial {i}: {exc}")
     return results
-
-
-def _white_sigma(cfg: LodStudyConfig, reference: Spectrum) -> float:
-    """The configured white sigma, or the one that puts the reference at the S/N target."""
-    if cfg.noise.gaussian_sigma is not None:
-        return cfg.noise.gaussian_sigma
-    return white_sigma_for_target(reference, cfg.noise.target_snr_db)
 
 
 def _noise_model(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
@@ -204,10 +191,8 @@ def _noise_model(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
                       amplitude_ramp_gain=magnitude if gradient == "amplitude" else 0.0)
 
 
-def _stats(n_trials: int, method: str, delta_n: float, gradient: str, chunk: list):
-    """method's DistributionStats over one key's stack results, or its StudyError."""
-    signals = sum((result[method][0] for result in chunk), [])
-    errors = sum((result[method][1] for result in chunk), [])
+def _stats(n_trials: int, method: str, delta_n: float, gradient: str, signals, errors):
+    """method's DistributionStats over one key's signals, or its StudyError."""
     if len(errors) > MAX_FAILURE_FRACTION * n_trials:
         return StudyError(f"{len(errors)} of {n_trials} trials failed ({method}, "
                           f"delta_n={delta_n:g}, gradient={gradient}); "
@@ -219,36 +204,37 @@ def _stats(n_trials: int, method: str, delta_n: float, gradient: str, chunk: lis
 def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
     """{(delta_n, gradient): {method: DistributionStats or the FringelabError that stopped
     it}} for every key, in one pass over every method (cfg.method by default)."""
-    cfgs = {m: replace(cfg, method=m) for m in methods or (cfg.method,)}
+    methods = methods or (cfg.method,)
     wavelengths = cfg.wavelengths()
     reference = simulate_reflectance(cfg.stack, wavelengths)
-    white_sigma = _white_sigma(cfg, reference)
+    white_sigma = cfg.noise.white_sigma(reference)
     dists, todo = {}, []
     for delta_n, gradient in keys:
         try:
             todo.append((delta_n, gradient, _noise_model(cfg, reference, white_sigma, gradient)))
         except CalibrationError as exc:  # the ramp's failure is every method's
-            dists[delta_n, gradient] = dict.fromkeys(cfgs, exc)
+            dists[delta_n, gradient] = dict.fromkeys(methods, exc)
+    if not todo:  # every ramp failed: nothing to draw
+        return dists
     clean = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
              for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
     ramped = [ramped_reflectance(clean[delta_n], model) for delta_n, _, model in todo]
-    trials = [range(s, min(s + CHUNK_ROWS, cfg.n_trials))
-              for s in range(0, cfg.n_trials, CHUNK_ROWS)]
-    # trial chunk by trial chunk, so that a chunk's white rows serve every key in turn
-    stacks = [(row, t) for t in trials for row in ramped]
-    noise = (white_sigma, cfg.noise.seed)
-    context = _fork_context(cfg) if stacks else None
+    args = (cfg, methods, reference, white_sigma, ramped)
+    context = _fork_context(cfg)
     if context is None:
-        results = _stack_signals(cfgs, reference, noise, stacks)
-    else:  # the worker takes the upper half, the odd one out
-        split = len(stacks) // 2
+        results = _trial_signals(*args, range(cfg.n_trials))
+    else:  # the worker takes the upper half of the trials, the odd one out
+        split = cfg.n_trials // 2
         with context.Pool(1) as pool:
-            upper = pool.apply_async(_stack_signals, (cfgs, reference, noise, stacks[split:]))
-            results = _stack_signals(cfgs, reference, noise, stacks[:split]) + upper.get()
-    for k, (delta_n, gradient, _) in enumerate(todo):
+            upper = pool.apply_async(_trial_signals, (*args, range(split, cfg.n_trials)))
+            lower = _trial_signals(*args, range(split))
+            # each key's signals and errors in trial order: the caller's half, then the worker's
+            results = [{method: tuple(a + b for a, b in zip(lo[method], up[method]))
+                        for method in methods} for lo, up in zip(lower, upper.get())]
+    for (delta_n, gradient, _), result in zip(todo, results):
         dists[delta_n, gradient] = {
-            method: _stats(cfg.n_trials, method, delta_n, gradient, results[k::len(todo)])
-            for method in cfgs}
+            method: _stats(cfg.n_trials, method, delta_n, gradient, *result[method])
+            for method in methods}
     return dists
 
 
@@ -320,7 +306,7 @@ def crlb_delta_n(cfg: LodStudyConfig) -> float:
     up, down = (simulate_reflectance(cfg.stack.with_film_index_shift(s), wavelengths)
                 for s in (h, -below))
     jacobian = (up.reflectance - down.reflectance) / (h + below)
-    white_sigma = _white_sigma(cfg, simulate_reflectance(cfg.stack, wavelengths))
+    white_sigma = cfg.noise.white_sigma(simulate_reflectance(cfg.stack, wavelengths))
     return white_sigma / float(np.linalg.norm(jacobian))
 
 

@@ -677,6 +677,26 @@ def test_window_too_narrow_fails_each_processed_file(tmp_path, capsys, monkeypat
     assert all(reason in line for line in lines)
 
 
+@pytest.mark.parametrize("argv", [["lod-table", "--trials", "4", "--seed", "1"],
+                                  ["simulate", "--seed", "1"]], ids=["lod-table", "simulate"])
+@pytest.mark.parametrize("config", [
+    '{"noise": {"gaussian_sigma": 1e-300}}',
+    '{"noise": {"gaussian_sigma": 1e160}}',
+    '{"noise": {"gaussian_sigma": 1e300}}',
+    # a floor below the white one: the bisection squares sigma
+    '{"noise": {"gaussian_sigma": 1e160}, "study": {"offset_snr_db": -1e4}}',
+], ids=["sigma-1e-300", "sigma-1e160", "sigma-1e300", "sigma-1e160-floor-below-white"])
+def test_float_extreme_white_sigma_ends_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                            argv, config):
+    # the white floor once divided by sigma**2, which is 0 or overflows at these sigmas, and
+    # the achieved S/N took the log of a noise power that overflowed to inf
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(config)
+    rc = main([*argv, "--config", "run.json", "--out", "out"])
+    assert rc in (0, PARSE_EXIT, PROCESS_EXIT)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -60,31 +60,35 @@ def capture(seed: int) -> dict:
         finally:
             where["reference"] = False
 
-    def stack_signals(cfgs, reference, noise, stacks):
+    def trial_signals(cfg, methods, reference, white_sigma, ramped, trials):
         # the table's one pass: each chunk of trials, and in it every key's stack in order
-        assert len(stacks) % len(keys) == 0
-        results = []
-        for s, stack in enumerate(stacks):
-            delta_n, gradient = keys[s % len(keys)]
-            where.update(key=f"{delta_n!r}/{gradient}", trials=list(stack[1]), calls={})
-            results += original_stack_signals(cfgs, reference, noise, [stack])
+        assert len(ramped) == len(keys)
+        results = [{method: ([], []) for method in methods} for _ in ramped]
+        for start in range(trials.start, trials.stop, lodstudy.CHUNK_ROWS):
+            chunk = range(start, min(start + lodstudy.CHUNK_ROWS, trials.stop))
+            for (delta_n, gradient), row, result in zip(keys, ramped, results):
+                where.update(key=f"{delta_n!r}/{gradient}", trials=list(chunk), calls={})
+                [stack] = original_trial_signals(cfg, methods, reference, white_sigma, [row], chunk)
+                for method, (signals, errors) in stack.items():
+                    result[method][0].extend(signals)
+                    result[method][1].extend(errors)
         return results
 
-    def evaluate(cfg, reference, rows):
+    def evaluate(cfg, method, reference, rows):
         # call 0 takes the whole stack; after a domain error, call k reruns trial k - 1 alone
-        k = where["calls"][cfg.method] = where["calls"].get(cfg.method, -1) + 1
+        k = where["calls"][method] = where["calls"].get(method, -1) + 1
         trials = where["trials"] if k == 0 else where["trials"][k - 1 : k]
         pending.clear()
-        signals = original_evaluate(cfg, reference, rows)
+        signals = original_evaluate(cfg, method, reference, rows)
         for name, values in pending:
-            record = decisions[where["key"]].setdefault(cfg.method, {})
+            record = decisions[where["key"]].setdefault(method, {})
             per_trial = record.setdefault(name, [None] * N_TRIALS)
             for trial, value in zip(trials, values, strict=True):
                 per_trial[trial] = value
         return signals
 
     original_anchor, original_reference = lamp.anchor_cycle, lamp._reference_profile
-    original_stack_signals, original_evaluate = lodstudy._stack_signals, lodstudy._evaluate
+    original_trial_signals, original_evaluate = lodstudy._trial_signals, lodstudy._evaluate
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # iaw's linearity warning
         patch.setattr(lodstudy.os, "sched_getaffinity", lambda pid: {0})  # the serial path
@@ -93,7 +97,7 @@ def capture(seed: int) -> dict:
         patch.setattr(legacy, "padded_centre_rows", peaks(legacy.padded_centre_rows, float))
         patch.setattr(lamp, "anchor_cycle", anchor_cycle)
         patch.setattr(lamp, "_reference_profile", reference_profile)
-        patch.setattr(lodstudy, "_stack_signals", stack_signals)
+        patch.setattr(lodstudy, "_trial_signals", trial_signals)
         patch.setattr(lodstudy, "_evaluate", evaluate)
         run_table1(cfg)
     return {"n_trials": N_TRIALS, "master_seed": seed, "decisions": decisions}

@@ -46,7 +46,7 @@ def pass_inputs(cfg, delta_n, gradient):
     """The reference, clean analyte and noise model a pass draws (delta_n, gradient) from."""
     reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
     clean = simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), cfg.wavelengths())
-    white_sigma = lodstudy._white_sigma(cfg, reference)
+    white_sigma = cfg.noise.white_sigma(reference)
     return reference, clean, lodstudy._noise_model(cfg, reference, white_sigma, gradient)
 
 
@@ -215,7 +215,7 @@ def test_cramer_rao_bound_is_linear_in_white_sigma():
     assert bounds[1] / bounds[0] == pytest.approx(3.0, rel=1e-9)
     # an S/N target resolves to the same sigma the study draws its noise with
     cfg = study()
-    resolved = lodstudy._white_sigma(cfg, simulate_reflectance(cfg.stack, cfg.wavelengths()))
+    resolved = cfg.noise.white_sigma(simulate_reflectance(cfg.stack, cfg.wavelengths()))
     assert crlb_delta_n(study()) == pytest.approx(bounds[0] * resolved / 1e-3, rel=1e-12)
 
 
@@ -275,17 +275,19 @@ def test_noise_stack_rows_are_the_serial_trials():
         np.testing.assert_array_equal(row, add_noise(clean, replace(model, seed=seed)).reflectance)
 
 
-def flatten_trial(monkeypatch, cfg, index):
-    """Make the study's noisy blank row (0.0, "none") for trial index featureless (no fringe
-    peak): its white row is the blank's ramped row negated, so the row is +0.0 throughout."""
-    target = _trial_seed(cfg.noise.seed, index)
+def flatten_trial(monkeypatch, cfg, *indices):
+    """Make the study's noisy blank row (0.0, "none") for each trial of indices featureless (no
+    fringe peak): its white row is the blank's ramped row negated, so the row is +0.0
+    throughout."""
+    targets = {_trial_seed(cfg.noise.seed, index) for index in indices}
     _, clean, model = pass_inputs(cfg, 0.0, "none")
     blank = ramped_reflectance(clean, model)
 
     def flattened(sigma, points, seeds):
         rows = white_rows(sigma, points, seeds)
-        if target in seeds:
-            rows[seeds.index(target)] = -blank
+        for row, seed in zip(rows, seeds):
+            if seed in targets:
+                row[:] = -blank
         return rows
 
     monkeypatch.setattr(lodstudy, "white_rows", flattened)
@@ -300,7 +302,7 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
     reference, clean, model = pass_inputs(cfg, 0.0, "none")
     rows = noise_rows(clean, model, seeds)
-    alone = np.array([lodstudy._evaluate(cfg, reference, row[None])[0] for row in rows])
+    alone = np.array([lodstudy._evaluate(cfg, method, reference, row[None])[0] for row in rows])
     assert stats.n_trials == 99
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
 
@@ -335,9 +337,24 @@ def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_table1(study(n_trials=100))
-    # 13 stacks of trials, each drawn once for all 5 keys and all three methods
+    # 13 chunks of trials, each drawn once for all 5 keys and all three methods
     assert calls == {"white_rows": 13, "calibrate_ramp_magnitude": 2}
     assert len(drawn) == len(set(drawn)) == 100  # one white row per trial, not one per key
+
+
+def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
+    # white noise at 27.7 dB cannot be topped up to a 40 dB floor: the pass's one ramp fails
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return white_rows(*args)
+
+    monkeypatch.setattr(lodstudy, "white_rows", counted)
+    cfg = study(n_trials=2 * CHUNK_ROWS, offset_snr_db=40.0)
+    with pytest.raises(CalibrationError, match="white noise alone"):
+        response_distribution(cfg, 0.0, "offset")
+    assert drawn == []
 
 
 def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
@@ -345,21 +362,20 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
     # gradient_delta alone computes its two keys in one pass
     one_cpu(monkeypatch)
     passes = []
-    original = lodstudy._stack_signals
+    original = lodstudy._trial_signals
 
-    def recorded(cfgs, reference, noise, stacks):
-        if stacks:
-            passes.append(len(stacks))
-        return original(cfgs, reference, noise, stacks)
+    def recorded(cfg, methods, reference, white_sigma, ramped, trials):
+        passes.append((len(ramped), trials))
+        return original(cfg, methods, reference, white_sigma, ramped, trials)
 
-    monkeypatch.setattr(lodstudy, "_stack_signals", recorded)
+    monkeypatch.setattr(lodstudy, "_trial_signals", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lod_riu(study(n_trials=2 * CHUNK_ROWS), "offset")
     smoke_table()
     gradient_delta(study(n_trials=2 * CHUNK_ROWS), "amplitude")
-    # keys x stacks: lod_riu's one pass, the table's, then gradient_delta's (ramp and blank)
-    assert passes == [4 * 2, 5 * 2, 2 * 2]
+    # (keys, trials): lod_riu's one pass, the table's, then gradient_delta's (ramp and blank)
+    assert passes == [(4, range(16)), (5, range(16)), (2, range(16))]
 
 
 def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):
@@ -386,11 +402,11 @@ FORKS = lodstudy._fork_context(study(n_trials=2 * CHUNK_ROWS)) is not None
 needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork and 2 CPUs")
 
 
-def smoke_table(**kw):
-    """A 16-trial table: two stacks per distribution, so the second runs in the worker."""
+def smoke_table(n_trials=2 * CHUNK_ROWS, **kw):
+    """A 16-trial table by default: the worker runs trials 8-15."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_table1(study(n_trials=2 * CHUNK_ROWS, seed=3, **kw), allow_smoke_trials=True)
+        return run_table1(study(n_trials=n_trials, seed=3, **kw), allow_smoke_trials=True)
 
 
 def one_cpu(monkeypatch):
@@ -412,11 +428,18 @@ def test_table_stays_serial_when_forking_cannot_pay(monkeypatch, rule):
     assert lodstudy._fork_context(study(n_trials=n_trials)) is None
 
 
-@pytest.mark.parametrize("index", [3, 11])  # in the caller's and the worker's half
-def test_domain_error_is_counted_with_its_trial_index(monkeypatch, index):
-    cfg = study(n_trials=2 * CHUNK_ROWS)
-    flatten_trial(monkeypatch, cfg, index)
-    expected = rf"1 of 16 trials failed .*first failure: trial {index}: "
+@pytest.mark.parametrize("n_trials, indices", [
+    # in the caller's and the worker's half
+    pytest.param(16, (3,), id="3"), pytest.param(16, (11,), id="11"),
+    # 19 trials split at 9: trial 8 is the caller's last and trial 9 the worker's first, while
+    # the serial path has both in its second chunk
+    pytest.param(19, (8,), id="8-of-19"), pytest.param(19, (9,), id="9-of-19"),
+    pytest.param(19, (8, 9), id="8-and-9-of-19"),
+])
+def test_domain_error_is_counted_with_its_trial_index(monkeypatch, n_trials, indices):
+    cfg = study(n_trials=n_trials)
+    flatten_trial(monkeypatch, cfg, *indices)
+    expected = rf"{len(indices)} of {n_trials} trials failed .*first failure: trial {indices[0]}: "
     messages = []
     for path in ("forked", "one cpu") if FORKS else ("one cpu",):
         if path == "one cpu":
@@ -443,7 +466,7 @@ def test_worker_computes_the_upper_half_of_the_stacks(monkeypatch, tmp_path):
     response_distribution(cfg, 0.0)
     trials = {side: [int(i) for i in (tmp_path / side).read_text().split()]
               for side in ("caller", "worker")}
-    assert trials == {"caller": list(range(48)), "worker": list(range(48, 100))}
+    assert trials == {"caller": list(range(50)), "worker": list(range(50, 100))}
 
 
 @pytest.mark.parametrize("n_trials", [CHUNK_ROWS, 2 * CHUNK_ROWS])
@@ -455,12 +478,18 @@ def test_lod_riu_warning_names_its_caller(monkeypatch, n_trials):
 
 
 @needs_fork
-def test_forked_table_equals_serial(monkeypatch):
+@pytest.mark.parametrize("n_trials", [
+    2 * CHUNK_ROWS,
+    # split at 9: the caller's chunks are 0-7 and 8, the worker's 9-16 and 17-18, stacks the
+    # serial path (0-7, 8-15, 16-18) never builds
+    19,
+])
+def test_forked_table_equals_serial(monkeypatch, n_trials):
     import json
 
-    forked = json.dumps(smoke_table().to_dict())
+    forked = json.dumps(smoke_table(n_trials).to_dict())
     one_cpu(monkeypatch)
-    assert json.dumps(smoke_table().to_dict()) == forked
+    assert json.dumps(smoke_table(n_trials).to_dict()) == forked
 
 
 @needs_fork
@@ -471,12 +500,12 @@ def test_forked_table_joins_the_worker_once(monkeypatch):
     original = Pool.apply_async
 
     def counted(self, func, args=(), *rest, **kwargs):
-        submitted.append(len(args[-1]))
+        submitted.append(args[-1])
         return original(self, func, args, *rest, **kwargs)
 
     monkeypatch.setattr(Pool, "apply_async", counted)
     smoke_table()
-    assert submitted == [5]  # the upper half of 5 keys x 2 stacks
+    assert submitted == [range(8, 16)]  # the upper half of the 16 trials
 
 
 @needs_fork
