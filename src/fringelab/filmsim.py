@@ -161,16 +161,12 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
     if not np.array_equal(clean.wavelengths_nm, noisy.wavelengths_nm):
         raise GridAlignmentError("spectra must share a wavelength grid")
     diff = noisy.reflectance - clean.reflectance
-    with np.errstate(over="ignore"):
-        noise_power = float(np.mean(diff**2))
-    if noise_power == 0.0:
-        return math.inf
-    signal_power = _fringe_power(clean)
-    if 0.0 < signal_power / noise_power < math.inf:
-        return 10.0 * math.log10(signal_power / noise_power)
-    # past the float range: square the difference scaled to at most 1, decibels term by term
     scale = float(np.max(np.abs(diff)))
-    return 10.0 * (math.log10(signal_power) - 2.0 * math.log10(scale)
+    if scale == 0.0:
+        return math.inf
+    # decibels term by term, from the difference scaled to at most 1: its square neither
+    # overflows nor underflows to 0 at any noise level, where the noise power itself can
+    return 10.0 * (math.log10(_fringe_power(clean)) - 2.0 * math.log10(scale)
                    - math.log10(float(np.mean((diff / scale) ** 2))))
 
 

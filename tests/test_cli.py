@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +72,29 @@ class TestSimulate:
         snr_line = next(line for line in out.splitlines() if "achieved" in line)
         achieved = float(snr_line.split(": ")[1].split()[0])
         assert achieved == pytest.approx(27.7, abs=1.0)
+
+    @pytest.mark.parametrize("sigma", [1e160, 1e300])
+    def test_achieved_snr_of_a_white_power_past_the_float_range(self, tmp_path, capsys, sigma):
+        # the noise power, about sigma**2, overflows to inf; the S/N is P / sigma**2 in dB
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"noise": {"gaussian_sigma": sigma}}))
+        rc = main(["simulate", "--seed", "1", "--config", str(config),
+                   "--out", str(tmp_path / "n.csv"), "--clean-out", str(tmp_path / "c.csv")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        achieved = float(out.split("achieved S/N: ")[1].split(" dB")[0])
+        clean = fringelab.read_spectrum(tmp_path / "c.csv")
+        expected = 10 * math.log10(fringelab.ac_power(clean.reflectance)) - 20 * math.log10(sigma)
+        assert achieved == pytest.approx(expected, abs=0.5)
+
+    def test_white_power_below_the_float_range_changes_no_bit(self, tmp_path, capsys):
+        # sigma 1e-300 rounds away against reflectances near 0.1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"noise": {"gaussian_sigma": 1e-300}}))
+        rc = main(["simulate", "--seed", "1", "--config", str(config),
+                   "--out", str(tmp_path / "n.csv"), "--clean-out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert "achieved S/N: infinite" in capsys.readouterr().out
 
     def test_requires_an_output(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "1"]) == PARSE_EXIT

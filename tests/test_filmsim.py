@@ -146,6 +146,16 @@ def test_snr_against_constant_perturbation():
     assert math.isclose(measure_snr(spec, shifted), expected, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("pattern", [(1.0, 1.0), (1.0, -0.5)], ids=["constant", "two-level"])
+def test_snr_of_a_noise_power_past_the_float_range(pattern):
+    # mean((1e160 * w)**2) overflows to inf; the S/N is still P / (1e320 * mean(w**2)) in dB
+    spec = default_spectrum()
+    w = np.resize(np.array(pattern), len(spec))
+    noisy = Spectrum(spec.wavelengths_nm, spec.reflectance + 1e160 * w)
+    expected = 10 * math.log10(ac_power(spec.reflectance)) - 3200 - 10 * math.log10(np.mean(w**2))
+    assert math.isclose(measure_snr(spec, noisy), expected, rel_tol=1e-12)
+
+
 def test_snr_requires_matching_grids():
     spec = default_spectrum()
     other = Spectrum(spec.wavelengths_nm + 1.0, spec.reflectance)
@@ -248,6 +258,25 @@ def test_a_clean_spectrum_without_fringes_is_a_calibration_error(film_index):
         else:
             assert math.isfinite(check())
     assert measure_snr(spec, spec) == math.inf
+
+
+@pytest.mark.parametrize("sigma", [1e160, 1e300])
+def test_calibration_floor_of_a_white_power_past_the_float_range(sigma):
+    # the floor is 10 log10 P - 20 log10 sigma, though sigma**2 overflows to inf
+    spec = default_spectrum()
+    floor = 10 * math.log10(ac_power(spec.reflectance)) - 20 * math.log10(sigma)
+    with pytest.raises(CalibrationError, match=f"at {floor:.3f} dB, below"):
+        calibrate_ramp_magnitude(spec, "offset", 7.9, white_sigma=sigma)
+    # below the floor every magnitude's noise power is inf: no ramp reaches the target
+    with pytest.raises(CalibrationError, match="did not converge"):
+        calibrate_ramp_magnitude(spec, "offset", floor - 3.0, white_sigma=sigma)
+
+
+def test_calibration_with_a_white_power_below_the_float_range_is_the_silent_one():
+    # 1e-300**2 underflows to 0: the floor is about +6000 dB, not a division by zero
+    spec = default_spectrum()
+    assert (calibrate_ramp_magnitude(spec, "offset", 7.9, white_sigma=1e-300)
+            == calibrate_ramp_magnitude(spec, "offset", 7.9))
 
 
 def test_calibration_unreachable_target_raises():
