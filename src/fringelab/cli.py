@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._split import fork_join, forks
 from .errors import ConfigError, FringelabError, SpectrumFormatError
 from .filmsim import add_noise, measure_snr, simulate_reflectance
 from .io import (
@@ -43,7 +44,7 @@ from .isotherm import (
 )
 from .lamp import lamp_signal, lamp_to_delta_eot
 from .legacy import iaw, rifts_eot
-from .lodstudy import MIN_REPORTED_TRIALS, LodStudyConfig, crlb_delta_n, run_table1
+from .lodstudy import CHUNK_ROWS, MIN_REPORTED_TRIALS, LodStudyConfig, crlb_delta_n, run_table1
 from .wavegrid import WavenumberGrid
 
 PARSE_EXIT = 2
@@ -218,18 +219,39 @@ def _process_one(method: str, config: RunConfig, reference, analyte, reference_e
 
 def _run_batch(items, work) -> tuple[list, int]:
     """Rows work(item) for the (label, item) pairs that succeed, each failure on one
-    stderr line; exit code 3 if any failed to process, else 2 if any failed to parse."""
-    rows, code = [], 0
-    for label, item in items:
-        try:
-            rows.append(work(item))
-        except SpectrumFormatError as exc:
-            print(f"error (parse): {label}: {exc}", file=sys.stderr)
-            code = code or PARSE_EXIT
-        except (FringelabError, ValueError) as exc:
-            print(f"error (process): {label}: {exc}", file=sys.stderr)
-            code = PROCESS_EXIT
-    return rows, code
+    stderr line; exit code 3 if any failed to process, else 2 if any failed to parse.
+
+    Past CHUNK_ROWS items, with os.fork and 2 CPUs, the batch is split once (_split.fork_join):
+    a forked child runs the upper half, keeping what it writes to stderr, and sends back its
+    rows, its code and that text, which the caller writes after its own half. The rows, the
+    stderr lines and the exit code are those of the serial loop; only a Python warning that
+    both halves raise at one line is printed by each half, where the loop prints it once.
+    """
+    def run(part) -> tuple[list, int]:
+        rows, code = [], 0
+        for label, item in part:
+            try:
+                rows.append(work(item))
+            except SpectrumFormatError as exc:
+                print(f"error (parse): {label}: {exc}", file=sys.stderr)
+                code = code or PARSE_EXIT
+            except (FringelabError, ValueError) as exc:
+                print(f"error (process): {label}: {exc}", file=sys.stderr)
+                code = PROCESS_EXIT
+        return rows, code
+
+    def upper(part) -> tuple[list, int, str]:
+        sys.stderr = io.StringIO()  # the child's own stderr: the caller writes it in turn
+        return *run(part), sys.stderr.getvalue()
+
+    items = list(items)
+    if not forks(len(items), CHUNK_ROWS):
+        return run(items)
+    half = len(items) // 2
+    (rows, code), (upper_rows, upper_code, text) = fork_join(lambda: run(items[:half]),
+                                                             lambda: upper(items[half:]))
+    sys.stderr.write(text)
+    return rows + upper_rows, max(code, upper_code)
 
 
 def cmd_process(args) -> int:

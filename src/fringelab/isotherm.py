@@ -193,10 +193,14 @@ def _levenberg_marquardt(x, c, y, sigma):
 
     Marquardt's damping is scaled by the running maximum of diag(J^T J); the
     trial point is clipped to the bounds, and a parameter on a bound whose
-    gradient points outward is held for that step.
+    gradient points outward is held for that step. The damping follows
+    Nielsen's rule (Madsen, Nielsen & Tingleff 2004, sec. 3.2): an accepted
+    step scales it by max(1/3, 1 - (2 rho - 1)^3), rho being the cost's drop
+    over the drop the damped linear model predicts for the unclipped step,
+    and rejected steps multiply it by 2, 4, 8, ...
     """
     r = _residuals(x, c, y, sigma)
-    cost, damping, scale = 0.5 * r @ r, 1e-3, np.zeros_like(x)
+    cost, damping, growth, scale = 0.5 * r @ r, 1e-3, 2.0, np.zeros_like(x)
     for _ in range(MAX_ITERATIONS):
         jac = _jacobian(x, c, sigma)
         gradient, curvature = jac.T @ r, jac.T @ jac
@@ -210,10 +214,12 @@ def _levenberg_marquardt(x, c, y, sigma):
             cost_trial = 0.5 * r_trial @ r_trial
             if cost_trial < cost:
                 break
-            damping *= 10.0
+            damping, growth = damping * growth, 2.0 * growth
             if cost_trial <= cost * (1.0 + 1e-15) or damping > 1e16:
                 return x, cost  # no lower cost is representable, or none within reach
-        x, r, cost, damping = trial, r_trial, cost_trial, damping / 10.0
+        rho = (cost - cost_trial) / (0.5 * step @ (damping * scale * step - gradient))
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        x, r, cost, growth = trial, r_trial, cost_trial, 2.0
     return x, cost
 
 

@@ -18,23 +18,24 @@ raises a FringelabError for a method is rerun row by row for that method (a row'
 the same alone or stacked): only its failing trials are dropped and counted. Any other
 exception propagates. A pass whose every ramp failed to calibrate draws nothing.
 
-Where two CPUs and fork are available, a pass's trials are split once: a forked one-process
-pool runs trials n_trials // 2 to n_trials - 1 while the caller runs the rest, and each key's
-signals and errors are joined once, the caller's first, so every trial's result is what the
-serial loop gives. Only arguments and signals cross; warnings and failures are raised by the
-caller. The study stays serial on fewer than 2 usable CPUs, without the fork start method,
-inside a daemonic process, or at n_trials <= CHUNK_ROWS. Results, failures, warnings and
-to_dict() are the same on both paths.
+Where two CPUs and os.fork are available, a pass's trials are split once (_split.fork_join): one
+forked child runs trials n_trials // 2 to n_trials - 1 while the caller runs the rest, and each
+key's signals and errors are joined once, the caller's first, so every trial's result is what
+the serial loop gives. The child sends its signals back through a pipe; warnings and failures
+are raised by the caller, and a bug in the child's trials is raised there with its own type.
+The study stays serial on fewer than 2 usable CPUs, without os.fork, or at n_trials <=
+CHUNK_ROWS. Results, failures, the study's own warnings and to_dict() are the same on both
+paths; numpy's floating-point warnings from the child's trials stay in the child.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._split import fork_join, forks
 from .errors import CalibrationError, FringelabError, StudyError
 from .filmsim import (
     FilmStack,
@@ -220,17 +221,15 @@ def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
              for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
     ramped = [ramped_reflectance(clean[delta_n], model) for delta_n, _, model in todo]
     args = (cfg, methods, reference, white_sigma, ramped)
-    context = _fork_context(cfg)
-    if context is None:
+    if not forks(cfg.n_trials, CHUNK_ROWS):
         results = _trial_signals(*args, range(cfg.n_trials))
     else:  # the worker takes the upper half of the trials, the odd one out
         split = cfg.n_trials // 2
-        with context.Pool(1) as pool:
-            upper = pool.apply_async(_trial_signals, (*args, range(split, cfg.n_trials)))
-            lower = _trial_signals(*args, range(split))
-            # each key's signals and errors in trial order: the caller's half, then the worker's
-            results = [{method: tuple(a + b for a, b in zip(lo[method], up[method]))
-                        for method in methods} for lo, up in zip(lower, upper.get())]
+        lower, upper = fork_join(lambda: _trial_signals(*args, range(split)),
+                                 lambda: _trial_signals(*args, range(split, cfg.n_trials)))
+        # each key's signals and errors in trial order: the caller's half, then the worker's
+        results = [{method: tuple(a + b for a, b in zip(lo[method], up[method]))
+                    for method in methods} for lo, up in zip(lower, upper)]
     for (delta_n, gradient, _), result in zip(todo, results):
         dists[delta_n, gradient] = {
             method: _stats(cfg.n_trials, method, delta_n, gradient, *result[method])
@@ -367,20 +366,6 @@ class Table1Report:
         for (method, gradient), message in self.failures.items():
             out["cells"][f"{method}/{gradient}"] = {"error": message}
         return out
-
-
-def _fork_context(base_cfg: LodStudyConfig):
-    """The fork multiprocessing context if a worker should share the trials, else None."""
-    if base_cfg.n_trials <= CHUNK_ROWS:
-        return None
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return None
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
 
 
 def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,

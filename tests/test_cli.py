@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fringelab
+import fringelab.cli as cli
 from fringelab import (
     FilmStack,
     ManifestEntry,
@@ -25,7 +26,7 @@ from fringelab import (
 )
 from fringelab.cli import PARSE_EXIT, PROCESS_EXIT, main
 from fringelab.io import _SECTION_KEYS, _STUDY_KEYS
-from fringelab.lodstudy import LodStudyConfig, crlb_delta_n
+from fringelab.lodstudy import CHUNK_ROWS, LodStudyConfig, crlb_delta_n
 
 
 def write_stack_spectrum(path, delta_n=0.0, n=768, range_nm=(500.0, 800.0)):
@@ -198,6 +199,119 @@ class TestProcess:
         lines = out.read_text().splitlines()
         assert lines[0] == "file,signal"
         assert lines[1].endswith(",0")
+
+
+FORKS = cli.forks(CHUNK_ROWS + 1, CHUNK_ROWS)
+needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork and 2 CPUs")
+
+
+def split_batch(tmp_path):
+    """A reference and 20 files for `process --range 450,800`: parse failures on files 0, 3 and
+    14 and process failures on files 6 and 17, on both sides of the split at 10."""
+    wide = (450.0, 800.0)
+    write_stack_spectrum(tmp_path / "ref.csv", range_nm=wide)
+    names = []
+    for i in range(20):
+        names.append(f"f{i:02d}.csv")
+        if i in (0, 3, 14):
+            (tmp_path / names[-1]).write_text("lambda,R\n500,0.1\n")
+        elif i in (6, 17):  # narrower than the window
+            write_stack_spectrum(tmp_path / names[-1], 1e-4 * i)
+        else:
+            write_stack_spectrum(tmp_path / names[-1], 1e-4 * i, range_nm=wide)
+    return ["process", "--method", "lamp", "--range", "450,800", "ref.csv", *names]
+
+
+class TestSplitBatch:
+    def run(self, capsys, argv, out):
+        rc = main([*argv, "--out", out])
+        return rc, Path(out).read_bytes(), capsys.readouterr().err.splitlines()
+
+    def counted_joins(self, monkeypatch):
+        joins, original = [], cli.fork_join
+        monkeypatch.setattr(cli, "fork_join", lambda *halves: joins.append(1) or original(*halves))
+        return joins
+
+    @needs_fork
+    @pytest.mark.parametrize("dropped", [None, "f06.csv", "f17.csv"],
+                             ids=["both", "parse-only-below", "parse-only-above"])
+    def test_forked_process_batch_equals_serial(self, tmp_path, capsys, monkeypatch, dropped):
+        # without f06 or f17 one half fails to parse only, and the exit code is the other's
+        monkeypatch.chdir(tmp_path)
+        argv = [arg for arg in split_batch(tmp_path) if arg != dropped]
+        joins = self.counted_joins(monkeypatch)
+        forked = self.run(capsys, argv, "forked.json")
+        assert joins == [1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = self.run(capsys, argv, "serial.json")
+        assert joins == [1]
+        assert forked == serial
+        rc, rows, err = forked
+        assert rc == PROCESS_EXIT
+        assert len(json.loads(rows)) == 15
+        expected = [["error (parse)", "f00.csv"], ["error (parse)", "f03.csv"],
+                    ["error (process)", "f06.csv"], ["error (parse)", "f14.csv"],
+                    ["error (process)", "f17.csv"]]
+        assert [line.split(": ")[:2] for line in err] == [e for e in expected if e[1] != dropped]
+
+    @needs_fork
+    def test_forked_timeseries_equals_serial(self, tmp_path, capsys, monkeypatch):
+        entries = [ManifestEntry(0.0, write_stack_spectrum(tmp_path / "ref.csv"), "reference")]
+        for i in range(1, 12):  # a grid mismatch on each side of the split at 6
+            entries.append(ManifestEntry(
+                10.0 * i, write_stack_spectrum(tmp_path / f"s{i}.csv", 1e-4 * i,
+                                               n=500 if i in (2, 9) else 768), "sample"))
+        write_manifest(tmp_path / "run.manifest", entries)
+        argv = ["timeseries", "--manifest", str(tmp_path / "run.manifest"), "--normalize"]
+        joins = self.counted_joins(monkeypatch)
+        forked = self.run(capsys, argv, str(tmp_path / "forked.json"))
+        assert joins == [1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.run(capsys, argv, str(tmp_path / "serial.json")) == forked
+        assert forked[0] == PROCESS_EXIT
+        assert [line.split(": ")[1] for line in forked[2]] == ["at timestamp 20",
+                                                               "at timestamp 90"]
+
+    @needs_fork
+    def test_what_the_child_writes_to_stderr_keeps_its_place(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # as a warning does: Python's warnings print to sys.stderr when they are raised
+        monkeypatch.chdir(tmp_path)
+        argv = split_batch(tmp_path)
+        original = cli.read_spectrum
+
+        def noted(path):
+            print(f"note: reading {path}", file=sys.stderr)
+            return original(path)
+
+        monkeypatch.setattr(cli, "read_spectrum", noted)
+        forked = self.run(capsys, argv, "forked.json")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.run(capsys, argv, "serial.json") == forked
+        assert [line.split(": ")[1] for line in forked[2][-4:]] == [
+            "reading f17.csv", "f17.csv", "reading f18.csv", "reading f19.csv"]
+
+    @needs_fork
+    def test_bug_in_the_forked_worker_reaches_the_caller(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = split_batch(tmp_path)
+        caller, original = os.getpid(), cli.read_spectrum
+
+        def broken(path):
+            if os.getpid() != caller:
+                raise KeyError("injected bug")
+            return original(path)
+
+        monkeypatch.setattr(cli, "read_spectrum", broken)
+        with pytest.raises(KeyError, match="injected bug"):
+            main([*argv, "--out", "rows.json"])
+        assert not (tmp_path / "rows.json").exists()
+
+    def test_batch_at_the_threshold_stays_serial(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        joins = self.counted_joins(monkeypatch)
+        rc, _, err = self.run(capsys, split_batch(tmp_path)[:6 + CHUNK_ROWS], "rows.json")
+        assert (rc, joins, len(err)) == (PROCESS_EXIT, [], 3)
 
 
 class TestTimeseries:
@@ -750,13 +864,13 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, monkeyp
 
 def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
     # scipy costs ~0.5 s of start-up and no fringelab module imports it; it
-    # is only the tests' reference. multiprocessing (~8 ms) is imported only
-    # by a run_table1 that may fork.
+    # is only the tests' reference. No fringelab module imports multiprocessing
+    # (~8 ms) either: a forked table or batch is one os.fork and a pipe.
     reference = write_stack_spectrum(tmp_path / "ref.csv")
     analyte = write_stack_spectrum(tmp_path / "mod.csv", delta_n=1e-3)
     table = TestFit().write_series(tmp_path / "series.csv")
     script = (
-        "import sys, fringelab.cli\n"
+        "import sys, warnings, fringelab.cli\n"
         "from fringelab import RedlichPetersonFit, lod_concentration\n"
         "lazy = lambda: sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'multiprocessing'))\n"
@@ -768,13 +882,22 @@ def test_cli_import_and_lamp_process_never_load_scipy(tmp_path):
         " '--out', sys.argv[5]])\n"
         "lod_concentration(RedlichPetersonFit(intercept=0.08, a=0.82, b=0.47, beta=0.88), 1.85e-4)\n"
         "print(rc, lazy())\n"
+        # past CHUNK_ROWS trials and files, both run forked where two CPUs allow
+        "warnings.simplefilter('ignore')  # the smoke table's linearity warnings\n"
+        "rc = fringelab.cli.main(['lod-table', '--trials', '16', '--seed', '1',"
+        " '--out', sys.argv[6]])\n"
+        "print(rc, lazy())\n"
+        "rc = fringelab.cli.main(['process', '--method', 'lamp', sys.argv[1],"
+        " *[sys.argv[2]] * 12, '--out', sys.argv[3]])\n"
+        "print(rc, lazy())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(fringelab.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", script, str(reference), str(analyte), str(tmp_path / "rows.json"),
-         str(table), str(tmp_path / "fit.json")],
+         str(table), str(tmp_path / "fit.json"), str(tmp_path / "table.json")],
         capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines() == ["[]", "0 []", "0 []"]
+    assert done.stdout.splitlines() == ["[]", "0 []", "0 []", "seed: 1", "0 []", "0 []"]
+    assert len(json.loads((tmp_path / "rows.json").read_text())) == 12
 
 
 def test_rifts_and_the_smoke_table_never_load_scipy(tmp_path):

@@ -13,6 +13,7 @@ record does not depend on which test filled the cache. Rewrite the fixtures with
 
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def capture(seed: int) -> dict:
     original_trial_signals, original_evaluate = lodstudy._trial_signals, lodstudy._evaluate
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # iaw's linearity warning
-        patch.setattr(lodstudy.os, "sched_getaffinity", lambda pid: {0})  # the serial path
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the serial path
         patch.setattr(lamp, "padded_peak_rows",
                       peaks(lamp.padded_peak_rows, lambda peak: peak.center_frequency_nm))
         patch.setattr(legacy, "padded_centre_rows", peaks(legacy.padded_centre_rows, float))

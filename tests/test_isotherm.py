@@ -204,6 +204,15 @@ def test_fit_matches_scipy_trf_reference(true_beta):
                                    rtol=1e-6, err_msg=f"seed {seed}")
 
 
+def test_fit_wastes_few_residual_evaluations(monkeypatch):
+    # Nielsen's damping: 106 residual evaluations against 73 Jacobians over the five starts,
+    # where dividing and multiplying the damping by 10 took 162 against 94
+    calls, residuals = [], isotherm._residuals
+    monkeypatch.setattr(isotherm, "_residuals", lambda *args: calls.append(1) or residuals(*args))
+    fit_redlich_peterson(synthetic_series(LAMP_ROW, seed=0))
+    assert len(calls) <= 110
+
+
 def test_lod_matches_scipy_brentq_reference():
     from scipy.optimize import brentq  # the reference; fringelab itself never imports it
     rng = np.random.default_rng(5)

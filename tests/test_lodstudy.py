@@ -398,7 +398,7 @@ def test_bug_in_a_stage_propagates(monkeypatch, method, module, stage):
         response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)
 
 
-FORKS = lodstudy._fork_context(study(n_trials=2 * CHUNK_ROWS)) is not None
+FORKS = lodstudy.forks(2 * CHUNK_ROWS, CHUNK_ROWS)
 needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork and 2 CPUs")
 
 
@@ -410,22 +410,17 @@ def smoke_table(n_trials=2 * CHUNK_ROWS, **kw):
 
 
 def one_cpu(monkeypatch):
-    monkeypatch.setattr(lodstudy.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
-@pytest.mark.parametrize("rule", ["one cpu", "one stack", "no fork", "daemon"])
+@pytest.mark.parametrize("rule", ["one cpu", "one stack", "no fork"])
 def test_table_stays_serial_when_forking_cannot_pay(monkeypatch, rule):
-    import multiprocessing
-    from types import SimpleNamespace
-
     n_trials = CHUNK_ROWS if rule == "one stack" else 2 * CHUNK_ROWS
     if rule == "one cpu":
         one_cpu(monkeypatch)
     if rule == "no fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    if rule == "daemon":
-        monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
-    assert lodstudy._fork_context(study(n_trials=n_trials)) is None
+        monkeypatch.delattr(os, "fork")
+    assert not lodstudy.forks(n_trials, CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("n_trials, indices", [
@@ -493,19 +488,27 @@ def test_forked_table_equals_serial(monkeypatch, n_trials):
 
 
 @needs_fork
-def test_forked_table_joins_the_worker_once(monkeypatch):
-    from multiprocessing.pool import Pool
+def test_forked_table_joins_the_worker_once(monkeypatch, tmp_path):
+    from fringelab._split import fork_join
 
-    submitted = []
-    original = Pool.apply_async
+    caller, joins, original = os.getpid(), [], lodstudy._trial_signals
 
-    def counted(self, func, args=(), *rest, **kwargs):
-        submitted.append(args[-1])
-        return original(self, func, args, *rest, **kwargs)
+    def logged(*args):
+        side = "caller" if os.getpid() == caller else "worker"
+        with open(tmp_path / side, "a") as log:
+            log.write(f"{args[-1]}\n")
+        return original(*args)
 
-    monkeypatch.setattr(Pool, "apply_async", counted)
+    def counted(*halves):
+        joins.append(halves)
+        return fork_join(*halves)
+
+    monkeypatch.setattr(lodstudy, "_trial_signals", logged)
+    monkeypatch.setattr(lodstudy, "fork_join", counted)
     smoke_table()
-    assert submitted == [range(8, 16)]  # the upper half of the 16 trials
+    assert len(joins) == 1
+    ranges = {side: (tmp_path / side).read_text() for side in ("caller", "worker")}
+    assert ranges == {"caller": "range(0, 8)\n", "worker": "range(8, 16)\n"}  # the upper half
 
 
 @needs_fork
@@ -526,6 +529,22 @@ def test_bug_in_the_forked_worker_propagates(monkeypatch):
     monkeypatch.setattr(importlib.import_module("fringelab.lamp"), "padded_peak_rows", broken)
     with pytest.raises(TypeError, match="injected bug"):
         smoke_table()
+
+
+@needs_fork
+def test_bug_only_in_the_forked_workers_half_reaches_the_caller(monkeypatch):
+    caller = os.getpid()
+
+    def broken(*args):
+        if os.getpid() != caller:
+            raise LookupError("injected bug")
+        return white_rows(*args)
+
+    monkeypatch.setattr(lodstudy, "white_rows", broken)
+    with pytest.raises(LookupError, match="injected bug") as info:
+        smoke_table()
+    assert "in the forked worker" in str(info.value.__cause__)
+    assert "injected bug" in str(info.value.__cause__)
 
 
 @needs_fork
