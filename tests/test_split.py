@@ -1,13 +1,21 @@
 """Tests for the forked split of a batch into the caller's half and a child's half."""
 
+import contextlib
 import os
+import re
 import signal
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
-from fringelab._split import fork_join
+import fringelab
+from fringelab._split import SERIAL_ITEMS, fork_join, split
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+needs_split = pytest.mark.skipif(len(split(list, SERIAL_ITEMS + 1)) != 2,
+                                 reason="split forks only with os.fork and 2 CPUs")
 
 
 @pytest.fixture
@@ -84,3 +92,85 @@ def test_the_caller_reaps_the_child_when_its_own_half_raises(forked, tmp_path):
     assert reaped(forked[0])
     assert (tmp_path / "done").read_text() == "upper"  # the child ran to its end
 
+
+
+@needs_split
+def test_a_batch_past_the_threshold_is_split_at_its_half(forked):
+    assert split(list, SERIAL_ITEMS + 1) == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
+    assert len(forked) == 1 and reaped(forked[0])
+    assert split(list, SERIAL_ITEMS) == [list(range(SERIAL_ITEMS))]
+    assert len(forked) == 1
+
+
+def one_line_warning(text):
+    warnings.warn(text, RuntimeWarning)  # every call warns from this line
+
+
+@contextlib.contextmanager
+def filtered(monkeypatch, action):
+    """Warnings under action with every registry cleared, each shown as one stderr line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)  # a new filter version clears every registry
+        monkeypatch.setattr(warnings, "showwarning", lambda message, category, *where: print(
+            f"{category.__name__}: {message}", file=sys.stderr))
+        yield
+
+
+@needs_split
+def test_the_childs_stderr_and_warnings_come_back_in_order(forked, monkeypatch, capsys):
+    def work(part):
+        for i in part:
+            print(f"item {i}", file=sys.stderr)
+            one_line_warning(f"warning {i}")
+        return list(part)
+
+    with filtered(monkeypatch, "default"):
+        assert split(work, 10) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert len(forked) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        line for i in range(10) for line in (f"item {i}", f"RuntimeWarning: warning {i}")]
+
+
+@needs_split
+def test_a_warning_the_caller_showed_at_its_line_is_not_shown_again(forked, monkeypatch,
+                                                                     capsys):
+    def work(part):
+        for i in part:
+            one_line_warning("overflow" if i in (0, 6, 9) else f"item {i}")
+
+    printed = []
+    for path in ("forked", "serial"):
+        if path == "serial":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with filtered(monkeypatch, "default"):
+            split(work, 10)
+        printed.append(capsys.readouterr().err.splitlines())
+    assert len(forked) == 1
+    # the child shows "overflow" at items 6 and 9; the caller showed it at item 0
+    texts = ["overflow", *(f"item {i}" for i in (1, 2, 3, 4, 5, 7, 8))]
+    assert printed[0] == printed[1] == [f"RuntimeWarning: {text}" for text in texts]
+
+
+@needs_split
+def test_a_childs_warning_under_an_error_filter_is_raised_in_the_caller(forked, monkeypatch,
+                                                                        capsys):
+    def work(part):
+        for i in part:
+            print(f"item {i}", file=sys.stderr)
+            if i == 7:
+                one_line_warning("in the upper half")
+
+    with filtered(monkeypatch, "error"), pytest.raises(RuntimeWarning, match="upper half"):
+        split(work, 10)
+    assert len(forked) == 1 and reaped(forked[0])
+    # as the serial loop, which stops at item 7
+    assert capsys.readouterr().err.splitlines() == [f"item {i}" for i in range(8)]
+
+
+def test_only_the_split_module_forks_or_swaps_stderr():
+    # the policy of splitting a batch, and what a child does with its output, lives in _split
+    policy = re.compile(r"os\.fork|fork_join|sched_getaffinity|sys\.stderr\s*=(?!=)")
+    source = Path(fringelab.__file__).parent
+    found = {path.name: policy.findall(path.read_text(encoding="utf-8"))
+             for path in sorted(source.glob("*.py")) if path.name != "_split.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
