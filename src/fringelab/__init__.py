@@ -16,6 +16,7 @@ from .errors import (
     FringelabError,
     GridAlignmentError,
     NoFringePeakError,
+    NoiseOverflowError,
     PeakMeasurementError,
     SaturationError,
     SpectrumFormatError,

@@ -44,6 +44,10 @@ class CalibrationError(FringelabError):
     """A calibration target could not be met, or a slope is unusable."""
 
 
+class NoiseOverflowError(FringelabError):
+    """White noise too large for a row of its draws to sum to a finite float."""
+
+
 class StudyError(FringelabError):
     """A Monte-Carlo study aborted (too many per-trial failures)."""
 

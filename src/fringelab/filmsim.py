@@ -15,7 +15,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import CalibrationError, GridAlignmentError
+from .errors import CalibrationError, GridAlignmentError, NoiseOverflowError
 
 # Simulation is meant for the visible / near-IR band the instrument covers.
 WAVELENGTH_FLOOR_NM = 200.0
@@ -252,11 +252,17 @@ def ramped_reflectance(spectrum: Spectrum, model: NoiseModel) -> np.ndarray:
 def white_rows(sigma: float, points: int, seeds) -> np.ndarray:
     """add_noise's white draw of points samples for each of seeds, one row each. Unless
     sigma > 0 nothing is drawn and the rows hold -0.0, which leaves every float it is added
-    to as it is (+0.0 would turn -0.0 into +0.0)."""
+    to as it is (+0.0 would turn -0.0 into +0.0). A row whose magnitudes do not sum to a
+    finite float (sigma of about 1.8e308 / (0.8 points) or more) is a NoiseOverflowError:
+    every estimator sums rows, and a spectrum holds finite values only."""
     rows = np.full((len(seeds), points), -0.0)
     if sigma > 0.0:
         for row, seed in zip(rows, seeds):
             row[:] = np.random.default_rng(seed).normal(0.0, sigma, points)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(rows).sum(axis=1)).all():
+                raise NoiseOverflowError(f"white noise of sigma {sigma:g} overflows the float "
+                                         f"range: a row of {points} draws has no finite sum")
     return rows
 
 

@@ -21,7 +21,9 @@ fixed, as in the run configuration. padded_peak is a stack of one.
 padded_peak_rows measures the peak bin and both crossings, which the width
 needs (lamp sizes its wavelet by it). padded_centre_rows finds the peak bin
 alone, for a caller that reads only the centre (rifts): it searches no
-crossing, so a crossing that runs off the spectrum raises nothing there.
+crossing, so a crossing that runs off the spectrum raises nothing there. It
+takes the coarse rfft from its caller (coarse_spectra, which is linear in the
+rows), so a caller may sum the spectra of stacks it has transformed once.
 """
 
 from __future__ import annotations
@@ -259,33 +261,42 @@ class _ExactBins(dict):
         return magnitude
 
 
-def _padded_rows(measure, rows, delta_sigma: float, pad_length: int) -> list:
-    """measure (_measure_peak or _peak_centre) of each row's zero-padded transform, from one
-    coarse rfft of the (rows, points) stack and single exact bins."""
+def coarse_spectra(rows, pad_length: int) -> np.ndarray:
+    """The coarse rfft that the padded-peak search reads, of each row of a (rows, points)
+    stack: every step-th bin of its pad_length-point zero-padded transform. Linear in the rows,
+    so the spectra of a sum of stacks are the sum of theirs, to rounding."""
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] < MIN_TRANSFORM_POINTS:
         raise ValueError(f"need rows of at least {MIN_TRANSFORM_POINTS} samples")
-    if delta_sigma <= 0.0:
-        raise ValueError("delta_sigma must be positive")
     if pad_length < v.shape[1]:
         raise ValueError("pad_length shorter than the data")
-    step, phasors = _plan(v.shape[1], pad_length)
-    coarse = np.abs(np.fft.rfft(v, n=pad_length // step, axis=1))
+    return np.fft.rfft(v, n=pad_length // _plan(v.shape[1], pad_length)[0], axis=1)
+
+
+def _padded_rows(measure, rows, spectra, delta_sigma: float, pad_length: int) -> list:
+    """measure (_measure_peak or _peak_centre) of each row's zero-padded transform, from the
+    rows' coarse_spectra and single exact bins."""
+    if delta_sigma <= 0.0:
+        raise ValueError("delta_sigma must be positive")
+    step, phasors = _plan(rows.shape[1], pad_length)
+    coarse = np.abs(spectra)
     df = 1.0 / (pad_length * delta_sigma)
     return [measure(c, 0.0, df, step, _ExactBins(row, pad_length, phasors).__getitem__,
                     pad_length // 2)
-            for row, c in zip(v, coarse)]
+            for row, c in zip(rows, coarse)]
 
 
 def padded_peak_rows(rows, delta_sigma: float, pad_length: int) -> list:
     """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
-    return _padded_rows(_measure_peak, rows, delta_sigma, pad_length)
+    v = np.asarray(rows, dtype=float)
+    return _padded_rows(_measure_peak, v, coarse_spectra(v, pad_length), delta_sigma, pad_length)
 
 
-def padded_centre_rows(rows, delta_sigma: float, pad_length: int) -> list:
-    """Each row's padded_peak centre frequency (nm) alone, with no half-maximum search: a
-    row whose crossing runs off the spectrum still has its centre."""
-    return _padded_rows(_peak_centre, rows, delta_sigma, pad_length)
+def padded_centre_rows(rows, spectra, delta_sigma: float, pad_length: int) -> list:
+    """Each row's padded_peak centre frequency (nm) alone, given the stack's coarse_spectra (or
+    a sum of them, for a sum of stacks), with no half-maximum search: a row whose crossing
+    runs off the spectrum still has its centre."""
+    return _padded_rows(_peak_centre, rows, spectra, delta_sigma, pad_length)
 
 
 def padded_peak(values, delta_sigma: float, pad_length: int) -> PeakInfo:

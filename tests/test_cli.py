@@ -876,9 +876,13 @@ def test_window_too_narrow_fails_each_processed_file(tmp_path, capsys, monkeypat
     '{"noise": {"gaussian_sigma": 1e-300}}',
     '{"noise": {"gaussian_sigma": 1e160}}',
     '{"noise": {"gaussian_sigma": 1e300}}',
+    # a row of draws sums past the float range; at 1e308 single draws overflow too
+    '{"noise": {"gaussian_sigma": 1e307}}',
+    '{"noise": {"gaussian_sigma": 1e308}}',
     # a floor below the white one: the bisection squares sigma
     '{"noise": {"gaussian_sigma": 1e160}, "study": {"offset_snr_db": -1e4}}',
-], ids=["sigma-1e-300", "sigma-1e160", "sigma-1e300", "sigma-1e160-floor-below-white"])
+], ids=["sigma-1e-300", "sigma-1e160", "sigma-1e300", "sigma-1e307", "sigma-1e308",
+        "sigma-1e160-floor-below-white"])
 def test_float_extreme_white_sigma_ends_without_a_traceback(tmp_path, capsys, monkeypatch,
                                                             argv, config):
     # the white floor once divided by sigma**2, which is 0 or overflows at these sigmas, and

@@ -39,8 +39,9 @@ def capture(seed: int) -> dict:
     pending = []  # (name, per-row values) made by the current _evaluate call
 
     def peaks(original, centre):
-        def recorded(rows, delta_sigma, pad_length, *args, **kwargs):
-            result = original(rows, delta_sigma, pad_length, *args, **kwargs)
+        def recorded(*args):
+            result = original(*args)
+            delta_sigma, pad_length = args[-2:]
             if not where["reference"]:
                 width = 1.0 / (pad_length * delta_sigma)
                 pending.append(("bins", [round(centre(p) / width) for p in result]))
@@ -61,15 +62,16 @@ def capture(seed: int) -> dict:
         finally:
             where["reference"] = False
 
-    def trial_signals(cfg, methods, reference, white_sigma, ramped, trials):
+    def trial_signals(cfg, methods, reference, white_sigma, ramped, fronts, trials):
         # the table's one pass: each chunk of trials, and in it every key's stack in order
         assert len(ramped) == len(keys)
         results = [{method: ([], []) for method in methods} for _ in ramped]
         for start in range(trials.start, trials.stop, lodstudy.CHUNK_ROWS):
             chunk = range(start, min(start + lodstudy.CHUNK_ROWS, trials.stop))
-            for (delta_n, gradient), row, result in zip(keys, ramped, results):
+            for k, ((delta_n, gradient), row, result) in enumerate(zip(keys, ramped, results)):
                 where.update(key=f"{delta_n!r}/{gradient}", trials=list(chunk), calls={})
-                [stack] = original_trial_signals(cfg, methods, reference, white_sigma, [row], chunk)
+                [stack] = original_trial_signals(cfg, methods, reference, white_sigma, [row],
+                                                 fronts[k : k + 1], chunk)
                 for method, (signals, errors) in stack.items():
                     result[method][0].extend(signals)
                     result[method][1].extend(errors)

@@ -1,6 +1,7 @@
 """Tests for the thin-film reflectance model and the noise generator."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from fringelab import (
     CalibrationError,
     FilmStack,
     NoiseModel,
+    NoiseOverflowError,
     Spectrum,
     ac_power,
     add_noise,
@@ -188,6 +190,19 @@ def test_white_rows_of_a_silent_model_change_no_bit():
     values = np.array([-0.0, 0.0, 0.25, -1e-300])
     rows = values + white_rows(0.0, values.size, [1, 2])
     npt.assert_array_equal(rows.view(np.int64), np.tile(values, (2, 1)).view(np.int64))
+
+
+@pytest.mark.parametrize("sigma", [1e307, 1e308])
+def test_white_noise_whose_rows_sum_past_the_float_range_is_refused(sigma):
+    # at 1e308 single draws overflow to inf; at 1e307 each draw is finite, but a row's
+    # magnitudes (about 0.8 sigma each) sum past the float range, as every estimator's sums do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(NoiseOverflowError, match="overflows the float range"):
+            white_rows(sigma, len(WAVELENGTHS), [1, 2])
+        with pytest.raises(NoiseOverflowError):
+            add_noise(default_spectrum(), NoiseModel(gaussian_sigma=sigma, seed=1))
+    assert np.isfinite(np.abs(white_rows(1e300, len(WAVELENGTHS), [1, 2])).sum(axis=1)).all()
 
 
 def test_noise_rows_are_the_ramped_reflectance_plus_the_white_rows():

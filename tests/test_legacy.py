@@ -19,7 +19,7 @@ from fringelab import (
     to_wavenumber,
 )
 from fringelab.errors import FringelabError, PeakMeasurementError, WavelengthRangeError
-from fringelab.legacy import _taper, iaw_rows, rifts_rows
+from fringelab.legacy import _taper, iaw_rows, rifts_back, rifts_front, rifts_rows
 from fringelab.spectral import _full_padded_peak, _peak_centre, padded_peak
 from fringelab.wavegrid import default_pad_length
 
@@ -184,6 +184,22 @@ def test_stack_equals_rows_one_at_a_time(cfg):
     single = [rifts_eot(Spectrum(WAVELENGTHS, row), cfg) for row in rows]
     assert rifts_rows(WAVELENGTHS, rows, cfg) == single
     assert rifts_rows(WAVELENGTHS, rows[2:], cfg) == single[2:]
+
+
+def test_summed_fronts_give_the_signals_of_the_summed_stack():
+    # the front is linear: clean rows' front plus noise rows' front, broadcast over the noise
+    # rows, equals the front of each sum to rounding, so no peak bin and no signal moves
+    rng = np.random.default_rng(8)
+    clean = np.array([film(1e-3).reflectance])
+    noise = rng.normal(0.0, 0.005, (6, WAVELENGTHS.size))
+    summed = rifts_front(WAVELENGTHS, clean) + rifts_front(WAVELENGTHS, noise)
+    direct = rifts_front(WAVELENGTHS, clean + noise)
+    npt.assert_allclose(summed.values, direct.values, rtol=0, atol=1e-15)
+    npt.assert_allclose(summed.spectra, direct.spectra, rtol=0, atol=1e-12)
+    assert rifts_back(summed) == rifts_rows(WAVELENGTHS, clean + noise)
+    assert rifts_back(summed[2:4]) == rifts_rows(WAVELENGTHS, (clean + noise)[2:4])
+    with pytest.raises(ValueError, match="different grids"):
+        summed + rifts_front(WAVELENGTHS, noise, RiftsConfig(range_nm=(520.0, 780.0)))
 
 
 def test_list_range_still_works():

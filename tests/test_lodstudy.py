@@ -9,25 +9,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fringelab.legacy as legacy
 import fringelab.lodstudy as lodstudy
 from fringelab import (
     CalibrationError,
     FilmStack,
+    FringelabError,
     LampConfig,
     LodStudyConfig,
     NoiseModel,
+    RiftsConfig,
     Spectrum,
     StudyError,
     add_noise,
     gradient_delta,
     iaw,
+    lamp_signal,
     lod_riu,
     response_distribution,
+    rifts_eot,
     run_table1,
     simulate_reflectance,
 )
 from fringelab import _split
 from fringelab.filmsim import ramped_reflectance, white_rows
+from fringelab.legacy import rifts_rows
 from fringelab.lodstudy import CHUNK_ROWS, _trial_seed, crlb_delta_n
 
 # Mean phase advance of the default film for a 1e-3 index shift:
@@ -306,7 +312,9 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     reference, clean, model = pass_inputs(cfg, 0.0, "none")
     rows = ramped_reflectance(clean, model) + white_rows(model.white_sigma(clean), len(clean),
                                                          seeds)
-    alone = np.array([lodstudy._evaluate(cfg, method, reference, row[None])[0] for row in rows])
+    one = {"lamp": lambda row: lamp_signal(reference, row, cfg.lamp),
+           "rifts": lambda row: rifts_eot(row, cfg.rifts)}[method]
+    alone = np.array([one(Spectrum(reference.wavelengths_nm, row)) for row in rows])
     assert stats.n_trials == 99
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
 
@@ -346,6 +354,26 @@ def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
     assert len(drawn) == len(set(drawn)) == 100  # one white row per trial, not one per key
 
 
+def test_table_transforms_the_clean_rows_once_and_each_chunk_of_white_rows_once(monkeypatch):
+    # rifts' cubic resample and coarse transform run on the 5 clean rows in one stack, then
+    # once on each of the 13 chunks of white rows, not on each of the 65 noisy stacks
+    one_cpu(monkeypatch)
+    stacks = {"resample_rows": [], "coarse_spectra": []}  # the rows of each call
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            stacks[name].append(len(args[1] if name == "resample_rows" else args[0]))
+            return original(*args, **kwargs)
+        return counted
+
+    for name in stacks:
+        monkeypatch.setattr(legacy, name, counting(name, getattr(legacy, name)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_table1(study(n_trials=100))
+    assert stacks["resample_rows"] == stacks["coarse_spectra"] == [5] + [8] * 12 + [4]
+
+
 def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
     # white noise at 27.7 dB cannot be topped up to a 40 dB floor: the pass's one ramp fails
     drawn = []
@@ -368,9 +396,9 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
     passes = []
     original = lodstudy._trial_signals
 
-    def recorded(cfg, methods, reference, white_sigma, ramped, trials):
+    def recorded(cfg, methods, reference, white_sigma, ramped, fronts, trials):
         passes.append((len(ramped), trials))
-        return original(cfg, methods, reference, white_sigma, ramped, trials)
+        return original(cfg, methods, reference, white_sigma, ramped, fronts, trials)
 
     monkeypatch.setattr(lodstudy, "_trial_signals", recorded)
     with warnings.catch_warnings():
@@ -447,6 +475,61 @@ def test_domain_error_is_counted_with_its_trial_index(monkeypatch, n_trials, ind
             response_distribution(cfg, 0.0)
         messages.append(str(info.value))
     assert len(set(messages)) == 1
+
+
+def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
+    # the table sums each clean row's front and its chunk's white front; every signal and
+    # "trial i: ..." error is still rifts_rows' on the noisy row. Trials 8 and 9 are flat in
+    # the blank key: the caller's last and the worker's first when forked (see above)
+    cfg = study(n_trials=19, seed=3)
+    flatten_trial(monkeypatch, cfg, 8, 9)
+    keys = lodstudy._lod_keys(cfg, lodstudy.GRADIENTS)
+    expected = {}
+    for delta_n, gradient in keys:
+        reference, clean, model = pass_inputs(cfg, delta_n, gradient)
+        rows = ramped_reflectance(clean, model) + lodstudy.white_rows(
+            model.white_sigma(reference), len(clean), [_trial_seed(3, i) for i in range(19)])
+        signals, errors = [], []
+        for i, row in enumerate(rows):
+            try:
+                signals += rifts_rows(cfg.wavelengths(), row[None], cfg.rifts)
+            except FringelabError as exc:
+                errors.append(f"trial {i}: {exc}")
+        expected[delta_n, gradient] = (signals, errors)
+    assert [len(errors) for _, errors in expected.values()] == [2, 0, 0, 0, 0]
+
+    original = lodstudy._stats
+    for path in ("forked", "one cpu") if FORKS else ("one cpu",):
+        if path == "one cpu":
+            one_cpu(monkeypatch)
+        seen = {}
+
+        def recorded(n_trials, method, delta_n, gradient, parts):
+            if method == "rifts":
+                seen[delta_n, gradient] = tuple([x for part in parts for x in part[j]]
+                                                for j in (0, 1))
+            return original(n_trials, method, delta_n, gradient, parts)
+
+        monkeypatch.setattr(lodstudy, "_stats", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_table1(cfg, allow_smoke_trials=True)
+        assert seen == expected, path
+
+
+@pytest.mark.parametrize("method", ["rifts", "lamp"])
+def test_narrow_window_fails_every_trial_with_its_own_message(monkeypatch, method):
+    # rifts' window error is raised by the clean rows' front, before any white row is drawn;
+    # it still fails each trial, with the message each raises alone
+    cfg = study(method=method, n_trials=2 * CHUNK_ROWS, rifts=RiftsConfig(range_nm=(600, 610)),
+                lamp=LampConfig(range_nm=(600, 610)))
+    expected = (rf"^16 of 16 trials failed \({method}, delta_n=0, gradient=none\); "
+                r"first failure: trial 0: window too narrow")
+    for path in ("forked", "one cpu") if FORKS else ("one cpu",):
+        if path == "one cpu":
+            one_cpu(monkeypatch)
+        with pytest.raises(StudyError, match=expected):
+            response_distribution(cfg, 0.0)
 
 
 @needs_fork
