@@ -18,6 +18,7 @@ from .errors import (
     NoFringePeakError,
     NoiseOverflowError,
     PeakMeasurementError,
+    ReflectanceOverflowError,
     SaturationError,
     SpectrumFormatError,
     StudyError,

@@ -48,6 +48,10 @@ class NoiseOverflowError(FringelabError):
     """White noise too large for a row of its draws to sum to a finite float."""
 
 
+class ReflectanceOverflowError(FringelabError):
+    """A film stack whose simulated reflectance overflows the float range."""
+
+
 class StudyError(FringelabError):
     """A Monte-Carlo study aborted (too many per-trial failures)."""
 

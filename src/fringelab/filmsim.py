@@ -15,7 +15,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import CalibrationError, GridAlignmentError, NoiseOverflowError
+from .errors import (CalibrationError, GridAlignmentError, NoiseOverflowError,
+                     ReflectanceOverflowError)
 
 # Simulation is meant for the visible / near-IR band the instrument covers.
 WAVELENGTH_FLOOR_NM = 200.0
@@ -117,19 +118,23 @@ def simulate_reflectance(stack: FilmStack, wavelengths_nm) -> Spectrum:
     n0 = stack.ambient_index
     n1 = stack.film_index
     ns = complex(stack.substrate_index)
-    delta = 2.0 * math.pi * n1 * stack.film_thickness_nm / wl
+    # near the float limit the phase thickness or the Fresnel products overflow: one error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta = 2.0 * math.pi * n1 * stack.film_thickness_nm / wl
 
-    cos_d = np.cos(delta)
-    sin_d = np.sin(delta)
-    m11 = cos_d
-    m12 = 1j * sin_d / n1
-    m21 = 1j * n1 * sin_d
-    m22 = cos_d
+        cos_d = np.cos(delta)
+        sin_d = np.sin(delta)
+        m11 = cos_d
+        m12 = 1j * sin_d / n1
+        m21 = 1j * n1 * sin_d
+        m22 = cos_d
 
-    top = n0 * (m11 + m12 * ns) - (m21 + m22 * ns)
-    bot = n0 * (m11 + m12 * ns) + (m21 + m22 * ns)
-    r = top / bot
-    reflectance = np.abs(r) ** 2
+        top = n0 * (m11 + m12 * ns) - (m21 + m22 * ns)
+        bot = n0 * (m11 + m12 * ns) + (m21 + m22 * ns)
+        r = top / bot
+        reflectance = np.abs(r) ** 2
+    if not np.all(np.isfinite(reflectance)):
+        raise ReflectanceOverflowError("the film stack's reflectance overflows the float range")
     # Guard against rounding pushing a lossless result a hair past the ends.
     np.clip(reflectance, 0.0, 1.0, out=reflectance)
     return Spectrum(wl, reflectance)

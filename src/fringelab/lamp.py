@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateAmplitudeError
 from .filmsim import Spectrum
 # padded_peak is not called here; it stays a lamp attribute that perfbench's tracer wraps
-from .spectral import PeakInfo, padded_peak, padded_peak_rows  # noqa: F401
+from .spectral import PeakInfo, padded_peak, padded_peak_rows, padded_stack  # noqa: F401
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
@@ -270,7 +270,7 @@ def _phase_rows(wavelengths_nm, rows, cfg: LampConfig) -> np.ndarray:
     resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, method="linear")
     grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
     values = _remove_baseline(grid, resampled.values)
-    peaks = padded_peak_rows(values, delta_sigma, default_pad_length(delta_sigma))
+    peaks = padded_peak_rows(padded_stack(values, delta_sigma, default_pad_length(delta_sigma)))
     wavelets = [design_wavelet(peak, delta_sigma) for peak in peaks]
     filtered = filter_spectrum(ResampledSpectrum(grid, values), wavelets)
     _checked_amplitude(filtered.complex_values)

@@ -6,10 +6,10 @@ the windowed, zero-padded transform, whose pad length and cutoff follow
 from the grid (rifts_rows: of each row of a stack). It reads the peak's bin
 alone, so a row fails only when it has no fringe peak above the cutoff
 (NoFringePeakError), never over a half-maximum crossing it does not read.
-rifts_rows is rifts_back(rifts_front(rows)): the front end (cubic resample,
-de-mean, taper, coarse transform) is linear in the rows, so a caller that
-adds many stacks to one (the study's white rows to each clean row) may sum
-their fronts, each computed once, and pass the sum to the one back end.
+rifts_rows is padded_centre_rows(rifts_front(rows)): the front end (cubic
+resample, de-mean, taper) returns spectral's PaddedStack, which is linear in
+the rows, so a caller that adds many stacks to one (the study's white rows to
+each clean row) may sum their fronts, each computed once, and measure the sum.
 
 iaw reduces a pair of spectra (iaw_rows: a stack and one reference) to the
 integrated absolute wavelength-domain difference; it needs no transform but
@@ -18,14 +18,14 @@ folds over once fringes shift past half a period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridAlignmentError, WavelengthRangeError
 from .filmsim import Spectrum
-from .spectral import coarse_spectra, padded_centre_rows
+from .spectral import PaddedStack, padded_centre_rows, padded_stack
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
@@ -53,47 +53,20 @@ def _taper(n: int) -> np.ndarray:
     return taper
 
 
-@dataclass(frozen=True)
-class RiftsFront:
-    """rifts_rows' linear front end of a stack: its rows cubic-resampled to a wavenumber grid
-    of spacing delta_sigma, de-meaned and tapered (values), and their coarse_spectra for
-    pad_length. Every step is linear in the rows, so the sum of two fronts on one grid
-    (broadcast over rows) is the front of the summed stacks, to rounding. An index or slice
-    takes rows."""
-
-    values: np.ndarray
-    spectra: np.ndarray
-    delta_sigma: float
-    pad_length: int
-
-    def __add__(self, other: RiftsFront) -> RiftsFront:
-        if (self.delta_sigma, self.pad_length) != (other.delta_sigma, other.pad_length):
-            raise ValueError("fronts on different grids")
-        return replace(self, values=self.values + other.values,
-                       spectra=self.spectra + other.spectra)
-
-    def __getitem__(self, rows) -> RiftsFront:
-        return replace(self, values=self.values[rows], spectra=self.spectra[rows])
-
-
-def rifts_front(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> RiftsFront:
-    """The front end of rifts_rows for a stack sampled at wavelengths_nm, in nm."""
+def rifts_front(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> PaddedStack:
+    """The front end of rifts_rows for a stack sampled at wavelengths_nm, in nm: its rows
+    cubic-resampled to a wavenumber grid, de-meaned and tapered, as a PaddedStack."""
     resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, "cubic_spline")
     values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
     values = values * _taper(values.shape[1])
     delta_sigma = resampled.grid.delta_sigma
-    pad_length = default_pad_length(delta_sigma)
-    return RiftsFront(values, coarse_spectra(values, pad_length), delta_sigma, pad_length)
-
-
-def rifts_back(front: RiftsFront) -> list:
-    """rifts_eot of each row of a front: the centre of its padded transform's dominant peak."""
-    return padded_centre_rows(front.values, front.spectra, front.delta_sigma, front.pad_length)
+    return padded_stack(values, delta_sigma, default_pad_length(delta_sigma))
 
 
 def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
-    """rifts_eot of each row of a stack sampled at wavelengths_nm, in nm."""
-    return rifts_back(rifts_front(wavelengths_nm, rows, cfg))
+    """rifts_eot of each row of a stack sampled at wavelengths_nm, in nm: the centre of its
+    padded transform's dominant peak."""
+    return padded_centre_rows(rifts_front(wavelengths_nm, rows, cfg))
 
 
 def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:

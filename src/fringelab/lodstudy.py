@@ -8,19 +8,16 @@ where delta_g charges any systematic drift penalty and the slope converts
 signal units to refractive index units from a small calibration shift.
 
 Each public call is one pass: _distributions returns every (delta_n, gradient) key the call
-reads, for every method it serves, as a dict, and the call's detection limits are computed
-from that dict; run_table1 is one pass over five keys and three methods. _trial_signals runs
-a range of trials in chunks of CHUNK_ROWS (8) from the range's own start. A chunk's white rows
-are drawn once and serve every key: a key's stack is its ramped clean row plus them, the sum
-add_noise makes. lamp_rows (against lamp's cached reference profile) and iaw_rows evaluate
-that stack. rifts evaluates its front instead (legacy.rifts_front, linear in the rows): the
-pass computes the clean rows' front once, before it splits, each chunk computes its white
-rows' front once, and rifts_back reads a key's sum of the two. The chunk's draws and white
-front are dropped after its last key. A stack that raises a FringelabError for a method is
-rerun row by row for that method (a row's result is the same alone or stacked): only its
-failing trials are dropped and counted. A window too narrow for rifts fails the clean front,
-and with it every trial, each with the message it raises alone. Any other exception
-propagates. A pass whose every ramp failed to calibrate draws nothing.
+reads, for every method it serves, as a dict, and the call's detection limits are computed from
+that dict; run_table1 is one pass over five keys and three methods. Before it splits, a pass
+takes each method's _front of its keys' ramped clean rows once. _trial_signals runs a range of
+trials in chunks of CHUNK_ROWS (8) from the range's own start: a chunk's white rows are drawn,
+and each method's front of them taken, once for every key. A key's stack is its clean front plus
+the chunk's, the sum add_noise makes (to rounding, for rifts). A stack that raises a
+FringelabError for a method is rerun row by row for that method (a row's result is the same
+alone or stacked): only its failing trials are dropped and counted. A window too narrow for
+rifts fails the clean front, and with it every trial, each with the message it raises alone. Any
+other exception propagates. A pass whose every ramp failed to calibrate draws nothing.
 
 A pass's trials run through _split.split, which may run trials n_trials // 2 to n_trials - 1
 in a forked child while the caller runs the rest. Each key's signals and errors are joined in
@@ -48,7 +45,8 @@ from .filmsim import (
     white_rows,
 )
 from .lamp import LampConfig, lamp_rows
-from .legacy import IawConfig, RiftsConfig, RiftsFront, iaw_rows, rifts_back, rifts_front
+from .legacy import IawConfig, RiftsConfig, iaw_rows, rifts_front
+from .spectral import padded_centre_rows
 
 METHODS = ("rifts", "iaw", "lamp")
 GRADIENTS = ("none", "offset", "amplitude")
@@ -149,35 +147,41 @@ def _trial_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
+def _front(cfg: LodStudyConfig, method: str, wavelengths, rows):
+    """method's linear front end of a stack of rows (rifts' PaddedStack, lamp's and iaw's rows),
+    or the window error of rifts' front, which every trial raises alone."""
+    try:
+        return rifts_front(wavelengths, rows, cfg.rifts) if method == "rifts" else rows
+    except FringelabError as exc:
+        return exc
+
+
 def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, stack) -> list:
-    """method's signal for each row of a noisy stack: its rows, or for rifts its RiftsFront."""
+    """method's signal for each row of a noisy stack, given as method's _front."""
     if method == "rifts":
-        return rifts_back(stack)
+        return padded_centre_rows(stack)
     if method == "iaw":
         return iaw_rows(reference, stack, cfg.iaw)
     return lamp_rows(reference, reference.wavelengths_nm, stack, cfg.lamp)
 
 
-def _trial_signals(cfg: LodStudyConfig, methods: tuple, reference: Spectrum, white_sigma: float,
-                   ramped: list, fronts, trials: range) -> list:
-    """Per ramped clean row, {method: (signals, "trial i: ..." errors)} over trials, in order;
-    each chunk of CHUNK_ROWS trials from trials.start draws its white rows once for every row.
-    fronts is the ramped rows' RiftsFront, to which rifts adds the chunk's white front, or the
-    window error that every trial raises alone (None without rifts)."""
-    results = [{method: ([], []) for method in methods} for _ in ramped]
+def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float, clean: dict,
+                   n_keys: int, trials: range) -> list:
+    """Per key, {method: (signals, "trial i: ..." errors)} over trials, in order, given each
+    method's _front of the n_keys ramped clean rows; each chunk's white rows are drawn once."""
+    results = [{method: ([], []) for method in clean} for _ in range(n_keys)]
     for start in range(trials.start, trials.stop, CHUNK_ROWS):
         chunk = range(start, min(start + CHUNK_ROWS, trials.stop))
         white = white_rows(white_sigma, len(reference),
                            [_trial_seed(cfg.noise.seed, i) for i in chunk])
-        white_front = (rifts_front(reference.wavelengths_nm, white, cfg.rifts)
-                       if isinstance(fronts, RiftsFront) else None)
-        for k, (row, result) in enumerate(zip(ramped, results)):
-            rows = row + white
+        whites = {method: _front(cfg, method, reference.wavelengths_nm, white)
+                  for method, front in clean.items() if not isinstance(front, FringelabError)}
+        for k, result in enumerate(results):
             for method, (signals, errors) in result.items():
-                if method == "rifts" and white_front is None:  # the clean front's window error
-                    errors += [f"trial {i}: {fronts}" for i in chunk]
+                if method not in whites:  # the clean front's window error
+                    errors += [f"trial {i}: {clean[method]}" for i in chunk]
                     continue
-                stack = fronts[k : k + 1] + white_front if method == "rifts" else rows
+                stack = clean[method][k : k + 1] + whites[method]
                 try:
                     signals += _evaluate(cfg, method, reference, stack)
                 except FringelabError:  # rerun row by row: only the failing trials are dropped
@@ -186,7 +190,7 @@ def _trial_signals(cfg: LodStudyConfig, methods: tuple, reference: Spectrum, whi
                             signals += _evaluate(cfg, method, reference, stack[j : j + 1])
                         except FringelabError as exc:
                             errors.append(f"trial {i}: {exc}")
-        del white_front  # after the chunk's last key
+        del whites  # after the chunk's last key
     return results
 
 
@@ -228,17 +232,13 @@ def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
             dists[delta_n, gradient] = dict.fromkeys(methods, exc)
     if not todo:  # every ramp failed: nothing to draw
         return dists
-    clean = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
-             for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
-    ramped = [ramped_reflectance(clean[delta_n], model) for delta_n, _, model in todo]
-    fronts = None
-    if "rifts" in methods:  # computed before the split, so a forked child inherits it
-        try:
-            fronts = rifts_front(wavelengths, np.array(ramped), cfg.rifts)
-        except FringelabError as exc:  # a window error, which every trial raises alone
-            fronts = exc
-    parts = split(lambda trials: _trial_signals(cfg, methods, reference, white_sigma, ramped,
-                                                fronts, trials), cfg.n_trials)
+    spectra = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
+               for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
+    ramped = np.array([ramped_reflectance(spectra[delta_n], model) for delta_n, _, model in todo])
+    # before the split, so that a forked child inherits the fronts
+    clean = {method: _front(cfg, method, wavelengths, ramped) for method in methods}
+    parts = split(lambda trials: _trial_signals(cfg, reference, white_sigma, clean, len(todo),
+                                                trials), cfg.n_trials)
     for (delta_n, gradient, _), *results in zip(todo, *parts):  # a key's result in each part
         dists[delta_n, gradient] = {
             method: _stats(cfg.n_trials, method, delta_n, gradient, [r[method] for r in results])

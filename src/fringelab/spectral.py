@@ -18,18 +18,19 @@ Cached read-only: phasor rows per (points, pad), modulations per (points,
 pad, base), the first bin above the cutoff per grid. The 1000 nm cutoff is
 fixed, as in the run configuration. padded_peak is a stack of one.
 
-padded_peak_rows measures the peak bin and both crossings, which the width
-needs (lamp sizes its wavelet by it). padded_centre_rows finds the peak bin
-alone, for a caller that reads only the centre (rifts): it searches no
-crossing, so a crossing that runs off the spectrum raises nothing there. It
-takes the coarse rfft from its caller (coarse_spectra, which is linear in the
-rows), so a caller may sum the spectra of stacks it has transformed once.
+Both estimators measure a PaddedStack (padded_stack builds it): rows on one
+wavenumber grid with their coarse rffts, which are linear in the rows, so a
+caller may sum stacks it has transformed once. padded_peak_rows measures the
+peak bin and both crossings, which the width needs (lamp sizes its wavelet by
+it). padded_centre_rows finds the peak bin alone, for a caller that reads only
+the centre (rifts): it searches no crossing, so a crossing that runs off the
+spectrum raises nothing there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -194,7 +195,8 @@ def _measure_peak(coarse, f0, df, step=1, exact=None, last=None) -> PeakInfo:
 
     right, left = crossing(1), crossing(-1)
     center = float(f0 + peak * df)
-    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left, peak_power=float(m**2))
+    power = float(m) * float(m)  # a Python product overflows to inf with no numpy warning
+    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left, peak_power=power)
 
 
 @lru_cache(maxsize=16)
@@ -261,42 +263,62 @@ class _ExactBins(dict):
         return magnitude
 
 
-def coarse_spectra(rows, pad_length: int) -> np.ndarray:
-    """The coarse rfft that the padded-peak search reads, of each row of a (rows, points)
-    stack: every step-th bin of its pad_length-point zero-padded transform. Linear in the rows,
-    so the spectra of a sum of stacks are the sum of theirs, to rounding."""
+@dataclass(frozen=True)
+class PaddedStack:
+    """A (rows, points) stack of values on a wavenumber grid of spacing delta_sigma, and the
+    coarse rfft that the padded-peak search reads of each row (spectra): every step-th bin of
+    its pad_length-point zero-padded transform. The spectra are linear in the rows, so the sum
+    of two stacks on one grid (broadcast over rows) is the stack of the summed rows, to
+    rounding. An index or slice takes rows."""
+
+    values: np.ndarray
+    spectra: np.ndarray
+    delta_sigma: float
+    pad_length: int
+
+    def __add__(self, other: PaddedStack) -> PaddedStack:
+        if (self.delta_sigma, self.pad_length) != (other.delta_sigma, other.pad_length):
+            raise ValueError("stacks on different grids")
+        return replace(self, values=self.values + other.values,
+                       spectra=self.spectra + other.spectra)
+
+    def __getitem__(self, rows) -> PaddedStack:
+        return replace(self, values=self.values[rows], spectra=self.spectra[rows])
+
+
+def padded_stack(rows, delta_sigma: float, pad_length: int) -> PaddedStack:
+    """The PaddedStack of a (rows, points) stack sampled delta_sigma apart, for pad_length."""
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] < MIN_TRANSFORM_POINTS:
         raise ValueError(f"need rows of at least {MIN_TRANSFORM_POINTS} samples")
     if pad_length < v.shape[1]:
         raise ValueError("pad_length shorter than the data")
-    return np.fft.rfft(v, n=pad_length // _plan(v.shape[1], pad_length)[0], axis=1)
-
-
-def _padded_rows(measure, rows, spectra, delta_sigma: float, pad_length: int) -> list:
-    """measure (_measure_peak or _peak_centre) of each row's zero-padded transform, from the
-    rows' coarse_spectra and single exact bins."""
     if delta_sigma <= 0.0:
         raise ValueError("delta_sigma must be positive")
-    step, phasors = _plan(rows.shape[1], pad_length)
-    coarse = np.abs(spectra)
-    df = 1.0 / (pad_length * delta_sigma)
+    spectra = np.fft.rfft(v, n=pad_length // _plan(v.shape[1], pad_length)[0], axis=1)
+    return PaddedStack(v, spectra, delta_sigma, pad_length)
+
+
+def _padded_rows(measure, stack: PaddedStack) -> list:
+    """measure (_measure_peak or _peak_centre) of each row's zero-padded transform, from the
+    stack's coarse spectra and single exact bins."""
+    pad_length = stack.pad_length
+    step, phasors = _plan(stack.values.shape[1], pad_length)
+    df = 1.0 / (pad_length * stack.delta_sigma)
     return [measure(c, 0.0, df, step, _ExactBins(row, pad_length, phasors).__getitem__,
                     pad_length // 2)
-            for row, c in zip(rows, coarse)]
+            for row, c in zip(stack.values, np.abs(stack.spectra))]
 
 
-def padded_peak_rows(rows, delta_sigma: float, pad_length: int) -> list:
-    """padded_peak of each row of a (rows, points) stack, from one coarse rfft of the stack."""
-    v = np.asarray(rows, dtype=float)
-    return _padded_rows(_measure_peak, v, coarse_spectra(v, pad_length), delta_sigma, pad_length)
+def padded_peak_rows(stack: PaddedStack) -> list:
+    """padded_peak of each row of a stack."""
+    return _padded_rows(_measure_peak, stack)
 
 
-def padded_centre_rows(rows, spectra, delta_sigma: float, pad_length: int) -> list:
-    """Each row's padded_peak centre frequency (nm) alone, given the stack's coarse_spectra (or
-    a sum of them, for a sum of stacks), with no half-maximum search: a row whose crossing
-    runs off the spectrum still has its centre."""
-    return _padded_rows(_peak_centre, rows, spectra, delta_sigma, pad_length)
+def padded_centre_rows(stack: PaddedStack) -> list:
+    """Each row's padded_peak centre frequency (nm) alone, with no half-maximum search: a row
+    whose crossing runs off the spectrum still has its centre."""
+    return _padded_rows(_peak_centre, stack)
 
 
 def padded_peak(values, delta_sigma: float, pad_length: int) -> PeakInfo:
@@ -308,4 +330,4 @@ def padded_peak(values, delta_sigma: float, pad_length: int) -> PeakInfo:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"need a 1-d array of at least {MIN_TRANSFORM_POINTS} samples")
-    return padded_peak_rows(v[None], delta_sigma, pad_length)[0]
+    return padded_peak_rows(padded_stack(v[None], delta_sigma, pad_length))[0]

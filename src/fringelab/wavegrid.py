@@ -194,12 +194,12 @@ def resample_rows(wavelengths_nm, rows, range_nm=DEFAULT_RANGE_NM,
     grid = WavenumberGrid.from_wavelength_range((lo, hi), n_points)
     sigma_samples = 1.0 / np.asarray(wl, dtype=float)[::-1]
     values = np.asarray(rows, dtype=float)[:, ::-1]
+    if values.shape[1] != sigma_samples.size or not np.all(np.isfinite(values)):
+        raise ValueError("need one finite reflectance per wavelength in each row")
     if method == "linear":
         targets = grid.sigmas()
         resampled = np.array([np.interp(targets, sigma_samples, row) for row in values])
     elif method == "cubic_spline":
-        if values.shape[1] != sigma_samples.size or not np.all(np.isfinite(values)):
-            raise ValueError("need one finite reflectance per wavelength in each row")
         resampled = natural_spline(sigma_samples.tobytes(), grid)(values)
     else:
         raise ValueError(f"unknown interpolation method {method!r}")

@@ -345,9 +345,9 @@ class TestSplitBatch:
     @needs_fork
     def test_forked_table_lists_the_warnings_of_the_serial_one(self, tmp_path, capsys,
                                                                 monkeypatch):
-        # sigma 1e160 overflows numpy in trials of both halves; the report lists every warning
+        # sigma 1e300 overflows numpy in trials of both halves; the report lists every warning
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.json").write_text(json.dumps({"noise": {"gaussian_sigma": 1e160}}))
+        (tmp_path / "run.json").write_text(json.dumps({"noise": {"gaussian_sigma": 1e300}}))
         argv = ["lod-table", "--trials", "16", "--seed", "1", "--config", "run.json"]
         joins = self.counted_joins(monkeypatch)
         reports = []
@@ -360,7 +360,7 @@ class TestSplitBatch:
             reports.append((rc, report, err))
         assert joins == [1]
         assert reports[0] == reports[1]
-        assert len(reports[0][1]["warnings"]) == 51
+        assert len(reports[0][1]["warnings"]) == 48
 
     def test_batch_at_the_threshold_stays_serial(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -892,6 +892,38 @@ def test_float_extreme_white_sigma_ends_without_a_traceback(tmp_path, capsys, mo
     rc = main([*argv, "--config", "run.json", "--out", "out"])
     assert rc in (0, PARSE_EXIT, PROCESS_EXIT)
     assert "Traceback" not in capsys.readouterr().err
+
+
+EXTREME_STACKS = {
+    "thickness": '{"stack": {"film_thickness_nm": 1e308}}',
+    "film-index": '{"stack": {"film_index": 1e308}}',
+    "ambient-index": '{"stack": {"ambient_index": 1e308}}',
+    "substrate-index": '{"stack": {"substrate_index": "1e308+1e308j"}}',
+}
+SMOKE_TABLE = ["lod-table", "--trials", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    *(pytest.param(argv, config, id=f"{name}-{argv[0]}")
+      for name, config in EXTREME_STACKS.items() for argv in (["simulate", "--seed", "1"],
+                                                              SMOKE_TABLE)),
+    pytest.param(SMOKE_TABLE, '{"study": {"calibration_delta_n": 1e308}}',
+                 id="calibration-shift-lod-table"),
+])
+def test_float_extreme_film_stack_ends_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                          argv, config):
+    # the phase thickness or the Fresnel products overflow and the reflectance is NaN, which
+    # once ended in Spectrum's "non-finite values" traceback, after numpy's RuntimeWarnings
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--config", "run.json", "--out", "out"])
+    assert rc == PROCESS_EXIT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: the film stack's reflectance overflows the float range"]
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 import fringelab.lamp as lamp
-import fringelab.legacy as legacy
 import fringelab.lodstudy as lodstudy
 from fringelab import LodStudyConfig, NoiseModel, run_table1
 
@@ -39,11 +38,10 @@ def capture(seed: int) -> dict:
     pending = []  # (name, per-row values) made by the current _evaluate call
 
     def peaks(original, centre):
-        def recorded(*args):
-            result = original(*args)
-            delta_sigma, pad_length = args[-2:]
+        def recorded(stack):
+            result = original(stack)
             if not where["reference"]:
-                width = 1.0 / (pad_length * delta_sigma)
+                width = 1.0 / (stack.pad_length * stack.delta_sigma)
                 pending.append(("bins", [round(centre(p) / width) for p in result]))
             return result
         return recorded
@@ -62,16 +60,16 @@ def capture(seed: int) -> dict:
         finally:
             where["reference"] = False
 
-    def trial_signals(cfg, methods, reference, white_sigma, ramped, fronts, trials):
+    def trial_signals(cfg, reference, white_sigma, clean, n_keys, trials):
         # the table's one pass: each chunk of trials, and in it every key's stack in order
-        assert len(ramped) == len(keys)
-        results = [{method: ([], []) for method in methods} for _ in ramped]
+        assert n_keys == len(keys)
+        results = [{method: ([], []) for method in clean} for _ in range(n_keys)]
         for start in range(trials.start, trials.stop, lodstudy.CHUNK_ROWS):
             chunk = range(start, min(start + lodstudy.CHUNK_ROWS, trials.stop))
-            for k, ((delta_n, gradient), row, result) in enumerate(zip(keys, ramped, results)):
+            for k, ((delta_n, gradient), result) in enumerate(zip(keys, results)):
                 where.update(key=f"{delta_n!r}/{gradient}", trials=list(chunk), calls={})
-                [stack] = original_trial_signals(cfg, methods, reference, white_sigma, [row],
-                                                 fronts[k : k + 1], chunk)
+                key_clean = {method: front[k : k + 1] for method, front in clean.items()}
+                [stack] = original_trial_signals(cfg, reference, white_sigma, key_clean, 1, chunk)
                 for method, (signals, errors) in stack.items():
                     result[method][0].extend(signals)
                     result[method][1].extend(errors)
@@ -97,7 +95,7 @@ def capture(seed: int) -> dict:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the serial path
         patch.setattr(lamp, "padded_peak_rows",
                       peaks(lamp.padded_peak_rows, lambda peak: peak.center_frequency_nm))
-        patch.setattr(legacy, "padded_centre_rows", peaks(legacy.padded_centre_rows, float))
+        patch.setattr(lodstudy, "padded_centre_rows", peaks(lodstudy.padded_centre_rows, float))
         patch.setattr(lamp, "anchor_cycle", anchor_cycle)
         patch.setattr(lamp, "_reference_profile", reference_profile)
         patch.setattr(lodstudy, "_trial_signals", trial_signals)

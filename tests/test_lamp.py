@@ -481,6 +481,15 @@ def test_stack_equals_rows_one_at_a_time(cfg):
     assert lamp_rows(reference, WAVELENGTHS, rows[1:4], cfg) == single[1:4]
 
 
+def test_a_non_finite_row_is_a_value_error_not_a_missing_peak():
+    # the linear resample once passed NaN on, and the peak search reported NoFringePeakError,
+    # a domain error that a study counts as a dropped trial
+    rows = noisy_rows()[:2].copy()
+    rows[1, 100] = np.nan
+    with pytest.raises(ValueError, match="^need one finite reflectance per wavelength"):
+        lamp_rows(film(), WAVELENGTHS, rows)
+
+
 @pytest.mark.parametrize("rows, count", [(3, 2), (2, 3)])
 def test_filter_needs_one_wavelet_per_row(rows, count):
     stack = np.zeros((rows, 2048))

@@ -19,8 +19,8 @@ from fringelab import (
     to_wavenumber,
 )
 from fringelab.errors import FringelabError, PeakMeasurementError, WavelengthRangeError
-from fringelab.legacy import _taper, iaw_rows, rifts_back, rifts_front, rifts_rows
-from fringelab.spectral import _full_padded_peak, _peak_centre, padded_peak
+from fringelab.legacy import _taper, iaw_rows, rifts_front, rifts_rows
+from fringelab.spectral import _full_padded_peak, _peak_centre, padded_centre_rows, padded_peak
 from fringelab.wavegrid import default_pad_length
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
@@ -196,8 +196,8 @@ def test_summed_fronts_give_the_signals_of_the_summed_stack():
     direct = rifts_front(WAVELENGTHS, clean + noise)
     npt.assert_allclose(summed.values, direct.values, rtol=0, atol=1e-15)
     npt.assert_allclose(summed.spectra, direct.spectra, rtol=0, atol=1e-12)
-    assert rifts_back(summed) == rifts_rows(WAVELENGTHS, clean + noise)
-    assert rifts_back(summed[2:4]) == rifts_rows(WAVELENGTHS, (clean + noise)[2:4])
+    assert padded_centre_rows(summed) == rifts_rows(WAVELENGTHS, clean + noise)
+    assert padded_centre_rows(summed[2:4]) == rifts_rows(WAVELENGTHS, (clean + noise)[2:4])
     with pytest.raises(ValueError, match="different grids"):
         summed + rifts_front(WAVELENGTHS, noise, RiftsConfig(range_nm=(520.0, 780.0)))
 

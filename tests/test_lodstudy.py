@@ -358,7 +358,7 @@ def test_table_transforms_the_clean_rows_once_and_each_chunk_of_white_rows_once(
     # rifts' cubic resample and coarse transform run on the 5 clean rows in one stack, then
     # once on each of the 13 chunks of white rows, not on each of the 65 noisy stacks
     one_cpu(monkeypatch)
-    stacks = {"resample_rows": [], "coarse_spectra": []}  # the rows of each call
+    stacks = {"resample_rows": [], "padded_stack": []}  # the rows of each call
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -371,7 +371,16 @@ def test_table_transforms_the_clean_rows_once_and_each_chunk_of_white_rows_once(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_table1(study(n_trials=100))
-    assert stacks["resample_rows"] == stacks["coarse_spectra"] == [5] + [8] * 12 + [4]
+    assert stacks["resample_rows"] == stacks["padded_stack"] == [5] + [8] * 12 + [4]
+
+
+def test_pass_that_serves_no_rifts_builds_no_rifts_front(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("rifts front built for a lamp pass")
+
+    monkeypatch.setattr(lodstudy, "rifts_front", broken)
+    cfg = study(method="lamp", n_trials=2 * CHUNK_ROWS)
+    assert response_distribution(cfg, 0.0).n_trials == 2 * CHUNK_ROWS
 
 
 def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
@@ -396,9 +405,9 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
     passes = []
     original = lodstudy._trial_signals
 
-    def recorded(cfg, methods, reference, white_sigma, ramped, fronts, trials):
-        passes.append((len(ramped), trials))
-        return original(cfg, methods, reference, white_sigma, ramped, fronts, trials)
+    def recorded(cfg, reference, white_sigma, clean, n_keys, trials):
+        passes.append((n_keys, trials))
+        return original(cfg, reference, white_sigma, clean, n_keys, trials)
 
     monkeypatch.setattr(lodstudy, "_trial_signals", recorded)
     with warnings.catch_warnings():
@@ -420,7 +429,7 @@ def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):
 
 
 @pytest.mark.parametrize("method, module, stage", [("lamp", "lamp", "padded_peak_rows"),
-                                                   ("rifts", "legacy", "padded_centre_rows")])
+                                                   ("rifts", "lodstudy", "padded_centre_rows")])
 def test_bug_in_a_stage_propagates(monkeypatch, method, module, stage):
     def broken(*args, **kwargs):
         raise TypeError("injected bug")

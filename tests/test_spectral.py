@@ -6,9 +6,11 @@ padded peaks) are checked against arithmetic that shares no code with them;
 the padded measurement is also checked against the full padded transform.
 """
 
+import ast
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +39,7 @@ from fringelab.spectral import (
     _modulation,
     _plan,
     padded_peak_rows,
+    padded_stack,
 )
 
 
@@ -164,8 +167,32 @@ def test_stacked_peaks_equal_single_rows_bit_for_bit(pad):
     cases = [("cosine", "none")] + [(style, ramp) for style in ("lamp", "rifts") for ramp in RAMPS]
     rows, deltas = zip(*(front_end_values(style, ramp) for style, ramp in cases))
     assert len(set(deltas)) == 1  # one grid, so one stack
-    stacked = padded_peak_rows(np.array(rows), deltas[0], pad)
+    stacked = padded_peak_rows(padded_stack(np.array(rows), deltas[0], pad))
     assert stacked == [padded_peak(row, deltas[0], pad) for row in rows]
+
+
+def test_peak_power_past_the_float_range_is_inf_without_a_warning():
+    # numpy's scalar m**2 warned "overflow encountered in scalar power", a traceback under
+    # -W error, for a power that no caller reads
+    values, delta_sigma = fringe_values()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        peak = padded_peak(values * 1e300, delta_sigma, 2**21)
+    assert peak.peak_power == math.inf
+    assert peak.center_frequency_nm == padded_peak(values, delta_sigma, 2**21).center_frequency_nm
+
+
+def test_only_the_spectral_module_calls_rfft():
+    # the padded transform, and the stack type that carries its coarse spectra, live in spectral
+    def calls_rfft(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return any(isinstance(node, ast.Attribute) and node.attr == "rfft"
+                   or isinstance(node, ast.alias) and node.name == "rfft"
+                   for node in ast.walk(tree))
+
+    source = Path(spectral.__file__).parent
+    assert [path.name for path in sorted(source.glob("*.py")) if calls_rfft(path)] == [
+        "spectral.py"]
 
 
 @pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
@@ -326,7 +353,8 @@ def test_degenerate_rows_are_no_fringe_peak_and_warn_only_from_the_sums(name, pa
         with pytest.raises(NoFringePeakError, match="^no fringe peak: largest magnitude above "
                            "the cutoff is not a local maximum$"):
             if stacked:  # a good row first, measured before the degenerate one raises
-                padded_peak_rows(np.stack([fringe_values()[0], row]), delta_sigma, pad)
+                padded_peak_rows(padded_stack(np.stack([fringe_values()[0], row]), delta_sigma,
+                                              pad))
             else:
                 padded_peak(row, delta_sigma, pad)
     messages = {str(w.message) for w in caught}

@@ -151,12 +151,14 @@ def test_cubic_resampler_rejects_non_increasing_wavelengths(wl):
         resample_rows(np.array(wl), np.full((1, 4), 0.2), (500.0, 800.0), 64)
 
 
-def test_cubic_resampler_rejects_non_finite_or_mismatched_rows():
+@pytest.mark.parametrize("method", ["linear", "cubic_spline"])
+def test_resampler_rejects_non_finite_or_mismatched_rows(method):
+    # the linear interpolant once took a NaN row (lamp then found no fringe peak) and raised
+    # numpy's own error for a short one
     wl = np.linspace(500.0, 800.0, 8)
-    with pytest.raises(ValueError):
-        resample_rows(wl, np.array([[0.2] * 7 + [np.nan]]), (500.0, 800.0), 64)
-    with pytest.raises(ValueError):
-        resample_rows(wl, np.full((1, 7), 0.2), (500.0, 800.0), 64)
+    for rows in (np.array([[0.2] * 7 + [np.nan]]), np.full((1, 7), 0.2)):
+        with pytest.raises(ValueError, match="^need one finite reflectance per wavelength"):
+            resample_rows(wl, rows, (500.0, 800.0), 64, method)
 
 
 def test_hann_window_small_cases():
