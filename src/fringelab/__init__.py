@@ -45,7 +45,6 @@ from .wavegrid import (
 from .spectral import FrequencySpectrum, PeakInfo, dft, dominant_peak, padded_peak
 from .legacy import IawConfig, RiftsConfig, iaw, rifts_eot
 from .lamp import (
-    FilteredSpectrum,
     LampConfig,
     MorletWavelet,
     anchor_cycle,
@@ -53,7 +52,6 @@ from .lamp import (
     filter_spectrum,
     lamp_signal,
     lamp_to_delta_eot,
-    normalize_fringes,
     unwrap_phase,
 )
 from .lodstudy import (

@@ -4,12 +4,13 @@ A spectrum is resampled linearly onto a uniform wavenumber grid and its
 dominant fringe frequency located on the zero-padded transform, whose pad
 length and cutoff follow from the grid (no window function: it would broaden
 the peak that sizes the filter). A complex Morlet wavelet with that peak's bandwidth isolates
-the fringe band; the filtered signal's unwrapped, cycle-anchored phase is
-averaged against a reference to give a sub-fringe measure of
-optical-thickness change.
+the fringe band; the phase is the angle of the complex filtered fringes, and its
+unwrapped, cycle-anchored profile is averaged against a reference to give a
+sub-fringe measure of optical-thickness change.
 
 Every stage takes a (rows, points) stack; lamp_signal is a stack of one. The
-filter transforms a stack as one complex block, at the one size its grid sets.
+filter takes a stack, its spacing and one wavelet per row, and returns the
+complex filtered stack, transformed as one block at the one size its grid sets.
 Unwrapping folds only the steps outside (-pi, pi), with np.unwrap's arithmetic,
 so it returns np.unwrap's bits. Cached read-only: the reference's phase profile
 per (config, wavelengths, reflectance), so a stream or a study against one
@@ -32,7 +33,6 @@ from .spectral import PeakInfo, padded_peak, padded_peak_rows, padded_stack  # n
 from .wavegrid import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RANGE_NM,
-    ResampledSpectrum,
     WavenumberGrid,
     default_pad_length,
     resample_rows,
@@ -71,25 +71,6 @@ class MorletWavelet:
         if s.ndim != 1 or s.size % 2 != 1:
             raise ValueError("wavelet samples must be 1-d with an odd count")
         object.__setattr__(self, "samples", s)
-
-
-@dataclass(frozen=True)
-class FilteredSpectrum:
-    """Complex band-passed fringes on the resampled grid, one row or a stack."""
-
-    grid: WavenumberGrid
-    complex_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.complex_values, dtype=complex)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.grid.n_points:
-            raise ValueError("complex_values must match the grid length in each row")
-        object.__setattr__(self, "complex_values", v)
-
-    @property
-    def phase(self) -> np.ndarray:
-        """Wrapped phase in (-pi, pi]."""
-        return np.angle(self.complex_values)
 
 
 @lru_cache(maxsize=16)
@@ -139,22 +120,23 @@ def design_wavelet(peak: PeakInfo, delta_sigma: float) -> MorletWavelet:
     )
 
 
-def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
-    """Convolve each row with its wavelet ("same" alignment): one MorletWavelet, or one per row.
+def filter_spectrum(rows, delta_sigma: float, wavelets) -> np.ndarray:
+    """Convolve each row of a (rows, points) stack with its wavelet ("same" alignment).
 
-    The data is zero-extended beyond its ends, so amplitude decays near the
-    edges. The wavelets must have been designed for this grid's spacing.
+    Returns the complex (rows, points) filtered stack. wavelets holds one MorletWavelet per
+    row, each designed for the grid spacing delta_sigma. The data is zero-extended beyond its
+    ends, so amplitude decays near the edges.
     Each kernel is the wavelet's taps within h = min((m - 1) / 2, n - 1) of its centre, the
     only ones that meet data, wrapped around index 0. The stack is one zero-padded complex
     block of the power of two >= 2n - 1 points, so nothing aliases into the n kept samples and
     a row's bits do not depend on its stack.
     """
-    spacing = resampled.grid.delta_sigma
-    values = np.atleast_2d(resampled.values)
-    wavelets = [wavelet] * len(values) if isinstance(wavelet, MorletWavelet) else list(wavelet)
+    values = np.asarray(rows)
+    if values.ndim != 2 or isinstance(wavelets, MorletWavelet):
+        raise ValueError("need a (rows, points) stack and one wavelet per row")
     if len(wavelets) != len(values):
         raise ValueError(f"need one wavelet per row: {len(wavelets)} for {len(values)} rows")
-    if not all(math.isclose(w.spacing, spacing, rel_tol=1e-9, abs_tol=0.0) for w in wavelets):
+    if not all(math.isclose(w.spacing, delta_sigma, rel_tol=1e-9, abs_tol=0.0) for w in wavelets):
         raise ValueError("wavelet sample spacing does not match the grid")
     n = values.shape[1]
     size = 1 << (2 * n - 2).bit_length()
@@ -168,22 +150,14 @@ def filter_spectrum(resampled: ResampledSpectrum, wavelet) -> FilteredSpectrum:
     np.fft.fft(block, out=block)
     block *= np.fft.fft(kernels, out=kernels)
     np.fft.ifft(block, out=block)
-    out = block[:, :n] * spacing
-    return FilteredSpectrum(resampled.grid, out.reshape(np.shape(resampled.values)))
+    return block[:, :n] * delta_sigma
 
 
-def _checked_amplitude(complex_values: np.ndarray) -> np.ndarray:
-    amplitude = np.abs(complex_values)
-    if np.any(amplitude < AMPLITUDE_FLOOR):
+def _check_amplitude(filtered: np.ndarray) -> None:
+    if np.any(np.abs(filtered) < AMPLITUDE_FLOOR):
         raise DegenerateAmplitudeError(
             f"filtered amplitude below {AMPLITUDE_FLOOR:g}; phase undefined"
         )
-    return amplitude
-
-
-def normalize_fringes(filtered: FilteredSpectrum) -> np.ndarray:
-    """Unit-amplitude fringes cos(phase), i.e. real part over amplitude."""
-    return filtered.complex_values.real / _checked_amplitude(filtered.complex_values)
 
 
 def unwrap_phase(wrapped) -> np.ndarray:
@@ -272,9 +246,9 @@ def _phase_rows(wavelengths_nm, rows, cfg: LampConfig) -> np.ndarray:
     values = _remove_baseline(grid, resampled.values)
     peaks = padded_peak_rows(padded_stack(values, delta_sigma, default_pad_length(delta_sigma)))
     wavelets = [design_wavelet(peak, delta_sigma) for peak in peaks]
-    filtered = filter_spectrum(ResampledSpectrum(grid, values), wavelets)
-    _checked_amplitude(filtered.complex_values)
-    return anchor_cycle(unwrap_phase(filtered.phase),
+    filtered = filter_spectrum(values, delta_sigma, wavelets)
+    _check_amplitude(filtered)
+    return anchor_cycle(unwrap_phase(np.angle(filtered)),
                         [peak.center_frequency_nm for peak in peaks], grid.sigma_min)
 
 

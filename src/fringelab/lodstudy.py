@@ -148,12 +148,8 @@ def _trial_seed(master_seed: int, index: int) -> int:
 
 
 def _front(cfg: LodStudyConfig, method: str, wavelengths, rows):
-    """method's linear front end of a stack of rows (rifts' PaddedStack, lamp's and iaw's rows),
-    or the window error of rifts' front, which every trial raises alone."""
-    try:
-        return rifts_front(wavelengths, rows, cfg.rifts) if method == "rifts" else rows
-    except FringelabError as exc:
-        return exc
+    """method's linear front end of a stack of rows: rifts' PaddedStack, lamp's and iaw's rows."""
+    return rifts_front(wavelengths, rows, cfg.rifts) if method == "rifts" else rows
 
 
 def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, stack) -> list:
@@ -174,13 +170,9 @@ def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
         chunk = range(start, min(start + CHUNK_ROWS, trials.stop))
         white = white_rows(white_sigma, len(reference),
                            [_trial_seed(cfg.noise.seed, i) for i in chunk])
-        whites = {method: _front(cfg, method, reference.wavelengths_nm, white)
-                  for method, front in clean.items() if not isinstance(front, FringelabError)}
+        whites = {method: _front(cfg, method, reference.wavelengths_nm, white) for method in clean}
         for k, result in enumerate(results):
             for method, (signals, errors) in result.items():
-                if method not in whites:  # the clean front's window error
-                    errors += [f"trial {i}: {clean[method]}" for i in chunk]
-                    continue
                 stack = clean[method][k : k + 1] + whites[method]
                 try:
                     signals += _evaluate(cfg, method, reference, stack)
@@ -236,12 +228,18 @@ def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
                for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
     ramped = np.array([ramped_reflectance(spectra[delta_n], model) for delta_n, _, model in todo])
     # before the split, so that a forked child inherits the fronts
-    clean = {method: _front(cfg, method, wavelengths, ramped) for method in methods}
+    clean, failed = {}, {}
+    for method in methods:
+        try:
+            clean[method] = _front(cfg, method, wavelengths, ramped)
+        except FringelabError as exc:  # rifts' window error, which every trial raises alone
+            failed[method] = ([], [f"trial {i}: {exc}" for i in range(cfg.n_trials)])
     parts = split(lambda trials: _trial_signals(cfg, reference, white_sigma, clean, len(todo),
                                                 trials), cfg.n_trials)
     for (delta_n, gradient, _), *results in zip(todo, *parts):  # a key's result in each part
         dists[delta_n, gradient] = {
-            method: _stats(cfg.n_trials, method, delta_n, gradient, [r[method] for r in results])
+            method: _stats(cfg.n_trials, method, delta_n, gradient,
+                           [failed[method]] if method in failed else [r[method] for r in results])
             for method in methods}
     return dists
 

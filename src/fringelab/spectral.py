@@ -150,23 +150,19 @@ def _peak_bin(coarse, f0, df, step, exact, last) -> int:
     return peak
 
 
-def _peak_centre(coarse, f0, df, step=1, exact=None, last=None) -> float:
+def _peak_centre(coarse, f0, df, step, exact, last) -> float:
     """_measure_peak's centre frequency alone: no half-maximum crossing is searched, so none
     that runs off the spectrum raises."""
-    if step == 1:
-        exact, last = coarse.__getitem__, coarse.size - 1
     return float(f0 + _peak_bin(coarse, f0, df, step, exact, last) * df)
 
 
-def _measure_peak(coarse, f0, df, step=1, exact=None, last=None) -> PeakInfo:
+def _measure_peak(coarse, f0, df, step, exact, last) -> PeakInfo:
     """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
 
     exact(b) returns |X[b]| (the coarse bin when step == 1). The peak is _peak_bin's; each
     flank is monotone, so each half-maximum crossing is where a False-then-True test on
     single exact bins turns True, found by _first_true from a guess taken off the coarse grid
     and refined on exact bins."""
-    if step == 1:
-        exact, last = coarse.__getitem__, coarse.size - 1
     peak = _peak_bin(coarse, f0, df, step, exact, last)
     m = exact(peak)
     half = 0.5 * m
@@ -213,13 +209,14 @@ def dominant_peak(spectrum: FrequencySpectrum) -> PeakInfo:
     measured on magnitude (not power) by linear interpolation around the peak.
     """
     f0, df = float(spectrum.frequencies_nm[0]), spectrum.bin_spacing_nm
-    return _measure_peak(np.abs(spectrum.amplitudes), f0, df)
+    mags = np.abs(spectrum.amplitudes)
+    return _measure_peak(mags, f0, df, 1, mags.__getitem__, mags.size - 1)
 
 
 def _full_padded_peak(values, delta_sigma, pad_length, measure=_measure_peak):
     """measure (_measure_peak, or _peak_centre) of the materialized zero-padded transform."""
     mags = np.abs(np.fft.rfft(np.asarray(values, dtype=float), n=pad_length))
-    return measure(mags, 0.0, 1.0 / (pad_length * delta_sigma))
+    return measure(mags, 0.0, 1.0 / (pad_length * delta_sigma), 1, mags.__getitem__, mags.size - 1)
 
 
 @lru_cache(maxsize=8)

@@ -13,7 +13,6 @@ from fringelab import (
     LampConfig,
     NoiseModel,
     PeakInfo,
-    ResampledSpectrum,
     Spectrum,
     WavenumberGrid,
     add_noise,
@@ -23,7 +22,6 @@ from fringelab import (
     filter_spectrum,
     lamp_signal,
     lamp_to_delta_eot,
-    normalize_fringes,
     simulate_reflectance,
     unwrap_phase,
     white_sigma_for_target,
@@ -157,7 +155,7 @@ def test_filter_requires_matching_spacing():
     w = matched_wavelet()
     other = WavenumberGrid.from_wavelength_range((500.0, 800.0), 1024)
     with pytest.raises(ValueError):
-        filter_spectrum(ResampledSpectrum(other, np.zeros(1024)), w)
+        filter_spectrum(np.zeros((1, 1024)), other.delta_sigma, [w])
 
 
 @pytest.mark.parametrize("fwhm, shortest, longest", [
@@ -169,19 +167,19 @@ def test_filter_is_the_centred_direct_convolution(fwhm, shortest, longest):
     values = np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + rng.normal(0.0, 0.1, 2048)
     w = matched_wavelet(fwhm=fwhm)
     assert shortest <= w.samples.size <= longest
-    filtered = filter_spectrum(ResampledSpectrum(GRID, values), w)
+    (filtered,) = filter_spectrum(values[None], GRID.delta_sigma, [w])
     # np.convolve's "same" keeps max(n, m) points; the filter keeps the data's
     # n points of the full convolution, starting at c = (m - 1) // 2
     c = (w.samples.size - 1) // 2
     expected = np.convolve(values, w.samples)[c : c + values.size] * GRID.delta_sigma
-    npt.assert_allclose(filtered.complex_values, expected, rtol=1e-12)
+    npt.assert_allclose(filtered, expected, rtol=1e-12)
 
 
 def test_filtered_tone_phase_slope():
     sigmas = GRID.sigmas()
     tone = np.cos(2 * np.pi * 5760.0 * sigmas)
-    filtered = filter_spectrum(ResampledSpectrum(GRID, tone), matched_wavelet())
-    phase = np.unwrap(np.angle(filtered.complex_values))
+    (filtered,) = filter_spectrum(tone[None], GRID.delta_sigma, [matched_wavelet()])
+    phase = np.unwrap(np.angle(filtered))
     central = slice(int(0.2 * 2048), int(0.8 * 2048))
     slope = np.polyfit(sigmas[central], phase[central], 1)[0]
     assert abs(slope / (2 * math.pi * 5760.0) - 1.0) < 0.01
@@ -191,8 +189,9 @@ def test_filter_annihilates_removed_mean():
     # a constant input carries no fringe information; once the mean is gone
     # the filter sees zeros and returns zeros
     values = np.full(2048, 0.25)
-    filtered = filter_spectrum(ResampledSpectrum(GRID, values - values.mean()), matched_wavelet())
-    assert np.abs(filtered.complex_values).max() == 0.0
+    centred = (values - values.mean())[None]
+    filtered = filter_spectrum(centred, GRID.delta_sigma, [matched_wavelet()])
+    assert np.abs(filtered).max() == 0.0
 
 
 def test_filter_gain_at_zero_frequency_is_negligible():
@@ -211,41 +210,10 @@ def test_filtered_phase_tolerates_small_additive_drift():
     tone = np.cos(2 * np.pi * 5760.0 * sigmas)
     ramp = 0.015 * (sigmas - sigmas[0]) / (sigmas[-1] - sigmas[0])
     w = matched_wavelet()
-    clean = filter_spectrum(ResampledSpectrum(GRID, tone), w)
-    drifted = filter_spectrum(ResampledSpectrum(GRID, tone + ramp), w)
+    clean, drifted = filter_spectrum(np.array([tone, tone + ramp]), GRID.delta_sigma, [w, w])
     central = slice(int(0.2 * 2048), int(0.8 * 2048))
-    d = (np.unwrap(np.angle(drifted.complex_values))
-         - np.unwrap(np.angle(clean.complex_values)))[central]
+    d = (np.unwrap(np.angle(drifted)) - np.unwrap(np.angle(clean)))[central]
     assert math.sqrt(np.mean(d**2)) <= 1e-3
-
-
-# ------------------------------------------------------------- normalize
-
-
-def test_normalized_fringes_stay_bounded():
-    sigmas = GRID.sigmas()
-    tone = 0.07 * np.cos(2 * np.pi * 5760.0 * sigmas) + 0.02 * np.sin(2 * np.pi * 5100.0 * sigmas)
-    filtered = filter_spectrum(ResampledSpectrum(GRID, tone), matched_wavelet())
-    norm = normalize_fringes(filtered)
-    assert np.all(norm >= -1.0) and np.all(norm <= 1.0)
-
-
-def test_normalized_fringes_recover_unit_cosine():
-    sigmas = GRID.sigmas()
-    tone = np.cos(2 * np.pi * 5760.0 * sigmas)
-    filtered = filter_spectrum(ResampledSpectrum(GRID, tone), matched_wavelet())
-    norm = normalize_fringes(filtered)
-    central = slice(int(0.2 * 2048), int(0.8 * 2048))
-    phase = np.unwrap(np.angle(filtered.complex_values))
-    offset = np.angle(np.mean(np.exp(1j * (phase[central] - 2 * np.pi * 5760.0 * sigmas[central]))))
-    model = np.cos(2 * np.pi * 5760.0 * sigmas[central] + offset)
-    assert math.sqrt(np.mean((norm[central] - model) ** 2)) < 0.05
-
-
-def test_normalize_rejects_collapsed_amplitude():
-    filtered = filter_spectrum(ResampledSpectrum(GRID, np.zeros(2048)), matched_wavelet())
-    with pytest.raises(DegenerateAmplitudeError):
-        normalize_fringes(filtered)
 
 
 # -------------------------------------------------------- unwrap / anchor
@@ -374,6 +342,15 @@ def test_signal_ignores_amplitude_scaling():
     assert abs(lamp_signal(a, scaled) - lamp_signal(a, b)) < 1e-6
 
 
+def test_collapsed_filtered_amplitude_has_no_phase():
+    # x1e-9 takes the filtered fringes below AMPLITUDE_FLOOR; at x1e-6 they still have a phase
+    reference = film()
+    with pytest.raises(DegenerateAmplitudeError, match="phase undefined"):
+        lamp_signal(reference, Spectrum(WAVELENGTHS, reference.reflectance * 1e-9))
+    faint = Spectrum(WAVELENGTHS, reference.reflectance * 1e-6)
+    assert math.isfinite(lamp_signal(reference, faint))
+
+
 def test_signal_ignores_constant_offset():
     a, b = film(), film(1e-3)
     shifted = Spectrum(b.wavelengths_nm, b.reflectance + 0.5)
@@ -490,11 +467,13 @@ def test_a_non_finite_row_is_a_value_error_not_a_missing_peak():
         lamp_rows(film(), WAVELENGTHS, rows)
 
 
-@pytest.mark.parametrize("rows, count", [(3, 2), (2, 3)])
-def test_filter_needs_one_wavelet_per_row(rows, count):
-    stack = np.zeros((rows, 2048))
+@pytest.mark.parametrize("shape, wavelets", [
+    ((3, 2048), [matched_wavelet()] * 2), ((2, 2048), [matched_wavelet()] * 3),
+    ((2048,), [matched_wavelet()]), ((1, 2048), matched_wavelet()),
+], ids=["3-2", "2-3", "one-d-row", "bare-wavelet"])
+def test_filter_needs_one_wavelet_per_row(shape, wavelets):
     with pytest.raises(ValueError, match="one wavelet per row"):
-        filter_spectrum(ResampledSpectrum(GRID, stack), [matched_wavelet()] * count)
+        filter_spectrum(np.zeros(shape), GRID.delta_sigma, wavelets)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own-wavelets", "shared-wavelet"])
@@ -506,7 +485,7 @@ def test_block_filter_equals_the_per_row_transform_bit_for_bit(shared):
     wavelets = [wide, narrow, wide, matched_wavelet(5800.0), narrow, wide]
     if shared:
         wavelets = [wide] * 6
-    filtered = filter_spectrum(ResampledSpectrum(GRID, stack), wavelets).complex_values
+    filtered = filter_spectrum(stack, GRID.delta_sigma, wavelets)
     size = 4096  # the power of two >= 2n - 1
     for row, w, values in zip(stack, wavelets, filtered):
         # the row-at-a-time transform, kept as the reference: the wavelet's taps within
@@ -528,10 +507,9 @@ def test_stacked_filter_matches_per_row_filter_across_wavelet_lengths(n):
                 for scale in (1.0, 4.0, 2.0, 1.0)]
     sizes = [w.samples.size for w in wavelets]
     assert sizes[1] < n <= sizes[2] < 2 * n - 1 < sizes[0]
-    together = filter_spectrum(ResampledSpectrum(grid, stack), wavelets).complex_values
+    together = filter_spectrum(stack, grid.delta_sigma, wavelets)
     for row, wavelet, values in zip(stack, wavelets, together):
-        npt.assert_array_equal(values, filter_spectrum(ResampledSpectrum(grid, row),
-                                                       wavelet).complex_values)
+        npt.assert_array_equal(values, filter_spectrum(row[None], grid.delta_sigma, [wavelet])[0])
 
 
 def test_stack_phase_means_equal_the_per_row_means_bit_for_bit():

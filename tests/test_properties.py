@@ -9,7 +9,6 @@ from fringelab import (
     IawConfig,
     MorletWavelet,
     RedlichPetersonFit,
-    ResampledSpectrum,
     Spectrum,
     WavenumberGrid,
     filter_spectrum,
@@ -132,7 +131,7 @@ def test_cropped_filter_is_the_centred_direct_convolution():
         wavelets = [MorletWavelet(5760.0, 1.0, grid.delta_sigma,
                                   rng.normal(size=m) + 1j * rng.normal(size=m))
                     for m in 2 * rng.integers(0, 3 * n, size=len(rows)) + 1]
-        filtered = filter_spectrum(ResampledSpectrum(grid, rows), wavelets).complex_values
+        filtered = filter_spectrum(rows, grid.delta_sigma, wavelets)
         for row, w, values in zip(rows, wavelets, filtered):
             c = (w.samples.size - 1) // 2
             expected = np.convolve(row, w.samples)[c : c + n] * grid.delta_sigma
