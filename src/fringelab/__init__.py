@@ -42,7 +42,7 @@ from .wavegrid import (
     hann_window,
     to_wavenumber,
 )
-from .spectral import FrequencySpectrum, PeakInfo, dft, dominant_peak, padded_peak
+from .spectral import PeakInfo, dft, padded_peak
 from .legacy import IawConfig, RiftsConfig, iaw, rifts_eot
 from .lamp import (
     LampConfig,

@@ -25,7 +25,7 @@ WAVELENGTH_CEIL_NM = 2000.0
 
 @dataclass(frozen=True)
 class FilmStack:
-    """Ambient / film / substrate refractive indices and film thickness."""
+    """Ambient / film / substrate refractive indices and film thickness, each finite."""
 
     ambient_index: float = 1.0
     film_index: float = 1.2
@@ -35,12 +35,14 @@ class FilmStack:
     def __post_init__(self):
         for name in ("ambient_index", "film_index", "film_thickness_nm"):
             check_real(name, getattr(self, name))
+            check_finite(name, getattr(self, name))
         if self.ambient_index < 1.0 or self.film_index < 1.0:
             raise ValueError("refractive indices must be >= 1")
         if isinstance(self.substrate_index, bool):  # complex(True) is 1; JSON gives a string
             raise ValueError(f"substrate_index must be a complex number or its string, "
                              f"got {self.substrate_index!r}")
         ns = complex(self.substrate_index)
+        check_finite("substrate_index", ns)
         if ns.real < 1.0 or ns.imag < 0.0:
             raise ValueError("substrate index needs real part >= 1 and imag >= 0")
         if not self.film_thickness_nm > 0.0:
@@ -183,6 +185,13 @@ def check_real(name: str, value, optional: bool = False) -> None:
         raise ValueError(f"{name} must be a number{' or None' if optional else ''}, got {value!r}")
 
 
+def check_finite(name: str, value) -> None:
+    """ValueError naming the field unless value, real or complex, is finite in every part."""
+    parts = complex(value)
+    if not (math.isfinite(parts.real) and math.isfinite(parts.imag)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def check_seed(value, name: str = "seed") -> int:
     """value, a seed; ValueError naming name unless an int (not a bool) in [0, 2**64)."""
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
@@ -196,8 +205,8 @@ class NoiseModel:
 
     Exactly one of target_snr_db (white level derived from the clean
     spectrum's AC power) or gaussian_sigma (absolute standard deviation,
-    0 disables) must be given. Ramps scale a 0 -> 1 abscissa running from
-    the first to the last wavelength.
+    0 disables) must be given, and it must not be NaN. Ramps scale a
+    0 -> 1 abscissa running from the first to the last wavelength.
     """
 
     target_snr_db: float | None = None
@@ -208,7 +217,10 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("target_snr_db", "gaussian_sigma"):
-            check_real(name, getattr(self, name), optional=True)
+            value = getattr(self, name)
+            check_real(name, value, optional=True)
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{name} must not be NaN")
         for name in ("offset_ramp_magnitude", "amplitude_ramp_gain"):
             check_real(name, getattr(self, name))
         if (self.target_snr_db is None) == (self.gaussian_sigma is None):

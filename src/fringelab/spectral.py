@@ -2,9 +2,12 @@
 
 The transform of a uniform wavenumber grid has its frequency axis in nm:
 bin m of an N-point transform sits at m / (N * delta_sigma), which for
-thin-film fringes reads directly as effective optical thickness. The
-forward transform applies no normalization (plain summation), so
-sum |X|^2 over a full transform equals N times the input energy.
+thin-film fringes reads directly as effective optical thickness. dft
+returns two arrays, the bin frequencies and the complex amplitudes; it
+applies no normalization (plain summation), so sum |X|^2 over a full
+transform equals N times the input energy. A peak (PeakInfo) carries what
+the estimators read: its centre, the bin frequency (rifts reads it alone),
+and its width at half maximum (lamp sizes its wavelet by it).
 
 A zero-padded transform is measured without materializing it: every
 step-th padded bin comes from a shorter rfft that keeps at least 4 coarse
@@ -46,41 +49,18 @@ BASE_BINS = 64  # exact sums start from bases on this fixed grid, so no bin depe
 
 
 @dataclass(frozen=True)
-class FrequencySpectrum:
-    """Complex amplitudes on a uniformly spaced, ascending frequency axis."""
-
-    frequencies_nm: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies_nm, dtype=float)
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if f.ndim != 1 or a.ndim != 1 or f.size != a.size:
-            raise ValueError("frequencies and amplitudes must be 1-d and equally long")
-        if f.size < 3:
-            raise ValueError("need at least three frequency bins")
-        object.__setattr__(self, "frequencies_nm", f)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def bin_spacing_nm(self) -> float:
-        return float(self.frequencies_nm[1] - self.frequencies_nm[0])
-
-
-@dataclass(frozen=True)
 class PeakInfo:
-    """Location, width, and power of a spectral peak."""
+    """Location and width of a spectral peak."""
 
     center_frequency_nm: float
     fwhm_nm: float
-    peak_power: float
 
 
-def dft(values, delta_sigma: float) -> FrequencySpectrum:
+def dft(values, delta_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Forward transform of real wavenumber-domain samples.
 
-    Returns the non-negative-frequency half; bin m maps to
-    m / (len(values) * delta_sigma) nm.
+    Returns (frequencies_nm, amplitudes) of the non-negative-frequency half;
+    bin m maps to m / (len(values) * delta_sigma) nm.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < MIN_TRANSFORM_POINTS:
@@ -89,7 +69,7 @@ def dft(values, delta_sigma: float) -> FrequencySpectrum:
         raise ValueError("delta_sigma must be positive")
     amplitudes = np.fft.rfft(v)
     frequencies = np.arange(amplitudes.size) * (1.0 / (v.size * delta_sigma))
-    return FrequencySpectrum(frequencies, amplitudes)
+    return frequencies, amplitudes
 
 
 def _first_at_or_below(walk: np.ndarray, level: float) -> int | None:
@@ -124,13 +104,13 @@ def _fraction(start, end, level) -> float:
     return (level - start) / (end - start) if end != start else math.nan
 
 
-def _peak_bin(coarse, f0, df, step, exact, last) -> int:
+def _peak_bin(coarse, df, step, exact, last) -> int:
     """The bin of the largest local maximum of |X[0..last]| above the cutoff, given coarse[c] =
     |X[c*step]| and exact(b) = |X[b]|. A main lobe spans >= 8 coarse bins, so it is unimodal
     within +/-1 of the coarse argmax: the peak is the first bin no lower than its right
     neighbour there, found by _first_true from the vertex of the parabola through coarse
     bins c - 1..c + 1, which sums no exact bin."""
-    edge = _cutoff_edge(f0, df, last)
+    edge = _cutoff_edge(df, last)
     first = -(-edge // step)
     if first >= coarse.size:
         raise NoFringePeakError(f"no transform bins above the {LOW_CUTOFF_NM:g} nm cutoff")
@@ -150,20 +130,20 @@ def _peak_bin(coarse, f0, df, step, exact, last) -> int:
     return peak
 
 
-def _peak_centre(coarse, f0, df, step, exact, last) -> float:
+def _peak_centre(coarse, df, step, exact, last) -> float:
     """_measure_peak's centre frequency alone: no half-maximum crossing is searched, so none
     that runs off the spectrum raises."""
-    return float(f0 + _peak_bin(coarse, f0, df, step, exact, last) * df)
+    return float(_peak_bin(coarse, df, step, exact, last) * df)
 
 
-def _measure_peak(coarse, f0, df, step, exact, last) -> PeakInfo:
-    """Peak of magnitudes |X[0..last]| at frequencies f0 + m*df, given coarse[c] = |X[c*step]|.
+def _measure_peak(coarse, df, step, exact, last) -> PeakInfo:
+    """Peak of magnitudes |X[0..last]| at frequencies m*df, given coarse[c] = |X[c*step]|.
 
     exact(b) returns |X[b]| (the coarse bin when step == 1). The peak is _peak_bin's; each
     flank is monotone, so each half-maximum crossing is where a False-then-True test on
     single exact bins turns True, found by _first_true from a guess taken off the coarse grid
     and refined on exact bins."""
-    peak = _peak_bin(coarse, f0, df, step, exact, last)
+    peak = _peak_bin(coarse, df, step, exact, last)
     m = exact(peak)
     half = 0.5 * m
 
@@ -186,37 +166,25 @@ def _measure_peak(coarse, f0, df, step, exact, last) -> PeakInfo:
         j_bin, k_bin = inner + d * (k - 1), inner + d * k
         # Linear interpolation between bins j and k on magnitude.
         frac = (half - exact(j_bin)) / (exact(k_bin) - exact(j_bin))
-        f_j, f_k = f0 + j_bin * df, f0 + k_bin * df
+        f_j, f_k = j_bin * df, k_bin * df
         return float(f_j + frac * (f_k - f_j))
 
     right, left = crossing(1), crossing(-1)
-    center = float(f0 + peak * df)
-    power = float(m) * float(m)  # a Python product overflows to inf with no numpy warning
-    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left, peak_power=power)
+    center = float(peak * df)
+    return PeakInfo(center_frequency_nm=center, fwhm_nm=right - left)
 
 
 @lru_cache(maxsize=16)
-def _cutoff_edge(f0: float, df: float, last: int) -> int:
+def _cutoff_edge(df: float, last: int) -> int:
     """First of bins 0..last above the cutoff (last + 1 if none); bin frequencies ascend.
     Cached: the rows of a stack, and the spectra of one grid, share it."""
-    return _first_true(lambda b: f0 + df * b > LOW_CUTOFF_NM, 0, last + 1, 0)
-
-
-def dominant_peak(spectrum: FrequencySpectrum) -> PeakInfo:
-    """Largest-magnitude local maximum above the low-frequency cutoff.
-
-    The center is the bin frequency. The full width at half maximum is
-    measured on magnitude (not power) by linear interpolation around the peak.
-    """
-    f0, df = float(spectrum.frequencies_nm[0]), spectrum.bin_spacing_nm
-    mags = np.abs(spectrum.amplitudes)
-    return _measure_peak(mags, f0, df, 1, mags.__getitem__, mags.size - 1)
+    return _first_true(lambda b: df * b > LOW_CUTOFF_NM, 0, last + 1, 0)
 
 
 def _full_padded_peak(values, delta_sigma, pad_length, measure=_measure_peak):
     """measure (_measure_peak, or _peak_centre) of the materialized zero-padded transform."""
     mags = np.abs(np.fft.rfft(np.asarray(values, dtype=float), n=pad_length))
-    return measure(mags, 0.0, 1.0 / (pad_length * delta_sigma), 1, mags.__getitem__, mags.size - 1)
+    return measure(mags, 1.0 / (pad_length * delta_sigma), 1, mags.__getitem__, mags.size - 1)
 
 
 @lru_cache(maxsize=8)
@@ -302,7 +270,7 @@ def _padded_rows(measure, stack: PaddedStack) -> list:
     pad_length = stack.pad_length
     step, phasors = _plan(stack.values.shape[1], pad_length)
     df = 1.0 / (pad_length * stack.delta_sigma)
-    return [measure(c, 0.0, df, step, _ExactBins(row, pad_length, phasors).__getitem__,
+    return [measure(c, df, step, _ExactBins(row, pad_length, phasors).__getitem__,
                     pad_length // 2)
             for row, c in zip(stack.values, np.abs(stack.spectra))]
 
@@ -321,8 +289,10 @@ def padded_centre_rows(stack: PaddedStack) -> list:
 def padded_peak(values, delta_sigma: float, pad_length: int) -> PeakInfo:
     """Dominant peak of the zero-padded transform, without materializing it.
 
-    Equivalent to dominant_peak of the dft of values followed by zeros up to
-    pad_length points.
+    The largest-magnitude local maximum above the cutoff of the transform of
+    values followed by zeros up to pad_length points. The centre is the bin
+    frequency. The full width at half maximum is measured on magnitude (not
+    power) by linear interpolation around each crossing.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:

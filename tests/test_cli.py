@@ -713,6 +713,11 @@ def true_key_cases():
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"offset_snr_db": NaN}}'),
         (["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": Infinity}}'),
         (["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": 1e999}}'),
+        # a non-finite index in a string, which no JSON number check sees
+        *(pytest.param(argv, '{"stack": {"substrate_index": "%s"}}' % index,
+                       id=f"{argv[0]}-substrate-index-{index}")
+          for index in ("nan+0j", "1+nanj", "inf+0j")
+          for argv in (["simulate", "--seed", "1"], ["lod-table", "--trials", "4", "--seed", "1"])),
         (["simulate"], '{"seed": 18446744073709551616}'),
         (["lod-table", "--trials", "4"], '{"seed": 18446744073709551616}'),
         (["simulate", "--seed", "18446744073709551616"], None),

@@ -120,6 +120,25 @@ def test_numeric_fields_reject_a_value_of_the_wrong_type(model, key, value):
         model(**kwargs, **{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("ambient_index", "film_index", "film_thickness_nm")
+      for value in (math.nan, math.inf, -math.inf)),
+    ("substrate_index", "nan+0j"), ("substrate_index", "1+nanj"), ("substrate_index", "inf+0j"),
+    ("substrate_index", complex(3.67, math.inf)),
+])
+def test_non_finite_stack_field_is_refused_by_name(key, value):
+    # a NaN passed every range check, and the simulation ended in ReflectanceOverflowError
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+        FilmStack(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["gaussian_sigma", "target_snr_db"])
+def test_a_nan_noise_level_is_refused(key):
+    # a NaN level drew no noise at all: add_noise returned the clean spectrum unchanged
+    with pytest.raises(ValueError, match=f"^{key} must not be NaN$"):
+        NoiseModel(**{key: math.nan})
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(np.array([800.0, 500.0]), np.array([0.1, 0.2]))
@@ -192,7 +211,7 @@ def test_white_rows_of_a_silent_model_change_no_bit():
     npt.assert_array_equal(rows.view(np.int64), np.tile(values, (2, 1)).view(np.int64))
 
 
-@pytest.mark.parametrize("sigma", [1e307, 1e308])
+@pytest.mark.parametrize("sigma", [1e307, 1e308, math.inf])
 def test_white_noise_whose_rows_sum_past_the_float_range_is_refused(sigma):
     # at 1e308 single draws overflow to inf; at 1e307 each draw is finite, but a row's
     # magnitudes (about 0.8 sigma each) sum past the float range, as every estimator's sums do

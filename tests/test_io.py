@@ -272,6 +272,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="invalid 'stack'"):
             load_run_config(text='{"stack": {"film_thickness_nm": -5}}')
 
+    @pytest.mark.parametrize("index", ["nan+0j", "1+nanj", "inf+0j"])
+    def test_non_finite_substrate_index_names_the_field(self, index):
+        with pytest.raises(ConfigError, match="^invalid 'stack' section: substrate_index must "
+                           "be finite"):
+            load_run_config(text=f'{{"stack": {{"substrate_index": "{index}"}}}}')
+
     def test_lists_become_tuples(self):
         config = load_run_config(text='{"rifts": {"range_nm": [520, 780]}}')
         assert config.rifts.range_nm == (520, 780)

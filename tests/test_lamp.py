@@ -47,7 +47,7 @@ def film(delta_n=0.0):
 
 
 def matched_wavelet(f_c=5760.0, fwhm=1333.0):
-    return design_wavelet(PeakInfo(f_c, fwhm, 1.0), GRID.delta_sigma)
+    return design_wavelet(PeakInfo(f_c, fwhm), GRID.delta_sigma)
 
 
 def predicted_phase(delta_n):
@@ -124,7 +124,7 @@ def test_wavelet_cut_from_cached_carrier_equals_direct_design(boundary):
         fwhm = (ENVELOPE_HALF_WIDTH_SIGMAS * _FWHM_TO_SIGMA
                 / (2.0 * math.pi * (half_count + 0.5) * GRID.delta_sigma))
         for _ in range(2):  # the first design of a reach fills the cache, the second hits it
-            wavelet = design_wavelet(PeakInfo(5761.3, fwhm, 1.0), GRID.delta_sigma)
+            wavelet = design_wavelet(PeakInfo(5761.3, fwhm), GRID.delta_sigma)
             assert wavelet.samples.size == 2 * half_count + 1
             npt.assert_array_equal(wavelet.samples,
                                    direct_wavelet_samples(5761.3, fwhm, GRID.delta_sigma))
@@ -145,7 +145,7 @@ def test_baseline_equals_per_row_polyfit_bit_for_bit():
 
 def test_wavelet_rejects_bad_width():
     with pytest.raises(ValueError):
-        design_wavelet(PeakInfo(5760.0, 0.0, 1.0), GRID.delta_sigma)
+        design_wavelet(PeakInfo(5760.0, 0.0), GRID.delta_sigma)
 
 
 # ----------------------------------------------------------------- filter
@@ -503,7 +503,7 @@ def test_stacked_filter_matches_per_row_filter_across_wavelet_lengths(n):
     grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
     stack = np.random.default_rng(4).normal(size=(4, n))
     # shorter than the data, up to 2n - 1, and longer (the default design): one transform size
-    wavelets = [design_wavelet(PeakInfo(5760.0, scale * 1333.0, 1.0), grid.delta_sigma)
+    wavelets = [design_wavelet(PeakInfo(5760.0, scale * 1333.0), grid.delta_sigma)
                 for scale in (1.0, 4.0, 2.0, 1.0)]
     sizes = [w.samples.size for w in wavelets]
     assert sizes[1] < n <= sizes[2] < 2 * n - 1 < sizes[0]

@@ -13,6 +13,7 @@ import fringelab.legacy as legacy
 import fringelab.lodstudy as lodstudy
 from fringelab import (
     CalibrationError,
+    DistributionStats,
     FilmStack,
     FringelabError,
     LampConfig,
@@ -187,6 +188,37 @@ def test_rectified_response_trips_linearity_guard():
     cfg = study(method="iaw", n_trials=24)
     with pytest.warns(UserWarning, match="not linear"):
         lod_riu(cfg)
+
+
+@pytest.mark.parametrize("ratio, warns", [
+    (0.89, True), (0.91, False), (1.09, False), (1.11, True), (1.15, True)])
+def test_linearity_warning_fires_past_ten_percent_either_way(monkeypatch, ratio, warns):
+    # the half-shift slope over the calibration slope, set through the pass's distributions
+    cfg = study(n_trials=100)
+    means = {0.0: 0.0, cfg.calibration_delta_n: 1.0, cfg.calibration_delta_n / 2.0: 0.5 * ratio}
+    monkeypatch.setattr(lodstudy, "_distributions", lambda cfg, keys: {
+        key: {cfg.method: DistributionStats(means[key[0]], 0.1, 100)} for key in keys})
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        result = lod_riu(cfg)
+    assert result.linearity_ratio == pytest.approx(ratio, rel=1e-12)
+    assert [str(w.message) for w in record] == (
+        [f"lamp response is not linear near the calibration point: slope at delta_n/2 "
+         f"differs by {100 * abs(ratio - 1):.1f}%"] if warns else [])
+
+
+@pytest.mark.parametrize("indices", [(3,), (3, 60)], ids=["1-of-100", "2-of-100"])
+def test_one_failed_trial_in_100_is_dropped_and_two_are_a_study_error(monkeypatch, indices):
+    # MAX_FAILURE_FRACTION (1%) at MIN_REPORTED_TRIALS; a flat row has no rifts peak, and the
+    # two failures fall on both sides of a forked pass's split
+    cfg = study(method="rifts", n_trials=100)
+    flatten_trial(monkeypatch, cfg, *indices)
+    if len(indices) == 1:
+        assert response_distribution(cfg, 0.0).n_trials == 99
+    else:
+        with pytest.raises(StudyError, match=r"^2 of 100 trials failed \(rifts, .*first "
+                           r"failure: trial 3: no fringe peak"):
+            response_distribution(cfg, 0.0)
 
 
 def test_study_error_when_trials_cannot_be_processed():
