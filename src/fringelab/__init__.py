@@ -36,16 +36,15 @@ from .filmsim import (
     white_sigma_for_target,
 )
 from .wavegrid import (
-    ResampledSpectrum,
     WavenumberGrid,
+    WindowConfig,
     default_pad_length,
     hann_window,
     to_wavenumber,
 )
 from .spectral import PeakInfo, dft, padded_peak
-from .legacy import IawConfig, RiftsConfig, iaw, rifts_eot
+from .legacy import iaw, rifts_eot
 from .lamp import (
-    LampConfig,
     MorletWavelet,
     anchor_cycle,
     design_wavelet,

@@ -45,7 +45,7 @@ from .isotherm import (
 from .lamp import lamp_signal, lamp_to_delta_eot
 from .legacy import iaw, rifts_eot
 from .lodstudy import METHODS, MIN_REPORTED_TRIALS, LodStudyConfig, crlb_delta_n, run_table1
-from .wavegrid import WavenumberGrid
+from .wavegrid import WindowConfig
 
 PARSE_EXIT = 2
 PROCESS_EXIT = 3
@@ -127,13 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config)
     if args.range_nm is not None:
-        config = replace(
-            config,
-            range_nm=args.range_nm,
-            rifts=replace(config.rifts, range_nm=args.range_nm),
-            iaw=replace(config.iaw, range_nm=args.range_nm),
-            lamp=replace(config.lamp, range_nm=args.range_nm),
-        )
+        window = WindowConfig(args.range_nm)
+        config = replace(config, range_nm=args.range_nm, rifts=window, iaw=window, lamp=window)
     return config
 
 
@@ -207,11 +202,10 @@ def _process_one(method: str, config: RunConfig, reference, analyte, reference_e
     if method == "iaw":
         return {"signal": iaw(reference, analyte, config.iaw)}
     phase = lamp_signal(reference, analyte, config.lamp)
-    grid = WavenumberGrid.from_wavelength_range(config.lamp.range_nm, config.lamp.n_points)
     return {
         "signal": phase,
         "delta_phase_rad": phase,
-        "delta_eot_nm": lamp_to_delta_eot(phase, grid),
+        "delta_eot_nm": lamp_to_delta_eot(phase, config.lamp.grid),
     }
 
 

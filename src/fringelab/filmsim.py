@@ -34,15 +34,18 @@ class FilmStack:
 
     def __post_init__(self):
         for name in ("ambient_index", "film_index", "film_thickness_nm"):
-            check_real(name, getattr(self, name))
-            check_finite(name, getattr(self, name))
+            check_float(name, getattr(self, name))
         if self.ambient_index < 1.0 or self.film_index < 1.0:
             raise ValueError("refractive indices must be >= 1")
         if isinstance(self.substrate_index, bool):  # complex(True) is 1; JSON gives a string
             raise ValueError(f"substrate_index must be a complex number or its string, "
                              f"got {self.substrate_index!r}")
-        ns = complex(self.substrate_index)
-        check_finite("substrate_index", ns)
+        try:
+            ns = complex(self.substrate_index)
+        except OverflowError:
+            raise ValueError("substrate_index is too large for a float") from None
+        if not (math.isfinite(ns.real) and math.isfinite(ns.imag)):
+            raise ValueError(f"substrate_index must be finite, got {self.substrate_index!r}")
         if ns.real < 1.0 or ns.imag < 0.0:
             raise ValueError("substrate index needs real part >= 1 and imag >= 0")
         if not self.film_thickness_nm > 0.0:
@@ -177,19 +180,20 @@ def measure_snr(clean: Spectrum, noisy: Spectrum) -> float:
                    - math.log10(float(np.mean((diff / scale) ** 2))))
 
 
-def check_real(name: str, value, optional: bool = False) -> None:
-    """ValueError naming the field unless value is a number (not a bool), or None if optional."""
+def check_float(name: str, value, optional: bool = False, finite: bool = True) -> None:
+    """ValueError naming the field unless value is a number (not a bool) that converts to a
+    float, or None if optional. NaN never passes; an infinity passes only if not finite."""
     if optional and value is None:
         return
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number{' or None' if optional else ''}, got {value!r}")
-
-
-def check_finite(name: str, value) -> None:
-    """ValueError naming the field unless value, real or complex, is finite in every part."""
-    parts = complex(value)
-    if not (math.isfinite(parts.real) and math.isfinite(parts.imag)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if math.isnan(number) or (finite and math.isinf(number)):
+        raise ValueError(f"{name} must be finite, got {value!r}" if finite
+                         else f"{name} must not be NaN")
 
 
 def check_seed(value, name: str = "seed") -> int:
@@ -205,8 +209,10 @@ class NoiseModel:
 
     Exactly one of target_snr_db (white level derived from the clean
     spectrum's AC power) or gaussian_sigma (absolute standard deviation,
-    0 disables) must be given, and it must not be NaN. Ramps scale a
-    0 -> 1 abscissa running from the first to the last wavelength.
+    0 disables) must be given, and it must not be NaN; an infinite target draws
+    no noise, and an infinite sigma is a NoiseOverflowError where it is drawn.
+    Ramps must be finite; they scale a 0 -> 1 abscissa running from the first
+    to the last wavelength.
     """
 
     target_snr_db: float | None = None
@@ -217,12 +223,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("target_snr_db", "gaussian_sigma"):
-            value = getattr(self, name)
-            check_real(name, value, optional=True)
-            if value is not None and math.isnan(value):
-                raise ValueError(f"{name} must not be NaN")
+            check_float(name, getattr(self, name), optional=True, finite=False)
         for name in ("offset_ramp_magnitude", "amplitude_ramp_gain"):
-            check_real(name, getattr(self, name))
+            check_float(name, getattr(self, name))
         if (self.target_snr_db is None) == (self.gaussian_sigma is None):
             raise ValueError("specify exactly one of target_snr_db or gaussian_sigma")
         if self.gaussian_sigma is not None and self.gaussian_sigma < 0.0:

@@ -25,9 +25,8 @@ import numpy as np
 from . import filmsim
 from .errors import ConfigError, SpectrumFormatError
 from .filmsim import WAVELENGTH_CEIL_NM, WAVELENGTH_FLOOR_NM, FilmStack, NoiseModel, Spectrum
-from .lamp import LampConfig
-from .legacy import IawConfig, RiftsConfig
 from .lodstudy import LodStudyConfig
+from .wavegrid import WindowConfig
 
 SPECTRUM_HEADER = "wavelength_nm,reflectance"
 MANIFEST_HEADER = "timestamp_s,path,role"
@@ -161,9 +160,9 @@ def read_concentration_table(path):
 _SECTION_TYPES = {
     "stack": FilmStack,
     "noise": NoiseModel,
-    "rifts": RiftsConfig,
-    "iaw": IawConfig,
-    "lamp": LampConfig,
+    "rifts": WindowConfig,
+    "iaw": WindowConfig,
+    "lamp": WindowConfig,
 }
 # Keys each section takes. The top-level seed is the one seed key, and
 # run_table1 computes every method, so neither a noise seed nor a study
@@ -181,9 +180,9 @@ class RunConfig:
 
     stack: FilmStack
     noise: NoiseModel
-    rifts: RiftsConfig
-    iaw: IawConfig
-    lamp: LampConfig
+    rifts: WindowConfig
+    iaw: WindowConfig
+    lamp: WindowConfig
     study: dict
     range_nm: tuple = (500.0, 800.0)
     n_points: int = 768

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import FitError, FoldOverError, SaturationError
 from .filmsim import FilmStack, simulate_reflectance
-from .legacy import IawConfig, iaw
+from .legacy import iaw
+from .wavegrid import WindowConfig
 
 # Display-unit scales relative to the canonical mol/L storage.
 UNIT_SCALES = {
@@ -397,7 +398,7 @@ def iaw_nonlinearity_correction(
         )
     wavelengths = np.linspace(range_nm[0], range_nm[1], n_wavelengths)
     reference = simulate_reflectance(stack, wavelengths)
-    cfg = IawConfig(range_nm=tuple(range_nm))
+    cfg = WindowConfig(range_nm)
     percents = np.linspace(0.0, max_eot_percent, n_sweep)
     responses = np.empty_like(percents)
     responses[0] = 0.0

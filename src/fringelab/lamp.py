@@ -1,6 +1,7 @@
 """Fringe phase extraction with a complex Morlet band-pass filter.
 
-A spectrum is resampled linearly onto a uniform wavenumber grid and its
+A spectrum is resampled linearly onto its window's uniform wavenumber grid
+(a WindowConfig: the window in nm, the grid 2048 points) and its
 dominant fringe frequency located on the zero-padded transform, whose pad
 length and cutoff follow from the grid (no window function: it would broaden
 the peak that sizes the filter). A complex Morlet wavelet with that peak's bandwidth isolates
@@ -13,7 +14,7 @@ filter takes a stack, its spacing and one wavelet per row, and returns the
 complex filtered stack, transformed as one block at the one size its grid sets.
 Unwrapping folds only the steps outside (-pi, pi), with np.unwrap's arithmetic,
 so it returns np.unwrap's bits. Cached read-only: the reference's phase profile
-per (config, wavelengths, reflectance), so a stream or a study against one
+per (window, wavelengths, reflectance), so a stream or a study against one
 reference computes it once; the baseline design per grid; the wavelet carrier
 per (peak, spacing, reach) and the envelope's squared offsets per (spacing, reach).
 """
@@ -30,13 +31,7 @@ from .errors import DegenerateAmplitudeError
 from .filmsim import Spectrum
 # padded_peak is not called here; it stays a lamp attribute that perfbench's tracer wraps
 from .spectral import PeakInfo, padded_peak, padded_peak_rows, padded_stack  # noqa: F401
-from .wavegrid import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_RANGE_NM,
-    WavenumberGrid,
-    default_pad_length,
-    resample_rows,
-)
+from .wavegrid import WavenumberGrid, WindowConfig, default_pad_length, resample_rows
 
 # Envelope support: samples span +/- this many envelope sigmas.
 ENVELOPE_HALF_WIDTH_SIGMAS = 4.0
@@ -45,16 +40,6 @@ ENVELOPE_HALF_WIDTH_SIGMAS = 4.0
 AMPLITUDE_FLOOR = 1e-12
 
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-
-
-@dataclass(frozen=True)
-class LampConfig:
-    range_nm: tuple[float, float] = DEFAULT_RANGE_NM
-    n_points: int = DEFAULT_GRID_POINTS
-
-    def __post_init__(self):
-        object.__setattr__(self, "range_nm", tuple(self.range_nm))  # hashable cache key
-        WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
 
 
 @dataclass(frozen=True)
@@ -239,11 +224,11 @@ def _baseline_design(grid: WavenumberGrid):
     return design
 
 
-def _phase_rows(wavelengths_nm, rows, cfg: LampConfig) -> np.ndarray:
+def _phase_rows(wavelengths_nm, rows, cfg: WindowConfig) -> np.ndarray:
     """Anchored phase profile of each row, each filtered by the wavelet matched to its peak."""
-    resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, method="linear")
-    grid, delta_sigma = resampled.grid, resampled.grid.delta_sigma
-    values = _remove_baseline(grid, resampled.values)
+    grid, delta_sigma = cfg.grid, cfg.grid.delta_sigma
+    resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, method="linear")
+    values = _remove_baseline(grid, resampled)
     peaks = padded_peak_rows(padded_stack(values, delta_sigma, default_pad_length(delta_sigma)))
     wavelets = [design_wavelet(peak, delta_sigma) for peak in peaks]
     filtered = filter_spectrum(values, delta_sigma, wavelets)
@@ -253,7 +238,7 @@ def _phase_rows(wavelengths_nm, rows, cfg: LampConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _reference_profile(cfg: LampConfig, wavelengths: bytes, reflectance: bytes) -> np.ndarray:
+def _reference_profile(cfg: WindowConfig, wavelengths: bytes, reflectance: bytes) -> np.ndarray:
     """Read-only anchored phase of the reference spectrum whose float64 wavelengths and
     reflectance have these bytes."""
     (phase,) = _phase_rows(np.frombuffer(wavelengths), np.frombuffer(reflectance)[None], cfg)
@@ -261,14 +246,16 @@ def _reference_profile(cfg: LampConfig, wavelengths: bytes, reflectance: bytes) 
     return phase
 
 
-def lamp_rows(reference: Spectrum, wavelengths_nm, rows, cfg: LampConfig = LampConfig()) -> list:
+def lamp_rows(reference: Spectrum, wavelengths_nm, rows,
+              cfg: WindowConfig = WindowConfig()) -> list:
     """lamp_signal of each analyte row of a stack sampled at wavelengths_nm, in radians."""
     ref_phase = _reference_profile(
         cfg, reference.wavelengths_nm.tobytes(), reference.reflectance.tobytes())
     return (_phase_rows(wavelengths_nm, rows, cfg) - ref_phase).mean(axis=1).tolist()
 
 
-def lamp_signal(reference: Spectrum, analyte: Spectrum, cfg: LampConfig = LampConfig()) -> float:
+def lamp_signal(reference: Spectrum, analyte: Spectrum,
+                cfg: WindowConfig = WindowConfig()) -> float:
     """Mean anchored-phase difference (analyte minus reference), in radians.
 
     Positive when the analyte's optical thickness exceeds the reference's.

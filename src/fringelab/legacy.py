@@ -13,12 +13,12 @@ each clean row) may sum their fronts, each computed once, and measure the sum.
 
 iaw reduces a pair of spectra (iaw_rows: a stack and one reference) to the
 integrated absolute wavelength-domain difference; it needs no transform but
-folds over once fringes shift past half a period.
+folds over once fringes shift past half a period. Each takes a WindowConfig:
+rifts resamples onto its 2048-point grid, iaw reads the native samples inside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,23 +26,7 @@ import numpy as np
 from .errors import GridAlignmentError, WavelengthRangeError
 from .filmsim import Spectrum
 from .spectral import PaddedStack, padded_centre_rows, padded_stack
-from .wavegrid import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_RANGE_NM,
-    WavenumberGrid,
-    default_pad_length,
-    hann_window,
-    resample_rows,
-)
-
-
-@dataclass(frozen=True)
-class RiftsConfig:
-    range_nm: tuple[float, float] = DEFAULT_RANGE_NM
-    n_points: int = DEFAULT_GRID_POINTS
-
-    def __post_init__(self):
-        WavenumberGrid.from_wavelength_range(self.range_nm, self.n_points)  # the window is valid
+from .wavegrid import WindowConfig, default_pad_length, hann_window, resample_rows
 
 
 @lru_cache(maxsize=8)
@@ -53,23 +37,23 @@ def _taper(n: int) -> np.ndarray:
     return taper
 
 
-def rifts_front(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> PaddedStack:
+def rifts_front(wavelengths_nm, rows, cfg: WindowConfig = WindowConfig()) -> PaddedStack:
     """The front end of rifts_rows for a stack sampled at wavelengths_nm, in nm: its rows
-    cubic-resampled to a wavenumber grid, de-meaned and tapered, as a PaddedStack."""
-    resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, cfg.n_points, "cubic_spline")
-    values = resampled.values - resampled.values.mean(axis=1, keepdims=True)
+    cubic-resampled to the window's grid, de-meaned and tapered, as a PaddedStack."""
+    values = resample_rows(wavelengths_nm, rows, cfg.range_nm, method="cubic_spline")
+    values = values - values.mean(axis=1, keepdims=True)
     values = values * _taper(values.shape[1])
-    delta_sigma = resampled.grid.delta_sigma
+    delta_sigma = cfg.grid.delta_sigma
     return padded_stack(values, delta_sigma, default_pad_length(delta_sigma))
 
 
-def rifts_rows(wavelengths_nm, rows, cfg: RiftsConfig = RiftsConfig()) -> list:
+def rifts_rows(wavelengths_nm, rows, cfg: WindowConfig = WindowConfig()) -> list:
     """rifts_eot of each row of a stack sampled at wavelengths_nm, in nm: the centre of its
     padded transform's dominant peak."""
     return padded_centre_rows(rifts_front(wavelengths_nm, rows, cfg))
 
 
-def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:
+def rifts_eot(spectrum: Spectrum, cfg: WindowConfig = WindowConfig()) -> float:
     """Effective optical thickness (nm) from the dominant transform peak.
 
     Pipeline: cubic-spline resample to a uniform wavenumber grid, remove
@@ -80,16 +64,7 @@ def rifts_eot(spectrum: Spectrum, cfg: RiftsConfig = RiftsConfig()) -> float:
     return rifts_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], cfg)[0]
 
 
-@dataclass(frozen=True)
-class IawConfig:
-    range_nm: tuple[float, float] = DEFAULT_RANGE_NM
-
-    def __post_init__(self):
-        if not float(self.range_nm[0]) < float(self.range_nm[1]):
-            raise ValueError("range must satisfy low < high")
-
-
-def iaw_rows(reference: Spectrum, rows, cfg: IawConfig = IawConfig()) -> list:
+def iaw_rows(reference: Spectrum, rows, cfg: WindowConfig = WindowConfig()) -> list:
     """iaw of each analyte row of a stack sampled on the reference's wavelengths."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(reference):
@@ -106,7 +81,7 @@ def iaw_rows(reference: Spectrum, rows, cfg: IawConfig = IawConfig()) -> list:
     return np.abs(diff).mean(axis=1).tolist()
 
 
-def iaw(reference: Spectrum, analyte: Spectrum, cfg: IawConfig = IawConfig()) -> float:
+def iaw(reference: Spectrum, analyte: Spectrum, cfg: WindowConfig = WindowConfig()) -> float:
     """Integrated absolute difference of two spectra on their native grid.
 
     The difference is zero-meaned before integration so a flat additive

@@ -39,14 +39,15 @@ from .filmsim import (
     NoiseModel,
     Spectrum,
     calibrate_ramp_magnitude,
-    check_real,
+    check_float,
     ramped_reflectance,
     simulate_reflectance,
     white_rows,
 )
-from .lamp import LampConfig, lamp_rows
-from .legacy import IawConfig, RiftsConfig, iaw_rows, rifts_front
+from .lamp import lamp_rows
+from .legacy import iaw_rows, rifts_front
 from .spectral import padded_centre_rows
+from .wavegrid import WindowConfig
 
 METHODS = ("rifts", "iaw", "lamp")
 GRADIENTS = ("none", "offset", "amplitude")
@@ -99,7 +100,7 @@ class LodStudyConfig:
     S/N target resolved once against the clean reference) and the master
     seed; drift ramps are owned by the study and calibrated to the
     configured gradient S/N floors, so the model itself must not carry
-    ramp terms. A floor of None disables that ramp (magnitude 0). Trial i
+    ramp terms. A floor is finite, or None to disable that ramp (magnitude 0). Trial i
     draws from a stream derived from (seed, i), making trials
     order-independent.
     """
@@ -113,22 +114,22 @@ class LodStudyConfig:
     method: str = "lamp"
     offset_snr_db: float | None = OFFSET_GRADIENT_SNR_DB
     amplitude_snr_db: float | None = AMPLITUDE_GRADIENT_SNR_DB
-    rifts: RiftsConfig = field(default_factory=RiftsConfig)
-    iaw: IawConfig = field(default_factory=IawConfig)
-    lamp: LampConfig = field(default_factory=LampConfig)
+    rifts: WindowConfig = field(default_factory=WindowConfig)
+    iaw: WindowConfig = field(default_factory=WindowConfig)
+    lamp: WindowConfig = field(default_factory=WindowConfig)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if not isinstance(self.n_trials, (int, np.integer)) or self.n_trials < 2:
             raise ValueError("n_trials must be an integer >= 2")
-        check_real("calibration_delta_n", self.calibration_delta_n)
+        check_float("calibration_delta_n", self.calibration_delta_n)
         if not self.calibration_delta_n > 0:
             raise ValueError("calibration_delta_n must be positive")
         if not isinstance(self.native_points, (int, np.integer)) or self.native_points < 16:
             raise ValueError("native_points must be an integer >= 16")
         for name in ("offset_snr_db", "amplitude_snr_db"):
-            check_real(name, getattr(self, name), optional=True)
+            check_float(name, getattr(self, name), optional=True)
         lo, hi = self.native_range_nm
         if not 0 < lo < hi:
             raise ValueError("native range must satisfy 0 < low < high")

@@ -4,7 +4,8 @@ Fringes from a film of fixed optical thickness are periodic in wavenumber
 (1/wavelength), so every transform stage works on an evenly spaced
 wavenumber grid. Interpolation happens in the wavenumber domain: sample
 abscissae are converted first, then the chosen interpolant is evaluated
-on the uniform grid.
+on the uniform grid. An estimator's one setting, its WindowConfig, is a
+wavelength range in nm; its grid is DEFAULT_GRID_POINTS (2048) wavenumbers.
 
 The cubic interpolant is a natural spline (de Boor, A Practical Guide to
 Splines, 1978). It is linear in the data, so everything fixed by the knots
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,17 +74,21 @@ class WavenumberGrid:
 
 
 @dataclass(frozen=True)
-class ResampledSpectrum:
-    """Reflectance on a uniform wavenumber grid: one row, or a (rows, points) stack."""
+class WindowConfig:
+    """An estimator's processing window (low, high) in nm: its one setting."""
 
-    grid: WavenumberGrid
-    values: np.ndarray
+    range_nm: tuple[float, float] = DEFAULT_RANGE_NM
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.grid.n_points:
-            raise ValueError("values must hold one entry per grid point in each row")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "range_nm", tuple(self.range_nm))  # hashable: lamp's cache key
+        if len(self.range_nm) != 2:
+            raise ValueError(f"range_nm must be (low, high), got {self.range_nm!r}")
+        _ = self.grid  # building the grid validates the window
+
+    @cached_property
+    def grid(self) -> WavenumberGrid:
+        """The window's uniform grid of DEFAULT_GRID_POINTS wavenumbers."""
+        return WavenumberGrid.from_wavelength_range(self.range_nm, DEFAULT_GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -174,8 +179,9 @@ def natural_spline(knot_bytes: bytes, grid: WavenumberGrid) -> NaturalSpline:
 
 def resample_rows(wavelengths_nm, rows, range_nm=DEFAULT_RANGE_NM,
                   n_points: int = DEFAULT_GRID_POINTS,
-                  method: str = "cubic_spline") -> ResampledSpectrum:
-    """Resample a (rows, points) reflectance stack onto a uniform wavenumber grid.
+                  method: str = "cubic_spline") -> np.ndarray:
+    """The (rows, n_points) stack of a (rows, points) reflectance stack resampled onto the
+    uniform wavenumber grid of range_nm.
 
     Every row is sampled at the same ascending wavelengths, and range_nm
     must lie within them. method is "linear" or "cubic_spline" (natural
@@ -198,21 +204,18 @@ def resample_rows(wavelengths_nm, rows, range_nm=DEFAULT_RANGE_NM,
         raise ValueError("need one finite reflectance per wavelength in each row")
     if method == "linear":
         targets = grid.sigmas()
-        resampled = np.array([np.interp(targets, sigma_samples, row) for row in values])
-    elif method == "cubic_spline":
-        resampled = natural_spline(sigma_samples.tobytes(), grid)(values)
-    else:
-        raise ValueError(f"unknown interpolation method {method!r}")
-    return ResampledSpectrum(grid, resampled)
+        return np.array([np.interp(targets, sigma_samples, row) for row in values])
+    if method == "cubic_spline":
+        return natural_spline(sigma_samples.tobytes(), grid)(values)
+    raise ValueError(f"unknown interpolation method {method!r}")
 
 
 def to_wavenumber(spectrum: Spectrum, range_nm=DEFAULT_RANGE_NM,
                   n_points: int = DEFAULT_GRID_POINTS,
-                  method: str = "cubic_spline") -> ResampledSpectrum:
+                  method: str = "cubic_spline") -> np.ndarray:
     """Resample one spectrum: resample_rows on a batch of one."""
-    stack = resample_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], range_nm,
-                          n_points, method)
-    return ResampledSpectrum(stack.grid, stack.values[0])
+    return resample_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], range_nm,
+                         n_points, method)[0]
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -233,5 +236,5 @@ def default_pad_length(delta_sigma: float) -> int:
     if pad > MAX_PAD_LENGTH:
         raise WavelengthRangeError(
             f"window too narrow: a {MAX_BIN_SPACING_NM:g} nm transform bin needs a {pad}-point "
-            f"pad, above the {MAX_PAD_LENGTH}-point limit; widen range_nm or lower n_points")
+            f"pad, above the {MAX_PAD_LENGTH}-point limit; widen range_nm")
     return pad

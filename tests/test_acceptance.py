@@ -38,9 +38,8 @@ from fringelab import (
 )
 from fringelab.cli import main
 from fringelab.isotherm import ConcentrationSeries
-from fringelab.lamp import LampConfig
 from fringelab.lodstudy import crlb_delta_n
-from fringelab.wavegrid import WavenumberGrid
+from fringelab.wavegrid import WavenumberGrid, WindowConfig
 
 MASTER_SEED = 20260817
 METHODS = ("rifts", "iaw", "lamp")
@@ -173,8 +172,7 @@ def test_none_column_respects_the_cramer_rao_bound(table1, capsys):
 def test_criterion_2_phase_response_accuracy(reference, capsys):
     delta_n = 1e-3
     phase = lamp_signal(reference, shifted(delta_n))
-    cfg = LampConfig()
-    grid = WavenumberGrid.from_wavelength_range(cfg.range_nm, cfg.n_points)
+    grid = WindowConfig().grid
     delta_eot = lamp_to_delta_eot(phase, grid)
     slope = phase / delta_n
     expected_slope = 4.0 * math.pi * 2400.0 * grid.mean_sigma

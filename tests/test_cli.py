@@ -729,7 +729,7 @@ def true_key_cases():
                      '{"study": {"calibration_delta_n": 1%s}}' % ("0" * 400),
                      id="study-integer-too-large-for-a-float"),
         # a value of the wrong type, each of which once ran on to a traceback
-        (["lod-table", "--trials", "4", "--seed", "1"], '{"rifts": {"n_points": 2048.0}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"rifts": {"range_nm": 500}}'),
         (["lod-table", "--seed", "1"], '{"study": {"n_trials": 12.0}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"native_points": 768.0}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"noise": {"target_snr_db": "x"}}'),
@@ -813,7 +813,6 @@ def test_shared_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, 
     '{"lamp": {"range_nm": [800, 500]}}',
     '{"rifts": {"range_nm": [800, 500]}}',
     '{"iaw": {"range_nm": [800, 500]}}',
-    '{"lamp": {"n_points": 8}}',
     '{"iaw": {"range_nm": [100, 3000]}}',
 ])
 def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
@@ -833,7 +832,31 @@ def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkey
     assert err.startswith("error: invalid ")
 
 
-NARROW_IAW = '{"iaw": {"range_nm": [600, 600.1]}}'  # no native sample inside
+def test_exit_codes_are_the_documented_ones():
+    # 2 for a parse or configuration failure, 3 for a processing failure, written out: the
+    # other tests compare with these constants
+    assert (PARSE_EXIT, PROCESS_EXIT) == (2, 3)
+
+
+@pytest.mark.parametrize("command", ["process", "lod-table"])
+@pytest.mark.parametrize("section", ["rifts", "lamp"])
+def test_section_grid_size_is_an_unknown_key(tmp_path, capsys, monkeypatch, command, section):
+    # every window's grid is 2048 points: no section takes a grid size
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({section: {"n_points": 2048}}))
+    if command == "process":
+        write_stack_spectrum(tmp_path / "ref.csv")
+        write_stack_spectrum(tmp_path / "a.csv", 1e-3)
+        argv = ["process", "--method", section, "ref.csv", "a.csv"]
+    else:
+        argv = ["lod-table", "--trials", "4", "--seed", "1"]
+    assert main([*argv, "--config", "run.json", "--out", "out"]) == PARSE_EXIT
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: unknown key(s) in '{section}' section: ['n_points']"]
+    assert not (tmp_path / "out").exists()
+
+
+NARROW_IAW ='{"iaw": {"range_nm": [600, 600.1]}}'  # no native sample inside
 
 
 @pytest.mark.parametrize("flags, failing, reason", [

@@ -5,7 +5,8 @@ trial's decisions: rifts' and lamp's padded-peak centre bin (centre / bin width,
 the centre is a bin frequency, so it is the bin itself) and lamp's anchor cycle count.
 tests/data/decisions_seed<N>_100.json holds them for run_table1 at seed N (0 and 7), 100
 trials and a 27.7 dB white-noise target, on the serial path, per (key, method, trial); they
-are compared with ==. The cached reference profile's own decisions are left out, so the
+are compared with ==, on the machine tests/data/fingerprint.json records (a failure prints
+it beside this one's). The cached reference profile's own decisions are left out, so the
 record does not depend on which test filled the cache. Rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_decisions.py
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fingerprint
 import fringelab.lamp as lamp
 import fringelab.lodstudy as lodstudy
 from fringelab import LodStudyConfig, NoiseModel, run_table1
@@ -118,8 +120,8 @@ def test_decisions_are_unchanged(seed):
              for name, values in record.items()
              for trial, (old, new) in enumerate(zip(values, actual["decisions"][key][method][name]))
              if old != new]
-    assert moved == []
-    assert actual == expected
+    assert moved == [], fingerprint.describe()
+    assert actual == expected, fingerprint.describe()
 
 
 if __name__ == "__main__":

@@ -139,6 +139,35 @@ def test_a_nan_noise_level_is_refused(key):
         NoiseModel(**{key: math.nan})
 
 
+@pytest.mark.parametrize("model, key", [
+    (FilmStack, "ambient_index"), (FilmStack, "film_index"), (FilmStack, "film_thickness_nm"),
+    (FilmStack, "substrate_index"), (NoiseModel, "gaussian_sigma"),
+    (NoiseModel, "target_snr_db"), (NoiseModel, "offset_ramp_magnitude"),
+    (NoiseModel, "amplitude_ramp_gain"),
+])
+def test_a_number_too_large_for_a_float_is_refused_by_name(model, key):
+    # each raised a bare OverflowError, or (a ramp) was accepted
+    kwargs = {"target_snr_db": 20.0} if key.endswith(("magnitude", "gain")) else {}
+    with pytest.raises(ValueError, match=f"^{key} is too large for a float$"):
+        model(**kwargs, **{key: 10**400})
+
+
+@pytest.mark.parametrize("key", ["offset_ramp_magnitude", "amplitude_ramp_gain"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_ramp_is_refused_by_name(key, value):
+    # add_noise once raised "spectrum contains non-finite values", which names no field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+            NoiseModel(target_snr_db=20.0, **{key: value})
+
+
+def test_an_infinite_snr_target_is_accepted():
+    # it draws no noise; an infinite sigma is refused where its rows are drawn (a
+    # NoiseOverflowError, test_white_noise_whose_rows_sum_past_the_float_range_is_refused)
+    assert NoiseModel(target_snr_db=math.inf).target_snr_db == math.inf
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(np.array([800.0, 500.0]), np.array([0.1, 0.2]))

@@ -4,7 +4,8 @@ tests/data/table1_seed<N>_100.json holds run_table1(...).to_dict() at seed N
 (0 and 7), 100 trials and a 27.7 dB white-noise target, written with
 json.dump. Every float is compared with == after the same JSON round trip,
 so any change to any trial's arithmetic shows here. Seed-0 cells keep their
-bare ids ("lamp/none"); seed-7 cells are "seed7-lamp/none".
+bare ids ("lamp/none"); seed-7 cells are "seed7-lamp/none". The fixtures hold on
+the machine tests/data/fingerprint.json records; a failure prints it beside this one's.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import fingerprint
 from fringelab import LodStudyConfig, NoiseModel, run_table1
 from fringelab.lodstudy import GRADIENTS, METHODS
 
@@ -37,7 +39,7 @@ def test_header_matches():
     for seed in SEEDS:
         expected, actual = reports(seed)
         assert {k: v for k, v in actual.items() if k != "cells"} == {
-            k: v for k, v in expected.items() if k != "cells"}
+            k: v for k, v in expected.items() if k != "cells"}, fingerprint.describe()
         assert set(actual["cells"]) == set(expected["cells"])
 
 
@@ -47,4 +49,9 @@ def test_header_matches():
 def test_cell_is_bit_identical(seed, cell):
     expected, actual = reports(seed)
     assert "error" not in actual["cells"][cell]
-    assert actual["cells"][cell] == expected["cells"][cell]
+    assert actual["cells"][cell] == expected["cells"][cell], fingerprint.describe()
+
+
+def test_fingerprint_records_the_three_fields():
+    assert set(json.loads(fingerprint.FIXTURE.read_text(encoding="utf-8"))) == set(
+        fingerprint.machine())

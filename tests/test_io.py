@@ -9,6 +9,7 @@ from fringelab import (
     ManifestEntry,
     Spectrum,
     SpectrumFormatError,
+    WindowConfig,
     load_run_config,
     read_concentration_table,
     read_manifest,
@@ -227,14 +228,15 @@ class TestRunConfig:
         path.write_text(
             '{"stack": {"film_thickness_nm": 1200.0},'
             ' "noise": {"gaussian_sigma": 0.002},'
-            ' "lamp": {"n_points": 1024},'
+            ' "lamp": {"range_nm": [520, 780]},'
             ' "study": {"n_trials": 200},'
             ' "seed": 42}'
         )
         config = load_run_config(path)
         assert config.stack.film_thickness_nm == 1200.0
         assert config.noise.gaussian_sigma == 0.002
-        assert config.lamp.n_points == 1024
+        assert config.lamp == WindowConfig((520.0, 780.0))
+        assert config.rifts == config.iaw == WindowConfig()
         assert config.study == {"n_trials": 200}
         assert config.seed == 42
 
@@ -245,14 +247,16 @@ class TestRunConfig:
     def test_unknown_section_key_names_the_section(self):
         with pytest.raises(ConfigError, match="'noise' section"):
             load_run_config(text='{"noise": {"sigma": 0.1}}')
-        # the pad, cutoff and wavelet width follow from the window: no section takes them
+        # the pad, cutoff, wavelet width and grid size follow from the window: no section
+        # takes them
         # nor does the noise section take a seed: the top-level seed is the one seed key;
         # iaw has one rule, the mean (a sum scales the blank, drift and slope alike)
         for section, key in (("lamp", '"pad_exponent": 20'), ("rifts", '"low_cutoff_nm": 900'),
                              ("lamp", '"wavelet_width_scale": 2'), ("noise", '"seed": 5'),
                              ("iaw", '"rule": "sum_abs"'), ("rifts", '"refine_peak": true'),
                              ("lamp", '"edge_trim_fraction": 0.1'),
-                             ("lamp", '"reuse_reference_wavelet": true')):
+                             ("lamp", '"reuse_reference_wavelet": true'),
+                             ("rifts", '"n_points": 2048'), ("lamp", '"n_points": 2048')):
             with pytest.raises(ConfigError, match=f"unknown key.*'{section}' section"):
                 load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
@@ -302,8 +306,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("document", [
         '{"stack": {"film_thickness_nm": %s}}', '{"noise": {"target_snr_db": -%s}}',
-        '{"rifts": {"n_points": %s}}', '{"iaw": {"range_nm": [500, %s]}}',
-        '{"lamp": {"n_points": %s}}', '{"study": {"calibration_delta_n": %s}}',
+        '{"rifts": {"range_nm": [500, %s]}}', '{"iaw": {"range_nm": [500, %s]}}',
+        '{"lamp": {"range_nm": [500, %s]}}', '{"study": {"calibration_delta_n": %s}}',
         '{"range_nm": [500, %s]}', '{"n_points": %s}', '{"seed": %s}',
     ])
     def test_integer_too_large_for_a_float_rejected(self, document):

@@ -10,11 +10,11 @@ import pytest
 from fringelab import (
     DegenerateAmplitudeError,
     FilmStack,
-    LampConfig,
     NoiseModel,
     PeakInfo,
     Spectrum,
     WavenumberGrid,
+    WindowConfig,
     add_noise,
     anchor_cycle,
     calibrate_ramp_magnitude,
@@ -379,9 +379,8 @@ def test_signal_tolerates_calibrated_amplitude_ramp():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LampConfig(range_nm=(800.0, 500.0))
-    with pytest.raises(ValueError):
-        LampConfig(n_points=8)
+        WindowConfig(range_nm=(800.0, 500.0))
+    assert WindowConfig().grid == GRID
 
 
 # ------------------------------------------------------- unit conversion
@@ -428,7 +427,7 @@ def test_cached_reference_profile_is_read_only():
     a, b = film(), film(1e-3)
     lamp_signal(a, b)
     phase = _reference_profile(
-        LampConfig(), a.wavelengths_nm.tobytes(), a.reflectance.tobytes())
+        WindowConfig(), a.wavelengths_nm.tobytes(), a.reflectance.tobytes())
     assert not phase.flags.writeable
 
 
@@ -446,11 +445,11 @@ def test_mutated_reference_array_is_not_served_stale():
 
 def test_list_range_still_works():
     a, b = film(), film(1e-3)
-    listed = LampConfig(range_nm=[520.0, 780.0])
-    assert lamp_signal(a, b, listed) == lamp_signal(a, b, LampConfig(range_nm=(520.0, 780.0)))
+    listed = WindowConfig(range_nm=[520.0, 780.0])
+    assert lamp_signal(a, b, listed) == lamp_signal(a, b, WindowConfig(range_nm=(520.0, 780.0)))
 
 
-@pytest.mark.parametrize("cfg", [LampConfig()], ids=["per-row-wavelet"])
+@pytest.mark.parametrize("cfg", [WindowConfig()], ids=["per-row-wavelet"])
 def test_stack_equals_rows_one_at_a_time(cfg):
     reference, rows = film(), noisy_rows()
     single = [lamp_signal(reference, Spectrum(WAVELENGTHS, row), cfg) for row in rows]

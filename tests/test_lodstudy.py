@@ -16,12 +16,11 @@ from fringelab import (
     DistributionStats,
     FilmStack,
     FringelabError,
-    LampConfig,
     LodStudyConfig,
     NoiseModel,
-    RiftsConfig,
     Spectrum,
     StudyError,
+    WindowConfig,
     add_noise,
     gradient_delta,
     iaw,
@@ -78,6 +77,16 @@ def test_config_rejects_bad_inputs():
 ])
 def test_config_rejects_a_value_of_the_wrong_type(key, value):
     with pytest.raises(ValueError, match=key):
+        study(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["offset_snr_db", "amplitude_snr_db", "calibration_delta_n"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-too-large-for-a-float"])
+def test_config_refuses_a_non_finite_number_by_name(key, value):
+    # a NaN floor was accepted, and the table then failed its offset cells in calibration;
+    # an infinite or too large one was accepted too
+    with pytest.raises(ValueError, match=f"^{key} (must be finite|is too large for a float)"):
         study(**{key: value})
 
 
@@ -223,7 +232,7 @@ def test_one_failed_trial_in_100_is_dropped_and_two_are_a_study_error(monkeypatc
 
 def test_study_error_when_trials_cannot_be_processed():
     # Processing range wider than the simulated data fails every trial.
-    cfg = study(n_trials=8, lamp=LampConfig(range_nm=(400.0, 900.0)))
+    cfg = study(n_trials=8, lamp=WindowConfig(range_nm=(400.0, 900.0)))
     with pytest.raises(StudyError, match="8 of 8 trials failed"):
         response_distribution(cfg, 0.0)
 
@@ -562,8 +571,8 @@ def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
 def test_narrow_window_fails_every_trial_with_its_own_message(monkeypatch, method):
     # rifts' window error is raised by the clean rows' front, before any white row is drawn;
     # it still fails each trial, with the message each raises alone
-    cfg = study(method=method, n_trials=2 * CHUNK_ROWS, rifts=RiftsConfig(range_nm=(600, 610)),
-                lamp=LampConfig(range_nm=(600, 610)))
+    cfg = study(method=method, n_trials=2 * CHUNK_ROWS, rifts=WindowConfig(range_nm=(600, 610)),
+                lamp=WindowConfig(range_nm=(600, 610)))
     expected = (rf"^16 of 16 trials failed \({method}, delta_n=0, gradient=none\); "
                 r"first failure: trial 0: window too narrow")
     for path in ("forked", "one cpu") if FORKS else ("one cpu",):
@@ -677,7 +686,7 @@ def test_bug_only_in_the_forked_workers_half_reaches_the_caller(monkeypatch):
 
 @needs_fork
 def test_forked_lamp_failures_equal_serial(monkeypatch):
-    lamp = LampConfig(range_nm=(400.0, 900.0))
+    lamp = WindowConfig(range_nm=(400.0, 900.0))
     forked = smoke_table(lamp=lamp)
     assert set(forked.failures) == {("lamp", g) for g in lodstudy.GRADIENTS}
     one_cpu(monkeypatch)

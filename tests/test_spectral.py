@@ -23,7 +23,9 @@ from fringelab import (
     NoiseModel,
     PeakMeasurementError,
     WavenumberGrid,
+    WindowConfig,
     add_noise,
+    default_pad_length,
     dft,
     hann_window,
     padded_peak,
@@ -116,13 +118,13 @@ def front_end_values(style, ramp, seed=3):
     noisy = add_noise(clean, NoiseModel(target_snr_db=27.7, seed=seed, **RAMPS[ramp]))
     if style == "lamp":  # linear resample, quadratic baseline removed, no window
         resampled = to_wavenumber(noisy, method="linear")
-        u = np.linspace(-1.0, 1.0, resampled.values.size)
-        values = resampled.values - np.polyval(np.polyfit(u, resampled.values, 2), u)
+        u = np.linspace(-1.0, 1.0, resampled.size)
+        values = resampled - np.polyval(np.polyfit(u, resampled, 2), u)
     else:  # cubic resample, mean removed, Hann window
         resampled = to_wavenumber(noisy)
-        values = resampled.values - resampled.values.mean()
+        values = resampled - resampled.mean()
         values = values * hann_window(values.size)
-    return values, resampled.grid.delta_sigma
+    return values, WindowConfig().grid.delta_sigma
 
 
 @pytest.mark.parametrize(
@@ -257,6 +259,21 @@ def test_peak_below_the_cutoff_is_no_fringe_peak():
     for measure in (padded_peak, _full_padded_peak):
         with pytest.raises(NoFringePeakError):
             measure(values, delta_sigma * cutoff / LOW_CUTOFF_NM, pad)
+
+
+@pytest.mark.parametrize("eot_nm", [950.0, 1100.0])
+def test_the_cutoff_is_1000_nm(eot_nm):
+    # written out, not read from LOW_CUTOFF_NM: a lone fringe at 950 nm lies below the
+    # cutoff, where the largest magnitude above it is its lobe's falling flank, no local
+    # maximum; one at 1100 nm lies above it and is found, off by its lobe's tilt
+    grid = WavenumberGrid.from_wavelength_range((200.0, 2000.0), 2048)
+    stack = spectral.padded_stack(np.cos(2.0 * np.pi * eot_nm * grid.sigmas())[None],
+                                  grid.delta_sigma, default_pad_length(grid.delta_sigma))
+    if eot_nm < 1000.0:
+        with pytest.raises(NoFringePeakError):
+            spectral.padded_centre_rows(stack)
+    else:
+        assert abs(spectral.padded_centre_rows(stack)[0] - eot_nm) < 10.0
 
 
 def half_maximum_bins(mags):

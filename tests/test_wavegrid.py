@@ -58,8 +58,8 @@ def test_resampling_exact_for_linear_in_wavenumber(method):
     wl = np.linspace(480.0, 820.0, 777)  # non-uniform in wavenumber
     values = 0.3 + 50.0 * (1.0 / wl)
     resampled = to_wavenumber(Spectrum(wl, values), (500.0, 800.0), 2048, method=method)
-    expected = 0.3 + 50.0 * resampled.grid.sigmas()
-    npt.assert_allclose(resampled.values, expected, rtol=1e-12)
+    expected = 0.3 + 50.0 * default_grid().sigmas()
+    npt.assert_allclose(resampled, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic_spline"])
@@ -71,7 +71,7 @@ def test_resampling_reproduces_node_values(method):
     wl = (1.0 / grid.sigmas())[::-1]
     spec = Spectrum(wl, values_on_grid[::-1])
     resampled = to_wavenumber(spec, (500.0, 800.0), 2048, method=method)
-    npt.assert_allclose(resampled.values, values_on_grid, atol=1e-9)
+    npt.assert_allclose(resampled, values_on_grid, atol=1e-9)
 
 
 def test_resampling_requires_coverage():
@@ -110,12 +110,12 @@ def test_cubic_resampler_matches_scipy_natural_spline(n_knots, n_rows):
     rows = rng.uniform(0.1, 0.4, (n_rows, n_knots))
     n_points = 2048 if n_knots > 100 else 64
     resampled = resample_rows(wl, rows, (500.0, 800.0), n_points)
-    expected = scipy_natural_spline(wl, rows, resampled.grid)
-    npt.assert_allclose(resampled.values, expected, rtol=1e-12)
-    assert resampled.values.flags.c_contiguous
+    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n_points)
+    npt.assert_allclose(resampled, scipy_natural_spline(wl, rows, grid), rtol=1e-12)
+    assert resampled.flags.c_contiguous
     for i in range(n_rows):
-        lone = resample_rows(wl, rows[i:i + 1], (500.0, 800.0), n_points).values[0]
-        assert np.array_equal(lone, resampled.values[i])
+        lone = resample_rows(wl, rows[i:i + 1], (500.0, 800.0), n_points)[0]
+        assert np.array_equal(lone, resampled[i])
 
 
 def test_cached_spline_arrays_are_read_only():
@@ -137,7 +137,7 @@ def test_new_wavelengths_get_a_fresh_spline():
     grid = default_grid()
     resample_rows(first, rows)
     resampled = resample_rows(second, rows)
-    npt.assert_allclose(resampled.values, scipy_natural_spline(second, rows, grid), rtol=1e-12)
+    npt.assert_allclose(resampled, scipy_natural_spline(second, rows, grid), rtol=1e-12)
     assert (natural_spline((1.0 / first[::-1]).tobytes(), grid)
             is not natural_spline((1.0 / second[::-1]).tobytes(), grid))
 
@@ -180,6 +180,12 @@ def test_default_pad_length_meets_resolution_bound():
     # smallest power of two whose transform bins are at most 1.5 nm apart
     assert 1.0 / (pad * grid.delta_sigma) <= 1.5
     assert 1.0 / ((pad // 2) * grid.delta_sigma) > 1.5
+
+
+@pytest.mark.parametrize("bin_nm, pad", [(1.45, 2**20), (1.55, 2**21)])
+def test_pad_length_keeps_bins_at_most_1_5_nm_apart(bin_nm, pad):
+    # the rule's 1.5 nm, written out: each spacing puts 2**20-point bins bin_nm apart
+    assert default_pad_length(1.0 / (bin_nm * 2**20)) == pad
 
 
 def test_pad_length_stops_at_the_ceiling():

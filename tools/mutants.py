@@ -44,6 +44,28 @@ MUTANTS = {
     "linearity warning at 2x the tolerance": (
         "lodstudy.py", "if abs(ratio - 1.0) > LINEARITY_TOLERANCE:",
         "if abs(ratio - 1.0) > 2 * LINEARITY_TOLERANCE:"),
+    "transform cutoff at 900 nm": (
+        "spectral.py", "LOW_CUTOFF_NM = 1000.0", "LOW_CUTOFF_NM = 900.0"),
+    "pad rule at 1.6 nm bins": (
+        "wavegrid.py", "MAX_BIN_SPACING_NM = 1.5", "MAX_BIN_SPACING_NM = 1.6"),
+    "detection limit at 3.0 sigma": (
+        "lodstudy.py", "lod_riu=3.3 * (", "lod_riu=3.0 * ("),
+    "blank std with ddof=0": (
+        "lodstudy.py", "values.std(ddof=1)", "values.std(ddof=0)"),
+    "reported studies from 99 trials": (
+        "lodstudy.py", "MIN_REPORTED_TRIALS = 100", "MIN_REPORTED_TRIALS = 99"),
+    "amplitude floor at 1e-13": (
+        "lamp.py", "AMPLITUDE_FLOOR = 1e-12", "AMPLITUDE_FLOOR = 1e-13"),
+    "unwrap leaves a +pi step at -pi": (
+        "lamp.py", "    folded[(folded == -high) & (step > 0)] = high\n", ""),
+    "split joins its halves swapped": (
+        "_split.py", "return [lower, upper]", "return [upper, lower]"),
+    "per-trial seed (i, seed)": (
+        "lodstudy.py", "SeedSequence((master_seed, index))", "SeedSequence((index, master_seed))"),
+    "grid of 2047 points": (
+        "wavegrid.py", "DEFAULT_GRID_POINTS = 2048", "DEFAULT_GRID_POINTS = 2047"),
+    "parse failures exit 1": ("cli.py", "PARSE_EXIT = 2", "PARSE_EXIT = 1"),
+    "processing failures exit 4": ("cli.py", "PROCESS_EXIT = 3", "PROCESS_EXIT = 4"),
 }
 
 
