@@ -1,10 +1,11 @@
 """Command-line front end: simulation, processing, studies, and fitting.
 
 Each subcommand takes only the shared flags its handler reads: --config (a
-JSON run configuration, see io.load_run_config), --seed, --range, --out and
---format. Randomized commands print their seed, so any run can be reproduced;
-with no seed given anywhere one is drawn from system entropy. Exit codes: 0
-success, 2 parse or configuration failure, 3 processing failure.
+JSON run configuration, see io.load_run_config), --seed, --range (simulate's
+grid and the one window of all three estimators), --out and --format.
+Randomized commands print their seed, so any run can be reproduced; with no
+seed given anywhere one is drawn from system entropy. Exit codes: 0 success,
+2 parse or configuration failure, 3 processing failure.
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config)
     if args.range_nm is not None:
-        window = WindowConfig(args.range_nm)
-        config = replace(config, range_nm=args.range_nm, rifts=window, iaw=window, lamp=window)
+        config = replace(config, range_nm=args.range_nm, window=WindowConfig(args.range_nm))
     return config
 
 
@@ -197,15 +197,15 @@ def cmd_simulate(args) -> int:
 
 def _process_one(method: str, config: RunConfig, reference, analyte, reference_eot) -> dict:
     if method == "rifts":
-        eot = rifts_eot(analyte, config.rifts)
+        eot = rifts_eot(analyte, config.window)
         return {"signal": eot, "eot_nm": eot, "delta_eot_nm": eot - reference_eot()}
     if method == "iaw":
-        return {"signal": iaw(reference, analyte, config.iaw)}
-    phase = lamp_signal(reference, analyte, config.lamp)
+        return {"signal": iaw(reference, analyte, config.window)}
+    phase = lamp_signal(reference, analyte, config.window)
     return {
         "signal": phase,
         "delta_phase_rad": phase,
-        "delta_eot_nm": lamp_to_delta_eot(phase, config.lamp.grid),
+        "delta_eot_nm": lamp_to_delta_eot(phase, config.window.grid),
     }
 
 
@@ -238,7 +238,7 @@ def _run_batch(items, work) -> tuple[list, int]:
 def cmd_process(args) -> int:
     config = _load_config(args)
     reference = read_spectrum(args.reference)
-    reference_eot = cache(lambda: rifts_eot(reference, config.rifts))
+    reference_eot = cache(lambda: rifts_eot(reference, config.window))
     rows, code = _run_batch(((path, path) for path in args.analytes), lambda path: {"file": path,
         **_process_one(args.method, config, reference, read_spectrum(path), reference_eot)})
     _write_text(args.out, _rows_to_text(rows, args.format))
@@ -254,7 +254,7 @@ def cmd_timeseries(args) -> int:
     entries = read_manifest(args.manifest)
     reference_entry = next(e for e in entries if e.role == "reference")
     reference = read_spectrum(reference_entry.path)
-    reference_eot = cache(lambda: rifts_eot(reference, config.rifts))
+    reference_eot = cache(lambda: rifts_eot(reference, config.window))
 
     def work(entry):
         spectrum = read_spectrum(entry.path)
@@ -287,9 +287,7 @@ def cmd_lod_table(args) -> int:
         study_cfg = LodStudyConfig(
             stack=config.stack,
             noise=replace(config.noise, seed=seed),
-            rifts=config.rifts,
-            iaw=config.iaw,
-            lamp=config.lamp,
+            window=config.window,
             **study,
         )
     except (TypeError, ValueError) as exc:

@@ -37,13 +37,15 @@ class FilmStack:
             check_float(name, getattr(self, name))
         if self.ambient_index < 1.0 or self.film_index < 1.0:
             raise ValueError("refractive indices must be >= 1")
-        if isinstance(self.substrate_index, bool):  # complex(True) is 1; JSON gives a string
-            raise ValueError(f"substrate_index must be a complex number or its string, "
-                             f"got {self.substrate_index!r}")
-        try:
+        try:  # JSON gives a string
             ns = complex(self.substrate_index)
         except OverflowError:
             raise ValueError("substrate_index is too large for a float") from None
+        except (TypeError, ValueError):
+            ns = None
+        if ns is None or isinstance(self.substrate_index, bool):  # complex(True) is 1
+            raise ValueError(f"substrate_index must be a complex number or its string, "
+                             f"got {self.substrate_index!r}")
         if not (math.isfinite(ns.real) and math.isfinite(ns.imag)):
             raise ValueError(f"substrate_index must be finite, got {self.substrate_index!r}")
         if ns.real < 1.0 or ns.imag < 0.0:
@@ -194,6 +196,19 @@ def check_float(name: str, value, optional: bool = False, finite: bool = True) -
     if math.isnan(number) or (finite and math.isinf(number)):
         raise ValueError(f"{name} must be finite, got {value!r}" if finite
                          else f"{name} must not be NaN")
+
+
+def check_range_nm(value, name: str = "range_nm") -> tuple[float, float]:
+    """value as (low, high) nm; ValueError naming name unless two numbers with
+    WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM."""
+    try:
+        low, high = (float(x) for x in value)
+    except (TypeError, ValueError, OverflowError):
+        low = high = math.nan
+    if not WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM:
+        raise ValueError(f"{name} must be two numbers {WAVELENGTH_FLOOR_NM:g} <= low < high <= "
+                         f"{WAVELENGTH_CEIL_NM:g} nm, got {value!r}")
+    return low, high
 
 
 def check_seed(value, name: str = "seed") -> int:

@@ -7,9 +7,9 @@ are comma-separated tables with fixed headers, split into rows by one
 reader that checks the header and each row's field count; their numeric
 columns must hold finite numbers. Every error names the file, and the
 line where there is one. Configuration is a single JSON object whose
-sections mirror the library's config dataclasses. Floats are written with
-17 significant digits so a parse of the written file reproduces the
-in-memory values bit-exactly.
+sections mirror the library's config dataclasses, with one window for all
+three estimators. Floats are written with 17 significant digits so a parse
+of the written file reproduces the in-memory values bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import filmsim
 from .errors import ConfigError, SpectrumFormatError
-from .filmsim import WAVELENGTH_CEIL_NM, WAVELENGTH_FLOOR_NM, FilmStack, NoiseModel, Spectrum
+from .filmsim import FilmStack, NoiseModel, Spectrum
 from .lodstudy import LodStudyConfig
 from .wavegrid import WindowConfig
 
@@ -160,9 +160,7 @@ def read_concentration_table(path):
 _SECTION_TYPES = {
     "stack": FilmStack,
     "noise": NoiseModel,
-    "rifts": WindowConfig,
-    "iaw": WindowConfig,
-    "lamp": WindowConfig,
+    "window": WindowConfig,
 }
 # Keys each section takes. The top-level seed is the one seed key, and
 # run_table1 computes every method, so neither a noise seed nor a study
@@ -180,9 +178,7 @@ class RunConfig:
 
     stack: FilmStack
     noise: NoiseModel
-    rifts: WindowConfig
-    iaw: WindowConfig
-    lamp: WindowConfig
+    window: WindowConfig
     study: dict
     range_nm: tuple = (500.0, 800.0)
     n_points: int = 768
@@ -203,7 +199,7 @@ def _section(document: dict, name: str, keys: set, default=None) -> dict:
 def _build_section(name: str, cls, payload: dict):
     converted = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     try:
-        if "range_nm" in converted:  # every section's window lies in the simulated band
+        if "range_nm" in converted:  # the window lies in the simulated band
             converted["range_nm"] = check_range_nm(converted["range_nm"])
         return cls(**converted)
     except (TypeError, ValueError, ConfigError) as exc:
@@ -211,15 +207,11 @@ def _build_section(name: str, cls, payload: dict):
 
 
 def check_range_nm(value) -> tuple[float, float]:
-    """A wavelength range as (low, high) nm; ConfigError unless ascending and in the band."""
+    """filmsim.check_range_nm for a wavelength range, whose refusal is a ConfigError."""
     try:
-        low, high = (float(x) for x in value)
-    except (TypeError, ValueError):
-        low = high = np.nan
-    if not WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM:
-        raise ConfigError(f"wavelength range must be two numbers {WAVELENGTH_FLOOR_NM:g} <= "
-                          f"low < high <= {WAVELENGTH_CEIL_NM:g} nm, got {value!r}")
-    return low, high
+        return filmsim.check_range_nm(value, "wavelength range")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def check_seed(value, name: str) -> int:

@@ -40,6 +40,7 @@ from .filmsim import (
     Spectrum,
     calibrate_ramp_magnitude,
     check_float,
+    check_range_nm,
     ramped_reflectance,
     simulate_reflectance,
     white_rows,
@@ -96,13 +97,12 @@ class LodResult:
 class LodStudyConfig:
     """Inputs for one Monte-Carlo detection-limit study.
 
-    The noise model supplies the white level (explicit sigma or an
-    S/N target resolved once against the clean reference) and the master
-    seed; drift ramps are owned by the study and calibrated to the
-    configured gradient S/N floors, so the model itself must not carry
+    The noise model supplies the white level (explicit sigma or an S/N target resolved once
+    against the clean reference) and the master seed; drift ramps are owned by the study and
+    calibrated to the configured gradient S/N floors, so the model itself must not carry
     ramp terms. A floor is finite, or None to disable that ramp (magnitude 0). Trial i
-    draws from a stream derived from (seed, i), making trials
-    order-independent.
+    draws from a stream derived from (seed, i), making trials order-independent. The
+    native range lies in the simulator's band; window is all three estimators' one window.
     """
 
     stack: FilmStack = field(default_factory=FilmStack)
@@ -114,9 +114,7 @@ class LodStudyConfig:
     method: str = "lamp"
     offset_snr_db: float | None = OFFSET_GRADIENT_SNR_DB
     amplitude_snr_db: float | None = AMPLITUDE_GRADIENT_SNR_DB
-    rifts: WindowConfig = field(default_factory=WindowConfig)
-    iaw: WindowConfig = field(default_factory=WindowConfig)
-    lamp: WindowConfig = field(default_factory=WindowConfig)
+    window: WindowConfig = field(default_factory=WindowConfig)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -130,9 +128,7 @@ class LodStudyConfig:
             raise ValueError("native_points must be an integer >= 16")
         for name in ("offset_snr_db", "amplitude_snr_db"):
             check_float(name, getattr(self, name), optional=True)
-        lo, hi = self.native_range_nm
-        if not 0 < lo < hi:
-            raise ValueError("native range must satisfy 0 < low < high")
+        check_range_nm(self.native_range_nm, "native_range_nm")
         if self.noise.offset_ramp_magnitude != 0.0 or self.noise.amplitude_ramp_gain != 0.0:
             raise ValueError(
                 "drift ramps are applied by the study itself; "
@@ -150,7 +146,7 @@ def _trial_seed(master_seed: int, index: int) -> int:
 
 def _front(cfg: LodStudyConfig, method: str, wavelengths, rows):
     """method's linear front end of a stack of rows: rifts' PaddedStack, lamp's and iaw's rows."""
-    return rifts_front(wavelengths, rows, cfg.rifts) if method == "rifts" else rows
+    return rifts_front(wavelengths, rows, cfg.window) if method == "rifts" else rows
 
 
 def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, stack) -> list:
@@ -158,8 +154,8 @@ def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, stack) -> l
     if method == "rifts":
         return padded_centre_rows(stack)
     if method == "iaw":
-        return iaw_rows(reference, stack, cfg.iaw)
-    return lamp_rows(reference, reference.wavelengths_nm, stack, cfg.lamp)
+        return iaw_rows(reference, stack, cfg.window)
+    return lamp_rows(reference, reference.wavelengths_nm, stack, cfg.window)
 
 
 def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float, clean: dict,

@@ -497,6 +497,20 @@ class TestLodTable:
         payload_b.pop("runtime_s")
         assert payload_a == payload_b
 
+    def test_window_section_and_range_flag_write_the_same_report(self, tmp_path, capsys):
+        # both set the one window of all three estimators; the default window differs
+        (tmp_path / "run.json").write_text(json.dumps({"window": {"range_nm": [520, 780]}}))
+        payloads = []
+        for flags in (["--config", str(tmp_path / "run.json")], ["--range", "520,780"], []):
+            out = tmp_path / "table.json"
+            assert main(["lod-table", "--trials", "10", "--seed", "9", *flags,
+                         "--out", str(out)]) == 0
+            payloads.append(json.loads(out.read_text()))
+            payloads[-1].pop("runtime_s")
+        assert payloads[0] == payloads[1]
+        assert all(payloads[0]["cells"][key] != payloads[2]["cells"][key]
+                   for key in payloads[0]["cells"])
+
     def test_warnings_are_one_line_each_and_in_the_report(self, tmp_path, capsys):
         out = tmp_path / "table.json"
         rc = main(["lod-table", "--trials", "4", "--seed", "1", "--out", str(out)])
@@ -701,8 +715,8 @@ def true_key_cases():
         (["simulate"], '{"range_nm": [500, 2500]}'),
         (["lod-table"], '{"study": {"native_range_nm": 5}}'),
         (["lod-table"], '{"study": {"native_range_nm": [100, 300]}}'),
-        (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"rifts": 5}'),
-        (["lod-table"], '{"rifts": 5}'),
+        (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"window": 5}'),
+        (["lod-table"], '{"window": 5}'),
         (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"noise": [1, 2]}'),
         (["lod-table"], '{"noise": [1, 2]}'),
         (["fit", "series.csv", "--three-sigma-blank", "-1"], None),
@@ -729,7 +743,7 @@ def true_key_cases():
                      '{"study": {"calibration_delta_n": 1%s}}' % ("0" * 400),
                      id="study-integer-too-large-for-a-float"),
         # a value of the wrong type, each of which once ran on to a traceback
-        (["lod-table", "--trials", "4", "--seed", "1"], '{"rifts": {"range_nm": 500}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"window": {"range_nm": 500}}'),
         (["lod-table", "--seed", "1"], '{"study": {"n_trials": 12.0}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"native_points": 768.0}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"noise": {"target_snr_db": "x"}}'),
@@ -808,28 +822,41 @@ def test_shared_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, 
                       f"{flag} {UNREAD_FLAG_VALUES[flag]}"]
 
 
-@pytest.mark.parametrize("command", ["process", "lod-table"])
-@pytest.mark.parametrize("config", [
-    '{"lamp": {"range_nm": [800, 500]}}',
-    '{"rifts": {"range_nm": [800, 500]}}',
-    '{"iaw": {"range_nm": [800, 500]}}',
-    '{"iaw": {"range_nm": [100, 3000]}}',
-])
-def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
-                                                        command, config):
-    monkeypatch.chdir(tmp_path)
+def config_error_lines(tmp_path, capsys, command, config) -> list:
+    """stderr's lines from process or lod-table under config, which must exit 2 with no
+    traceback and write no output."""
     (tmp_path / "run.json").write_text(config)
-    if command == "process":  # the method whose section is bad
+    if command == "process":
         write_stack_spectrum(tmp_path / "ref.csv")
         write_stack_spectrum(tmp_path / "a.csv", 1e-3)
-        argv = ["process", "--method", next(iter(json.loads(config))), "ref.csv", "a.csv"]
+        argv = ["process", "--method", "lamp", "ref.csv", "a.csv"]
     else:
         argv = ["lod-table", "--trials", "4", "--seed", "1"]
     assert main([*argv, "--config", "run.json", "--out", "out"]) == PARSE_EXIT
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert [line for line in err.splitlines() if "error" in line] == [err.strip()]
-    assert err.startswith("error: invalid ")
+    return err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["process", "lod-table"])
+@pytest.mark.parametrize("window", [[800, 500], [100, 3000]], ids=["reversed", "past-the-band"])
+def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command,
+                                                        window):
+    monkeypatch.chdir(tmp_path)
+    [line] = config_error_lines(tmp_path, capsys, command,
+                                json.dumps({"window": {"range_nm": window}}))
+    assert line.startswith("error: invalid 'window' section: wavelength range must be")
+
+
+@pytest.mark.parametrize("command", ["process", "lod-table"])
+@pytest.mark.parametrize("section", ["rifts", "iaw", "lamp"])
+def test_a_per_method_section_is_an_unknown_key(tmp_path, capsys, monkeypatch, command, section):
+    # the three estimators read one window section
+    monkeypatch.chdir(tmp_path)
+    config = json.dumps({section: {"range_nm": [520, 780]}})
+    assert config_error_lines(tmp_path, capsys, command, config) == [
+        f"error: unknown configuration key(s): ['{section}']"]
 
 
 def test_exit_codes_are_the_documented_ones():
@@ -839,52 +866,59 @@ def test_exit_codes_are_the_documented_ones():
 
 
 @pytest.mark.parametrize("command", ["process", "lod-table"])
-@pytest.mark.parametrize("section", ["rifts", "lamp"])
-def test_section_grid_size_is_an_unknown_key(tmp_path, capsys, monkeypatch, command, section):
-    # every window's grid is 2048 points: no section takes a grid size
+def test_section_grid_size_is_an_unknown_key(tmp_path, capsys, monkeypatch, command):
+    # every window's grid is 2048 points: the window section takes no grid size
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.json").write_text(json.dumps({section: {"n_points": 2048}}))
-    if command == "process":
-        write_stack_spectrum(tmp_path / "ref.csv")
-        write_stack_spectrum(tmp_path / "a.csv", 1e-3)
-        argv = ["process", "--method", section, "ref.csv", "a.csv"]
-    else:
-        argv = ["lod-table", "--trials", "4", "--seed", "1"]
+    config = json.dumps({"window": {"n_points": 2048}})
+    assert config_error_lines(tmp_path, capsys, command, config) == [
+        "error: unknown key(s) in 'window' section: ['n_points']"]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--seed", "1"],
+                                  ["lod-table", "--trials", "4", "--seed", "1"]],
+                         ids=["simulate", "lod-table"])
+@pytest.mark.parametrize("index", ["abc", [3.67, 0]], ids=["malformed-string", "list"])
+def test_substrate_index_that_is_no_complex_number_is_named(tmp_path, capsys, monkeypatch,
+                                                            argv, index):
+    # complex() refused these with its own message, which named no field
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"stack": {"substrate_index": index}}))
     assert main([*argv, "--config", "run.json", "--out", "out"]) == PARSE_EXIT
-    err = capsys.readouterr().err
-    assert err.splitlines() == [f"error: unknown key(s) in '{section}' section: ['n_points']"]
-    assert not (tmp_path / "out").exists()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: invalid 'stack' section: substrate_index must be a complex "
+                           "number or its string, got ")
 
 
-NARROW_IAW ='{"iaw": {"range_nm": [600, 600.1]}}'  # no native sample inside
+NARROW_WINDOW = '{"window": {"range_nm": [600, 600.1]}}'  # no native sample inside
+TOO_NARROW = "window too narrow"
 
 
-@pytest.mark.parametrize("flags, failing, reason", [
-    (["--range", "600,610"], {"rifts", "lamp"}, "too narrow"),
-    (["--config", "run.json"], {"iaw"}, "fewer than two samples"),
-], ids=["range-600-610", "iaw-600-600.1"])
-def test_window_too_narrow_fails_its_table_cells(tmp_path, capsys, monkeypatch,
-                                                 flags, failing, reason):
+@pytest.mark.parametrize("flags, reasons", [
+    (["--range", "600,610"], {"rifts": TOO_NARROW, "lamp": TOO_NARROW}),
+    (["--config", "run.json"],
+     {"rifts": TOO_NARROW, "iaw": "fewer than two samples", "lamp": TOO_NARROW}),
+], ids=["range-600-610", "window-600-600.1"])
+def test_window_too_narrow_fails_its_table_cells(tmp_path, capsys, monkeypatch, flags, reasons):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.json").write_text(NARROW_IAW)
+    (tmp_path / "run.json").write_text(NARROW_WINDOW)
     rc = main(["lod-table", "--trials", "4", "--seed", "1", *flags, "--out", "table.json"])
     assert rc == PROCESS_EXIT
     cells = json.loads((tmp_path / "table.json").read_text())["cells"]
-    assert {key.split("/")[0] for key, cell in cells.items() if "error" in cell} == failing
+    assert {key.split("/")[0] for key, cell in cells.items() if "error" in cell} == set(reasons)
     assert all(reason in cells[f"{m}/{g}"]["error"]
-               for m in failing for g in ("none", "offset", "amplitude"))
+               for m, reason in reasons.items() for g in ("none", "offset", "amplitude"))
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method, flags, reason", [
-    ("rifts", ["--range", "600,610"], "too narrow"),
-    ("lamp", ["--range", "600,610"], "too narrow"),
+    ("rifts", ["--range", "600,610"], TOO_NARROW),
+    ("lamp", ["--range", "600,610"], TOO_NARROW),
     ("iaw", ["--config", "run.json"], "fewer than two samples"),
 ], ids=["rifts", "lamp", "iaw"])
 def test_window_too_narrow_fails_each_processed_file(tmp_path, capsys, monkeypatch,
                                                      method, flags, reason):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.json").write_text(NARROW_IAW)
+    (tmp_path / "run.json").write_text(NARROW_WINDOW)
     write_stack_spectrum(tmp_path / "ref.csv")
     for name in ("a.csv", "b.csv"):
         write_stack_spectrum(tmp_path / name, 1e-3)

@@ -108,6 +108,15 @@ def test_stack_validation():
     assert FilmStack(substrate_index="3.67+0.5j").substrate_index == "3.67+0.5j"  # as JSON has it
 
 
+@pytest.mark.parametrize("value", ["abc", [3.67, 0.0], None],
+                         ids=["malformed-string", "list", "none"])
+def test_substrate_index_that_complex_refuses_is_refused_by_name(value):
+    # complex() raised its own ValueError or a bare TypeError, naming no field
+    with pytest.raises(ValueError, match="^substrate_index must be a complex number or its "
+                       "string, got "):
+        FilmStack(substrate_index=value)
+
+
 @pytest.mark.parametrize("model, key, value", [
     (FilmStack, "ambient_index", "x"), (FilmStack, "film_index", "x"),
     (FilmStack, "film_index", None), (FilmStack, "film_thickness_nm", True),

@@ -228,21 +228,23 @@ class TestRunConfig:
         path.write_text(
             '{"stack": {"film_thickness_nm": 1200.0},'
             ' "noise": {"gaussian_sigma": 0.002},'
-            ' "lamp": {"range_nm": [520, 780]},'
+            ' "window": {"range_nm": [520, 780]},'
             ' "study": {"n_trials": 200},'
             ' "seed": 42}'
         )
         config = load_run_config(path)
         assert config.stack.film_thickness_nm == 1200.0
         assert config.noise.gaussian_sigma == 0.002
-        assert config.lamp == WindowConfig((520.0, 780.0))
-        assert config.rifts == config.iaw == WindowConfig()
+        assert config.window == WindowConfig((520.0, 780.0))
         assert config.study == {"n_trials": 200}
         assert config.seed == 42
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown configuration key"):
-            load_run_config(text='{"stak": {}}')
+        # the three estimators read one window section, and no per-method one
+        for key in ("stak", "rifts", "iaw", "lamp"):
+            with pytest.raises(ConfigError,
+                               match=rf"^unknown configuration key\(s\): \['{key}'\]$"):
+                load_run_config(text=f'{{"{key}": {{"range_nm": [520, 780]}}}}')
 
     def test_unknown_section_key_names_the_section(self):
         with pytest.raises(ConfigError, match="'noise' section"):
@@ -251,12 +253,12 @@ class TestRunConfig:
         # takes them
         # nor does the noise section take a seed: the top-level seed is the one seed key;
         # iaw has one rule, the mean (a sum scales the blank, drift and slope alike)
-        for section, key in (("lamp", '"pad_exponent": 20'), ("rifts", '"low_cutoff_nm": 900'),
-                             ("lamp", '"wavelet_width_scale": 2'), ("noise", '"seed": 5'),
-                             ("iaw", '"rule": "sum_abs"'), ("rifts", '"refine_peak": true'),
-                             ("lamp", '"edge_trim_fraction": 0.1'),
-                             ("lamp", '"reuse_reference_wavelet": true'),
-                             ("rifts", '"n_points": 2048'), ("lamp", '"n_points": 2048')):
+        for section, key in (("window", '"pad_exponent": 20'), ("window", '"low_cutoff_nm": 900'),
+                             ("window", '"wavelet_width_scale": 2'), ("noise", '"seed": 5'),
+                             ("window", '"rule": "sum_abs"'), ("window", '"refine_peak": true'),
+                             ("window", '"edge_trim_fraction": 0.1'),
+                             ("window", '"reuse_reference_wavelet": true'),
+                             ("window", '"n_points": 2048')):
             with pytest.raises(ConfigError, match=f"unknown key.*'{section}' section"):
                 load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
@@ -266,7 +268,7 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="unknown key.*'study' section"):
                 load_run_config(text=f'{{"study": {study}}}')
 
-    @pytest.mark.parametrize("section", ["stack", "noise", "rifts", "iaw", "lamp", "study"])
+    @pytest.mark.parametrize("section", ["stack", "noise", "window", "study"])
     @pytest.mark.parametrize("value", ["5", "[1, 2]", "null"])
     def test_non_object_section_rejected(self, section, value):
         with pytest.raises(ConfigError, match=f"^'{section}' section must be an object$"):
@@ -283,8 +285,8 @@ class TestRunConfig:
             load_run_config(text=f'{{"stack": {{"substrate_index": "{index}"}}}}')
 
     def test_lists_become_tuples(self):
-        config = load_run_config(text='{"rifts": {"range_nm": [520, 780]}}')
-        assert config.rifts.range_nm == (520, 780)
+        config = load_run_config(text='{"window": {"range_nm": [520, 780]}}')
+        assert config.window.range_nm == (520, 780)
 
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -306,8 +308,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("document", [
         '{"stack": {"film_thickness_nm": %s}}', '{"noise": {"target_snr_db": -%s}}',
-        '{"rifts": {"range_nm": [500, %s]}}', '{"iaw": {"range_nm": [500, %s]}}',
-        '{"lamp": {"range_nm": [500, %s]}}', '{"study": {"calibration_delta_n": %s}}',
+        '{"window": {"range_nm": [500, %s]}}', '{"study": {"calibration_delta_n": %s}}',
         '{"range_nm": [500, %s]}', '{"n_points": %s}', '{"seed": %s}',
     ])
     def test_integer_too_large_for_a_float_rejected(self, document):

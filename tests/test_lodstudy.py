@@ -70,6 +70,17 @@ def test_config_rejects_bad_inputs():
         study(native_range_nm=(800.0, 500.0))
 
 
+@pytest.mark.parametrize("native_range_nm", [(500.0, math.inf), (500.0, 3000.0),
+                                             (math.nan, 800.0), (100.0, 800.0)],
+                         ids=["inf", "past-the-band", "nan", "below-the-band"])
+def test_config_refuses_a_native_range_outside_the_band_by_name(native_range_nm):
+    # each was accepted, and the table then failed with the simulator's message, which named
+    # no field
+    with pytest.raises(ValueError, match=r"^native_range_nm must be two numbers 200 <= low < "
+                       r"high <= 2000 nm, got "):
+        study(native_range_nm=native_range_nm)
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_trials", 12.0), ("n_trials", True), ("native_points", 768.0), ("native_points", "768"),
     ("offset_snr_db", "x"), ("amplitude_snr_db", "x"), ("offset_snr_db", True),
@@ -232,7 +243,7 @@ def test_one_failed_trial_in_100_is_dropped_and_two_are_a_study_error(monkeypatc
 
 def test_study_error_when_trials_cannot_be_processed():
     # Processing range wider than the simulated data fails every trial.
-    cfg = study(n_trials=8, lamp=WindowConfig(range_nm=(400.0, 900.0)))
+    cfg = study(n_trials=8, window=WindowConfig(range_nm=(400.0, 900.0)))
     with pytest.raises(StudyError, match="8 of 8 trials failed"):
         response_distribution(cfg, 0.0)
 
@@ -353,8 +364,8 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     reference, clean, model = pass_inputs(cfg, 0.0, "none")
     rows = ramped_reflectance(clean, model) + white_rows(model.white_sigma(clean), len(clean),
                                                          seeds)
-    one = {"lamp": lambda row: lamp_signal(reference, row, cfg.lamp),
-           "rifts": lambda row: rifts_eot(row, cfg.rifts)}[method]
+    one = {"lamp": lambda row: lamp_signal(reference, row, cfg.window),
+           "rifts": lambda row: rifts_eot(row, cfg.window)}[method]
     alone = np.array([one(Spectrum(reference.wavelengths_nm, row)) for row in rows])
     assert stats.n_trials == 99
     assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
@@ -542,7 +553,7 @@ def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
         signals, errors = [], []
         for i, row in enumerate(rows):
             try:
-                signals += rifts_rows(cfg.wavelengths(), row[None], cfg.rifts)
+                signals += rifts_rows(cfg.wavelengths(), row[None], cfg.window)
             except FringelabError as exc:
                 errors.append(f"trial {i}: {exc}")
         expected[delta_n, gradient] = (signals, errors)
@@ -571,8 +582,7 @@ def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
 def test_narrow_window_fails_every_trial_with_its_own_message(monkeypatch, method):
     # rifts' window error is raised by the clean rows' front, before any white row is drawn;
     # it still fails each trial, with the message each raises alone
-    cfg = study(method=method, n_trials=2 * CHUNK_ROWS, rifts=WindowConfig(range_nm=(600, 610)),
-                lamp=WindowConfig(range_nm=(600, 610)))
+    cfg = study(method=method, n_trials=2 * CHUNK_ROWS, window=WindowConfig(range_nm=(600, 610)))
     expected = (rf"^16 of 16 trials failed \({method}, delta_n=0, gradient=none\); "
                 r"first failure: trial 0: window too narrow")
     for path in ("forked", "one cpu") if FORKS else ("one cpu",):
@@ -686,10 +696,11 @@ def test_bug_only_in_the_forked_workers_half_reaches_the_caller(monkeypatch):
 
 @needs_fork
 def test_forked_lamp_failures_equal_serial(monkeypatch):
-    lamp = WindowConfig(range_nm=(400.0, 900.0))
-    forked = smoke_table(lamp=lamp)
-    assert set(forked.failures) == {("lamp", g) for g in lodstudy.GRADIENTS}
+    # a window wider than the samples fails rifts and lamp; iaw reads the samples inside it
+    window = WindowConfig(range_nm=(400.0, 900.0))
+    forked = smoke_table(window=window)
+    assert set(forked.failures) == {(m, g) for m in ("rifts", "lamp") for g in lodstudy.GRADIENTS}
     one_cpu(monkeypatch)
-    serial = smoke_table(lamp=lamp)
+    serial = smoke_table(window=window)
     assert forked.failures == serial.failures
     assert forked.to_dict() == serial.to_dict()

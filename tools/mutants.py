@@ -66,6 +66,12 @@ MUTANTS = {
         "wavegrid.py", "DEFAULT_GRID_POINTS = 2048", "DEFAULT_GRID_POINTS = 2047"),
     "parse failures exit 1": ("cli.py", "PARSE_EXIT = 2", "PARSE_EXIT = 1"),
     "processing failures exit 4": ("cli.py", "PROCESS_EXIT = 3", "PROCESS_EXIT = 4"),
+    "linearity tolerance 12%": (
+        "lodstudy.py", "LINEARITY_TOLERANCE = 0.10", "LINEARITY_TOLERANCE = 0.12"),
+    "--range leaves the window": (
+        "cli.py", "range_nm=args.range_nm, window=WindowConfig(args.range_nm))",
+        "range_nm=args.range_nm)"),
+    "chunks of 7 trials": ("lodstudy.py", "CHUNK_ROWS = 8", "CHUNK_ROWS = 7"),
 }
 
 
