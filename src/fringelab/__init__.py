@@ -36,7 +36,6 @@ from .filmsim import (
     white_sigma_for_target,
 )
 from .wavegrid import (
-    WavenumberGrid,
     WindowConfig,
     default_pad_length,
     hann_window,

@@ -53,9 +53,9 @@ PROCESS_EXIT = 3
 
 
 def _float_pair(text: str):
-    try:
-        return check_range_nm(text.split(","))
-    except ConfigError as exc:
+    try:  # floats first: check_range_nm refuses text
+        return check_range_nm([float(part) for part in text.split(",")])
+    except (ValueError, ConfigError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -205,7 +205,7 @@ def _process_one(method: str, config: RunConfig, reference, analyte, reference_e
     return {
         "signal": phase,
         "delta_phase_rad": phase,
-        "delta_eot_nm": lamp_to_delta_eot(phase, config.window.grid),
+        "delta_eot_nm": lamp_to_delta_eot(phase, config.window),
     }
 
 

@@ -199,10 +199,11 @@ def check_float(name: str, value, optional: bool = False, finite: bool = True) -
 
 
 def check_range_nm(value, name: str = "range_nm") -> tuple[float, float]:
-    """value as (low, high) nm; ValueError naming name unless two numbers with
-    WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM."""
+    """value as (low, high) nm; ValueError naming name unless two real numbers (not bools,
+    not text) with WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM."""
     try:
-        low, high = (float(x) for x in value)
+        low, high = (float(x) if isinstance(x, Real) and not isinstance(x, bool) else math.nan
+                     for x in value)
     except (TypeError, ValueError, OverflowError):
         low = high = math.nan
     if not WAVELENGTH_FLOOR_NM <= low < high <= WAVELENGTH_CEIL_NM:

@@ -199,8 +199,6 @@ def _section(document: dict, name: str, keys: set, default=None) -> dict:
 def _build_section(name: str, cls, payload: dict):
     converted = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     try:
-        if "range_nm" in converted:  # the window lies in the simulated band
-            converted["range_nm"] = check_range_nm(converted["range_nm"])
         return cls(**converted)
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"invalid {name!r} section: {exc}") from exc

@@ -371,7 +371,7 @@ def iaw_fold_limit_percent(stack: FilmStack, range_nm=(500.0, 800.0)) -> float:
     by half a period at the band's mean wavenumber, i.e. an optical
     thickness change of 1/(2 sigma_bar).
     """
-    sigma_bar = (1.0 / range_nm[0] + 1.0 / range_nm[1]) / 2.0
+    sigma_bar = WindowConfig(range_nm).mean_sigma
     return 100.0 * (0.5 / sigma_bar) / stack.effective_optical_thickness_nm
 
 

@@ -31,7 +31,7 @@ from .errors import DegenerateAmplitudeError
 from .filmsim import Spectrum
 # padded_peak is not called here; it stays a lamp attribute that perfbench's tracer wraps
 from .spectral import PeakInfo, padded_peak, padded_peak_rows, padded_stack  # noqa: F401
-from .wavegrid import WavenumberGrid, WindowConfig, default_pad_length, resample_rows
+from .wavegrid import WindowConfig, default_pad_length, resample_rows
 
 # Envelope support: samples span +/- this many envelope sigmas.
 ENVELOPE_HALF_WIDTH_SIGMAS = 4.0
@@ -187,7 +187,7 @@ def anchor_cycle(unwrapped: np.ndarray, coarse_eot_nm, sigma_min: float) -> np.n
     return u + two_pi * cycles[..., None]
 
 
-def _remove_baseline(grid: WavenumberGrid, values: np.ndarray) -> np.ndarray:
+def _remove_baseline(window: WindowConfig, values: np.ndarray) -> np.ndarray:
     """Subtract a quadratic least-squares baseline from each resampled row.
 
     The fringe carrier rides on a slowly varying pedestal: the film's mean
@@ -206,16 +206,16 @@ def _remove_baseline(grid: WavenumberGrid, values: np.ndarray) -> np.ndarray:
     vectorised Horner step after the per-row solves is bit-identical but
     saves only ~6% of the polyval time, while the solves cost 3x that.
     """
-    u, lhs, scale = _baseline_design(grid)
+    u, lhs, scale = _baseline_design(window)
     rcond = len(u) * np.finfo(float).eps
     return np.array([row - np.polyval(np.linalg.lstsq(lhs, row, rcond)[0] / scale, u)
                      for row in values])
 
 
 @lru_cache(maxsize=8)
-def _baseline_design(grid: WavenumberGrid):
-    """Read-only u in [-1, 1] on the grid, np.polyfit's column-scaled vander(u, 3), the scales."""
-    u = (grid.sigmas() - grid.mean_sigma) / ((grid.sigma_max - grid.sigma_min) / 2.0)
+def _baseline_design(window: WindowConfig):
+    """Read-only u in [-1, 1] on window's grid, polyfit's column-scaled vander(u, 3), the scales."""
+    u = (window.sigmas() - window.mean_sigma) / ((window.sigma_max - window.sigma_min) / 2.0)
     lhs = np.vander(u, 3)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     design = u, lhs / scale, scale
@@ -226,15 +226,15 @@ def _baseline_design(grid: WavenumberGrid):
 
 def _phase_rows(wavelengths_nm, rows, cfg: WindowConfig) -> np.ndarray:
     """Anchored phase profile of each row, each filtered by the wavelet matched to its peak."""
-    grid, delta_sigma = cfg.grid, cfg.grid.delta_sigma
-    resampled = resample_rows(wavelengths_nm, rows, cfg.range_nm, method="linear")
-    values = _remove_baseline(grid, resampled)
+    delta_sigma = cfg.delta_sigma
+    resampled = resample_rows(wavelengths_nm, rows, cfg, method="linear")
+    values = _remove_baseline(cfg, resampled)
     peaks = padded_peak_rows(padded_stack(values, delta_sigma, default_pad_length(delta_sigma)))
     wavelets = [design_wavelet(peak, delta_sigma) for peak in peaks]
     filtered = filter_spectrum(values, delta_sigma, wavelets)
     _check_amplitude(filtered)
     return anchor_cycle(unwrap_phase(np.angle(filtered)),
-                        [peak.center_frequency_nm for peak in peaks], grid.sigma_min)
+                        [peak.center_frequency_nm for peak in peaks], cfg.sigma_min)
 
 
 @lru_cache(maxsize=8)
@@ -265,6 +265,6 @@ def lamp_signal(reference: Spectrum, analyte: Spectrum,
     return lamp_rows(reference, analyte.wavelengths_nm, analyte.reflectance[None], cfg)[0]
 
 
-def lamp_to_delta_eot(mean_phase_difference: float, grid: WavenumberGrid) -> float:
-    """Convert a mean phase difference to an optical-thickness change (nm)."""
-    return mean_phase_difference / (2.0 * math.pi * grid.mean_sigma)
+def lamp_to_delta_eot(mean_phase_difference: float, window: WindowConfig) -> float:
+    """Convert a mean phase difference on window's grid to an optical-thickness change (nm)."""
+    return mean_phase_difference / (2.0 * math.pi * window.mean_sigma)

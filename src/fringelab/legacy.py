@@ -40,11 +40,10 @@ def _taper(n: int) -> np.ndarray:
 def rifts_front(wavelengths_nm, rows, cfg: WindowConfig = WindowConfig()) -> PaddedStack:
     """The front end of rifts_rows for a stack sampled at wavelengths_nm, in nm: its rows
     cubic-resampled to the window's grid, de-meaned and tapered, as a PaddedStack."""
-    values = resample_rows(wavelengths_nm, rows, cfg.range_nm, method="cubic_spline")
+    values = resample_rows(wavelengths_nm, rows, cfg, method="cubic_spline")
     values = values - values.mean(axis=1, keepdims=True)
     values = values * _taper(values.shape[1])
-    delta_sigma = cfg.grid.delta_sigma
-    return padded_stack(values, delta_sigma, default_pad_length(delta_sigma))
+    return padded_stack(values, cfg.delta_sigma, default_pad_length(cfg.delta_sigma))
 
 
 def rifts_rows(wavelengths_nm, rows, cfg: WindowConfig = WindowConfig()) -> list:
@@ -72,8 +71,8 @@ def iaw_rows(reference: Spectrum, rows, cfg: WindowConfig = WindowConfig()) -> l
     if not np.all(np.isfinite(rows)):
         raise ValueError("spectrum contains non-finite values")
     # a slice, not a column mask (an F-ordered copy): row means sum as a lone spectrum's do
-    lo = np.searchsorted(reference.wavelengths_nm, float(cfg.range_nm[0]), side="left")
-    hi = np.searchsorted(reference.wavelengths_nm, float(cfg.range_nm[1]), side="right")
+    lo = np.searchsorted(reference.wavelengths_nm, cfg.range_nm[0], side="left")
+    hi = np.searchsorted(reference.wavelengths_nm, cfg.range_nm[1], side="right")
     if hi - lo < 2:
         raise WavelengthRangeError("fewer than two samples fall inside the requested range")
     diff = rows[:, lo:hi] - reference.reflectance[lo:hi]

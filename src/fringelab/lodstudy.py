@@ -128,7 +128,8 @@ class LodStudyConfig:
             raise ValueError("native_points must be an integer >= 16")
         for name in ("offset_snr_db", "amplitude_snr_db"):
             check_float(name, getattr(self, name), optional=True)
-        check_range_nm(self.native_range_nm, "native_range_nm")
+        object.__setattr__(self, "native_range_nm",
+                           check_range_nm(self.native_range_nm, "native_range_nm"))
         if self.noise.offset_ramp_magnitude != 0.0 or self.noise.amplitude_ramp_gain != 0.0:
             raise ValueError(
                 "drift ramps are applied by the study itself; "

@@ -5,11 +5,11 @@ Fringes from a film of fixed optical thickness are periodic in wavenumber
 wavenumber grid. Interpolation happens in the wavenumber domain: sample
 abscissae are converted first, then the chosen interpolant is evaluated
 on the uniform grid. An estimator's one setting, its WindowConfig, is a
-wavelength range in nm; its grid is DEFAULT_GRID_POINTS (2048) wavenumbers.
+wavelength range in nm and its grid of DEFAULT_GRID_POINTS (2048) wavenumbers.
 
 The cubic interpolant is a natural spline (de Boor, A Practical Guide to
 Splines, 1978). It is linear in the data, so everything fixed by the knots
-and the grid is built once per pair and cached read-only as a NaturalSpline
+and the window is built once per pair and cached read-only as a NaturalSpline
 operator: the knot spacings, the odd-even cyclic reduction (Hockney, J. ACM
 12, 1965) of its tridiagonal system for the second derivatives, and each
 target's interval and weights. A call then costs about log2(knots) array
@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import WavelengthRangeError
-from .filmsim import Spectrum
-
-MIN_GRID_POINTS = 16
+from .filmsim import Spectrum, check_range_nm
 
 # Default processing window and density.
 DEFAULT_RANGE_NM = (500.0, 800.0)
@@ -41,59 +39,39 @@ MAX_PAD_LENGTH = 2**24
 
 
 @dataclass(frozen=True)
-class WavenumberGrid:
-    """Uniform grid of n_points wavenumbers spanning [sigma_min, sigma_max]."""
+class WindowConfig:
+    """An estimator's processing window (low, high) in nm, its one setting, and the window's
+    uniform grid of DEFAULT_GRID_POINTS wavenumbers from 1/high to 1/low."""
 
-    sigma_min: float
-    sigma_max: float
-    n_points: int
+    range_nm: tuple[float, float] = DEFAULT_RANGE_NM
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_min < self.sigma_max:
-            raise ValueError("need 0 < sigma_min < sigma_max")
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < MIN_GRID_POINTS:
-            raise ValueError(f"n_points must be an integer >= {MIN_GRID_POINTS}")
+        # the checked floats, a hashable tuple: lamp's cache key
+        object.__setattr__(self, "range_nm", check_range_nm(self.range_nm, "wavelength range"))
+
+    @property
+    def sigma_min(self) -> float:
+        return 1.0 / self.range_nm[1]
+
+    @property
+    def sigma_max(self) -> float:
+        return 1.0 / self.range_nm[0]
 
     @property
     def delta_sigma(self) -> float:
-        return (self.sigma_max - self.sigma_min) / (self.n_points - 1)
+        return (self.sigma_max - self.sigma_min) / (DEFAULT_GRID_POINTS - 1)
 
     @property
     def mean_sigma(self) -> float:
         return 0.5 * (self.sigma_min + self.sigma_max)
 
     def sigmas(self) -> np.ndarray:
-        return np.linspace(self.sigma_min, self.sigma_max, self.n_points)
-
-    @classmethod
-    def from_wavelength_range(cls, range_nm, n_points: int) -> "WavenumberGrid":
-        lo, hi = float(range_nm[0]), float(range_nm[1])
-        if not 0.0 < lo < hi:
-            raise ValueError("wavelength range must satisfy 0 < low < high")
-        return cls(sigma_min=1.0 / hi, sigma_max=1.0 / lo, n_points=n_points)
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """An estimator's processing window (low, high) in nm: its one setting."""
-
-    range_nm: tuple[float, float] = DEFAULT_RANGE_NM
-
-    def __post_init__(self):
-        object.__setattr__(self, "range_nm", tuple(self.range_nm))  # hashable: lamp's cache key
-        if len(self.range_nm) != 2:
-            raise ValueError(f"range_nm must be (low, high), got {self.range_nm!r}")
-        _ = self.grid  # building the grid validates the window
-
-    @cached_property
-    def grid(self) -> WavenumberGrid:
-        """The window's uniform grid of DEFAULT_GRID_POINTS wavenumbers."""
-        return WavenumberGrid.from_wavelength_range(self.range_nm, DEFAULT_GRID_POINTS)
+        return np.linspace(self.sigma_min, self.sigma_max, DEFAULT_GRID_POINTS)
 
 
 @dataclass(frozen=True)
 class NaturalSpline:
-    """Natural cubic spline through fixed knots, evaluated at a WavenumberGrid's points.
+    """Natural cubic spline through fixed knots, evaluated at a WindowConfig's grid points.
 
     The second derivatives M at the interior knots solve a symmetric
     tridiagonal system; M is 0 at both end knots. Each entry of levels is
@@ -143,8 +121,8 @@ class NaturalSpline:
 
 
 @lru_cache(maxsize=16)
-def natural_spline(knot_bytes: bytes, grid: WavenumberGrid) -> NaturalSpline:
-    """The read-only NaturalSpline through the float64 knots in knot_bytes, on grid."""
+def natural_spline(knot_bytes: bytes, window: WindowConfig) -> NaturalSpline:
+    """The read-only NaturalSpline through the float64 knots in knot_bytes, on window's grid."""
     knots = np.frombuffer(knot_bytes)
     if knots.size < 2 or not np.all(np.isfinite(knots)) or not np.all(np.diff(knots) > 0.0):
         raise ValueError("spline knots must be finite, strictly increasing and at least two")
@@ -162,7 +140,7 @@ def natural_spline(knot_bytes: bytes, grid: WavenumberGrid) -> NaturalSpline:
         diag[: gamma.size] += gamma * to_right
         off = gamma[: to_left.size] * to_left
         levels.append((alpha, gamma, inv_diag))
-    targets = grid.sigmas()
+    targets = window.sigmas()
     i = np.clip(np.searchsorted(knots, targets, side="right") - 1, 0, knots.size - 2)
     width = h[i]
     a = (knots[i + 1] - targets) / width
@@ -177,45 +155,41 @@ def natural_spline(knot_bytes: bytes, grid: WavenumberGrid) -> NaturalSpline:
     return spline
 
 
-def resample_rows(wavelengths_nm, rows, range_nm=DEFAULT_RANGE_NM,
-                  n_points: int = DEFAULT_GRID_POINTS,
+def resample_rows(wavelengths_nm, rows, window: WindowConfig = WindowConfig(),
                   method: str = "cubic_spline") -> np.ndarray:
-    """The (rows, n_points) stack of a (rows, points) reflectance stack resampled onto the
-    uniform wavenumber grid of range_nm.
+    """The (rows, DEFAULT_GRID_POINTS) stack of a (rows, points) reflectance stack resampled
+    onto the window's uniform wavenumber grid.
 
-    Every row is sampled at the same ascending wavelengths, and range_nm
+    Every row is sampled at the same ascending wavelengths, and the window
     must lie within them. method is "linear" or "cubic_spline" (natural
     boundary conditions, through the cached natural_spline operator of
-    the wavenumber knots and the grid, solved by cyclic reduction). Both
+    the wavenumber knots and the window, solved by cyclic reduction). Both
     interpolants are built over the converted sample abscissae, so data
     linear in wavenumber is reproduced exactly by the linear method.
     """
-    lo, hi = float(range_nm[0]), float(range_nm[1])
+    lo, hi = window.range_nm
     wl = wavelengths_nm
     if lo < wl[0] or hi > wl[-1]:
         raise WavelengthRangeError(
             f"requested range [{lo:g}, {hi:g}] nm exceeds sampled range "
             f"[{wl[0]:g}, {wl[-1]:g}] nm"
         )
-    grid = WavenumberGrid.from_wavelength_range((lo, hi), n_points)
     sigma_samples = 1.0 / np.asarray(wl, dtype=float)[::-1]
     values = np.asarray(rows, dtype=float)[:, ::-1]
     if values.shape[1] != sigma_samples.size or not np.all(np.isfinite(values)):
         raise ValueError("need one finite reflectance per wavelength in each row")
     if method == "linear":
-        targets = grid.sigmas()
+        targets = window.sigmas()
         return np.array([np.interp(targets, sigma_samples, row) for row in values])
     if method == "cubic_spline":
-        return natural_spline(sigma_samples.tobytes(), grid)(values)
+        return natural_spline(sigma_samples.tobytes(), window)(values)
     raise ValueError(f"unknown interpolation method {method!r}")
 
 
-def to_wavenumber(spectrum: Spectrum, range_nm=DEFAULT_RANGE_NM,
-                  n_points: int = DEFAULT_GRID_POINTS,
+def to_wavenumber(spectrum: Spectrum, window: WindowConfig = WindowConfig(),
                   method: str = "cubic_spline") -> np.ndarray:
     """Resample one spectrum: resample_rows on a batch of one."""
-    return resample_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], range_nm,
-                         n_points, method)[0]
+    return resample_rows(spectrum.wavelengths_nm, spectrum.reflectance[None], window, method)[0]
 
 
 def hann_window(n: int) -> np.ndarray:

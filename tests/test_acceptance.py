@@ -39,7 +39,7 @@ from fringelab import (
 from fringelab.cli import main
 from fringelab.isotherm import ConcentrationSeries
 from fringelab.lodstudy import crlb_delta_n
-from fringelab.wavegrid import WavenumberGrid, WindowConfig
+from fringelab.wavegrid import WindowConfig
 
 MASTER_SEED = 20260817
 METHODS = ("rifts", "iaw", "lamp")
@@ -172,7 +172,7 @@ def test_none_column_respects_the_cramer_rao_bound(table1, capsys):
 def test_criterion_2_phase_response_accuracy(reference, capsys):
     delta_n = 1e-3
     phase = lamp_signal(reference, shifted(delta_n))
-    grid = WindowConfig().grid
+    grid = WindowConfig()
     delta_eot = lamp_to_delta_eot(phase, grid)
     slope = phase / delta_n
     expected_slope = 4.0 * math.pi * 2400.0 * grid.mean_sigma
@@ -256,7 +256,7 @@ def test_criterion_5_transform_and_wavelet_fidelity(capsys):
     power_freq = float(mags[0] + 2.0 * mags[1:-1].sum() + mags[-1])
     parseval_err = abs(power_time - power_freq) / power_time
 
-    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
+    grid = WindowConfig()
     peak = PeakInfo(center_frequency_nm=5760.0, fwhm_nm=150.0)
     wavelet = design_wavelet(peak, grid.delta_sigma)
     n_fft = 2**22

@@ -707,6 +707,11 @@ def true_key_cases():
         (["simulate"], '{"range_nm": [800, 500]}'),
         (["simulate"], '{"range_nm": [0, 500]}'),
         (["simulate"], '{"range_nm": 500}'),
+        # text where a number belongs, which every other numeric key refuses
+        (["simulate"], '{"range_nm": ["500", "800"]}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"window": {"range_nm": ["500", "800"]}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"],
+         '{"study": {"native_range_nm": ["500", "800"]}}'),
         (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "-1"], None),
         (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "0"], None),
         (["lod-table", "--trials", "0"], None),
@@ -840,7 +845,8 @@ def config_error_lines(tmp_path, capsys, command, config) -> list:
 
 
 @pytest.mark.parametrize("command", ["process", "lod-table"])
-@pytest.mark.parametrize("window", [[800, 500], [100, 3000]], ids=["reversed", "past-the-band"])
+@pytest.mark.parametrize("window", [[800, 500], [100, 3000], ["500", "800"]],
+                         ids=["reversed", "past-the-band", "text"])
 def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command,
                                                         window):
     monkeypatch.chdir(tmp_path)

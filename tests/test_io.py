@@ -315,6 +315,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="401-digit integer, too large for a float"):
             load_run_config(text=document % ("1" + "0" * 400))
 
+    @pytest.mark.parametrize("document", ['{"window": {"range_nm": %s}}', '{"range_nm": %s}',
+                                          '{"study": {"native_range_nm": %s}}'])
+    def test_range_of_text_rejected(self, document):
+        # as every other numeric key refuses a string, a wavelength range refuses "500"
+        with pytest.raises(ConfigError, match="wavelength range must be two numbers"):
+            load_run_config(text=document % '["500", "800"]')
+
     def test_bad_n_points_rejected(self):
         with pytest.raises(ConfigError, match="'n_points'"):
             load_run_config(text='{"n_points": 4}')

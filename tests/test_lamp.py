@@ -13,7 +13,6 @@ from fringelab import (
     NoiseModel,
     PeakInfo,
     Spectrum,
-    WavenumberGrid,
     WindowConfig,
     add_noise,
     anchor_cycle,
@@ -37,7 +36,7 @@ from fringelab.lamp import (
 )
 
 WAVELENGTHS = np.linspace(500.0, 800.0, 1024)
-GRID = WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
+WINDOW = WindowConfig()
 SIGMA_BAR = (1 / 500.0 + 1 / 800.0) / 2
 THICKNESS = 2400.0
 
@@ -47,7 +46,7 @@ def film(delta_n=0.0):
 
 
 def matched_wavelet(f_c=5760.0, fwhm=1333.0):
-    return design_wavelet(PeakInfo(f_c, fwhm), GRID.delta_sigma)
+    return design_wavelet(PeakInfo(f_c, fwhm), WINDOW.delta_sigma)
 
 
 def predicted_phase(delta_n):
@@ -69,7 +68,7 @@ def test_wavelet_has_unit_energy_and_odd_count():
     samples = np.asarray(w.samples)
     assert samples.size % 2 == 1
     npt.assert_allclose(np.sum(np.abs(samples) ** 2) * w.spacing, 1.0, rtol=1e-12)
-    assert w.spacing == GRID.delta_sigma
+    assert w.spacing == WINDOW.delta_sigma
 
 
 def test_wavelet_envelope_is_symmetric():
@@ -122,30 +121,30 @@ def test_wavelet_cut_from_cached_carrier_equals_direct_design(boundary):
     for half_count in (boundary - 1, boundary, boundary + 1):
         # a FWHM whose envelope spans half_count + 0.5 grid steps
         fwhm = (ENVELOPE_HALF_WIDTH_SIGMAS * _FWHM_TO_SIGMA
-                / (2.0 * math.pi * (half_count + 0.5) * GRID.delta_sigma))
+                / (2.0 * math.pi * (half_count + 0.5) * WINDOW.delta_sigma))
         for _ in range(2):  # the first design of a reach fills the cache, the second hits it
-            wavelet = design_wavelet(PeakInfo(5761.3, fwhm), GRID.delta_sigma)
+            wavelet = design_wavelet(PeakInfo(5761.3, fwhm), WINDOW.delta_sigma)
             assert wavelet.samples.size == 2 * half_count + 1
             npt.assert_array_equal(wavelet.samples,
-                                   direct_wavelet_samples(5761.3, fwhm, GRID.delta_sigma))
+                                   direct_wavelet_samples(5761.3, fwhm, WINDOW.delta_sigma))
     # boundary - 1 and boundary share one reach, boundary + 1 rounds up to the next
     assert _carrier.cache_info().misses == 2
     assert _carrier.cache_info().hits == 4
-    assert not _carrier(5761.3, GRID.delta_sigma, boundary).flags.writeable
+    assert not _carrier(5761.3, WINDOW.delta_sigma, boundary).flags.writeable
 
 
 def test_baseline_equals_per_row_polyfit_bit_for_bit():
-    u = (GRID.sigmas() - GRID.mean_sigma) / ((GRID.sigma_max - GRID.sigma_min) / 2.0)
-    fringes = 0.07 * np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + 0.2 + 0.03 * u**2
-    rows = fringes + np.random.default_rng(5).normal(0.0, 2e-3, (6, GRID.n_points))
+    u = (WINDOW.sigmas() - WINDOW.mean_sigma) / ((WINDOW.sigma_max - WINDOW.sigma_min) / 2.0)
+    fringes = 0.07 * np.cos(2 * np.pi * 5760.0 * WINDOW.sigmas()) + 0.2 + 0.03 * u**2
+    rows = fringes + np.random.default_rng(5).normal(0.0, 2e-3, (6, 2048))
     expected = np.array([row - np.polyval(np.polyfit(u, row, 2), u) for row in rows])
-    npt.assert_array_equal(_remove_baseline(GRID, rows), expected)
-    assert all(not array.flags.writeable for array in _baseline_design(GRID))
+    npt.assert_array_equal(_remove_baseline(WINDOW, rows), expected)
+    assert all(not array.flags.writeable for array in _baseline_design(WINDOW))
 
 
 def test_wavelet_rejects_bad_width():
     with pytest.raises(ValueError):
-        design_wavelet(PeakInfo(5760.0, 0.0), GRID.delta_sigma)
+        design_wavelet(PeakInfo(5760.0, 0.0), WINDOW.delta_sigma)
 
 
 # ----------------------------------------------------------------- filter
@@ -153,9 +152,8 @@ def test_wavelet_rejects_bad_width():
 
 def test_filter_requires_matching_spacing():
     w = matched_wavelet()
-    other = WavenumberGrid.from_wavelength_range((500.0, 800.0), 1024)
-    with pytest.raises(ValueError):
-        filter_spectrum(np.zeros((1, 1024)), other.delta_sigma, [w])
+    with pytest.raises(ValueError):  # a 500-800 nm grid of 1024 points
+        filter_spectrum(np.zeros((1, 1024)), (1 / 500 - 1 / 800) / 1023, [w])
 
 
 @pytest.mark.parametrize("fwhm, shortest, longest", [
@@ -164,21 +162,21 @@ def test_filter_requires_matching_spacing():
 def test_filter_is_the_centred_direct_convolution(fwhm, shortest, longest):
     # a 1333 nm FWHM gives the default design; the filter crops it to the taps within n - 1
     rng = np.random.default_rng(8)
-    values = np.cos(2 * np.pi * 5760.0 * GRID.sigmas()) + rng.normal(0.0, 0.1, 2048)
+    values = np.cos(2 * np.pi * 5760.0 * WINDOW.sigmas()) + rng.normal(0.0, 0.1, 2048)
     w = matched_wavelet(fwhm=fwhm)
     assert shortest <= w.samples.size <= longest
-    (filtered,) = filter_spectrum(values[None], GRID.delta_sigma, [w])
+    (filtered,) = filter_spectrum(values[None], WINDOW.delta_sigma, [w])
     # np.convolve's "same" keeps max(n, m) points; the filter keeps the data's
     # n points of the full convolution, starting at c = (m - 1) // 2
     c = (w.samples.size - 1) // 2
-    expected = np.convolve(values, w.samples)[c : c + values.size] * GRID.delta_sigma
+    expected = np.convolve(values, w.samples)[c : c + values.size] * WINDOW.delta_sigma
     npt.assert_allclose(filtered, expected, rtol=1e-12)
 
 
 def test_filtered_tone_phase_slope():
-    sigmas = GRID.sigmas()
+    sigmas = WINDOW.sigmas()
     tone = np.cos(2 * np.pi * 5760.0 * sigmas)
-    (filtered,) = filter_spectrum(tone[None], GRID.delta_sigma, [matched_wavelet()])
+    (filtered,) = filter_spectrum(tone[None], WINDOW.delta_sigma, [matched_wavelet()])
     phase = np.unwrap(np.angle(filtered))
     central = slice(int(0.2 * 2048), int(0.8 * 2048))
     slope = np.polyfit(sigmas[central], phase[central], 1)[0]
@@ -190,7 +188,7 @@ def test_filter_annihilates_removed_mean():
     # the filter sees zeros and returns zeros
     values = np.full(2048, 0.25)
     centred = (values - values.mean())[None]
-    filtered = filter_spectrum(centred, GRID.delta_sigma, [matched_wavelet()])
+    filtered = filter_spectrum(centred, WINDOW.delta_sigma, [matched_wavelet()])
     assert np.abs(filtered).max() == 0.0
 
 
@@ -206,11 +204,11 @@ def test_filtered_phase_tolerates_small_additive_drift():
     # drift leaks only through the data edges (zero extension); a ramp a few
     # percent of the carrier leaves the central phase at the 1e-3 rad level,
     # scaling linearly with the drift size
-    sigmas = GRID.sigmas()
+    sigmas = WINDOW.sigmas()
     tone = np.cos(2 * np.pi * 5760.0 * sigmas)
     ramp = 0.015 * (sigmas - sigmas[0]) / (sigmas[-1] - sigmas[0])
     w = matched_wavelet()
-    clean, drifted = filter_spectrum(np.array([tone, tone + ramp]), GRID.delta_sigma, [w, w])
+    clean, drifted = filter_spectrum(np.array([tone, tone + ramp]), WINDOW.delta_sigma, [w, w])
     central = slice(int(0.2 * 2048), int(0.8 * 2048))
     d = (np.unwrap(np.angle(drifted)) - np.unwrap(np.angle(clean)))[central]
     assert math.sqrt(np.mean(d**2)) <= 1e-3
@@ -380,23 +378,22 @@ def test_signal_tolerates_calibrated_amplitude_ramp():
 def test_config_validation():
     with pytest.raises(ValueError):
         WindowConfig(range_nm=(800.0, 500.0))
-    assert WindowConfig().grid == GRID
 
 
 # ------------------------------------------------------- unit conversion
 
 
 def test_phase_to_thickness_identities():
-    assert lamp_to_delta_eot(0.0, GRID) == 0.0
+    assert lamp_to_delta_eot(0.0, WINDOW) == 0.0
     x = 123.456
     assert math.isclose(
-        lamp_to_delta_eot(2 * math.pi * GRID.mean_sigma * x, GRID), x, rel_tol=1e-12)
+        lamp_to_delta_eot(2 * math.pi * WINDOW.mean_sigma * x, WINDOW), x, rel_tol=1e-12)
 
 
 def test_phase_converts_to_thickness_shift():
-    assert abs(lamp_to_delta_eot(0.0490, GRID) - 4.8) < 0.1
+    assert abs(lamp_to_delta_eot(0.0490, WINDOW) - 4.8) < 0.1
     signal = lamp_signal(film(), film(1e-3))
-    assert abs(lamp_to_delta_eot(signal, GRID) / 4.8 - 1.0) < 0.02
+    assert abs(lamp_to_delta_eot(signal, WINDOW) / 4.8 - 1.0) < 0.02
 
 
 # ------------------------------------------- reference cache and stacks
@@ -472,7 +469,7 @@ def test_a_non_finite_row_is_a_value_error_not_a_missing_peak():
 ], ids=["3-2", "2-3", "one-d-row", "bare-wavelet"])
 def test_filter_needs_one_wavelet_per_row(shape, wavelets):
     with pytest.raises(ValueError, match="one wavelet per row"):
-        filter_spectrum(np.zeros(shape), GRID.delta_sigma, wavelets)
+        filter_spectrum(np.zeros(shape), WINDOW.delta_sigma, wavelets)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own-wavelets", "shared-wavelet"])
@@ -484,7 +481,7 @@ def test_block_filter_equals_the_per_row_transform_bit_for_bit(shared):
     wavelets = [wide, narrow, wide, matched_wavelet(5800.0), narrow, wide]
     if shared:
         wavelets = [wide] * 6
-    filtered = filter_spectrum(stack, GRID.delta_sigma, wavelets)
+    filtered = filter_spectrum(stack, WINDOW.delta_sigma, wavelets)
     size = 4096  # the power of two >= 2n - 1
     for row, w, values in zip(stack, wavelets, filtered):
         # the row-at-a-time transform, kept as the reference: the wavelet's taps within
@@ -494,21 +491,21 @@ def test_block_filter_equals_the_per_row_transform_bit_for_bit(shared):
         kernel = np.zeros(size, dtype=complex)
         kernel[: h + 1], kernel[size - h :] = w.samples[c : c + h + 1], w.samples[c - h : c]
         full = np.fft.ifft(np.fft.fft(row, size) * np.fft.fft(kernel))
-        npt.assert_array_equal(values, full[: row.size] * GRID.delta_sigma)
+        npt.assert_array_equal(values, full[: row.size] * WINDOW.delta_sigma)
 
 
 @pytest.mark.parametrize("n", [2048, 1500, 768])
 def test_stacked_filter_matches_per_row_filter_across_wavelet_lengths(n):
-    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
+    delta_sigma = (1 / 500 - 1 / 800) / (n - 1)  # a 500-800 nm grid of n points
     stack = np.random.default_rng(4).normal(size=(4, n))
     # shorter than the data, up to 2n - 1, and longer (the default design): one transform size
-    wavelets = [design_wavelet(PeakInfo(5760.0, scale * 1333.0), grid.delta_sigma)
+    wavelets = [design_wavelet(PeakInfo(5760.0, scale * 1333.0), delta_sigma)
                 for scale in (1.0, 4.0, 2.0, 1.0)]
     sizes = [w.samples.size for w in wavelets]
     assert sizes[1] < n <= sizes[2] < 2 * n - 1 < sizes[0]
-    together = filter_spectrum(stack, grid.delta_sigma, wavelets)
+    together = filter_spectrum(stack, delta_sigma, wavelets)
     for row, wavelet, values in zip(stack, wavelets, together):
-        npt.assert_array_equal(values, filter_spectrum(row[None], grid.delta_sigma, [wavelet])[0])
+        npt.assert_array_equal(values, filter_spectrum(row[None], delta_sigma, [wavelet])[0])
 
 
 def test_stack_phase_means_equal_the_per_row_means_bit_for_bit():

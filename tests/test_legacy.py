@@ -42,9 +42,9 @@ def test_peak_is_true_argmax_of_windowed_transform():
     # rebuild the windowed sequence and check the reported frequency is the
     # argmax bin of its padded transform by direct summation
     spec = film()
-    resampled = to_wavenumber(spec, (500.0, 800.0), 2048, method="cubic_spline")
+    resampled = to_wavenumber(spec, WindowConfig(), method="cubic_spline")
     values = (resampled - resampled.mean()) * hann_window(2048)
-    delta_sigma = WindowConfig().grid.delta_sigma
+    delta_sigma = WindowConfig().delta_sigma
     pad = 2**21
     eot = rifts_eot(spec)
     center_bin = round(eot * pad * delta_sigma)
@@ -105,8 +105,9 @@ def test_iaw_subrange_matches_manual_mask():
 
 
 @pytest.mark.parametrize("range_nm", [(800.0, 500.0), (600.0, 600.0), (0.0, 800.0),
-                                      (500.0, 800.0, 900.0)],
-                         ids=["reversed", "empty", "from-zero", "three-numbers"])
+                                      (500.0, 800.0, 900.0), ("500", "800"), (500.0, "800")],
+                         ids=["reversed", "empty", "from-zero", "three-numbers", "text",
+                              "one-text"])
 def test_window_config_validates_its_range(range_nm):
     with pytest.raises(ValueError, match="low.*high"):
         WindowConfig(range_nm)
@@ -163,9 +164,9 @@ def low_fringe():
 def test_rifts_reads_the_peak_bin_where_the_width_is_unmeasurable():
     # rifts never reads the half-maximum crossings, so one off the spectrum fails no row
     spec = low_fringe()
-    resampled = to_wavenumber(spec, (500.0, 800.0), 2048, method="cubic_spline")
+    resampled = to_wavenumber(spec, WindowConfig(), method="cubic_spline")
     values = (resampled - resampled.mean()) * hann_window(2048)
-    delta_sigma = WindowConfig().grid.delta_sigma
+    delta_sigma = WindowConfig().delta_sigma
     pad = default_pad_length(delta_sigma)
     with pytest.raises(PeakMeasurementError):
         padded_peak(values, delta_sigma, pad)

@@ -71,14 +71,19 @@ def test_config_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("native_range_nm", [(500.0, math.inf), (500.0, 3000.0),
-                                             (math.nan, 800.0), (100.0, 800.0)],
-                         ids=["inf", "past-the-band", "nan", "below-the-band"])
+                                             (math.nan, 800.0), (100.0, 800.0), ("500", "800")],
+                         ids=["inf", "past-the-band", "nan", "below-the-band", "text"])
 def test_config_refuses_a_native_range_outside_the_band_by_name(native_range_nm):
     # each was accepted, and the table then failed with the simulator's message, which named
     # no field
     with pytest.raises(ValueError, match=r"^native_range_nm must be two numbers 200 <= low < "
                        r"high <= 2000 nm, got "):
         study(native_range_nm=native_range_nm)
+
+
+def test_config_stores_the_checked_native_range():
+    native = study(native_range_nm=[500, np.float64(800.0)]).native_range_nm
+    assert native == (500.0, 800.0) and all(type(x) is float for x in native)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -9,7 +9,6 @@ from fringelab import (
     MorletWavelet,
     RedlichPetersonFit,
     Spectrum,
-    WavenumberGrid,
     WindowConfig,
     filter_spectrum,
     hann_window,
@@ -20,7 +19,7 @@ from fringelab import (
     unwrap_phase,
 )
 from fringelab.spectral import LOW_CUTOFF_NM, _first_true
-from fringelab.wavegrid import MIN_GRID_POINTS, resample_rows
+from fringelab.wavegrid import resample_rows
 
 N_CASES = 1000
 
@@ -112,29 +111,27 @@ def test_cubic_resampler_matches_scipy_on_random_knots():
         low = rng.uniform(450.0, 550.0)
         wl = low + rng.uniform(100.0, 400.0) * np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum()
         rows = rng.uniform(0.1, 0.4, (int(rng.integers(1, 9)), n))
-        range_nm = (wl[0], wl[-1])
-        n_points = int(rng.integers(16, 400))
-        resampled = resample_rows(wl, rows, range_nm, n_points)
-        grid = WavenumberGrid.from_wavelength_range(range_nm, n_points)
+        window = WindowConfig((wl[0], wl[-1]))
+        resampled = resample_rows(wl, rows, window)
         spline = CubicSpline(1.0 / wl[::-1], rows[:, ::-1], axis=1, bc_type="natural")
         # atol: where the spline passes near zero, both sides round at the data's scale
-        np.testing.assert_allclose(resampled, spline(grid.sigmas()), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(resampled, spline(window.sigmas()), rtol=1e-12, atol=1e-14)
 
 
 def test_cropped_filter_is_the_centred_direct_convolution():
     """Any row length, any odd wavelet length up to 6n: the n centred points of np.convolve."""
     rng = np.random.default_rng(808)
     for _ in range(N_CASES):
-        n = int(rng.integers(MIN_GRID_POINTS, 400))
-        grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
+        n = int(rng.integers(16, 400))
+        delta_sigma = (1 / 500 - 1 / 800) / (n - 1)  # a 500-800 nm grid of n points
         rows = rng.normal(size=(int(rng.integers(1, 4)), n))
-        wavelets = [MorletWavelet(5760.0, 1.0, grid.delta_sigma,
+        wavelets = [MorletWavelet(5760.0, 1.0, delta_sigma,
                                   rng.normal(size=m) + 1j * rng.normal(size=m))
                     for m in 2 * rng.integers(0, 3 * n, size=len(rows)) + 1]
-        filtered = filter_spectrum(rows, grid.delta_sigma, wavelets)
+        filtered = filter_spectrum(rows, delta_sigma, wavelets)
         for row, w, values in zip(rows, wavelets, filtered):
             c = (w.samples.size - 1) // 2
-            expected = np.convolve(row, w.samples)[c : c + n] * grid.delta_sigma
+            expected = np.convolve(row, w.samples)[c : c + n] * delta_sigma
             assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
 
 

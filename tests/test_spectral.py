@@ -22,7 +22,6 @@ from fringelab import (
     NoFringePeakError,
     NoiseModel,
     PeakMeasurementError,
-    WavenumberGrid,
     WindowConfig,
     add_noise,
     default_pad_length,
@@ -55,12 +54,11 @@ def direct_bins(values, delta_sigma, n_transform, bins):
 
 
 def fringe_values(n=2048, frequency_nm=5760.0, noise=0.0, seed=0):
-    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n)
-    sigmas = grid.sigmas()
+    sigmas = np.linspace(1 / 800.0, 1 / 500.0, n)  # a 500-800 nm grid of n points
     values = 0.07 * np.cos(2 * np.pi * frequency_nm * sigmas)
     if noise:
         values = values + np.random.default_rng(seed).normal(0.0, noise, n)
-    return values, grid.delta_sigma
+    return values, (1 / 500.0 - 1 / 800.0) / (n - 1)
 
 
 def test_transform_matches_direct_summation():
@@ -124,7 +122,7 @@ def front_end_values(style, ramp, seed=3):
         resampled = to_wavenumber(noisy)
         values = resampled - resampled.mean()
         values = values * hann_window(values.size)
-    return values, WindowConfig().grid.delta_sigma
+    return values, WindowConfig().delta_sigma
 
 
 @pytest.mark.parametrize(
@@ -207,7 +205,7 @@ def test_cached_plans_are_read_only():
 
 def cosine(tone, pad, amplitude=0.07):
     """A bare cosine on the fringe_values grid at the frequency of padded bin tone."""
-    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
+    grid = WindowConfig()
     values = amplitude * np.cos(2 * np.pi * tone / (pad * grid.delta_sigma) * grid.sigmas())
     return values, grid.delta_sigma
 
@@ -266,7 +264,7 @@ def test_the_cutoff_is_1000_nm(eot_nm):
     # written out, not read from LOW_CUTOFF_NM: a lone fringe at 950 nm lies below the
     # cutoff, where the largest magnitude above it is its lobe's falling flank, no local
     # maximum; one at 1100 nm lies above it and is found, off by its lobe's tilt
-    grid = WavenumberGrid.from_wavelength_range((200.0, 2000.0), 2048)
+    grid = WindowConfig((200.0, 2000.0))
     stack = spectral.padded_stack(np.cos(2.0 * np.pi * eot_nm * grid.sigmas())[None],
                                   grid.delta_sigma, default_pad_length(grid.delta_sigma))
     if eot_nm < 1000.0:

@@ -8,7 +8,7 @@ import pytest
 
 from fringelab import (
     Spectrum,
-    WavenumberGrid,
+    WindowConfig,
     default_pad_length,
     hann_window,
     to_wavenumber,
@@ -17,12 +17,8 @@ from fringelab.errors import WavelengthRangeError
 from fringelab.wavegrid import MAX_BIN_SPACING_NM, MAX_PAD_LENGTH, natural_spline, resample_rows
 
 
-def default_grid():
-    return WavenumberGrid.from_wavelength_range((500.0, 800.0), 2048)
-
-
 def test_grid_endpoints_and_spacing():
-    grid = default_grid()
+    grid = WindowConfig()
     assert grid.sigma_min == 1.0 / 800.0
     assert grid.sigma_max == 1.0 / 500.0
     assert math.isclose(grid.delta_sigma, (1 / 500 - 1 / 800) / 2047, rel_tol=1e-15)
@@ -31,7 +27,7 @@ def test_grid_endpoints_and_spacing():
 
 
 def test_grid_sigmas_shape():
-    grid = default_grid()
+    grid = WindowConfig()
     sigmas = grid.sigmas()
     assert sigmas.shape == (2048,)
     assert sigmas[0] == grid.sigma_min
@@ -40,16 +36,22 @@ def test_grid_sigmas_shape():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        WavenumberGrid(sigma_min=0.002, sigma_max=0.00125, n_points=64)
-    with pytest.raises(ValueError):
-        WavenumberGrid(sigma_min=0.00125, sigma_max=0.002, n_points=8)
-    with pytest.raises(ValueError):
-        WavenumberGrid.from_wavelength_range((-500.0, 800.0), 64)
-    for n_points in (2048.0, True, "2048"):
-        with pytest.raises(ValueError, match="n_points must be an integer"):
-            WavenumberGrid.from_wavelength_range((500.0, 800.0), n_points)
-    assert WavenumberGrid.from_wavelength_range((500.0, 800.0), np.int64(64)).n_points == 64
+    for range_nm in ((800.0, 500.0), (-500.0, 800.0)):
+        with pytest.raises(ValueError):
+            WindowConfig(range_nm)
+
+
+@pytest.mark.parametrize("range_nm", [(500.0, 800.0), (600, 610), (200.0, 2000.0),
+                                      (np.float64(512.5), 777.3)])
+def test_window_grid_is_the_linspace_of_its_wavenumbers(range_nm):
+    # the window's grid is written out here, not read from the window
+    lo, hi = range_nm
+    window = WindowConfig(range_nm)
+    assert window.range_nm == (lo, hi) and all(type(x) is float for x in window.range_nm)
+    assert np.array_equal(window.sigmas(), np.linspace(1 / hi, 1 / lo, 2048))
+    assert window.delta_sigma == (1 / lo - 1 / hi) / 2047
+    assert (window.sigma_min, window.sigma_max) == (1 / hi, 1 / lo)
+    assert window.mean_sigma == (1 / lo + 1 / hi) / 2
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic_spline"])
@@ -57,33 +59,33 @@ def test_resampling_exact_for_linear_in_wavenumber(method):
     # values linear in 1/lambda survive either interpolation untouched
     wl = np.linspace(480.0, 820.0, 777)  # non-uniform in wavenumber
     values = 0.3 + 50.0 * (1.0 / wl)
-    resampled = to_wavenumber(Spectrum(wl, values), (500.0, 800.0), 2048, method=method)
-    expected = 0.3 + 50.0 * default_grid().sigmas()
+    resampled = to_wavenumber(Spectrum(wl, values), method=method)
+    expected = 0.3 + 50.0 * WindowConfig().sigmas()
     npt.assert_allclose(resampled, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic_spline"])
 def test_resampling_reproduces_node_values(method):
-    grid = default_grid()
+    grid = WindowConfig()
     rng = np.random.default_rng(5)
-    values_on_grid = rng.uniform(0.1, 0.4, grid.n_points)
+    values_on_grid = rng.uniform(0.1, 0.4, 2048)
     # feed the same nodes back through the wavelength-domain constructor
     wl = (1.0 / grid.sigmas())[::-1]
     spec = Spectrum(wl, values_on_grid[::-1])
-    resampled = to_wavenumber(spec, (500.0, 800.0), 2048, method=method)
+    resampled = to_wavenumber(spec, grid, method=method)
     npt.assert_allclose(resampled, values_on_grid, atol=1e-9)
 
 
 def test_resampling_requires_coverage():
     spec = Spectrum(np.linspace(520.0, 800.0, 256), np.full(256, 0.2))
     with pytest.raises(ValueError):
-        to_wavenumber(spec, (500.0, 800.0), 2048)
+        to_wavenumber(spec, WindowConfig((500.0, 800.0)))
 
 
 def test_resampling_rejects_unknown_method():
     spec = Spectrum(np.linspace(500.0, 800.0, 256), np.full(256, 0.2))
     with pytest.raises(ValueError):
-        to_wavenumber(spec, (500.0, 800.0), 64, method="pchip")
+        to_wavenumber(spec, method="pchip")
 
 
 def jittered_wavelengths(n, rng, range_nm=(500.0, 800.0)):
@@ -95,10 +97,10 @@ def jittered_wavelengths(n, rng, range_nm=(500.0, 800.0)):
     return wl
 
 
-def scipy_natural_spline(wl, rows, grid):
+def scipy_natural_spline(wl, rows, window):
     from scipy.interpolate import CubicSpline  # the reference; fringelab itself never imports it
 
-    return CubicSpline(1.0 / wl[::-1], rows[:, ::-1], axis=1, bc_type="natural")(grid.sigmas())
+    return CubicSpline(1.0 / wl[::-1], rows[:, ::-1], axis=1, bc_type="natural")(window.sigmas())
 
 
 @pytest.mark.parametrize("n_rows", [1, 8])
@@ -108,18 +110,16 @@ def test_cubic_resampler_matches_scipy_natural_spline(n_knots, n_rows):
     rng = np.random.default_rng(n_knots)
     wl = jittered_wavelengths(n_knots, rng)
     rows = rng.uniform(0.1, 0.4, (n_rows, n_knots))
-    n_points = 2048 if n_knots > 100 else 64
-    resampled = resample_rows(wl, rows, (500.0, 800.0), n_points)
-    grid = WavenumberGrid.from_wavelength_range((500.0, 800.0), n_points)
-    npt.assert_allclose(resampled, scipy_natural_spline(wl, rows, grid), rtol=1e-12)
+    resampled = resample_rows(wl, rows)
+    npt.assert_allclose(resampled, scipy_natural_spline(wl, rows, WindowConfig()), rtol=1e-12)
     assert resampled.flags.c_contiguous
     for i in range(n_rows):
-        lone = resample_rows(wl, rows[i:i + 1], (500.0, 800.0), n_points)[0]
+        lone = resample_rows(wl, rows[i:i + 1])[0]
         assert np.array_equal(lone, resampled[i])
 
 
 def test_cached_spline_arrays_are_read_only():
-    grid = default_grid()
+    grid = WindowConfig()
     knots = 1.0 / jittered_wavelengths(768, np.random.default_rng(1))[::-1]
     spline = natural_spline(knots.tobytes(), grid)
     assert natural_spline(knots.tobytes(), grid) is spline
@@ -134,7 +134,7 @@ def test_new_wavelengths_get_a_fresh_spline():
     rng = np.random.default_rng(2)
     rows = rng.uniform(0.1, 0.4, (2, 768))
     first, second = jittered_wavelengths(768, rng), jittered_wavelengths(768, rng)
-    grid = default_grid()
+    grid = WindowConfig()
     resample_rows(first, rows)
     resampled = resample_rows(second, rows)
     npt.assert_allclose(resampled, scipy_natural_spline(second, rows, grid), rtol=1e-12)
@@ -148,7 +148,7 @@ def test_new_wavelengths_get_a_fresh_spline():
 ])
 def test_cubic_resampler_rejects_non_increasing_wavelengths(wl):
     with pytest.raises(ValueError):
-        resample_rows(np.array(wl), np.full((1, 4), 0.2), (500.0, 800.0), 64)
+        resample_rows(np.array(wl), np.full((1, 4), 0.2))
 
 
 @pytest.mark.parametrize("method", ["linear", "cubic_spline"])
@@ -158,7 +158,7 @@ def test_resampler_rejects_non_finite_or_mismatched_rows(method):
     wl = np.linspace(500.0, 800.0, 8)
     for rows in (np.array([[0.2] * 7 + [np.nan]]), np.full((1, 7), 0.2)):
         with pytest.raises(ValueError, match="^need one finite reflectance per wavelength"):
-            resample_rows(wl, rows, (500.0, 800.0), 64, method)
+            resample_rows(wl, rows, WindowConfig(), method)
 
 
 def test_hann_window_small_cases():
@@ -174,7 +174,7 @@ def test_hann_window_symmetry():
 
 
 def test_default_pad_length_meets_resolution_bound():
-    grid = default_grid()
+    grid = WindowConfig()
     pad = default_pad_length(grid.delta_sigma)
     assert pad == 2**21
     # smallest power of two whose transform bins are at most 1.5 nm apart

@@ -72,6 +72,9 @@ MUTANTS = {
         "cli.py", "range_nm=args.range_nm, window=WindowConfig(args.range_nm))",
         "range_nm=args.range_nm)"),
     "chunks of 7 trials": ("lodstudy.py", "CHUNK_ROWS = 8", "CHUNK_ROWS = 7"),
+    "a wavelength range takes text": (
+        "filmsim.py", "float(x) if isinstance(x, Real) and not isinstance(x, bool) else math.nan",
+        "float(x)"),
 }
 
 
