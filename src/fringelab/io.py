@@ -8,8 +8,10 @@ reader that checks the header and each row's field count; their numeric
 columns must hold finite numbers. Every error names the file, and the
 line where there is one. Configuration is a single JSON object whose
 sections mirror the library's config dataclasses, with one window for all
-three estimators. Floats are written with 17 significant digits so a parse
-of the written file reproduces the in-memory values bit-exactly.
+three estimators; every section, the study's included, is checked when it
+is loaded, and its error names the section. Floats are written with 17
+significant digits so a parse of the written file reproduces the in-memory
+values bit-exactly.
 """
 
 from __future__ import annotations
@@ -155,26 +157,28 @@ def read_concentration_table(path):
     return list(groups), units[0], list(groups.values())
 
 
-# Section name -> dataclass it mirrors. The study section is kept as a
-# plain mapping because its dataclass embeds the others.
+# Section name -> dataclass it mirrors.
 _SECTION_TYPES = {
     "stack": FilmStack,
     "noise": NoiseModel,
     "window": WindowConfig,
+    "study": LodStudyConfig,
 }
-# Keys each section takes. The top-level seed is the one seed key, and
-# run_table1 computes every method, so neither a noise seed nor a study
-# method is one.
-_SECTION_KEYS = {name: {f.name for f in dataclasses.fields(cls)} - {"seed"}
+# Keys each section takes. The top-level seed is the one seed key, so a noise
+# seed is not one; the study takes the other sections as sections, not keys.
+_SECTION_KEYS = {name: {f.name for f in dataclasses.fields(cls)} - set(_SECTION_TYPES) - {"seed"}
                  for name, cls in _SECTION_TYPES.items()}
-_STUDY_KEYS = ({f.name for f in dataclasses.fields(LodStudyConfig)}
-               - set(_SECTION_TYPES) - {"method"})
-_TOP_LEVEL_KEYS = set(_SECTION_TYPES) | {"study", "range_nm", "n_points", "seed"}
+_TOP_LEVEL_KEYS = set(_SECTION_TYPES) | {"range_nm", "n_points", "seed"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration assembled from a JSON document."""
+    """Validated run configuration assembled from a JSON document.
+
+    study holds the study section's keys, each value as LodStudyConfig checked and stored it
+    alone; the rules that span sections (no noise ramps, the trial count after --trials) are
+    checked where the study is built from them.
+    """
 
     stack: FilmStack
     noise: NoiseModel
@@ -246,20 +250,17 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown configuration key(s): {sorted(unknown)}")
     defaults = {"noise": {"target_snr_db": 27.7}}
-    sections = {
-        name: _build_section(name, cls, _section(document, name, _SECTION_KEYS[name],
-                                                 defaults.get(name)))
-        for name, cls in _SECTION_TYPES.items()
-    }
-    study = _section(document, "study", _STUDY_KEYS)
-    if "native_range_nm" in study:
-        study = {**study, "native_range_nm": check_range_nm(study["native_range_nm"])}
+    payloads = {name: _section(document, name, _SECTION_KEYS[name], defaults.get(name))
+                for name in _SECTION_TYPES}
+    sections = {name: _build_section(name, cls, payloads[name])
+                for name, cls in _SECTION_TYPES.items()}
+    sections["study"] = {key: getattr(sections["study"], key) for key in payloads["study"]}
     range_nm = check_range_nm(document.get("range_nm", (500.0, 800.0)))
     seed = None if document.get("seed") is None else check_seed(document["seed"], "'seed'")
     n_points = document.get("n_points", 768)
     if not isinstance(n_points, int) or n_points < 16:
         raise ConfigError("'n_points' must be an integer >= 16")
-    return RunConfig(**sections, study=study, range_nm=range_nm, n_points=n_points, seed=seed)
+    return RunConfig(**sections, range_nm=range_nm, n_points=n_points, seed=seed)
 
 
 SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b")

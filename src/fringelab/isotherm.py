@@ -23,14 +23,8 @@ from .filmsim import FilmStack, simulate_reflectance
 from .legacy import iaw
 from .wavegrid import WindowConfig
 
-# Display-unit scales relative to the canonical mol/L storage.
-UNIT_SCALES = {
-    "M": 1.0,
-    "mM": 1e-3,
-    "uM": 1e-6,
-    "nM": 1e-9,
-    "pM": 1e-12,
-}
+# Concentration units a series may be given in; its groups keep that unit.
+UNITS = ("M", "mM", "uM", "nM", "pM")
 
 N_PARAMETERS = 4  # intercept, a, b, beta
 LOWER = np.array([-np.inf, 0.0, 0.0, 0.0])
@@ -43,7 +37,7 @@ MAX_ITERATIONS = 500
 class ConcentrationGroup:
     """Replicate responses measured at one equilibrium concentration.
 
-    concentration is stored in mol/L. variance, when supplied, overrides
+    concentration is in its series' unit. variance, when supplied, overrides
     the replicate sample variance for weighting.
     """
 
@@ -73,15 +67,15 @@ class ConcentrationGroup:
 
 @dataclass(frozen=True)
 class ConcentrationSeries:
-    """Ascending concentration groups plus the unit used for display/fitting."""
+    """Ascending concentration groups, all in display_unit, the unit the fit is made in."""
 
     groups: tuple
     display_unit: str = "uM"
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
-        if self.display_unit not in UNIT_SCALES:
-            raise ValueError(f"unknown unit {self.display_unit!r}; use one of {sorted(UNIT_SCALES)}")
+        if self.display_unit not in UNITS:
+            raise ValueError(f"unknown unit {self.display_unit!r}; use one of {sorted(UNITS)}")
         conc = [g.concentration for g in self.groups]
         if any(b <= a for a, b in zip(conc, conc[1:])):
             raise ValueError("group concentrations must be strictly ascending")
@@ -89,21 +83,17 @@ class ConcentrationSeries:
     @classmethod
     def from_display(cls, concentrations, response_groups, unit: str = "uM",
                      variances=None) -> "ConcentrationSeries":
-        """Build a series from concentrations expressed in the display unit."""
-        if unit not in UNIT_SCALES:
-            raise ValueError(f"unknown unit {unit!r}; use one of {sorted(UNIT_SCALES)}")
-        scale = UNIT_SCALES[unit]
+        """Build a series from concentrations expressed in unit, which its groups keep."""
         if variances is None:
             variances = [None] * len(concentrations)
         groups = tuple(
-            ConcentrationGroup(c * scale, tuple(r), v)
+            ConcentrationGroup(c, tuple(r), v)
             for c, r, v in zip(concentrations, response_groups, variances)
         )
         return cls(groups=groups, display_unit=unit)
 
     def display_concentrations(self) -> np.ndarray:
-        scale = UNIT_SCALES[self.display_unit]
-        return np.array([g.concentration / scale for g in self.groups])
+        return np.array([g.concentration for g in self.groups])
 
     def n_points(self) -> int:
         return sum(len(g.responses) for g in self.groups)

@@ -9,13 +9,15 @@ signal units to refractive index units from a small calibration shift.
 
 Each public call is one pass: _distributions returns every (delta_n, gradient) key the call
 reads, for every method it serves, as a dict, and the call's detection limits are computed from
-that dict; run_table1 is one pass over five keys and three methods. Before it splits, a pass
-takes each method's _front of its keys' ramped clean rows once. _trial_signals runs a range of
-trials in chunks of CHUNK_ROWS (8) from the range's own start: a chunk's white rows are drawn,
-and each method's front of them taken, once for every key. A key's stack is its clean front plus
-the chunk's, the sum add_noise makes (to rounding, for rifts). A stack that raises a
-FringelabError for a method is rerun row by row for that method (a row's result is the same
-alone or stacked): only its failing trials are dropped and counted. A window too narrow for
+that dict; response_distribution, gradient_delta and lod_riu each take the one method they
+serve, and run_table1 is one pass over five keys and three methods. A pass refuses an unknown
+method or gradient before it draws anything. Before it splits, a pass takes each method's _front
+of its keys' ramped clean rows once. _trial_signals runs a range of trials in chunks of
+CHUNK_ROWS (8) from the range's own start: a chunk's white rows are drawn, and each method's
+front of them taken, once for every key. A key's stack is its clean front plus the chunk's, the
+sum add_noise makes (to rounding, for rifts). A stack that raises a FringelabError for a method
+is rerun row by row for that method (a row's result is the same alone or stacked): only its
+failing trials are dropped and counted. A window too narrow for
 rifts fails the clean front, and with it every trial, each with the message it raises alone. Any
 other exception propagates. A pass whose every ramp failed to calibrate draws nothing.
 
@@ -103,6 +105,8 @@ class LodStudyConfig:
     ramp terms. A floor is finite, or None to disable that ramp (magnitude 0). Trial i
     draws from a stream derived from (seed, i), making trials order-independent. The
     native range lies in the simulator's band; window is all three estimators' one window.
+    The config names no method: each study call takes the method it computes, and
+    run_table1 computes all three.
     """
 
     stack: FilmStack = field(default_factory=FilmStack)
@@ -111,14 +115,11 @@ class LodStudyConfig:
     native_points: int = 768
     n_trials: int = 1000
     calibration_delta_n: float = 1e-3
-    method: str = "lamp"
     offset_snr_db: float | None = OFFSET_GRADIENT_SNR_DB
     amplitude_snr_db: float | None = AMPLITUDE_GRADIENT_SNR_DB
     window: WindowConfig = field(default_factory=WindowConfig)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
         if not isinstance(self.n_trials, (int, np.integer)) or self.n_trials < 2:
             raise ValueError("n_trials must be an integer >= 2")
         check_float("calibration_delta_n", self.calibration_delta_n)
@@ -207,10 +208,14 @@ def _stats(n_trials: int, method: str, delta_n: float, gradient: str, parts: lis
     return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
 
 
-def _distributions(cfg: LodStudyConfig, keys, methods: tuple = ()) -> dict:
+def _distributions(cfg: LodStudyConfig, keys, methods: tuple) -> dict:
     """{(delta_n, gradient): {method: DistributionStats or the FringelabError that stopped
-    it}} for every key, in one pass over every method (cfg.method by default)."""
-    methods = methods or (cfg.method,)
+    it}} for every key, in one pass over every method; an unknown method or gradient is
+    refused before anything is drawn."""
+    if any(method not in METHODS for method in methods):
+        raise ValueError(f"method must be one of {METHODS}")
+    if any(gradient not in GRADIENTS for _, gradient in keys):
+        raise ValueError(f"gradient must be one of {GRADIENTS}")
     wavelengths = cfg.wavelengths()
     reference = simulate_reflectance(cfg.stack, wavelengths)
     white_sigma = cfg.noise.white_sigma(reference)
@@ -275,17 +280,14 @@ def _drift(dists: dict, gradient: str, method: str) -> float:
     return abs(with_ramp.mean - without.mean)
 
 
-def response_distribution(
-    cfg: LodStudyConfig, delta_n: float, gradient: str = "none"
-) -> DistributionStats:
-    """Distribution of the configured method's signal over noisy trials."""
-    if gradient not in GRADIENTS:
-        raise ValueError(f"gradient must be one of {GRADIENTS}")
-    return _read(_distributions(cfg, [(delta_n, gradient)]), delta_n, gradient, cfg.method)
+def response_distribution(cfg: LodStudyConfig, method: str, delta_n: float = 0.0,
+                          gradient: str = "none") -> DistributionStats:
+    """Distribution of method's signal over noisy trials at delta_n (the blank by default)."""
+    return _read(_distributions(cfg, [(delta_n, gradient)], (method,)), delta_n, gradient, method)
 
 
-def gradient_delta(cfg: LodStudyConfig, gradient: str) -> float:
-    """Drift penalty: shift of the blank mean when the ramp is switched on.
+def gradient_delta(cfg: LodStudyConfig, method: str, gradient: str) -> float:
+    """method's drift penalty: shift of its blank mean when the ramp is switched on.
 
     Trials are paired (same derived seeds with and without the ramp), so
     the white-noise contribution cancels from the comparison. Both
@@ -293,7 +295,8 @@ def gradient_delta(cfg: LodStudyConfig, gradient: str) -> float:
     """
     if gradient not in ("offset", "amplitude"):
         raise ValueError("gradient must be 'offset' or 'amplitude'")
-    return _drift(_distributions(cfg, [(0.0, "none"), (0.0, gradient)]), gradient, cfg.method)
+    return _drift(_distributions(cfg, [(0.0, "none"), (0.0, gradient)], (method,)), gradient,
+                  method)
 
 
 def crlb_delta_n(cfg: LodStudyConfig) -> float:
@@ -328,12 +331,10 @@ def _lod(dists: dict, calibration: tuple, gradient: str, method: str) -> LodResu
                      lod_riu=3.3 * (blank.std + delta_g) / slope, linearity_ratio=ratio)
 
 
-def lod_riu(cfg: LodStudyConfig, gradient: str = "none") -> LodResult:
+def lod_riu(cfg: LodStudyConfig, method: str, gradient: str = "none") -> LodResult:
     """Detection limit in refractive index units for one method and drift case."""
-    if gradient not in GRADIENTS:
-        raise ValueError(f"gradient must be one of {GRADIENTS}")
-    dists = _distributions(cfg, _lod_keys(cfg, [gradient]))
-    return _lod(dists, _calibration(cfg, dists, cfg.method), gradient, cfg.method)
+    dists = _distributions(cfg, _lod_keys(cfg, [gradient]), (method,))
+    return _lod(dists, _calibration(cfg, dists, method), gradient, method)
 
 
 @dataclass(frozen=True)

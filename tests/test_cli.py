@@ -26,7 +26,7 @@ from fringelab import (
     write_spectrum,
 )
 from fringelab.cli import PARSE_EXIT, PROCESS_EXIT, main
-from fringelab.io import _SECTION_KEYS, _STUDY_KEYS
+from fringelab.io import _SECTION_KEYS
 from fringelab.lodstudy import CHUNK_ROWS, LodStudyConfig, crlb_delta_n
 
 
@@ -613,6 +613,20 @@ class TestFit:
             "zero-variance concentration groups weighted by the pooled variance"]
         assert captured.err.splitlines() == [f"warning: {payload['warnings'][0]}"]
 
+    def test_curve_ends_at_the_files_concentrations_bit_for_bit(self, tmp_path):
+        # the series keeps the file's unit: its concentrations once went to mol/L and back,
+        # and a 30 nM top concentration came back as 30.000000000000004
+        true = RedlichPetersonFit(intercept=0.08, a=0.082, b=0.1, beta=0.88)
+        rng = np.random.default_rng(1)
+        rows = [f"{c!r},nM,{v:.17g}" for c in (0.0, 0.3, 1.0, 3.0, 10.0, 30.0)
+                for v in rng.normal(model_eval(true, c), 1e-3, 4)]
+        table = tmp_path / "series.csv"
+        table.write_text("\n".join(["concentration,unit,response", *rows]) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(table), "--three-sigma-blank", "0.01", "--out", str(out)]) == 0
+        curve = json.loads(out.read_text())["curve"]
+        assert (curve[0]["concentration"], curve[-1]["concentration"]) == (0.3 / 10.0, 30.0)
+
     def test_too_few_groups_is_a_config_error(self, tmp_path, capsys):
         table = tmp_path / "series.csv"
         table.write_text(
@@ -680,11 +694,11 @@ class TestSnrAndErrors:
 
 def true_key_cases():
     """`true` for each numeric config key (complex(True) and int(True) are 1): under lod-table,
-    without --trials, which would override study.n_trials; under simulate too for the stack
-    and noise sections, which it reads. A noise section needs its S/N target."""
-    sections = {**_SECTION_KEYS, "study": _STUDY_KEYS}
-    for section, keys in sections.items():
-        commands = ("lod-table", "simulate") if section in ("stack", "noise") else ("lod-table",)
+    without --trials, which would override study.n_trials; under simulate too for the stack,
+    noise and study sections, which every command checks at load. A noise section needs its
+    S/N target."""
+    for section, keys in _SECTION_KEYS.items():
+        commands = ("lod-table", "simulate") if section != "window" else ("lod-table",)
         base = {"target_snr_db": 27.7} if section == "noise" else {}
         for key in sorted(keys):
             config = json.dumps({section: {**base, key: True}})
@@ -828,13 +842,17 @@ def test_shared_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, 
 
 
 def config_error_lines(tmp_path, capsys, command, config) -> list:
-    """stderr's lines from process or lod-table under config, which must exit 2 with no
-    traceback and write no output."""
+    """stderr's lines from simulate, process, timeseries or lod-table under config, which must
+    exit 2 with no traceback and write no output."""
     (tmp_path / "run.json").write_text(config)
     if command == "process":
         write_stack_spectrum(tmp_path / "ref.csv")
         write_stack_spectrum(tmp_path / "a.csv", 1e-3)
         argv = ["process", "--method", "lamp", "ref.csv", "a.csv"]
+    elif command == "simulate":
+        argv = ["simulate", "--seed", "1"]
+    elif command == "timeseries":  # the configuration is loaded before the manifest is read
+        argv = ["timeseries", "--manifest", "absent.csv", "--methods", "lamp"]
     else:
         argv = ["lod-table", "--trials", "4", "--seed", "1"]
     assert main([*argv, "--config", "run.json", "--out", "out"]) == PARSE_EXIT
@@ -853,6 +871,22 @@ def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkey
     [line] = config_error_lines(tmp_path, capsys, command,
                                 json.dumps({"window": {"range_nm": window}}))
     assert line.startswith("error: invalid 'window' section: wavelength range must be")
+
+
+@pytest.mark.parametrize("command", ["simulate", "process", "timeseries", "lod-table"])
+@pytest.mark.parametrize("study, message", [
+    ({"n_trials": 1}, "n_trials must be an integer >= 2"),
+    ({"calibration_delta_n": -1}, "calibration_delta_n must be positive"),
+    ({"native_range_nm": [800, 500]}, "native_range_nm must be two numbers 200 <= low < high"),
+], ids=["n_trials", "calibration_delta_n", "native_range_nm"])
+def test_bad_study_key_exits_2_naming_the_section_and_key(tmp_path, capsys, monkeypatch, command,
+                                                          study, message):
+    # the study section is checked at load like the others: simulate, process and timeseries
+    # once ran on past a bad study key, and a bad native range named neither the section nor
+    # the key; lod-table's --trials 4 does not excuse a bad n_trials in the file
+    monkeypatch.chdir(tmp_path)
+    [line] = config_error_lines(tmp_path, capsys, command, json.dumps({"study": study}))
+    assert line.startswith(f"error: invalid 'study' section: {message}")
 
 
 @pytest.mark.parametrize("command", ["process", "lod-table"])

@@ -263,7 +263,7 @@ class TestRunConfig:
                 load_run_config(text=f'{{"{section}": {{{key}}}}}')
 
     def test_unknown_study_key_rejected(self):
-        # run_table1 computes every method, so the study takes none
+        # the study config names no method: each study call takes the one it computes
         for study in ('{"trials": 10}', '{"method": "iaw"}', '{"strict_linearity": true}'):
             with pytest.raises(ConfigError, match="unknown key.*'study' section"):
                 load_run_config(text=f'{{"study": {study}}}')
@@ -318,8 +318,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("document", ['{"window": {"range_nm": %s}}', '{"range_nm": %s}',
                                           '{"study": {"native_range_nm": %s}}'])
     def test_range_of_text_rejected(self, document):
-        # as every other numeric key refuses a string, a wavelength range refuses "500"
-        with pytest.raises(ConfigError, match="wavelength range must be two numbers"):
+        # as every other numeric key refuses a string, a wavelength range refuses "500"; the
+        # study's error names its section and key
+        with pytest.raises(ConfigError, match="(wavelength range|^invalid 'study' section: "
+                           "native_range_nm) must be two numbers"):
             load_run_config(text=document % '["500", "800"]')
 
     def test_bad_n_points_rejected(self):

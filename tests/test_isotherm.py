@@ -284,7 +284,7 @@ def test_reduced_chi_squared_definition():
         theta = model_eval(fit, c)
         groups.append(
             ConcentrationGroup(
-                c * 1e-6, (theta + sigma, theta + sigma), variance=sigma**2
+                c, (theta + sigma, theta + sigma), variance=sigma**2
             )
         )
     series = ConcentrationSeries(groups=tuple(groups), display_unit="uM")

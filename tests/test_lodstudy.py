@@ -3,6 +3,7 @@
 import importlib
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -41,12 +42,12 @@ from fringelab.lodstudy import CHUNK_ROWS, _trial_seed, crlb_delta_n
 PHASE_PER_RIU = 4.0 * math.pi * 2400.0 * ((1.0 / 500.0 + 1.0 / 800.0) / 2.0)
 
 
-def study(method="lamp", sigma=None, snr_db=27.7, seed=11, n_trials=12, **kw):
+def study(sigma=None, snr_db=27.7, seed=11, n_trials=12, **kw):
     if sigma is not None:
         noise = NoiseModel(gaussian_sigma=sigma, seed=seed)
     else:
         noise = NoiseModel(target_snr_db=snr_db, seed=seed)
-    return LodStudyConfig(noise=noise, method=method, n_trials=n_trials, **kw)
+    return LodStudyConfig(noise=noise, n_trials=n_trials, **kw)
 
 
 def pass_inputs(cfg, delta_n, gradient):
@@ -58,8 +59,6 @@ def pass_inputs(cfg, delta_n, gradient):
 
 
 def test_config_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        study(method="fourier")
     with pytest.raises(ValueError):
         study(n_trials=1)
     with pytest.raises(ValueError):
@@ -127,48 +126,48 @@ def test_trial_seeds_are_deterministic_and_distinct():
 
 
 def test_response_distribution_is_deterministic():
-    cfg = study(method="iaw", n_trials=10)
-    first = response_distribution(cfg, 1e-3)
-    second = response_distribution(cfg, 1e-3)
+    cfg = study(n_trials=10)
+    first = response_distribution(cfg, "iaw", 1e-3)
+    second = response_distribution(cfg, "iaw", 1e-3)
     assert first == second
 
 
 def test_noiseless_blank_is_degenerate_for_lamp():
     cfg = study(sigma=0.0, n_trials=3)
-    stats = response_distribution(cfg, 0.0)
+    stats = response_distribution(cfg, "lamp", 0.0)
     assert stats.mean == 0.0
     assert stats.std == 0.0
     assert stats.n_trials == 3
 
 
 def test_iaw_blank_rectifies_noise():
-    stats = response_distribution(study(method="iaw"), 0.0)
+    stats = response_distribution(study(), "iaw", 0.0)
     assert stats.mean > 0.0
     assert stats.std > 0.0
 
 
 def test_lamp_shifted_mean_matches_phase_prediction():
     cfg = study(n_trials=24)
-    stats = response_distribution(cfg, 1e-3)
+    stats = response_distribution(cfg, "lamp", 1e-3)
     assert stats.mean == pytest.approx(PHASE_PER_RIU * 1e-3, rel=0.05)
 
 
 def test_gradient_delta_zero_when_ramp_disabled():
-    cfg = study(method="iaw", n_trials=8, offset_snr_db=None)
-    assert gradient_delta(cfg, "offset") == 0.0
+    cfg = study(n_trials=8, offset_snr_db=None)
+    assert gradient_delta(cfg, "iaw", "offset") == 0.0
 
 
 def test_gradient_delta_pairs_out_white_noise():
     # With a vanishing white level the paired comparison must reduce to
     # the deterministic ramp penalty computed directly on clean spectra.
-    cfg = study(method="iaw", sigma=1e-9, n_trials=6)
+    cfg = study(sigma=1e-9, n_trials=6)
     reference, _, model = pass_inputs(cfg, 0.0, "offset")
     magnitude = model.offset_ramp_magnitude
     wl = cfg.wavelengths()
     t = (wl - wl[0]) / (wl[-1] - wl[0])
     ramped = Spectrum(wl, reference.reflectance + magnitude * t)
     expected = iaw(reference, ramped)
-    assert gradient_delta(cfg, "offset") == pytest.approx(expected, rel=1e-6)
+    assert gradient_delta(cfg, "iaw", "offset") == pytest.approx(expected, rel=1e-6)
     # Zero-meaned ramp residue: mean |t - 1/2| over an even n-point grid
     # is n / (4 (n - 1)), the discrete form of the triangular-mean 1/4.
     n = cfg.native_points
@@ -177,11 +176,11 @@ def test_gradient_delta_pairs_out_white_noise():
 
 def test_gradient_delta_rejects_none():
     with pytest.raises(ValueError):
-        gradient_delta(study(), "none")
+        gradient_delta(study(), "lamp", "none")
 
 
 def test_lod_result_satisfies_detection_formula():
-    result = lod_riu(study(n_trials=16), "offset")
+    result = lod_riu(study(n_trials=16), "lamp", "offset")
     assert result.lod_riu == pytest.approx(
         3.3 * (result.sigma_blank + result.delta_g) / result.slope, rel=1e-12
     )
@@ -191,7 +190,7 @@ def test_lod_result_satisfies_detection_formula():
 
 
 def test_lamp_slope_converts_phase_to_riu():
-    result = lod_riu(study(n_trials=20))
+    result = lod_riu(study(n_trials=20), "lamp")
     assert result.delta_g == 0.0
     assert result.slope == pytest.approx(PHASE_PER_RIU, rel=0.05)
 
@@ -210,9 +209,9 @@ def test_rectified_response_trips_linearity_guard():
     # The integrated-difference signal grows sub-linearly once the shift
     # is comparable to the noise floor, so the half-shift slope check
     # fires: a warning, never an error.
-    cfg = study(method="iaw", n_trials=24)
+    cfg = study(n_trials=24)
     with pytest.warns(UserWarning, match="not linear"):
-        lod_riu(cfg)
+        lod_riu(cfg, "iaw")
 
 
 @pytest.mark.parametrize("ratio, warns", [
@@ -221,11 +220,11 @@ def test_linearity_warning_fires_past_ten_percent_either_way(monkeypatch, ratio,
     # the half-shift slope over the calibration slope, set through the pass's distributions
     cfg = study(n_trials=100)
     means = {0.0: 0.0, cfg.calibration_delta_n: 1.0, cfg.calibration_delta_n / 2.0: 0.5 * ratio}
-    monkeypatch.setattr(lodstudy, "_distributions", lambda cfg, keys: {
-        key: {cfg.method: DistributionStats(means[key[0]], 0.1, 100)} for key in keys})
+    monkeypatch.setattr(lodstudy, "_distributions", lambda cfg, keys, methods: {
+        key: {methods[0]: DistributionStats(means[key[0]], 0.1, 100)} for key in keys})
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        result = lod_riu(cfg)
+        result = lod_riu(cfg, "lamp")
     assert result.linearity_ratio == pytest.approx(ratio, rel=1e-12)
     assert [str(w.message) for w in record] == (
         [f"lamp response is not linear near the calibration point: slope at delta_n/2 "
@@ -236,27 +235,27 @@ def test_linearity_warning_fires_past_ten_percent_either_way(monkeypatch, ratio,
 def test_one_failed_trial_in_100_is_dropped_and_two_are_a_study_error(monkeypatch, indices):
     # MAX_FAILURE_FRACTION (1%) at MIN_REPORTED_TRIALS; a flat row has no rifts peak, and the
     # two failures fall on both sides of a forked pass's split
-    cfg = study(method="rifts", n_trials=100)
+    cfg = study(n_trials=100)
     flatten_trial(monkeypatch, cfg, *indices)
     if len(indices) == 1:
-        assert response_distribution(cfg, 0.0).n_trials == 99
+        assert response_distribution(cfg, "rifts", 0.0).n_trials == 99
     else:
         with pytest.raises(StudyError, match=r"^2 of 100 trials failed \(rifts, .*first "
                            r"failure: trial 3: no fringe peak"):
-            response_distribution(cfg, 0.0)
+            response_distribution(cfg, "rifts", 0.0)
 
 
 def test_study_error_when_trials_cannot_be_processed():
     # Processing range wider than the simulated data fails every trial.
     cfg = study(n_trials=8, window=WindowConfig(range_nm=(400.0, 900.0)))
     with pytest.raises(StudyError, match="8 of 8 trials failed"):
-        response_distribution(cfg, 0.0)
+        response_distribution(cfg, "lamp", 0.0)
 
 
 def test_blank_spread_agrees_across_seed_families():
     stds = []
     for seed in (101, 202):
-        stats = response_distribution(study(method="iaw", seed=seed, n_trials=60), 0.0)
+        stats = response_distribution(study(seed=seed, n_trials=60), "iaw", 0.0)
         stds.append(stats.std)
     # std-of-std law: relative standard error ~ 1/sqrt(2 n) per family
     combined = math.hypot(*stds) / math.sqrt(2 * 60)
@@ -268,7 +267,7 @@ def test_lod_scales_with_white_noise_for_linear_methods():
         warnings.simplefilter("ignore")
         for method in ("rifts", "lamp"):
             lods = [
-                lod_riu(study(method=method, sigma=s, n_trials=60)).lod_riu
+                lod_riu(study(sigma=s, n_trials=60), method).lod_riu
                 for s in (0.002, 0.02)
             ]
             assert lods[1] / lods[0] == pytest.approx(10.0, rel=0.3)
@@ -323,11 +322,29 @@ def test_run_table1_enforces_minimum_trials():
         run_table1(study(n_trials=50))
 
 
-def test_gradient_rejected_outside_vocabulary():
-    with pytest.raises(ValueError):
-        response_distribution(study(), 0.0, gradient="ramp")
-    with pytest.raises(ValueError):
-        lod_riu(study(), gradient="tilt")
+@pytest.mark.parametrize("call, refused", [
+    # the call forms of a config that named its method
+    (lambda cfg: lod_riu(cfg, "offset"), "method"),
+    (lambda cfg: response_distribution(cfg, 0.0), "method"),
+    (lambda cfg: response_distribution(cfg, "fourier", 0.0), "method"),
+    (lambda cfg: gradient_delta(cfg, "fourier", "offset"), "method"),
+    (lambda cfg: lod_riu(cfg, "fourier", "offset"), "method"),
+    (lambda cfg: response_distribution(cfg, "lamp", 0.0, gradient="ramp"), "gradient"),
+    (lambda cfg: lod_riu(cfg, "lamp", gradient="tilt"), "gradient"),
+], ids=["old-lod_riu", "old-response_distribution", "response_distribution-method",
+        "gradient_delta-method", "lod_riu-method", "response_distribution-gradient",
+        "lod_riu-gradient"])
+def test_unknown_method_or_gradient_is_refused_before_any_row_is_drawn(monkeypatch, call,
+                                                                        refused):
+    # the pass's one check: without it, an unknown method ran as lamp and an unknown gradient
+    # as none
+    def drawn(*args):
+        raise AssertionError("a white row was drawn")
+
+    monkeypatch.setattr(lodstudy, "white_rows", drawn)
+    vocabulary = {"method": lodstudy.METHODS, "gradient": lodstudy.GRADIENTS}[refused]
+    with pytest.raises(ValueError, match=re.escape(f"{refused} must be one of {vocabulary}")):
+        call(study())
 
 
 def test_noise_stack_rows_are_the_serial_trials():
@@ -361,9 +378,9 @@ def flatten_trial(monkeypatch, cfg, *indices):
 
 @pytest.mark.parametrize("method", ["lamp", "rifts"])
 def test_domain_error_drops_only_its_row(monkeypatch, method):
-    cfg = study(method=method, n_trials=100)
+    cfg = study(n_trials=100)
     flatten_trial(monkeypatch, cfg, 3)  # inside the first stack
-    stats = response_distribution(cfg, 0.0)
+    stats = response_distribution(cfg, method, 0.0)
     # the other 99 trials keep the signals they have when evaluated alone
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
     reference, clean, model = pass_inputs(cfg, 0.0, "none")
@@ -384,7 +401,7 @@ def test_domain_error_drops_its_trial_only_from_the_failing_methods(monkeypatch)
     counts = {m: shared[m].n_trials for m in lodstudy.METHODS}
     assert counts == {"rifts": 99, "iaw": 100, "lamp": 99}
     for method in lodstudy.METHODS:  # evaluating the methods on shared stacks changes no value
-        alone = response_distribution(replace(cfg, method=method), 0.0)
+        alone = response_distribution(cfg, method, 0.0)
         assert shared[method] == alone
 
 
@@ -436,8 +453,8 @@ def test_pass_that_serves_no_rifts_builds_no_rifts_front(monkeypatch):
         raise AssertionError("rifts front built for a lamp pass")
 
     monkeypatch.setattr(lodstudy, "rifts_front", broken)
-    cfg = study(method="lamp", n_trials=2 * CHUNK_ROWS)
-    assert response_distribution(cfg, 0.0).n_trials == 2 * CHUNK_ROWS
+    cfg = study(n_trials=2 * CHUNK_ROWS)
+    assert response_distribution(cfg, "lamp", 0.0).n_trials == 2 * CHUNK_ROWS
 
 
 def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
@@ -451,7 +468,7 @@ def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
     monkeypatch.setattr(lodstudy, "white_rows", counted)
     cfg = study(n_trials=2 * CHUNK_ROWS, offset_snr_db=40.0)
     with pytest.raises(CalibrationError, match="white noise alone"):
-        response_distribution(cfg, 0.0, "offset")
+        response_distribution(cfg, "lamp", 0.0, "offset")
     assert drawn == []
 
 
@@ -469,9 +486,9 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
     monkeypatch.setattr(lodstudy, "_trial_signals", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lod_riu(study(n_trials=2 * CHUNK_ROWS), "offset")
+        lod_riu(study(n_trials=2 * CHUNK_ROWS), "lamp", "offset")
     smoke_table()
-    gradient_delta(study(n_trials=2 * CHUNK_ROWS), "amplitude")
+    gradient_delta(study(n_trials=2 * CHUNK_ROWS), "lamp", "amplitude")
     # (keys, trials): lod_riu's one pass, the table's, then gradient_delta's (ramp and blank)
     assert passes == [(4, range(16)), (5, range(16)), (2, range(16))]
 
@@ -493,7 +510,7 @@ def test_bug_in_a_stage_propagates(monkeypatch, method, module, stage):
 
     monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), stage, broken)
     with pytest.raises(TypeError, match="injected bug"):
-        response_distribution(study(method=method, n_trials=CHUNK_ROWS), 0.0)
+        response_distribution(study(n_trials=CHUNK_ROWS), method, 0.0)
 
 
 FORKS = len(_split.split(list, 2 * CHUNK_ROWS)) == 2
@@ -538,7 +555,7 @@ def test_domain_error_is_counted_with_its_trial_index(monkeypatch, n_trials, ind
         if path == "one cpu":
             one_cpu(monkeypatch)
         with pytest.raises(StudyError, match=expected) as info:
-            response_distribution(cfg, 0.0)
+            response_distribution(cfg, "lamp", 0.0)
         messages.append(str(info.value))
     assert len(set(messages)) == 1
 
@@ -587,14 +604,14 @@ def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
 def test_narrow_window_fails_every_trial_with_its_own_message(monkeypatch, method):
     # rifts' window error is raised by the clean rows' front, before any white row is drawn;
     # it still fails each trial, with the message each raises alone
-    cfg = study(method=method, n_trials=2 * CHUNK_ROWS, window=WindowConfig(range_nm=(600, 610)))
+    cfg = study(n_trials=2 * CHUNK_ROWS, window=WindowConfig(range_nm=(600, 610)))
     expected = (rf"^16 of 16 trials failed \({method}, delta_n=0, gradient=none\); "
                 r"first failure: trial 0: window too narrow")
     for path in ("forked", "one cpu") if FORKS else ("one cpu",):
         if path == "one cpu":
             one_cpu(monkeypatch)
         with pytest.raises(StudyError, match=expected):
-            response_distribution(cfg, 0.0)
+            response_distribution(cfg, method, 0.0)
 
 
 @needs_fork
@@ -610,7 +627,7 @@ def test_worker_computes_the_upper_half_of_the_stacks(monkeypatch, tmp_path):
         return white_rows(sigma, points, seeds)
 
     monkeypatch.setattr(lodstudy, "white_rows", logged)
-    response_distribution(cfg, 0.0)
+    response_distribution(cfg, "lamp", 0.0)
     trials = {side: [int(i) for i in (tmp_path / side).read_text().split()]
               for side in ("caller", "worker")}
     assert trials == {"caller": list(range(50)), "worker": list(range(50, 100))}
@@ -620,7 +637,7 @@ def test_worker_computes_the_upper_half_of_the_stacks(monkeypatch, tmp_path):
 def test_lod_riu_warning_names_its_caller(monkeypatch, n_trials):
     monkeypatch.setattr(lodstudy, "LINEARITY_TOLERANCE", -1.0)
     with pytest.warns(UserWarning, match="iaw response is not linear") as record:
-        lod_riu(study(method="iaw", n_trials=n_trials))
+        lod_riu(study(n_trials=n_trials), "iaw")
     assert [w.filename for w in record] == [__file__]
 
 

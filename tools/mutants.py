@@ -75,6 +75,9 @@ MUTANTS = {
     "a wavelength range takes text": (
         "filmsim.py", "float(x) if isinstance(x, Real) and not isinstance(x, bool) else math.nan",
         "float(x)"),
+    "an unknown method runs as lamp": (
+        "lodstudy.py", "    if any(method not in METHODS for method in methods):\n"
+        "        raise ValueError(f\"method must be one of {METHODS}\")\n", ""),
 }
 
 
