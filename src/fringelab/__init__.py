@@ -53,14 +53,12 @@ from .lamp import (
     unwrap_phase,
 )
 from .lodstudy import (
-    DistributionStats,
     LodResult,
     LodStudyConfig,
     Table1Report,
-    gradient_delta,
     lod_riu,
-    response_distribution,
     run_table1,
+    study_pass,
 )
 from .isotherm import (
     ConcentrationGroup,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, FoldOverError, SaturationError
-from .filmsim import FilmStack, simulate_reflectance
+from .filmsim import FilmStack, check_float, simulate_reflectance
 from .legacy import iaw
 from .wavegrid import WindowConfig
 
@@ -47,12 +47,14 @@ class ConcentrationGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "responses", tuple(float(r) for r in self.responses))
+        check_float("concentration", self.concentration)
         if self.concentration < 0:
             raise ValueError("concentrations must be non-negative")
         if not all(math.isfinite(r) for r in self.responses):
             raise ValueError("responses must be finite")
         if len(self.responses) < 2 and self.variance is None:
             raise ValueError("need >= 2 replicates per group or a supplied variance")
+        check_float("variance", self.variance, optional=True)
         if self.variance is not None and self.variance < 0:
             raise ValueError("supplied variance must be non-negative")
 

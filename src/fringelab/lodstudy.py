@@ -7,22 +7,27 @@ blank-versus-shifted construction: LOD = 3.3 (sigma_blank + delta_g) / slope,
 where delta_g charges any systematic drift penalty and the slope converts
 signal units to refractive index units from a small calibration shift.
 
-Each public call is one pass: _distributions returns every (delta_n, gradient) key the call
-reads, for every method it serves, as a dict, and the call's detection limits are computed from
-that dict; response_distribution, gradient_delta and lod_riu each take the one method they
-serve, and run_table1 is one pass over five keys and three methods. A pass refuses an unknown
-method or gradient before it draws anything. Before it splits, a pass takes each method's _front
-of its keys' ramped clean rows once. _trial_signals runs a range of trials in chunks of
-CHUNK_ROWS (8) from the range's own start: a chunk's white rows are drawn, and each method's
-front of them taken, once for every key. A key's stack is its clean front plus the chunk's, the
-sum add_noise makes (to rounding, for rifts). A stack that raises a FringelabError for a method
-is rerun row by row for that method (a row's result is the same alone or stacked): only its
-failing trials are dropped and counted. A window too narrow for
-rifts fails the clean front, and with it every trial, each with the message it raises alone. Any
-other exception propagates. A pass whose every ramp failed to calibrate draws nothing.
+study_pass(cfg, keys, methods) is the one public pass. For every (delta_n, gradient) key and
+every method it returns the signal of each trial, in trial order with NaN at a failed trial,
+and the failures as (trial, type name, message). A key whose drift ramp failed to calibrate
+holds that CalibrationError for every method. lod_riu (one method and drift) and run_table1
+(every method and drift) are its two reductions. Each runs one pass over the keys its detection
+limits read, and takes a key's signals without its failed trials, in trial order, to a mean and
+std. A key with more than MAX_FAILURE_FRACTION of its trials failed is a StudyError, and a NaN at
+a trial that did not fail is a bug: it raises ValueError.
+
+A pass refuses an unknown method or gradient before it draws anything. Before it splits, a pass
+takes each method's _front of its keys' ramped clean rows once. _trial_signals runs a range of
+trials in chunks of CHUNK_ROWS (8) from the range's own start: a chunk's white rows are drawn,
+and each method's front of them taken, once for every key. A key's stack is its clean front plus
+the chunk's, the sum add_noise makes (to rounding, for rifts). A stack that raises a
+FringelabError for a method is rerun row by row for that method (a row's result is the same
+alone or stacked): only its failing trials fail. A window too narrow for rifts fails the clean
+front, and with it every trial, each with the message it raises alone. Any other exception
+propagates. A pass whose every ramp failed to calibrate draws nothing.
 
 A pass's trials run through _split.split, which may run trials n_trials // 2 to n_trials - 1
-in a forked child while the caller runs the rest. Each key's signals and errors are joined in
+in a forked child while the caller runs the rest. Each key's signals and failures are joined in
 trial order, so every trial's result, failure and warning is the serial loop's, and a bug in
 the child's trials is raised in the caller with its own type.
 """
@@ -65,21 +70,6 @@ MIN_REPORTED_TRIALS = 100
 
 # Trials per stack, set by memory: 16, 32 and 100 rows add ~4, 12 and 48 MB of peak RSS.
 CHUNK_ROWS = 8
-
-
-@dataclass(frozen=True)
-class DistributionStats:
-    """Sample mean and standard deviation of per-trial method signals."""
-
-    mean: float
-    std: float
-    n_trials: int
-
-    def __post_init__(self):
-        if self.n_trials < 2:
-            raise ValueError("need at least two trials for a distribution")
-        if not self.std >= 0.0:
-            raise ValueError("standard deviation must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -162,27 +152,39 @@ def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, stack) -> l
 
 def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float, clean: dict,
                    n_keys: int, trials: range) -> list:
-    """Per key, {method: (signals, "trial i: ..." errors)} over trials, in order, given each
-    method's _front of the n_keys ramped clean rows; each chunk's white rows are drawn once."""
-    results = [{method: ([], []) for method in clean} for _ in range(n_keys)]
+    """Per key, {method: (signals, failures)} over trials, given each method's _front of the
+    n_keys ramped clean rows or the FringelabError it raised: signals holds a float64 per trial,
+    NaN where it failed, and failures (trial, type name, message) in trial order. Each chunk's
+    white rows are drawn once."""
+    results = [{method: (np.full(len(trials), np.nan), []) for method in clean}
+               for _ in range(n_keys)]
     for start in range(trials.start, trials.stop, CHUNK_ROWS):
         chunk = range(start, min(start + CHUNK_ROWS, trials.stop))
         white = white_rows(white_sigma, len(reference),
                            [_trial_seed(cfg.noise.seed, i) for i in chunk])
-        whites = {method: _front(cfg, method, reference.wavelengths_nm, white) for method in clean}
+        whites = {method: _front(cfg, method, reference.wavelengths_nm, white)
+                  for method, front in clean.items() if not isinstance(front, FringelabError)}
         for k, result in enumerate(results):
-            for method, (signals, errors) in result.items():
+            for method, (signals, failures) in result.items():
+                if method not in whites:  # its clean front failed, as each trial does alone
+                    failures += [_failure(i, clean[method]) for i in chunk]
+                    continue
+                out = signals[start - trials.start : chunk.stop - trials.start]  # a view
                 stack = clean[method][k : k + 1] + whites[method]
                 try:
-                    signals += _evaluate(cfg, method, reference, stack)
-                except FringelabError:  # rerun row by row: only the failing trials are dropped
+                    out[:] = _evaluate(cfg, method, reference, stack)
+                except FringelabError:  # rerun row by row: only the failing trials fail
                     for j, i in enumerate(chunk):
                         try:
-                            signals += _evaluate(cfg, method, reference, stack[j : j + 1])
+                            out[j] = _evaluate(cfg, method, reference, stack[j : j + 1])[0]
                         except FringelabError as exc:
-                            errors.append(f"trial {i}: {exc}")
+                            failures.append(_failure(i, exc))
         del whites  # after the chunk's last key
     return results
+
+
+def _failure(trial: int, exc: FringelabError) -> tuple:
+    return trial, type(exc).__name__, str(exc)
 
 
 def _noise_model(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
@@ -196,21 +198,11 @@ def _noise_model(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float,
                       amplitude_ramp_gain=magnitude if gradient == "amplitude" else 0.0)
 
 
-def _stats(n_trials: int, method: str, delta_n: float, gradient: str, parts: list):
-    """method's DistributionStats over one key's (signals, errors) parts, in trial order, or its
-    StudyError."""
-    errors = [error for _, part_errors in parts for error in part_errors]
-    if len(errors) > MAX_FAILURE_FRACTION * n_trials:
-        return StudyError(f"{len(errors)} of {n_trials} trials failed ({method}, "
-                          f"delta_n={delta_n:g}, gradient={gradient}); "
-                          f"first failure: {errors[0]}")
-    values = np.asarray([signal for signals, _ in parts for signal in signals])
-    return DistributionStats(float(values.mean()), float(values.std(ddof=1)), values.size)
-
-
-def _distributions(cfg: LodStudyConfig, keys, methods: tuple) -> dict:
-    """{(delta_n, gradient): {method: DistributionStats or the FringelabError that stopped
-    it}} for every key, in one pass over every method; an unknown method or gradient is
+def study_pass(cfg: LodStudyConfig, keys, methods: tuple) -> dict:
+    """{(delta_n, gradient): {method: (signals, failures) or the CalibrationError of the key's
+    ramp}} for every key, in one pass over every method. signals holds method's float64 signal
+    for each of cfg.n_trials trials, NaN where the trial failed; failures lists each failed
+    trial as (trial, type name, message), in trial order. An unknown method or gradient is
     refused before anything is drawn."""
     if any(method not in METHODS for method in methods):
         raise ValueError(f"method must be one of {METHODS}")
@@ -219,84 +211,82 @@ def _distributions(cfg: LodStudyConfig, keys, methods: tuple) -> dict:
     wavelengths = cfg.wavelengths()
     reference = simulate_reflectance(cfg.stack, wavelengths)
     white_sigma = cfg.noise.white_sigma(reference)
-    dists, todo = {}, []
+    passed, todo = {}, []
     for delta_n, gradient in keys:
         try:
             todo.append((delta_n, gradient, _noise_model(cfg, reference, white_sigma, gradient)))
         except CalibrationError as exc:  # the ramp's failure is every method's
-            dists[delta_n, gradient] = dict.fromkeys(methods, exc)
+            passed[delta_n, gradient] = dict.fromkeys(methods, exc)
     if not todo:  # every ramp failed: nothing to draw
-        return dists
+        return passed
     spectra = {delta_n: simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
                for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
     ramped = np.array([ramped_reflectance(spectra[delta_n], model) for delta_n, _, model in todo])
     # before the split, so that a forked child inherits the fronts
-    clean, failed = {}, {}
+    clean = {}
     for method in methods:
         try:
             clean[method] = _front(cfg, method, wavelengths, ramped)
         except FringelabError as exc:  # rifts' window error, which every trial raises alone
-            failed[method] = ([], [f"trial {i}: {exc}" for i in range(cfg.n_trials)])
+            clean[method] = exc
     parts = split(lambda trials: _trial_signals(cfg, reference, white_sigma, clean, len(todo),
                                                 trials), cfg.n_trials)
     for (delta_n, gradient, _), *results in zip(todo, *parts):  # a key's result in each part
-        dists[delta_n, gradient] = {
-            method: _stats(cfg.n_trials, method, delta_n, gradient,
-                           [failed[method]] if method in failed else [r[method] for r in results])
+        passed[delta_n, gradient] = {
+            method: (np.concatenate([r[method][0] for r in results]),
+                     [failure for r in results for failure in r[method][1]])
             for method in methods}
-    return dists
+    return passed
 
 
-def _read(dists: dict, delta_n: float, gradient: str, method: str) -> DistributionStats:
-    """method's distribution at (delta_n, gradient) from a pass, or the error it stored."""
-    stats = dists[delta_n, gradient][method]
-    if isinstance(stats, FringelabError):
-        raise stats.with_traceback(None)
-    return stats
+def _values(passed: dict, delta_n: float, gradient: str, method: str) -> np.ndarray:
+    """method's signals at (delta_n, gradient) in a pass without its failed trials, in trial
+    order; the key's CalibrationError, or a StudyError past MAX_FAILURE_FRACTION failures."""
+    result = passed[delta_n, gradient][method]
+    if isinstance(result, FringelabError):
+        raise result.with_traceback(None)
+    signals, failures = result
+    if len(failures) > MAX_FAILURE_FRACTION * len(signals):
+        trial, _, message = failures[0]
+        raise StudyError(f"{len(failures)} of {len(signals)} trials failed ({method}, "
+                         f"delta_n={delta_n:g}, gradient={gradient}); "
+                         f"first failure: trial {trial}: {message}")
+    values = np.delete(signals, [trial for trial, _, _ in failures])
+    if not np.isfinite(values).all():  # a failed trial raised, so this one is a bug
+        raise ValueError(f"{method} gave a non-finite signal at a trial that did not fail "
+                         f"(delta_n={delta_n:g}, gradient={gradient})")
+    return values
 
 
-def _calibration(cfg: LodStudyConfig, dists: dict, method: str) -> tuple:
-    """method's (blank, slope, half-shift ratio), shared by every gradient."""
-    blank = _read(dists, 0.0, "none", method)
-    shifted = _read(dists, cfg.calibration_delta_n, "none", method)
-    slope = (shifted.mean - blank.mean) / cfg.calibration_delta_n
+def _mean(passed: dict, delta_n: float, gradient: str, method: str) -> float:
+    return float(_values(passed, delta_n, gradient, method).mean())
+
+
+def _calibration(cfg: LodStudyConfig, passed: dict, method: str) -> tuple:
+    """method's (blank std, slope, half-shift ratio), shared by every gradient."""
+    blank = _values(passed, 0.0, "none", method)
+    blank_mean = float(blank.mean())
+    shifted = _mean(passed, cfg.calibration_delta_n, "none", method)
+    slope = (shifted - blank_mean) / cfg.calibration_delta_n
     if slope <= 0:
         raise CalibrationError(f"{method} signal did not respond to the calibration "
                                f"shift (slope {slope:g})")
-    half = _read(dists, cfg.calibration_delta_n / 2.0, "none", method)
-    half_slope = (half.mean - blank.mean) / (cfg.calibration_delta_n / 2.0)
+    half = _mean(passed, cfg.calibration_delta_n / 2.0, "none", method)
+    half_slope = (half - blank_mean) / (cfg.calibration_delta_n / 2.0)
     ratio = half_slope / slope
     if abs(ratio - 1.0) > LINEARITY_TOLERANCE:
         message = (f"{method} response is not linear near the calibration point: "
                    f"slope at delta_n/2 differs by {100 * abs(ratio - 1):.1f}%")
         # _calibration <- run_table1 or lod_riu <- the user's call
         warnings.warn(message, stacklevel=3)
-    return blank, slope, ratio
+    return float(blank.std(ddof=1)), slope, ratio
 
 
-def _drift(dists: dict, gradient: str, method: str) -> float:
-    """Shift of method's blank mean when gradient's ramp is switched on."""
-    with_ramp, without = (_read(dists, 0.0, g, method) for g in (gradient, "none"))
-    return abs(with_ramp.mean - without.mean)
-
-
-def response_distribution(cfg: LodStudyConfig, method: str, delta_n: float = 0.0,
-                          gradient: str = "none") -> DistributionStats:
-    """Distribution of method's signal over noisy trials at delta_n (the blank by default)."""
-    return _read(_distributions(cfg, [(delta_n, gradient)], (method,)), delta_n, gradient, method)
-
-
-def gradient_delta(cfg: LodStudyConfig, method: str, gradient: str) -> float:
-    """method's drift penalty: shift of its blank mean when the ramp is switched on.
-
-    Trials are paired (same derived seeds with and without the ramp), so
-    the white-noise contribution cancels from the comparison. Both
-    distributions are computed in one pass, as lod_riu's are.
-    """
-    if gradient not in ("offset", "amplitude"):
-        raise ValueError("gradient must be 'offset' or 'amplitude'")
-    return _drift(_distributions(cfg, [(0.0, "none"), (0.0, gradient)], (method,)), gradient,
-                  method)
+def _drift(passed: dict, gradient: str, method: str) -> float:
+    """Shift of method's blank mean when gradient's ramp is switched on. Trials are paired
+    (the same seeds with and without the ramp), so the white noise cancels."""
+    with_ramp, without = (_mean(passed, 0.0, g, method) for g in (gradient, "none"))
+    return abs(with_ramp - without)
 
 
 def crlb_delta_n(cfg: LodStudyConfig) -> float:
@@ -323,18 +313,18 @@ def _lod_keys(cfg: LodStudyConfig, gradients) -> list:
     return [(d, "none") for d in shifts] + [(0.0, g) for g in gradients if g != "none"]
 
 
-def _lod(dists: dict, calibration: tuple, gradient: str, method: str) -> LodResult:
+def _lod(passed: dict, calibration: tuple, gradient: str, method: str) -> LodResult:
     """method's detection limit under gradient, from a pass and method's calibration."""
-    blank, slope, ratio = calibration
-    delta_g = 0.0 if gradient == "none" else _drift(dists, gradient, method)
-    return LodResult(sigma_blank=blank.std, delta_g=delta_g, slope=slope,
-                     lod_riu=3.3 * (blank.std + delta_g) / slope, linearity_ratio=ratio)
+    sigma_blank, slope, ratio = calibration
+    delta_g = 0.0 if gradient == "none" else _drift(passed, gradient, method)
+    return LodResult(sigma_blank=sigma_blank, delta_g=delta_g, slope=slope,
+                     lod_riu=3.3 * (sigma_blank + delta_g) / slope, linearity_ratio=ratio)
 
 
 def lod_riu(cfg: LodStudyConfig, method: str, gradient: str = "none") -> LodResult:
     """Detection limit in refractive index units for one method and drift case."""
-    dists = _distributions(cfg, _lod_keys(cfg, [gradient]), (method,))
-    return _lod(dists, _calibration(cfg, dists, method), gradient, method)
+    passed = study_pass(cfg, _lod_keys(cfg, [gradient]), (method,))
+    return _lod(passed, _calibration(cfg, passed, method), gradient, method)
 
 
 @dataclass(frozen=True)
@@ -387,16 +377,16 @@ def run_table1(base_cfg: LodStudyConfig = LodStudyConfig(), *,
     if base_cfg.n_trials < MIN_REPORTED_TRIALS and not allow_smoke_trials:
         raise ValueError(f"reported studies need at least {MIN_REPORTED_TRIALS} trials")
     cells, failures = {}, {}
-    dists = _distributions(base_cfg, _lod_keys(base_cfg, GRADIENTS), METHODS)
+    passed = study_pass(base_cfg, _lod_keys(base_cfg, GRADIENTS), METHODS)
     for method in METHODS:
         try:
-            calibration = _calibration(base_cfg, dists, method)
+            calibration = _calibration(base_cfg, passed, method)
         except (StudyError, CalibrationError) as exc:  # the whole row fails with it
             failures.update({(method, gradient): str(exc) for gradient in GRADIENTS})
             continue
         for gradient in GRADIENTS:
             try:
-                cells[(method, gradient)] = _lod(dists, calibration, gradient, method)
+                cells[(method, gradient)] = _lod(passed, calibration, gradient, method)
             except (StudyError, CalibrationError) as exc:
                 failures[(method, gradient)] = str(exc)
     return Table1Report(cells=cells, failures=failures, n_trials=base_cfg.n_trials,

@@ -360,7 +360,8 @@ class TestSplitBatch:
             reports.append((rc, report, err))
         assert joins == [1]
         assert reports[0] == reports[1]
-        assert len(reports[0][1]["warnings"]) == 48
+        # the trials' 45; no std is taken, as every row's calibration fails before its blank's
+        assert len(reports[0][1]["warnings"]) == 45
 
     def test_batch_at_the_threshold_stays_serial(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -72,10 +72,11 @@ def capture(seed: int) -> dict:
                 where.update(key=f"{delta_n!r}/{gradient}", trials=list(chunk), calls={})
                 key_clean = {method: front[k : k + 1] for method, front in clean.items()}
                 [stack] = original_trial_signals(cfg, reference, white_sigma, key_clean, 1, chunk)
-                for method, (signals, errors) in stack.items():
-                    result[method][0].extend(signals)
-                    result[method][1].extend(errors)
-        return results
+                for method, (signals, failures) in stack.items():
+                    result[method][0].append(signals)
+                    result[method][1].extend(failures)
+        return [{method: (np.concatenate(signals), failures)
+                 for method, (signals, failures) in result.items()} for result in results]
 
     def evaluate(cfg, method, reference, rows):
         # call 0 takes the whole stack; after a domain error, call k reruns trial k - 1 alone

@@ -1,6 +1,8 @@
 """Tests for isotherm fitting, concentration detection limits, and the
 integrated-difference linearization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,16 @@ def test_series_validation():
         ConcentrationSeries(groups=(good, good))
     with pytest.raises(ValueError, match="unit"):
         ConcentrationSeries(groups=(good,), display_unit="mol")
+
+
+@pytest.mark.parametrize("field", ["concentration", "variance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_group_refuses_a_non_finite_concentration_or_variance_naming_it(field, value):
+    # a NaN concentration would pass the series' ascending check, and a fit would then fail
+    # with a message that names neither the value nor its group
+    group = {"concentration": 1.0, "responses": (0.1, 0.2), field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+        ConcentrationGroup(**group)
 
 
 def test_fit_requires_four_groups():

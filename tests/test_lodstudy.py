@@ -14,7 +14,6 @@ import fringelab.legacy as legacy
 import fringelab.lodstudy as lodstudy
 from fringelab import (
     CalibrationError,
-    DistributionStats,
     FilmStack,
     FringelabError,
     LodStudyConfig,
@@ -23,17 +22,17 @@ from fringelab import (
     StudyError,
     WindowConfig,
     add_noise,
-    gradient_delta,
     iaw,
     lamp_signal,
     lod_riu,
-    response_distribution,
     rifts_eot,
     run_table1,
     simulate_reflectance,
+    study_pass,
 )
 from fringelab import _split
 from fringelab.filmsim import ramped_reflectance, white_rows
+from fringelab.lamp import lamp_rows
 from fringelab.legacy import rifts_rows
 from fringelab.lodstudy import CHUNK_ROWS, _trial_seed, crlb_delta_n
 
@@ -48,6 +47,11 @@ def study(sigma=None, snr_db=27.7, seed=11, n_trials=12, **kw):
     else:
         noise = NoiseModel(target_snr_db=snr_db, seed=seed)
     return LodStudyConfig(noise=noise, n_trials=n_trials, **kw)
+
+
+def one_pass(cfg, method, delta_n=0.0, gradient="none"):
+    """(signals, failures) of method at (delta_n, gradient), from a pass over that key alone."""
+    return study_pass(cfg, [(delta_n, gradient)], (method,))[delta_n, gradient][method]
 
 
 def pass_inputs(cfg, delta_n, gradient):
@@ -125,39 +129,37 @@ def test_trial_seeds_are_deterministic_and_distinct():
     assert _trial_seed(100, 0) != seeds[0]
 
 
-def test_response_distribution_is_deterministic():
+def test_study_pass_is_deterministic():
     cfg = study(n_trials=10)
-    first = response_distribution(cfg, "iaw", 1e-3)
-    second = response_distribution(cfg, "iaw", 1e-3)
-    assert first == second
+    (first, _), (second, _) = (one_pass(cfg, "iaw", 1e-3) for _ in range(2))
+    assert np.array_equal(first, second)
 
 
 def test_noiseless_blank_is_degenerate_for_lamp():
-    cfg = study(sigma=0.0, n_trials=3)
-    stats = response_distribution(cfg, "lamp", 0.0)
-    assert stats.mean == 0.0
-    assert stats.std == 0.0
-    assert stats.n_trials == 3
+    signals, failures = one_pass(study(sigma=0.0, n_trials=3), "lamp")
+    assert signals.tolist() == [0.0] * 3
+    assert failures == []
 
 
 def test_iaw_blank_rectifies_noise():
-    stats = response_distribution(study(), "iaw", 0.0)
-    assert stats.mean > 0.0
-    assert stats.std > 0.0
+    signals, _ = one_pass(study(), "iaw")
+    assert signals.mean() > 0.0
+    assert signals.std() > 0.0
 
 
 def test_lamp_shifted_mean_matches_phase_prediction():
-    cfg = study(n_trials=24)
-    stats = response_distribution(cfg, "lamp", 1e-3)
-    assert stats.mean == pytest.approx(PHASE_PER_RIU * 1e-3, rel=0.05)
+    signals, _ = one_pass(study(n_trials=24), "lamp", 1e-3)
+    assert signals.mean() == pytest.approx(PHASE_PER_RIU * 1e-3, rel=0.05)
 
 
-def test_gradient_delta_zero_when_ramp_disabled():
+def test_disabled_ramp_leaves_every_signal_and_no_drift_penalty():
     cfg = study(n_trials=8, offset_snr_db=None)
-    assert gradient_delta(cfg, "iaw", "offset") == 0.0
+    passed = study_pass(cfg, [(0.0, "none"), (0.0, "offset")], ("lamp",))
+    assert np.array_equal(passed[0.0, "offset"]["lamp"][0], passed[0.0, "none"]["lamp"][0])
+    assert lod_riu(cfg, "lamp", "offset").delta_g == 0.0
 
 
-def test_gradient_delta_pairs_out_white_noise():
+def test_delta_g_pairs_out_white_noise():
     # With a vanishing white level the paired comparison must reduce to
     # the deterministic ramp penalty computed directly on clean spectra.
     cfg = study(sigma=1e-9, n_trials=6)
@@ -167,16 +169,11 @@ def test_gradient_delta_pairs_out_white_noise():
     t = (wl - wl[0]) / (wl[-1] - wl[0])
     ramped = Spectrum(wl, reference.reflectance + magnitude * t)
     expected = iaw(reference, ramped)
-    assert gradient_delta(cfg, "iaw", "offset") == pytest.approx(expected, rel=1e-6)
+    assert lod_riu(cfg, "iaw", "offset").delta_g == pytest.approx(expected, rel=1e-6)
     # Zero-meaned ramp residue: mean |t - 1/2| over an even n-point grid
     # is n / (4 (n - 1)), the discrete form of the triangular-mean 1/4.
     n = cfg.native_points
     assert expected == pytest.approx(magnitude * n / (4.0 * (n - 1)), rel=1e-9)
-
-
-def test_gradient_delta_rejects_none():
-    with pytest.raises(ValueError):
-        gradient_delta(study(), "lamp", "none")
 
 
 def test_lod_result_satisfies_detection_formula():
@@ -197,12 +194,11 @@ def test_lamp_slope_converts_phase_to_riu():
 
 def test_unresponsive_signal_raises_calibration_error():
     cfg = study(n_trials=4)
-    dists = {(delta_n, gradient): {"lamp": type(
-        "S", (), {"mean": 1.0 - 500.0 * delta_n, "std": 0.1}
-    )()} for delta_n, gradient in lodstudy._lod_keys(cfg, ["none"])}
+    passed = {(delta_n, gradient): {"lamp": (np.full(4, 1.0 - 500.0 * delta_n), [])}
+              for delta_n, gradient in lodstudy._lod_keys(cfg, ["none"])}
 
     with pytest.raises(CalibrationError, match="did not respond"):
-        lodstudy._calibration(cfg, dists, "lamp")
+        lodstudy._calibration(cfg, passed, "lamp")
 
 
 def test_rectified_response_trips_linearity_guard():
@@ -217,11 +213,11 @@ def test_rectified_response_trips_linearity_guard():
 @pytest.mark.parametrize("ratio, warns", [
     (0.89, True), (0.91, False), (1.09, False), (1.11, True), (1.15, True)])
 def test_linearity_warning_fires_past_ten_percent_either_way(monkeypatch, ratio, warns):
-    # the half-shift slope over the calibration slope, set through the pass's distributions
+    # the half-shift slope over the calibration slope, set through the pass's signals
     cfg = study(n_trials=100)
     means = {0.0: 0.0, cfg.calibration_delta_n: 1.0, cfg.calibration_delta_n / 2.0: 0.5 * ratio}
-    monkeypatch.setattr(lodstudy, "_distributions", lambda cfg, keys, methods: {
-        key: {methods[0]: DistributionStats(means[key[0]], 0.1, 100)} for key in keys})
+    monkeypatch.setattr(lodstudy, "study_pass", lambda cfg, keys, methods: {
+        key: {methods[0]: (np.full(100, means[key[0]]), [])} for key in keys})
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         result = lod_riu(cfg, "lamp")
@@ -237,26 +233,28 @@ def test_one_failed_trial_in_100_is_dropped_and_two_are_a_study_error(monkeypatc
     # two failures fall on both sides of a forked pass's split
     cfg = study(n_trials=100)
     flatten_trial(monkeypatch, cfg, *indices)
-    if len(indices) == 1:
-        assert response_distribution(cfg, "rifts", 0.0).n_trials == 99
+    signals, failures = one_pass(cfg, "rifts")
+    assert [trial for trial, _, _ in failures] == list(indices)
+    if len(indices) == 1:  # the blank's std is its 99 other trials', in trial order
+        assert lod_riu(cfg, "rifts").sigma_blank == float(np.delete(signals, 3).std(ddof=1))
     else:
         with pytest.raises(StudyError, match=r"^2 of 100 trials failed \(rifts, .*first "
                            r"failure: trial 3: no fringe peak"):
-            response_distribution(cfg, "rifts", 0.0)
+            lod_riu(cfg, "rifts")
 
 
 def test_study_error_when_trials_cannot_be_processed():
     # Processing range wider than the simulated data fails every trial.
     cfg = study(n_trials=8, window=WindowConfig(range_nm=(400.0, 900.0)))
     with pytest.raises(StudyError, match="8 of 8 trials failed"):
-        response_distribution(cfg, "lamp", 0.0)
+        lod_riu(cfg, "lamp")
 
 
 def test_blank_spread_agrees_across_seed_families():
     stds = []
     for seed in (101, 202):
-        stats = response_distribution(study(seed=seed, n_trials=60), "iaw", 0.0)
-        stds.append(stats.std)
+        signals, _ = one_pass(study(seed=seed, n_trials=60), "iaw")
+        stds.append(signals.std(ddof=1))
     # std-of-std law: relative standard error ~ 1/sqrt(2 n) per family
     combined = math.hypot(*stds) / math.sqrt(2 * 60)
     assert abs(stds[0] - stds[1]) < 5.0 * combined
@@ -323,17 +321,16 @@ def test_run_table1_enforces_minimum_trials():
 
 
 @pytest.mark.parametrize("call, refused", [
-    # the call forms of a config that named its method
+    # the call form of a config that named its method
     (lambda cfg: lod_riu(cfg, "offset"), "method"),
-    (lambda cfg: response_distribution(cfg, 0.0), "method"),
-    (lambda cfg: response_distribution(cfg, "fourier", 0.0), "method"),
-    (lambda cfg: gradient_delta(cfg, "fourier", "offset"), "method"),
+    # one method's name where the pass takes a tuple of them
+    (lambda cfg: study_pass(cfg, [(0.0, "none")], "lamp"), "method"),
+    (lambda cfg: study_pass(cfg, [(0.0, "none")], ("lamp", "fourier")), "method"),
     (lambda cfg: lod_riu(cfg, "fourier", "offset"), "method"),
-    (lambda cfg: response_distribution(cfg, "lamp", 0.0, gradient="ramp"), "gradient"),
+    (lambda cfg: study_pass(cfg, [(0.0, "none"), (0.0, "ramp")], ("lamp",)), "gradient"),
     (lambda cfg: lod_riu(cfg, "lamp", gradient="tilt"), "gradient"),
-], ids=["old-lod_riu", "old-response_distribution", "response_distribution-method",
-        "gradient_delta-method", "lod_riu-method", "response_distribution-gradient",
-        "lod_riu-gradient"])
+], ids=["old-lod_riu", "study_pass-one-name", "study_pass-method", "lod_riu-method",
+        "study_pass-gradient", "lod_riu-gradient"])
 def test_unknown_method_or_gradient_is_refused_before_any_row_is_drawn(monkeypatch, call,
                                                                         refused):
     # the pass's one check: without it, an unknown method ran as lamp and an unknown gradient
@@ -380,7 +377,7 @@ def flatten_trial(monkeypatch, cfg, *indices):
 def test_domain_error_drops_only_its_row(monkeypatch, method):
     cfg = study(n_trials=100)
     flatten_trial(monkeypatch, cfg, 3)  # inside the first stack
-    stats = response_distribution(cfg, method, 0.0)
+    signals, failures = one_pass(cfg, method)
     # the other 99 trials keep the signals they have when evaluated alone
     seeds = [_trial_seed(cfg.noise.seed, i) for i in range(100) if i != 3]
     reference, clean, model = pass_inputs(cfg, 0.0, "none")
@@ -389,20 +386,21 @@ def test_domain_error_drops_only_its_row(monkeypatch, method):
     one = {"lamp": lambda row: lamp_signal(reference, row, cfg.window),
            "rifts": lambda row: rifts_eot(row, cfg.window)}[method]
     alone = np.array([one(Spectrum(reference.wavelengths_nm, row)) for row in rows])
-    assert stats.n_trials == 99
-    assert (stats.mean, stats.std) == (float(alone.mean()), float(alone.std(ddof=1)))
+    assert [trial for trial, _, _ in failures] == [3] and math.isnan(signals[3])
+    assert np.array_equal(np.delete(signals, 3), alone)
 
 
 def test_domain_error_drops_its_trial_only_from_the_failing_methods(monkeypatch):
     # a flat row has no fringe peak for lamp or rifts; iaw still measures it
     cfg = study(n_trials=100)
     flatten_trial(monkeypatch, cfg, 3)
-    shared = lodstudy._distributions(cfg, [(0.0, "none")], lodstudy.METHODS)[0.0, "none"]
-    counts = {m: shared[m].n_trials for m in lodstudy.METHODS}
-    assert counts == {"rifts": 99, "iaw": 100, "lamp": 99}
+    shared = study_pass(cfg, [(0.0, "none")], lodstudy.METHODS)[0.0, "none"]
+    failed = {m: [trial for trial, _, _ in shared[m][1]] for m in lodstudy.METHODS}
+    assert failed == {"rifts": [3], "iaw": [], "lamp": [3]}
     for method in lodstudy.METHODS:  # evaluating the methods on shared stacks changes no value
-        alone = response_distribution(cfg, method, 0.0)
-        assert shared[method] == alone
+        signals, failures = one_pass(cfg, method)
+        assert np.array_equal(shared[method][0], signals, equal_nan=True)
+        assert shared[method][1] == failures
 
 
 def test_table_draws_each_stack_once_and_calibrates_each_ramp_once(monkeypatch):
@@ -453,8 +451,8 @@ def test_pass_that_serves_no_rifts_builds_no_rifts_front(monkeypatch):
         raise AssertionError("rifts front built for a lamp pass")
 
     monkeypatch.setattr(lodstudy, "rifts_front", broken)
-    cfg = study(n_trials=2 * CHUNK_ROWS)
-    assert response_distribution(cfg, "lamp", 0.0).n_trials == 2 * CHUNK_ROWS
+    signals, failures = one_pass(study(n_trials=2 * CHUNK_ROWS), "lamp")
+    assert np.isfinite(signals).all() and len(signals) == 2 * CHUNK_ROWS and failures == []
 
 
 def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
@@ -467,14 +465,15 @@ def test_pass_with_no_key_left_draws_no_white_rows(monkeypatch):
 
     monkeypatch.setattr(lodstudy, "white_rows", counted)
     cfg = study(n_trials=2 * CHUNK_ROWS, offset_snr_db=40.0)
-    with pytest.raises(CalibrationError, match="white noise alone"):
-        response_distribution(cfg, "lamp", 0.0, "offset")
+    error = study_pass(cfg, [(0.0, "offset")], ("lamp", "iaw"))[0.0, "offset"]
+    assert set(error) == {"lamp", "iaw"} and error["lamp"] is error["iaw"]
+    assert isinstance(error["lamp"], CalibrationError) and "white noise alone" in str(error["lamp"])
     assert drawn == []
 
 
 def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
-    # _lod_keys names every key that calibration and gradient_delta read: none is computed later;
-    # gradient_delta alone computes its two keys in one pass
+    # _lod_keys names every key that calibration and the drift penalty read: none is computed
+    # later
     one_cpu(monkeypatch)
     passes = []
     original = lodstudy._trial_signals
@@ -488,9 +487,8 @@ def test_detection_limits_read_only_the_keys_of_their_one_pass(monkeypatch):
         warnings.simplefilter("ignore")
         lod_riu(study(n_trials=2 * CHUNK_ROWS), "lamp", "offset")
     smoke_table()
-    gradient_delta(study(n_trials=2 * CHUNK_ROWS), "lamp", "amplitude")
-    # (keys, trials): lod_riu's one pass, the table's, then gradient_delta's (ramp and blank)
-    assert passes == [(4, range(16)), (5, range(16)), (2, range(16))]
+    # (keys, trials): lod_riu's one pass, then the table's
+    assert passes == [(4, range(16)), (5, range(16))]
 
 
 def test_ramp_calibration_error_fails_that_column_of_every_method(monkeypatch):
@@ -510,7 +508,22 @@ def test_bug_in_a_stage_propagates(monkeypatch, method, module, stage):
 
     monkeypatch.setattr(importlib.import_module(f"fringelab.{module}"), stage, broken)
     with pytest.raises(TypeError, match="injected bug"):
-        response_distribution(study(n_trials=CHUNK_ROWS), method, 0.0)
+        one_pass(study(n_trials=CHUNK_ROWS), method)
+
+
+def test_a_nan_signal_at_a_trial_that_did_not_fail_is_a_bug(monkeypatch):
+    # a failed trial is one that raised; a NaN that no exception explains is not dropped with
+    # them, but raised as a bug
+    def first_row_nan(*args):
+        return [math.nan] + lamp_rows(*args)[1:]
+
+    monkeypatch.setattr(lodstudy, "lamp_rows", first_row_nan)
+    cfg = study(n_trials=2 * CHUNK_ROWS)
+    signals, failures = one_pass(cfg, "lamp")
+    assert failures == [] and np.isnan(signals).tolist() == [i % CHUNK_ROWS == 0 for i in range(16)]
+    with pytest.raises(ValueError, match=r"^lamp gave a non-finite signal at a trial that did not "
+                       r"fail \(delta_n=0, gradient=none\)"):
+        lod_riu(cfg, "lamp")
 
 
 FORKS = len(_split.split(list, 2 * CHUNK_ROWS)) == 2
@@ -555,13 +568,13 @@ def test_domain_error_is_counted_with_its_trial_index(monkeypatch, n_trials, ind
         if path == "one cpu":
             one_cpu(monkeypatch)
         with pytest.raises(StudyError, match=expected) as info:
-            response_distribution(cfg, "lamp", 0.0)
+            lod_riu(cfg, "lamp")
         messages.append(str(info.value))
     assert len(set(messages)) == 1
 
 
 def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
-    # the table sums each clean row's front and its chunk's white front; every signal and
+    # the pass sums each clean row's front and its chunk's white front; every signal and
     # "trial i: ..." error is still rifts_rows' on the noisy row. Trials 8 and 9 are flat in
     # the blank key: the caller's last and the worker's first when forked (see above)
     cfg = study(n_trials=19, seed=3)
@@ -572,32 +585,23 @@ def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
         reference, clean, model = pass_inputs(cfg, delta_n, gradient)
         rows = ramped_reflectance(clean, model) + lodstudy.white_rows(
             model.white_sigma(reference), len(clean), [_trial_seed(3, i) for i in range(19)])
-        signals, errors = [], []
+        signals, errors = np.full(19, np.nan), []
         for i, row in enumerate(rows):
             try:
-                signals += rifts_rows(cfg.wavelengths(), row[None], cfg.window)
+                [signals[i]] = rifts_rows(cfg.wavelengths(), row[None], cfg.window)
             except FringelabError as exc:
                 errors.append(f"trial {i}: {exc}")
         expected[delta_n, gradient] = (signals, errors)
     assert [len(errors) for _, errors in expected.values()] == [2, 0, 0, 0, 0]
 
-    original = lodstudy._stats
     for path in ("forked", "one cpu") if FORKS else ("one cpu",):
         if path == "one cpu":
             one_cpu(monkeypatch)
-        seen = {}
-
-        def recorded(n_trials, method, delta_n, gradient, parts):
-            if method == "rifts":
-                seen[delta_n, gradient] = tuple([x for part in parts for x in part[j]]
-                                                for j in (0, 1))
-            return original(n_trials, method, delta_n, gradient, parts)
-
-        monkeypatch.setattr(lodstudy, "_stats", recorded)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_table1(cfg, allow_smoke_trials=True)
-        assert seen == expected, path
+        passed = study_pass(cfg, keys, lodstudy.METHODS)
+        for key, (signals, errors) in expected.items():
+            rifts, failures = passed[key]["rifts"]
+            assert np.array_equal(rifts, signals, equal_nan=True), (path, key)
+            assert [f"trial {i}: {message}" for i, _, message in failures] == errors, (path, key)
 
 
 @pytest.mark.parametrize("method", ["rifts", "lamp"])
@@ -610,8 +614,10 @@ def test_narrow_window_fails_every_trial_with_its_own_message(monkeypatch, metho
     for path in ("forked", "one cpu") if FORKS else ("one cpu",):
         if path == "one cpu":
             one_cpu(monkeypatch)
+        signals, failures = one_pass(cfg, method)
+        assert np.isnan(signals).all() and [trial for trial, _, _ in failures] == list(range(16))
         with pytest.raises(StudyError, match=expected):
-            response_distribution(cfg, method, 0.0)
+            lod_riu(cfg, method)
 
 
 @needs_fork
@@ -627,7 +633,7 @@ def test_worker_computes_the_upper_half_of_the_stacks(monkeypatch, tmp_path):
         return white_rows(sigma, points, seeds)
 
     monkeypatch.setattr(lodstudy, "white_rows", logged)
-    response_distribution(cfg, "lamp", 0.0)
+    one_pass(cfg, "lamp")
     trials = {side: [int(i) for i in (tmp_path / side).read_text().split()]
               for side in ("caller", "worker")}
     assert trials == {"caller": list(range(50)), "worker": list(range(50, 100))}
@@ -654,6 +660,23 @@ def test_forked_table_equals_serial(monkeypatch, n_trials):
     forked = json.dumps(smoke_table(n_trials).to_dict())
     one_cpu(monkeypatch)
     assert json.dumps(smoke_table(n_trials).to_dict()) == forked
+
+
+@needs_fork
+def test_forked_pass_equals_serial_with_failures_on_both_sides_of_the_split(monkeypatch):
+    # 19 trials split at 9; flat blank rows in the caller's half (2, 8) and the worker's (9, 15)
+    cfg = study(n_trials=19, seed=3)
+    flatten_trial(monkeypatch, cfg, 2, 8, 9, 15)
+    keys = lodstudy._lod_keys(cfg, lodstudy.GRADIENTS)
+    forked = study_pass(cfg, keys, lodstudy.METHODS)
+    one_cpu(monkeypatch)
+    serial = study_pass(cfg, keys, lodstudy.METHODS)
+    assert [trial for trial, _, _ in forked[0.0, "none"]["lamp"][1]] == [2, 8, 9, 15]
+    for key in keys:
+        for method in lodstudy.METHODS:
+            (signals, failures), expected = forked[key][method], serial[key][method]
+            assert np.array_equal(signals, expected[0], equal_nan=True), (key, method)
+            assert failures == expected[1], (key, method)
 
 
 @needs_fork
