@@ -25,6 +25,7 @@ from .errors import (
 )
 from .filmsim import (
     FilmStack,
+    NativeGrid,
     NoiseModel,
     Spectrum,
     ac_power,

@@ -1,8 +1,9 @@
 """Command-line front end: simulation, processing, studies, and fitting.
 
 Each subcommand takes only the shared flags its handler reads: --config (a
-JSON run configuration, see io.load_run_config), --seed, --range (simulate's
-grid and the one window of all three estimators), --out and --format.
+JSON run configuration, see io.load_run_config), --seed, --range (the one
+window of all three estimators, and simulate's native range too), --out and
+--format.
 Randomized commands print their seed, so any run can be reproduced; with no
 seed given anywhere one is drawn from system entropy. Exit codes: 0 success,
 2 parse or configuration failure, 3 processing failure.
@@ -25,10 +26,9 @@ import numpy as np
 
 from ._split import split
 from .errors import ConfigError, FringelabError, SpectrumFormatError
-from .filmsim import add_noise, measure_snr, simulate_reflectance
+from .filmsim import add_noise, check_range_nm, measure_snr, simulate_reflectance
 from .io import (
     RunConfig,
-    check_range_nm,
     check_seed,
     load_run_config,
     read_concentration_table,
@@ -54,8 +54,8 @@ PROCESS_EXIT = 3
 
 def _float_pair(text: str):
     try:  # floats first: check_range_nm refuses text
-        return check_range_nm([float(part) for part in text.split(",")])
-    except (ValueError, ConfigError) as exc:
+        return check_range_nm([float(part) for part in text.split(",")], "wavelength range")
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config)
     if args.range_nm is not None:
-        config = replace(config, range_nm=args.range_nm, window=WindowConfig(args.range_nm))
+        config = replace(config, window=WindowConfig(args.range_nm))
     return config
 
 
@@ -181,8 +181,8 @@ def cmd_simulate(args) -> int:
     if args.out is None and args.clean_out is None:
         raise ConfigError("give --out and/or --clean-out")
     seed = _resolve_seed(args, config)
-    wavelengths = np.linspace(config.range_nm[0], config.range_nm[1], config.n_points)
-    clean = simulate_reflectance(config.stack, wavelengths)
+    native = replace(config.native, range_nm=args.range_nm or config.native.range_nm)
+    clean = simulate_reflectance(config.stack, native.wavelengths())
     if args.clean_out is not None:
         _write_file(write_spectrum, args.clean_out, clean)
     print(f"seed: {seed}")
@@ -287,6 +287,7 @@ def cmd_lod_table(args) -> int:
         study_cfg = LodStudyConfig(
             stack=config.stack,
             noise=replace(config.noise, seed=seed),
+            native=config.native,
             window=config.window,
             **study,
         )

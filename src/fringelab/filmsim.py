@@ -1,10 +1,10 @@
 """Thin-film reflectance simulation and measurement-noise synthesis.
 
 Single dielectric layer on an absorbing substrate at normal incidence,
-evaluated with the characteristic-matrix method. Noise synthesis covers
-white Gaussian noise plus deterministic linear offset / amplitude ramps,
-with a bisection routine that calibrates ramp magnitudes to a target
-signal-to-noise ratio.
+evaluated with the characteristic-matrix method on an instrument's native
+sampling, its NativeGrid. Noise synthesis covers white Gaussian noise plus
+deterministic linear offset / amplitude ramps, with a bisection routine that
+calibrates ramp magnitudes to a target signal-to-noise ratio.
 """
 
 from __future__ import annotations
@@ -217,6 +217,24 @@ def check_seed(value, name: str = "seed") -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
         raise ValueError(f"{name} must be an integer 0 <= seed < 2**64, got {value!r}")
     return value
+
+
+@dataclass(frozen=True)
+class NativeGrid:
+    """An instrument's native sampling, the one grid that the simulate command, the study and
+    the iaw correction simulate on: points (an integer >= 16) wavelengths evenly spaced over
+    range_nm, both ends included."""
+
+    range_nm: tuple[float, float] = (500.0, 800.0)
+    points: int = 768
+
+    def __post_init__(self):
+        object.__setattr__(self, "range_nm", check_range_nm(self.range_nm, "range_nm"))
+        if not isinstance(self.points, (int, np.integer)) or self.points < 16:  # True is 1
+            raise ValueError("points must be an integer >= 16")
+
+    def wavelengths(self) -> np.ndarray:
+        return np.linspace(*self.range_nm, self.points)
 
 
 @dataclass(frozen=True)

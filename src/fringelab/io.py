@@ -8,8 +8,9 @@ reader that checks the header and each row's field count; their numeric
 columns must hold finite numbers. Every error names the file, and the
 line where there is one. Configuration is a single JSON object whose
 sections mirror the library's config dataclasses, with one window for all
-three estimators; every section, the study's included, is checked when it
-is loaded, and its error names the section. Floats are written with 17
+three estimators and one native grid for simulation and the study, plus a
+seed; every section, the study's included, is checked when it is loaded,
+and its error names the section. Floats are written with 17
 significant digits so a parse of the written file reproduces the in-memory
 values bit-exactly.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import filmsim
 from .errors import ConfigError, SpectrumFormatError
-from .filmsim import FilmStack, NoiseModel, Spectrum
+from .filmsim import FilmStack, NativeGrid, NoiseModel, Spectrum
 from .lodstudy import LodStudyConfig
 from .wavegrid import WindowConfig
 
@@ -162,20 +163,22 @@ _SECTION_TYPES = {
     "stack": FilmStack,
     "noise": NoiseModel,
     "window": WindowConfig,
+    "native": NativeGrid,
     "study": LodStudyConfig,
 }
 # Keys each section takes. The top-level seed is the one seed key, so a noise
 # seed is not one; the study takes the other sections as sections, not keys.
 _SECTION_KEYS = {name: {f.name for f in dataclasses.fields(cls)} - set(_SECTION_TYPES) - {"seed"}
                  for name, cls in _SECTION_TYPES.items()}
-_TOP_LEVEL_KEYS = set(_SECTION_TYPES) | {"range_nm", "n_points", "seed"}
+_TOP_LEVEL_KEYS = set(_SECTION_TYPES) | {"seed"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration assembled from a JSON document.
 
-    study holds the study section's keys, each value as LodStudyConfig checked and stored it
+    native is the instrument's one native grid, which simulate samples and the study simulates
+    on. study holds the study section's keys, each value as LodStudyConfig checked and stored it
     alone; the rules that span sections (no noise ramps, the trial count after --trials) are
     checked where the study is built from them.
     """
@@ -183,9 +186,8 @@ class RunConfig:
     stack: FilmStack
     noise: NoiseModel
     window: WindowConfig
+    native: NativeGrid
     study: dict
-    range_nm: tuple = (500.0, 800.0)
-    n_points: int = 768
     seed: int | None = None
 
 
@@ -206,14 +208,6 @@ def _build_section(name: str, cls, payload: dict):
         return cls(**converted)
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"invalid {name!r} section: {exc}") from exc
-
-
-def check_range_nm(value) -> tuple[float, float]:
-    """filmsim.check_range_nm for a wavelength range, whose refusal is a ConfigError."""
-    try:
-        return filmsim.check_range_nm(value, "wavelength range")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def check_seed(value, name: str) -> int:
@@ -255,12 +249,8 @@ def load_run_config(path=None, text: str | None = None) -> RunConfig:
     sections = {name: _build_section(name, cls, payloads[name])
                 for name, cls in _SECTION_TYPES.items()}
     sections["study"] = {key: getattr(sections["study"], key) for key in payloads["study"]}
-    range_nm = check_range_nm(document.get("range_nm", (500.0, 800.0)))
     seed = None if document.get("seed") is None else check_seed(document["seed"], "'seed'")
-    n_points = document.get("n_points", 768)
-    if not isinstance(n_points, int) or n_points < 16:
-        raise ConfigError("'n_points' must be an integer >= 16")
-    return RunConfig(**sections, range_nm=range_nm, n_points=n_points, seed=seed)
+    return RunConfig(**sections, seed=seed)
 
 
 SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b")

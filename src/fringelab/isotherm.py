@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, FoldOverError, SaturationError
-from .filmsim import FilmStack, check_float, simulate_reflectance
+from .filmsim import FilmStack, NativeGrid, check_float, simulate_reflectance
 from .legacy import iaw
 from .wavegrid import WindowConfig
 
@@ -369,28 +369,27 @@ def iaw_fold_limit_percent(stack: FilmStack, range_nm=(500.0, 800.0)) -> float:
 
 def iaw_nonlinearity_correction(
     stack: FilmStack,
-    range_nm=(500.0, 800.0),
+    native: NativeGrid = NativeGrid(),
     max_eot_percent: float = 4.0,
     n_sweep: int = 25,
-    n_wavelengths: int = 768,
 ) -> IawCorrection:
-    """Calibrate the sub-linearity of the integrated difference by sweeping
-    simulated index shifts and fitting the deviation from the initial slope
-    with a second-order polynomial.
+    """Calibrate the sub-linearity of the integrated difference by sweeping index shifts,
+    simulated on the native grid and read in a window spanning its range, and fitting the
+    deviation from the initial slope with a second-order polynomial.
     """
     if not max_eot_percent > 0:
         raise ValueError("max_eot_percent must be positive")
     if n_sweep < 5:
         raise ValueError("need at least 5 sweep points")
-    limit = iaw_fold_limit_percent(stack, range_nm)
+    limit = iaw_fold_limit_percent(stack, native.range_nm)
     if max_eot_percent >= limit:
         raise FoldOverError(
             f"sweep to {max_eot_percent:g}% crosses the fold-over at "
             f"{limit:.3f}% (half the free spectral range)"
         )
-    wavelengths = np.linspace(range_nm[0], range_nm[1], n_wavelengths)
+    wavelengths = native.wavelengths()
     reference = simulate_reflectance(stack, wavelengths)
-    cfg = WindowConfig(range_nm)
+    cfg = WindowConfig(native.range_nm)
     percents = np.linspace(0.0, max_eot_percent, n_sweep)
     responses = np.empty_like(percents)
     responses[0] = 0.0

@@ -23,8 +23,9 @@ and each method's front of them taken, once for every key. A key's stack is its 
 the chunk's, the sum add_noise makes (to rounding, for rifts). A stack that raises a
 FringelabError for a method is rerun row by row for that method (a row's result is the same
 alone or stacked): only its failing trials fail. A window too narrow for rifts fails the clean
-front, and with it every trial, each with the message it raises alone. Any other exception
-propagates. A pass whose every ramp failed to calibrate draws nothing.
+front, and with it every trial, each with the message it raises alone: the pass records those
+failures and runs no trial of that method. Any other exception propagates. A pass whose every
+ramp, or every method's clean front, failed draws nothing and does not split.
 
 A pass's trials run through _split.split, which may run trials n_trials // 2 to n_trials - 1
 in a forked child while the caller runs the rest. Each key's signals and failures are joined in
@@ -43,11 +44,11 @@ from ._split import split
 from .errors import CalibrationError, FringelabError, StudyError
 from .filmsim import (
     FilmStack,
+    NativeGrid,
     NoiseModel,
     Spectrum,
     calibrate_ramp_magnitude,
     check_float,
-    check_range_nm,
     ramped_reflectance,
     simulate_reflectance,
     white_rows,
@@ -93,16 +94,14 @@ class LodStudyConfig:
     against the clean reference) and the master seed; drift ramps are owned by the study and
     calibrated to the configured gradient S/N floors, so the model itself must not carry
     ramp terms. A floor is finite, or None to disable that ramp (magnitude 0). Trial i
-    draws from a stream derived from (seed, i), making trials order-independent. The
-    native range lies in the simulator's band; window is all three estimators' one window.
-    The config names no method: each study call takes the method it computes, and
-    run_table1 computes all three.
+    draws from a stream derived from (seed, i), making trials order-independent. The spectra
+    are simulated on native; window is all three estimators' one window. The config names no
+    method: each study call takes the method it computes, and run_table1 computes all three.
     """
 
     stack: FilmStack = field(default_factory=FilmStack)
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(target_snr_db=27.7, seed=0))
-    native_range_nm: tuple = (500.0, 800.0)
-    native_points: int = 768
+    native: NativeGrid = field(default_factory=NativeGrid)
     n_trials: int = 1000
     calibration_delta_n: float = 1e-3
     offset_snr_db: float | None = OFFSET_GRADIENT_SNR_DB
@@ -115,21 +114,13 @@ class LodStudyConfig:
         check_float("calibration_delta_n", self.calibration_delta_n)
         if not self.calibration_delta_n > 0:
             raise ValueError("calibration_delta_n must be positive")
-        if not isinstance(self.native_points, (int, np.integer)) or self.native_points < 16:
-            raise ValueError("native_points must be an integer >= 16")
         for name in ("offset_snr_db", "amplitude_snr_db"):
             check_float(name, getattr(self, name), optional=True)
-        object.__setattr__(self, "native_range_nm",
-                           check_range_nm(self.native_range_nm, "native_range_nm"))
         if self.noise.offset_ramp_magnitude != 0.0 or self.noise.amplitude_ramp_gain != 0.0:
             raise ValueError(
                 "drift ramps are applied by the study itself; "
                 "configure gradient S/N floors instead of ramp magnitudes"
             )
-
-    def wavelengths(self) -> np.ndarray:
-        lo, hi = self.native_range_nm
-        return np.linspace(lo, hi, self.native_points)
 
 
 def _trial_seed(master_seed: int, index: int) -> int:
@@ -153,22 +144,18 @@ def _evaluate(cfg: LodStudyConfig, method: str, reference: Spectrum, stack) -> l
 def _trial_signals(cfg: LodStudyConfig, reference: Spectrum, white_sigma: float, clean: dict,
                    n_keys: int, trials: range) -> list:
     """Per key, {method: (signals, failures)} over trials, given each method's _front of the
-    n_keys ramped clean rows or the FringelabError it raised: signals holds a float64 per trial,
-    NaN where it failed, and failures (trial, type name, message) in trial order. Each chunk's
-    white rows are drawn once."""
+    n_keys ramped clean rows: signals holds a float64 per trial, NaN where it failed, and
+    failures (trial, type name, message) in trial order. Each chunk's white rows are drawn
+    once."""
     results = [{method: (np.full(len(trials), np.nan), []) for method in clean}
                for _ in range(n_keys)]
     for start in range(trials.start, trials.stop, CHUNK_ROWS):
         chunk = range(start, min(start + CHUNK_ROWS, trials.stop))
         white = white_rows(white_sigma, len(reference),
                            [_trial_seed(cfg.noise.seed, i) for i in chunk])
-        whites = {method: _front(cfg, method, reference.wavelengths_nm, white)
-                  for method, front in clean.items() if not isinstance(front, FringelabError)}
+        whites = {method: _front(cfg, method, reference.wavelengths_nm, white) for method in clean}
         for k, result in enumerate(results):
             for method, (signals, failures) in result.items():
-                if method not in whites:  # its clean front failed, as each trial does alone
-                    failures += [_failure(i, clean[method]) for i in chunk]
-                    continue
                 out = signals[start - trials.start : chunk.stop - trials.start]  # a view
                 stack = clean[method][k : k + 1] + whites[method]
                 try:
@@ -208,7 +195,7 @@ def study_pass(cfg: LodStudyConfig, keys, methods: tuple) -> dict:
         raise ValueError(f"method must be one of {METHODS}")
     if any(gradient not in GRADIENTS for _, gradient in keys):
         raise ValueError(f"gradient must be one of {GRADIENTS}")
-    wavelengths = cfg.wavelengths()
+    wavelengths = cfg.native.wavelengths()
     reference = simulate_reflectance(cfg.stack, wavelengths)
     white_sigma = cfg.noise.white_sigma(reference)
     passed, todo = {}, []
@@ -223,18 +210,21 @@ def study_pass(cfg: LodStudyConfig, keys, methods: tuple) -> dict:
                for delta_n in dict.fromkeys(delta_n for delta_n, _, _ in todo)}
     ramped = np.array([ramped_reflectance(spectra[delta_n], model) for delta_n, _, model in todo])
     # before the split, so that a forked child inherits the fronts
-    clean = {}
+    clean, failed = {}, {}
     for method in methods:
         try:
             clean[method] = _front(cfg, method, wavelengths, ramped)
         except FringelabError as exc:  # rifts' window error, which every trial raises alone
-            clean[method] = exc
+            failed[method] = exc
     parts = split(lambda trials: _trial_signals(cfg, reference, white_sigma, clean, len(todo),
-                                                trials), cfg.n_trials)
+                                                trials), cfg.n_trials) if clean else []
     for (delta_n, gradient, _), *results in zip(todo, *parts):  # a key's result in each part
         passed[delta_n, gradient] = {
-            method: (np.concatenate([r[method][0] for r in results]),
-                     [failure for r in results for failure in r[method][1]])
+            method: (np.full(cfg.n_trials, np.nan),
+                     [_failure(i, failed[method]) for i in range(cfg.n_trials)])
+            if method in failed else
+            (np.concatenate([r[method][0] for r in results]),
+             [failure for r in results for failure in r[method][1]])
             for method in methods}
     return passed
 
@@ -299,7 +289,7 @@ def crlb_delta_n(cfg: LodStudyConfig) -> float:
     """
     h = 1e-6
     below = min(h, cfg.stack.film_index - 1.0)
-    wavelengths = cfg.wavelengths()
+    wavelengths = cfg.native.wavelengths()
     up, down = (simulate_reflectance(cfg.stack.with_film_index_shift(s), wavelengths)
                 for s in (h, -below))
     jacobian = (up.reflectance - down.reflectance) / (h + below)

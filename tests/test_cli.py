@@ -17,6 +17,7 @@ from fringelab import _split
 from fringelab import (
     FilmStack,
     ManifestEntry,
+    NativeGrid,
     NoiseModel,
     RedlichPetersonFit,
     Spectrum,
@@ -27,7 +28,7 @@ from fringelab import (
 )
 from fringelab.cli import PARSE_EXIT, PROCESS_EXIT, main
 from fringelab.io import _SECTION_KEYS
-from fringelab.lodstudy import CHUNK_ROWS, LodStudyConfig, crlb_delta_n
+from fringelab.lodstudy import CHUNK_ROWS, LodStudyConfig, crlb_delta_n, run_table1
 
 
 def write_stack_spectrum(path, delta_n=0.0, n=768, range_nm=(500.0, 800.0)):
@@ -706,9 +707,8 @@ def true_key_cases():
             for command in commands:
                 yield pytest.param([command, "--seed", "1"], config,
                                    id=f"{command}-{section}.{key}-true")
-    for key in ("range_nm", "n_points", "seed"):
-        yield pytest.param(["lod-table", "--seed", "1"], json.dumps({key: True}),
-                           id=f"lod-table-{key}-true")
+    yield pytest.param(["lod-table", "--seed", "1"], json.dumps({"seed": True}),
+                       id="lod-table-seed-true")
 
 
 @pytest.mark.parametrize(
@@ -718,23 +718,23 @@ def true_key_cases():
         (["simulate", "--range", "a,b"], None),
         (["simulate", "--range=-100,500"], None),
         (["simulate", "--range", "500,inf"], None),
-        (["simulate"], '{"range_nm": ["a", "b"]}'),
-        (["simulate"], '{"range_nm": [800, 500]}'),
-        (["simulate"], '{"range_nm": [0, 500]}'),
-        (["simulate"], '{"range_nm": 500}'),
+        (["simulate"], '{"native": {"range_nm": ["a", "b"]}}'),
+        (["simulate"], '{"native": {"range_nm": [800, 500]}}'),
+        (["simulate"], '{"native": {"range_nm": [0, 500]}}'),
+        (["simulate"], '{"native": {"range_nm": 500}}'),
         # text where a number belongs, which every other numeric key refuses
-        (["simulate"], '{"range_nm": ["500", "800"]}'),
+        (["simulate"], '{"native": {"range_nm": ["500", "800"]}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"window": {"range_nm": ["500", "800"]}}'),
         (["lod-table", "--trials", "4", "--seed", "1"],
-         '{"study": {"native_range_nm": ["500", "800"]}}'),
+         '{"native": {"range_nm": ["500", "800"]}}'),
         (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "-1"], None),
         (["fit", "series.csv", "--three-sigma-blank", "0.01", "--curve-points", "0"], None),
         (["lod-table", "--trials", "0"], None),
         (["lod-table", "--trials", "many"], None),
         (["simulate", "--range", "100,300"], None),
-        (["simulate"], '{"range_nm": [500, 2500]}'),
-        (["lod-table"], '{"study": {"native_range_nm": 5}}'),
-        (["lod-table"], '{"study": {"native_range_nm": [100, 300]}}'),
+        (["simulate"], '{"native": {"range_nm": [500, 2500]}}'),
+        (["lod-table"], '{"native": {"range_nm": 5}}'),
+        (["lod-table"], '{"native": {"range_nm": [100, 300]}}'),
         (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"window": 5}'),
         (["lod-table"], '{"window": 5}'),
         (["process", "--method", "rifts", "ref.csv", "a.csv"], '{"noise": [1, 2]}'),
@@ -765,7 +765,7 @@ def true_key_cases():
         # a value of the wrong type, each of which once ran on to a traceback
         (["lod-table", "--trials", "4", "--seed", "1"], '{"window": {"range_nm": 500}}'),
         (["lod-table", "--seed", "1"], '{"study": {"n_trials": 12.0}}'),
-        (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"native_points": 768.0}}'),
+        (["lod-table", "--trials", "4", "--seed", "1"], '{"native": {"points": 768.0}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"noise": {"target_snr_db": "x"}}'),
         (["lod-table", "--trials", "4", "--seed", "1"], '{"study": {"offset_snr_db": "x"}}'),
         (["simulate", "--seed", "1"], '{"stack": {"film_thickness_nm": true}}'),
@@ -878,16 +878,73 @@ def test_bad_section_window_exits_2_with_one_error_line(tmp_path, capsys, monkey
 @pytest.mark.parametrize("study, message", [
     ({"n_trials": 1}, "n_trials must be an integer >= 2"),
     ({"calibration_delta_n": -1}, "calibration_delta_n must be positive"),
-    ({"native_range_nm": [800, 500]}, "native_range_nm must be two numbers 200 <= low < high"),
-], ids=["n_trials", "calibration_delta_n", "native_range_nm"])
+], ids=["n_trials", "calibration_delta_n"])
 def test_bad_study_key_exits_2_naming_the_section_and_key(tmp_path, capsys, monkeypatch, command,
                                                           study, message):
     # the study section is checked at load like the others: simulate, process and timeseries
-    # once ran on past a bad study key, and a bad native range named neither the section nor
-    # the key; lod-table's --trials 4 does not excuse a bad n_trials in the file
+    # once ran on past a bad study key; lod-table's --trials 4 does not excuse a bad n_trials in
+    # the file
     monkeypatch.chdir(tmp_path)
     [line] = config_error_lines(tmp_path, capsys, command, json.dumps({"study": study}))
     assert line.startswith(f"error: invalid 'study' section: {message}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "process", "timeseries", "lod-table"])
+@pytest.mark.parametrize("native, message", [
+    ({"range_nm": [800, 500]}, "range_nm must be two numbers 200 <= low < high"),
+    ({"range_nm": ["500", "800"]}, "range_nm must be two numbers 200 <= low < high"),
+    ({"points": 8}, "points must be an integer >= 16"),
+    ({"points": "768"}, "points must be an integer >= 16"),
+], ids=["range_nm-reversed", "range_nm-text", "points-8", "points-text"])
+def test_bad_native_key_exits_2_naming_the_section_and_key(tmp_path, capsys, monkeypatch,
+                                                           command, native, message):
+    # every command loads the one native section, though only simulate and lod-table read it
+    monkeypatch.chdir(tmp_path)
+    [line] = config_error_lines(tmp_path, capsys, command, json.dumps({"native": native}))
+    assert line.startswith(f"error: invalid 'native' section: {message}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "process", "timeseries", "lod-table"])
+@pytest.mark.parametrize("config, error", [
+    ({"range_nm": [450, 900]}, "unknown configuration key(s): ['range_nm']"),
+    ({"n_points": 3648}, "unknown configuration key(s): ['n_points']"),
+    ({"study": {"native_range_nm": [450, 900]}},
+     "unknown key(s) in 'study' section: ['native_range_nm']"),
+    ({"study": {"native_points": 3648}}, "unknown key(s) in 'study' section: ['native_points']"),
+], ids=["range_nm", "n_points", "study.native_range_nm", "study.native_points"])
+def test_a_native_grid_key_outside_the_native_section_is_an_unknown_key(
+        tmp_path, capsys, monkeypatch, command, config, error):
+    # simulate read only the top-level pair and lod-table only the study's, each ignoring the
+    # other: the native grid is now set in one section
+    monkeypatch.chdir(tmp_path)
+    assert config_error_lines(tmp_path, capsys, command, json.dumps(config)) == [
+        f"error: {error}"]
+
+
+def test_one_native_section_is_read_by_simulate_and_lod_table(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # the second laboratory's 3648 px over 450-900 nm, which holds the default window
+    (tmp_path / "run.json").write_text(json.dumps({"native": {"range_nm": [450, 900],
+                                                              "points": 3648}}))
+    for flags, span in (([], [450.0, 900.0]), (["--range", "520,780"], [520.0, 780.0])):
+        # simulate's --range replaces the native range and keeps the section's points
+        assert main(["simulate", "--seed", "1", "--config", "run.json", *flags,
+                     "--clean-out", "clean.csv"]) == 0
+        clean = fringelab.read_spectrum("clean.csv")
+        assert len(clean) == 3648 and clean.wavelengths_nm[[0, -1]].tolist() == span
+    assert main(["lod-table", "--trials", "10", "--seed", "9", "--config", "run.json",
+                 "--out", "table.json"]) == 0
+    payload = json.loads((tmp_path / "table.json").read_text())
+    for cell in payload["cells"].values():
+        cell.pop("efficiency", None)  # the command's, from the bound checked below
+    cfg = LodStudyConfig(noise=NoiseModel(target_snr_db=27.7, seed=9),
+                         native=NativeGrid((450, 900), 3648), n_trials=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the smoke table's linearity warning
+        report = run_table1(cfg, allow_smoke_trials=True).to_dict()
+    assert {key: payload[key] for key in report} == report
+    assert payload["crlb_riu"] == crlb_delta_n(cfg)
+    assert crlb_delta_n(cfg) != crlb_delta_n(LodStudyConfig(noise=cfg.noise, n_trials=10))
 
 
 @pytest.mark.parametrize("command", ["process", "lod-table"])

@@ -10,6 +10,7 @@ import pytest
 from fringelab import (
     CalibrationError,
     FilmStack,
+    NativeGrid,
     NoiseModel,
     NoiseOverflowError,
     Spectrum,
@@ -371,3 +372,26 @@ def test_noise_model_validation():
     for seed in (True, -1, 2**64, 1.0):  # the rule io and the CLI apply to a master seed
         with pytest.raises(ValueError, match="seed must be an integer 0 <= seed < 2"):
             NoiseModel(target_snr_db=20.0, seed=seed)
+
+
+@pytest.mark.parametrize("points", [8, 768.0, "768", True], ids=["8", "float", "text", "true"])
+def test_native_grid_refuses_a_count_that_is_no_integer_of_at_least_16(points):
+    with pytest.raises(ValueError, match=r"^points must be an integer >= 16$"):
+        NativeGrid(points=points)
+
+
+@pytest.mark.parametrize("range_nm", [(800.0, 500.0), ("500", "800"), (100.0, 800.0),
+                                      (500.0, 3000.0), (500.0, math.inf), (math.nan, 800.0)],
+                         ids=["reversed", "text", "below-the-band", "past-the-band", "inf", "nan"])
+def test_native_grid_refuses_a_range_outside_the_band_by_name(range_nm):
+    with pytest.raises(ValueError, match=r"^range_nm must be two numbers 200 <= low < high <= "
+                       r"2000 nm, got "):
+        NativeGrid(range_nm)
+
+
+def test_native_grid_stores_the_checked_range_and_samples_both_ends():
+    grid = NativeGrid([500, np.float64(800.0)], np.int32(768))
+    assert grid.range_nm == (500.0, 800.0) and all(type(x) is float for x in grid.range_nm)
+    assert grid == NativeGrid()  # 768 px over 500-800 nm
+    assert np.array_equal(grid.wavelengths(), np.linspace(500.0, 800.0, 768))
+    assert grid.wavelengths()[[0, -1]].tolist() == [500.0, 800.0]

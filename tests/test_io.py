@@ -7,6 +7,7 @@ from fringelab import (
     ConfigError,
     FilmStack,
     ManifestEntry,
+    NativeGrid,
     Spectrum,
     SpectrumFormatError,
     WindowConfig,
@@ -215,8 +216,7 @@ class TestRunConfig:
         config = load_run_config(text="{}")
         assert config.stack == FilmStack()
         assert config.noise.target_snr_db == 27.7
-        assert config.range_nm == (500.0, 800.0)
-        assert config.n_points == 768
+        assert config.native == NativeGrid()
         assert config.seed is None
         assert config.study == {}
 
@@ -229,6 +229,7 @@ class TestRunConfig:
             '{"stack": {"film_thickness_nm": 1200.0},'
             ' "noise": {"gaussian_sigma": 0.002},'
             ' "window": {"range_nm": [520, 780]},'
+            ' "native": {"range_nm": [450, 900], "points": 3648},'
             ' "study": {"n_trials": 200},'
             ' "seed": 42}'
         )
@@ -236,6 +237,7 @@ class TestRunConfig:
         assert config.stack.film_thickness_nm == 1200.0
         assert config.noise.gaussian_sigma == 0.002
         assert config.window == WindowConfig((520.0, 780.0))
+        assert config.native == NativeGrid((450.0, 900.0), 3648)
         assert config.study == {"n_trials": 200}
         assert config.seed == 42
 
@@ -245,6 +247,18 @@ class TestRunConfig:
             with pytest.raises(ConfigError,
                                match=rf"^unknown configuration key\(s\): \['{key}'\]$"):
                 load_run_config(text=f'{{"{key}": {{"range_nm": [520, 780]}}}}')
+
+    def test_native_grid_keys_outside_the_native_section_are_unknown(self):
+        # the native grid is one section: the top-level keys simulate read and the study's
+        # own pair are gone
+        for key, value in (("range_nm", "[450, 900]"), ("n_points", "3648")):
+            with pytest.raises(ConfigError,
+                               match=rf"^unknown configuration key\(s\): \['{key}'\]$"):
+                load_run_config(text=f'{{"{key}": {value}}}')
+        for key, value in (("native_range_nm", "[450, 900]"), ("native_points", "3648")):
+            with pytest.raises(ConfigError,
+                               match=rf"^unknown key\(s\) in 'study' section: \['{key}'\]$"):
+                load_run_config(text=f'{{"study": {{"{key}": {value}}}}}')
 
     def test_unknown_section_key_names_the_section(self):
         with pytest.raises(ConfigError, match="'noise' section"):
@@ -268,7 +282,7 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="unknown key.*'study' section"):
                 load_run_config(text=f'{{"study": {study}}}')
 
-    @pytest.mark.parametrize("section", ["stack", "noise", "window", "study"])
+    @pytest.mark.parametrize("section", ["stack", "noise", "window", "native", "study"])
     @pytest.mark.parametrize("value", ["5", "[1, 2]", "null"])
     def test_non_object_section_rejected(self, section, value):
         with pytest.raises(ConfigError, match=f"^'{section}' section must be an object$"):
@@ -309,24 +323,25 @@ class TestRunConfig:
     @pytest.mark.parametrize("document", [
         '{"stack": {"film_thickness_nm": %s}}', '{"noise": {"target_snr_db": -%s}}',
         '{"window": {"range_nm": [500, %s]}}', '{"study": {"calibration_delta_n": %s}}',
-        '{"range_nm": [500, %s]}', '{"n_points": %s}', '{"seed": %s}',
+        '{"native": {"range_nm": [500, %s]}}', '{"native": {"points": %s}}', '{"seed": %s}',
     ])
     def test_integer_too_large_for_a_float_rejected(self, document):
         with pytest.raises(ConfigError, match="401-digit integer, too large for a float"):
             load_run_config(text=document % ("1" + "0" * 400))
 
-    @pytest.mark.parametrize("document", ['{"window": {"range_nm": %s}}', '{"range_nm": %s}',
-                                          '{"study": {"native_range_nm": %s}}'])
+    @pytest.mark.parametrize("document", ['{"window": {"range_nm": %s}}',
+                                          '{"native": {"range_nm": %s}}'])
     def test_range_of_text_rejected(self, document):
         # as every other numeric key refuses a string, a wavelength range refuses "500"; the
-        # study's error names its section and key
-        with pytest.raises(ConfigError, match="(wavelength range|^invalid 'study' section: "
-                           "native_range_nm) must be two numbers"):
+        # error names the section and, for the native grid, its key
+        with pytest.raises(ConfigError, match="^invalid '(window' section: wavelength range|"
+                           "native' section: range_nm) must be two numbers"):
             load_run_config(text=document % '["500", "800"]')
 
-    def test_bad_n_points_rejected(self):
-        with pytest.raises(ConfigError, match="'n_points'"):
-            load_run_config(text='{"n_points": 4}')
+    def test_bad_native_points_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^invalid 'native' section: points must be an integer >= 16$"):
+            load_run_config(text='{"native": {"points": 4}}')
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from fringelab import (
     FilmStack,
     FitError,
     FoldOverError,
+    NativeGrid,
     RedlichPetersonFit,
     SaturationError,
     Spectrum,
@@ -22,6 +23,7 @@ from fringelab import (
     lod_concentration,
     model_eval,
     reduced_chi_squared,
+    WindowConfig,
     simulate_reflectance,
 )
 from fringelab import isotherm
@@ -382,6 +384,18 @@ def test_correction_linearizes_simulated_sweep():
     fixed_rms = np.sqrt(np.mean((correction.correct(raw, percents) - linear) ** 2)) / span
     assert raw_rms > 0.04  # the sweep is visibly sub-linear before correction
     assert fixed_rms < 0.02
+
+
+def test_correction_sweeps_on_its_native_grid():
+    # the second laboratory's grid: spectra simulated on it, iaw read over its whole range
+    stack, native = FilmStack(), NativeGrid((450.0, 900.0), 3648)
+    correction = iaw_nonlinearity_correction(stack, native, max_eot_percent=2.0, n_sweep=5)
+    wavelengths = np.linspace(450.0, 900.0, 3648)
+    shifted = simulate_reflectance(stack.with_film_index_shift(stack.film_index * 0.5 / 100.0),
+                                   wavelengths)
+    first = iaw(simulate_reflectance(stack, wavelengths), shifted, WindowConfig((450.0, 900.0)))
+    assert correction.linear_slope == first / 0.5  # the sweep's first step, at 0.5%
+    assert correction != iaw_nonlinearity_correction(stack, max_eot_percent=2.0, n_sweep=5)
 
 
 def test_correction_vanishes_for_tiny_sweep():

@@ -17,6 +17,7 @@ from fringelab import (
     FilmStack,
     FringelabError,
     LodStudyConfig,
+    NativeGrid,
     NoiseModel,
     Spectrum,
     StudyError,
@@ -56,8 +57,9 @@ def one_pass(cfg, method, delta_n=0.0, gradient="none"):
 
 def pass_inputs(cfg, delta_n, gradient):
     """The reference, clean analyte and noise model a pass draws (delta_n, gradient) from."""
-    reference = simulate_reflectance(cfg.stack, cfg.wavelengths())
-    clean = simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), cfg.wavelengths())
+    wavelengths = cfg.native.wavelengths()
+    reference = simulate_reflectance(cfg.stack, wavelengths)
+    clean = simulate_reflectance(cfg.stack.with_film_index_shift(delta_n), wavelengths)
     white_sigma = cfg.noise.white_sigma(reference)
     return reference, clean, lodstudy._noise_model(cfg, reference, white_sigma, gradient)
 
@@ -67,31 +69,27 @@ def test_config_rejects_bad_inputs():
         study(n_trials=1)
     with pytest.raises(ValueError):
         study(calibration_delta_n=0.0)
-    with pytest.raises(ValueError):
-        study(native_points=8)
-    with pytest.raises(ValueError):
-        study(native_range_nm=(800.0, 500.0))
 
 
-@pytest.mark.parametrize("native_range_nm", [(500.0, math.inf), (500.0, 3000.0),
-                                             (math.nan, 800.0), (100.0, 800.0), ("500", "800")],
-                         ids=["inf", "past-the-band", "nan", "below-the-band", "text"])
-def test_config_refuses_a_native_range_outside_the_band_by_name(native_range_nm):
-    # each was accepted, and the table then failed with the simulator's message, which named
-    # no field
-    with pytest.raises(ValueError, match=r"^native_range_nm must be two numbers 200 <= low < "
-                       r"high <= 2000 nm, got "):
-        study(native_range_nm=native_range_nm)
+def test_a_pass_and_the_bound_simulate_on_the_native_grid(monkeypatch):
+    grids = []
 
+    def recorded(stack, wavelengths):
+        grids.append(wavelengths)
+        return simulate_reflectance(stack, wavelengths)
 
-def test_config_stores_the_checked_native_range():
-    native = study(native_range_nm=[500, np.float64(800.0)]).native_range_nm
-    assert native == (500.0, 800.0) and all(type(x) is float for x in native)
+    monkeypatch.setattr(lodstudy, "simulate_reflectance", recorded)
+    cfg = study(native=NativeGrid((520, 780), 400), n_trials=4)
+    study_pass(cfg, [(0.0, "none")], ("iaw",))
+    crlb_delta_n(cfg)
+    # the pass's reference and analyte, and the bound's two shifted stacks and reference
+    assert len(grids) == 5
+    assert all(np.array_equal(grid, np.linspace(520, 780, 400)) for grid in grids)
 
 
 @pytest.mark.parametrize("key, value", [
-    ("n_trials", 12.0), ("n_trials", True), ("native_points", 768.0), ("native_points", "768"),
-    ("offset_snr_db", "x"), ("amplitude_snr_db", "x"), ("offset_snr_db", True),
+    ("n_trials", 12.0), ("n_trials", True), ("offset_snr_db", "x"), ("amplitude_snr_db", "x"),
+    ("offset_snr_db", True),
     ("calibration_delta_n", "x"), ("calibration_delta_n", True),
 ])
 def test_config_rejects_a_value_of_the_wrong_type(key, value):
@@ -110,7 +108,7 @@ def test_config_refuses_a_non_finite_number_by_name(key, value):
 
 
 def test_config_takes_numpy_numbers_and_no_floor():
-    cfg = study(n_trials=np.int64(12), native_points=np.int32(768),
+    cfg = study(n_trials=np.int64(12), native=NativeGrid(points=np.int32(768)),
                 offset_snr_db=np.float64(7.9), amplitude_snr_db=None)
     assert cfg.n_trials == 12 and cfg.amplitude_snr_db is None
 
@@ -165,14 +163,14 @@ def test_delta_g_pairs_out_white_noise():
     cfg = study(sigma=1e-9, n_trials=6)
     reference, _, model = pass_inputs(cfg, 0.0, "offset")
     magnitude = model.offset_ramp_magnitude
-    wl = cfg.wavelengths()
+    wl = cfg.native.wavelengths()
     t = (wl - wl[0]) / (wl[-1] - wl[0])
     ramped = Spectrum(wl, reference.reflectance + magnitude * t)
     expected = iaw(reference, ramped)
     assert lod_riu(cfg, "iaw", "offset").delta_g == pytest.approx(expected, rel=1e-6)
     # Zero-meaned ramp residue: mean |t - 1/2| over an even n-point grid
     # is n / (4 (n - 1)), the discrete form of the triangular-mean 1/4.
-    n = cfg.native_points
+    n = cfg.native.points
     assert expected == pytest.approx(magnitude * n / (4.0 * (n - 1)), rel=1e-9)
 
 
@@ -276,13 +274,14 @@ def test_cramer_rao_bound_is_linear_in_white_sigma():
     assert bounds[1] / bounds[0] == pytest.approx(3.0, rel=1e-9)
     # an S/N target resolves to the same sigma the study draws its noise with
     cfg = study()
-    resolved = cfg.noise.white_sigma(simulate_reflectance(cfg.stack, cfg.wavelengths()))
+    resolved = cfg.noise.white_sigma(simulate_reflectance(cfg.stack, cfg.native.wavelengths()))
     assert crlb_delta_n(study()) == pytest.approx(bounds[0] * resolved / 1e-3, rel=1e-12)
 
 
 def test_cramer_rao_bound_falls_as_one_over_root_n():
     # four times the native samples over the same range: |dR/dn| grows by two
-    coarse, dense = (crlb_delta_n(study(sigma=1e-3, native_points=n)) for n in (768, 4 * 768))
+    coarse, dense = (crlb_delta_n(study(sigma=1e-3, native=NativeGrid(points=n)))
+                     for n in (768, 4 * 768))
     assert coarse / dense == pytest.approx(2.0, rel=1e-3)
 
 
@@ -588,7 +587,7 @@ def test_rifts_on_summed_fronts_is_rifts_rows_on_the_summed_stacks(monkeypatch):
         signals, errors = np.full(19, np.nan), []
         for i, row in enumerate(rows):
             try:
-                [signals[i]] = rifts_rows(cfg.wavelengths(), row[None], cfg.window)
+                [signals[i]] = rifts_rows(cfg.native.wavelengths(), row[None], cfg.window)
             except FringelabError as exc:
                 errors.append(f"trial {i}: {exc}")
         expected[delta_n, gradient] = (signals, errors)
@@ -618,6 +617,29 @@ def test_narrow_window_fails_every_trial_with_its_own_message(monkeypatch, metho
         assert np.isnan(signals).all() and [trial for trial, _, _ in failures] == list(range(16))
         with pytest.raises(StudyError, match=expected):
             lod_riu(cfg, method)
+
+
+def test_a_pass_whose_every_clean_front_failed_draws_nothing_and_does_not_fork(monkeypatch):
+    # the pass records each trial's failure itself: no white row is drawn, no child forked
+    cfg = study(n_trials=100, window=WindowConfig(range_nm=(600, 610)))
+    keys = lodstudy._lod_keys(cfg, lodstudy.GRADIENTS)
+    _, clean, _ = pass_inputs(cfg, 0.0, "none")
+    with pytest.raises(FringelabError, match="window too narrow") as info:
+        rifts_rows(cfg.native.wavelengths(), clean.reflectance[None], cfg.window)
+    expected = [(i, type(info.value).__name__, str(info.value)) for i in range(100)]
+
+    def refuse(*args):
+        raise AssertionError("a pass with no clean front drew white rows or split")
+
+    monkeypatch.setattr(lodstudy, "white_rows", refuse)
+    monkeypatch.setattr(lodstudy, "split", refuse)
+    monkeypatch.setattr(_split, "fork_join", refuse)
+    passed = study_pass(cfg, keys, ("rifts",))
+    assert list(passed) == keys
+    for key in keys:
+        signals, failures = passed[key]["rifts"]
+        assert signals.dtype == np.float64 and signals.shape == (100,)
+        assert np.isnan(signals).all() and failures == expected, key
 
 
 @needs_fork

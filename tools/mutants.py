@@ -78,13 +78,16 @@ MUTANTS = {
         "lodstudy.py", "LINEARITY_TOLERANCE = 0.10", "LINEARITY_TOLERANCE = 0.12",
         "tests/test_lodstudy.py"),
     "--range leaves the window": (
-        "cli.py", "range_nm=args.range_nm, window=WindowConfig(args.range_nm))",
-        "range_nm=args.range_nm)", "tests/test_cli.py"),
+        "cli.py", "config = replace(config, window=WindowConfig(args.range_nm))",
+        "config = replace(config)", "tests/test_cli.py"),
+    "simulate's --range leaves the native grid": (
+        "cli.py", "range_nm=args.range_nm or config.native.range_nm",
+        "range_nm=config.native.range_nm", "tests/test_cli.py"),
     "chunks of 7 trials": ("lodstudy.py", "CHUNK_ROWS = 8", "CHUNK_ROWS = 7",
                            "tests/test_lodstudy.py"),
     "a wavelength range takes text": (
         "filmsim.py", "float(x) if isinstance(x, Real) and not isinstance(x, bool) else math.nan",
-        "float(x)", "tests/test_lodstudy.py"),
+        "float(x)", "tests/test_filmsim.py"),
     "an unknown method runs as lamp": (
         "lodstudy.py", "    if any(method not in METHODS for method in methods):\n"
         "        raise ValueError(f\"method must be one of {METHODS}\")\n", "",

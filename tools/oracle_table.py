@@ -46,7 +46,7 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 def oracle_cells(cfg: LodStudyConfig) -> dict:
     """{"method/gradient": {field: value}} from the oracle's signals and this reduction."""
-    wavelengths = cfg.wavelengths()
+    wavelengths = cfg.native.wavelengths()
     reference = simulate_reflectance(cfg.stack, wavelengths)
     white_sigma = cfg.noise.white_sigma(reference)
     reference_phase = oracle.lamp_phase(reference)
